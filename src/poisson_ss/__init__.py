@@ -8,7 +8,7 @@ in the interval.  The worst case over the continuum of rates is reduced to
 a finite candidate set, so answers are exact rather than asymptotic.
 """
 
-from .candidates import CandidateSet, candidate_set, cardinality_bound
+from .candidates import CandidateSet, candidate_set, candidate_stream, cardinality_bound
 from .chernoff import TailBounds, lambda_threshold, tail_bounds, tight_tail_bounds
 from .coverage import (
     AcceptanceBounds,
@@ -33,6 +33,7 @@ from .types import (
     ErrorCriterion,
     Mixed,
     NegativeLowerBound,
+    NonFiniteBound,
     ParamInterval,
     Relative,
     RelativeWithZeroLowerBound,
@@ -60,6 +61,7 @@ __all__ = [
     "DeltaOutOfRange",
     "EmptyInterval",
     "NegativeLowerBound",
+    "NonFiniteBound",
     "RelativeWithZeroLowerBound",
     # kernel
     "PoissonMean",
@@ -77,6 +79,7 @@ __all__ = [
     "CandidatePoint",
     "CandidateSet",
     "candidate_set",
+    "candidate_stream",
     "cardinality_bound",
     # minimization and search
     "min_coverage",

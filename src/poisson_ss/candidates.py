@@ -14,12 +14,22 @@ the relative window on [crossover, b], so the absolute breakpoint families
 are enumerated on the left piece and the relative families on the right
 piece.  A crossover at or outside the interval reduces the criterion to a
 pure one and the reduced families are used over all of [a, b].
+
+The set is streamed in ascending rate order, not built as a list: each
+breakpoint family is a progression ell / div + shift over an integer range
+of ell, generated lazily, and a k-way merge of the families with the
+endpoints and the crossover yields the points one at a time.  A scan that
+stops at an early witness builds only the points it has evaluated.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 from .types import (
     Absolute,
@@ -27,6 +37,7 @@ from .types import (
     CandidatePoint,
     ErrorCriterion,
     Mixed,
+    NonFiniteBound,
     ParamInterval,
     Relative,
     effective_criterion,
@@ -37,17 +48,19 @@ from .types import (
 # both window sides stay exact.
 DEDUP_REL_TOL = 1e-12
 
-_KIND_PRIORITY = {
-    CandidateKind.ENDPOINT_A: 0,
-    CandidateKind.ENDPOINT_B: 1,
-    CandidateKind.CROSSOVER: 2,
-    CandidateKind.ABS_PLUS: 3,
-    CandidateKind.ABS_MINUS: 4,
-    CandidateKind.REL_UPPER: 5,
-    CandidateKind.REL_LOWER: 6,
-}
+# Order among equal values, and the kind a merged point keeps: endpoints,
+# crossover, then the four families.  CandidateKind declares its members
+# in this order.
+_KIND_PRIORITY = {kind: rank for rank, kind in enumerate(CandidateKind)}
 
-__all__ = ["DEDUP_REL_TOL", "CandidateSet", "candidate_set", "cardinality_bound"]
+# A stream entry is (value, kind priority, kind, ell), ell None for the
+# endpoints and the crossover.  No two merged sources share a priority, so
+# comparisons never reach the unorderable kind.  _END closes the last group.
+_Entry = tuple[float, int, CandidateKind, int | None]
+_END = ((math.inf, 0, CandidateKind.ENDPOINT_B, None),)
+
+__all__ = ["DEDUP_REL_TOL", "CandidateSet", "candidate_set", "candidate_stream",
+           "cardinality_bound"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,78 +89,98 @@ def cardinality_bound(criterion: ErrorCriterion, n: int, interval: ParamInterval
     return 2.0 * n * interval.width + extra
 
 
-def _absolute_family(
-    raw: list[tuple[float, CandidateKind, int]],
-    n: int,
-    eps: float,
-    lo: float,
-    hi: float,
-    tol: float,
-) -> None:
-    # ell/n + eps in (lo, hi)
-    first = math.floor(n * (lo - eps)) - 1
-    last = math.ceil(n * (hi - eps)) + 1
-    for ell in range(first, last + 1):
-        v = ell / n + eps
-        if lo - tol < v < hi + tol:
-            raw.append((v, CandidateKind.ABS_PLUS, ell))
-    # ell/n - eps in (lo, hi)
-    first = math.floor(n * (lo + eps)) - 1
-    last = math.ceil(n * (hi + eps)) + 1
-    for ell in range(first, last + 1):
-        v = ell / n - eps
-        if lo - tol < v < hi + tol:
-            raw.append((v, CandidateKind.ABS_MINUS, ell))
+def _progressions(
+    criterion: ErrorCriterion, n: int
+) -> tuple[tuple[CandidateKind, float, float], ...]:
+    """(kind, div, shift) of the two breakpoint families ell / div + shift
+    of a pure criterion.  The relative shift 0.0 leaves ell / div unchanged
+    bit for bit."""
+    if isinstance(criterion, Absolute):
+        return ((CandidateKind.ABS_PLUS, n, criterion.eps),
+                (CandidateKind.ABS_MINUS, n, -criterion.eps))
+    return ((CandidateKind.REL_UPPER, n * (1.0 + criterion.eps), 0.0),
+            (CandidateKind.REL_LOWER, n * (1.0 - criterion.eps), 0.0))
 
 
-def _relative_family(
-    raw: list[tuple[float, CandidateKind, int]],
-    n: int,
-    eps: float,
-    lo: float,
-    hi: float,
-    tol: float,
-) -> None:
-    # ell/(n (1 + eps)) in (lo, hi)
-    scale = n * (1.0 + eps)
-    first = math.floor(lo * scale) - 1
-    last = math.ceil(hi * scale) + 1
+def _family(
+    kind: CandidateKind, div: float, shift: float, lo: float, hi: float, tol: float
+) -> Iterator[_Entry]:
+    """Members of one family strictly within tol of (lo, hi), ascending."""
+    rank = _KIND_PRIORITY[kind]
+    first = math.floor(div * (lo - shift)) - 1
+    last = math.ceil(div * (hi - shift)) + 1
+    lo, hi = lo - tol, hi + tol
     for ell in range(first, last + 1):
-        v = ell / scale
-        if lo - tol < v < hi + tol:
-            raw.append((v, CandidateKind.REL_UPPER, ell))
-    # ell/(n (1 - eps)) in (lo, hi)
-    scale = n * (1.0 - eps)
-    first = math.floor(lo * scale) - 1
-    last = math.ceil(hi * scale) + 1
-    for ell in range(first, last + 1):
-        v = ell / scale
-        if lo - tol < v < hi + tol:
-            raw.append((v, CandidateKind.REL_LOWER, ell))
+        v = ell / div + shift
+        if lo < v < hi:
+            yield v, rank, kind, ell
 
 
-def _merge_group(
-    group: list[tuple[float, CandidateKind, int | None]],
-) -> list[CandidatePoint]:
-    group = sorted(group, key=lambda t: (_KIND_PRIORITY[t[1]], t[0]))
-    grid = tuple(
-        (kind, ell) for _, kind, ell in group if ell is not None
-    )
-    kinds = {kind for _, kind, _ in group}
-    has_a = CandidateKind.ENDPOINT_A in kinds
-    has_b = CandidateKind.ENDPOINT_B in kinds
-    if has_a and has_b:
+def _merge_group(group: list[_Entry]) -> list[CandidatePoint]:
+    """Colliding entries as one point tagged by all (two for a sliver)."""
+    group = sorted(group, key=itemgetter(1, 0))
+    grid = tuple((kind, ell) for _, _, kind, ell in group if ell is not None)
+    value, _, kind, ell = group[0]
+    if kind is CandidateKind.ENDPOINT_A and group[1][2] is CandidateKind.ENDPOINT_B:
         # Sliver interval: keep both endpoints, never merged away.
-        a_val = next(v for v, k, _ in group if k is CandidateKind.ENDPOINT_A)
-        b_val = next(v for v, k, _ in group if k is CandidateKind.ENDPOINT_B)
         return [
-            CandidatePoint(a_val, CandidateKind.ENDPOINT_A, None, grid),
-            CandidatePoint(b_val, CandidateKind.ENDPOINT_B, None, grid),
+            CandidatePoint(value, kind, None, grid),
+            CandidatePoint(group[1][0], CandidateKind.ENDPOINT_B, None, grid),
         ]
-    value, kind, ell = group[0]
-    if ell is None:
-        return [CandidatePoint(value, kind, None, grid)]
-    return [CandidatePoint(value, kind, ell, grid[1:])]
+    return [CandidatePoint(value, kind, ell, grid if ell is None else grid[1:])]
+
+
+def _points(merged: Iterator[_Entry], tol: float) -> Iterator[CandidatePoint]:
+    """Group entries within tol of the group's last member; a lone entry
+    becomes its point directly and only collisions are merged."""
+    group = [next(merged)]
+    for entry in chain(merged, _END):
+        if entry[0] - group[-1][0] <= tol:
+            group.append(entry)
+            continue
+        if len(group) == 1:
+            value, _, kind, ell = group[0]
+            yield CandidatePoint(value, kind, ell)
+        else:
+            yield from _merge_group(group)
+        group = [entry]
+
+
+def candidate_stream(
+    criterion: ErrorCriterion, n: int, interval: ParamInterval
+) -> Iterator[CandidatePoint]:
+    """The points of `candidate_set`, built one at a time in the same order.
+
+    Bad arguments raise here, before the first point is requested.
+    """
+    if n < 1:
+        raise ValueError(f"sample size must be >= 1, got {n!r}")
+    a, b = interval.a, interval.b
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise NonFiniteBound(
+            f"candidate rates need a finite interval, got [{a!r}, {b!r}]; an "
+            "infinite b is only searchable with tail-bound truncation under "
+            "a relative or mixed margin")
+    tol = DEDUP_REL_TOL * max(1.0, abs(a), abs(b))
+
+    eff = effective_criterion(criterion, interval)
+    specials: list[_Entry] = [
+        (a, _KIND_PRIORITY[CandidateKind.ENDPOINT_A], CandidateKind.ENDPOINT_A, None),
+        (b, _KIND_PRIORITY[CandidateKind.ENDPOINT_B], CandidateKind.ENDPOINT_B, None),
+    ]
+    if isinstance(eff, Mixed):
+        cx = eff.crossover
+        specials.append(
+            (cx, _KIND_PRIORITY[CandidateKind.CROSSOVER], CandidateKind.CROSSOVER, None))
+        pieces = ((Absolute(eff.eps_a), a, cx), (Relative(eff.eps_r), cx, b))
+    else:
+        pieces = ((eff, a, b),)
+    families = [
+        _family(kind, div, shift, lo, hi, tol)
+        for piece, lo, hi in pieces
+        for kind, div, shift in _progressions(piece, n)
+    ]
+    return _points(heapq.merge(sorted(specials), *families), tol)
 
 
 def candidate_set(
@@ -160,38 +193,5 @@ def candidate_set(
     ascending.  Breakpoints that collide (with each other, an endpoint, or
     the crossover) are merged into one point holding every tag.
     """
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n!r}")
-    a, b = interval.a, interval.b
-    tol = DEDUP_REL_TOL * max(1.0, abs(a), abs(b))
-
-    raw: list[tuple[float, CandidateKind, int]] = []
-    eff = effective_criterion(criterion, interval)
-    specials: list[tuple[float, CandidateKind, None]] = [
-        (a, CandidateKind.ENDPOINT_A, None),
-        (b, CandidateKind.ENDPOINT_B, None),
-    ]
-    if isinstance(eff, Absolute):
-        _absolute_family(raw, n, eff.eps, a, b, tol)
-    elif isinstance(eff, Relative):
-        _relative_family(raw, n, eff.eps, a, b, tol)
-    else:
-        cx = eff.crossover
-        specials.append((cx, CandidateKind.CROSSOVER, None))
-        _absolute_family(raw, n, eff.eps_a, a, cx, tol)
-        _relative_family(raw, n, eff.eps_r, cx, b, tol)
-
-    entries: list[tuple[float, CandidateKind, int | None]] = [*raw, *specials]
-    entries.sort(key=lambda t: (t[0], _KIND_PRIORITY[t[1]]))
-
-    points: list[CandidatePoint] = []
-    group: list[tuple[float, CandidateKind, int | None]] = [entries[0]]
-    for entry in entries[1:]:
-        if entry[0] - group[-1][0] <= tol:
-            group.append(entry)
-        else:
-            points.extend(_merge_group(group))
-            group = [entry]
-    points.extend(_merge_group(group))
-
-    return CandidateSet(points=tuple(points), n=n, criterion=criterion, interval=interval)
+    points = tuple(candidate_stream(criterion, n, interval))
+    return CandidateSet(points=points, n=n, criterion=criterion, interval=interval)

@@ -11,7 +11,8 @@ Subcommands:
 A batch mode (``--config FILE``) runs one JSON job per line and emits one
 JSON result per line, in input order; ``POISSON_SS_THREADS`` caps the
 worker pool.  Machine output serializes every float with 17 significant
-digits so values round-trip exactly.
+digits so values round-trip exactly, and is strict JSON: a non-finite
+float (the upper bound b = inf of a truncated search) is written as null.
 
 Exit codes: 0 success, 1 validation error, 2 budget exceeded, 3 internal
 verification failure.  No other value is ever returned.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -36,6 +38,7 @@ from .types import (
     ConfidenceSpec,
     ErrorCriterion,
     Mixed,
+    NonFiniteBound,
     ParamInterval,
     Relative,
     ValidationError,
@@ -67,11 +70,12 @@ def _fmt(x: float) -> str:
 
 
 def _jsonify(obj) -> str:
-    """JSON text with all floats at 17 significant digits."""
+    """Strict JSON text with all finite floats at 17 significant digits and
+    non-finite ones as null."""
     if isinstance(obj, bool) or obj is None or isinstance(obj, int):
         return json.dumps(obj)
     if isinstance(obj, float):
-        return _fmt(obj)
+        return _fmt(obj) if math.isfinite(obj) else "null"
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
@@ -168,7 +172,11 @@ def _build_criterion(ns: argparse.Namespace) -> ErrorCriterion:
     return Absolute(ns.eps) if ns.criterion == "abs" else Relative(ns.eps)
 
 
-def _problem(ns: argparse.Namespace) -> tuple[ErrorCriterion, ParamInterval, ConfidenceSpec]:
+def _problem(
+    ns: argparse.Namespace, bounded: bool = True
+) -> tuple[ErrorCriterion, ParamInterval, ConfidenceSpec]:
+    """The validated problem; ``bounded`` commands scan all of [a, b] at a
+    fixed n and so also need b finite."""
     criterion = _build_criterion(ns)
     interval = ParamInterval(ns.a, ns.b)
     # Commands without a risk level still get the interval/margin checks;
@@ -176,6 +184,9 @@ def _problem(ns: argparse.Namespace) -> tuple[ErrorCriterion, ParamInterval, Con
     delta = getattr(ns, "delta", None)
     conf = ConfidenceSpec(0.5 if delta is None else delta)
     validate(criterion, interval, conf)
+    if bounded and math.isinf(interval.b):
+        raise NonFiniteBound(
+            f"{ns.command} scans all of [a, b] and needs a finite --b, got {ns.b!r}")
     return criterion, interval, conf
 
 
@@ -195,7 +206,7 @@ def _require_positive_n(n: int) -> None:
 
 
 def _execute_size(ns: argparse.Namespace) -> tuple[dict, int]:
-    criterion, interval, conf = _problem(ns)
+    criterion, interval, conf = _problem(ns, bounded=False)
     use_chernoff = {"auto": None, "on": True, "off": False}[ns.chernoff]
     opts = SearchOptions(start_n=ns.start_n, max_n=ns.max_n,
                          strategy=ns.strategy, fail_fast=ns.fail_fast,

@@ -8,7 +8,7 @@ adjacent candidate values.
 
 from __future__ import annotations
 
-from .candidates import candidate_set
+from .candidates import candidate_stream
 from .coverage import coverage_at_point
 from .types import CoverageResult, ErrorCriterion, ParamInterval
 
@@ -27,11 +27,12 @@ def scan_min_coverage(
     smaller rate.  When a fail-fast threshold is given the scan stops at the
     first candidate with coverage <= threshold; the returned result is then
     that witness rather than the global minimum, which is all a pass/fail
-    decision needs.
+    decision needs.  Candidates are streamed, so an early stop also stops
+    building them.
     """
     best: CoverageResult | None = None
     count = 0
-    for point in candidate_set(criterion, n, interval):
+    for point in candidate_stream(criterion, n, interval):
         result = coverage_at_point(criterion, n, point)
         count += 1
         if best is None or result.coverage < best.coverage:

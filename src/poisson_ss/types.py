@@ -9,6 +9,7 @@ successful `validate` call may assume a well-formed configuration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,6 +28,10 @@ class DeltaOutOfRange(ValidationError):
 
 class EmptyInterval(ValidationError):
     """The rate interval has a >= b."""
+
+
+class NonFiniteBound(ValidationError):
+    """A rate bound is infinite or NaN where the computation needs it finite."""
 
 
 class NegativeLowerBound(ValidationError):
@@ -91,7 +96,8 @@ class ConfidenceSpec:
 
 class CandidateKind(Enum):
     """Provenance of a candidate rate: interval endpoint, margin crossover,
-    or a member of one of the four breakpoint families."""
+    or a member of one of the four breakpoint families.  Members are
+    declared in priority order among candidates of equal value."""
 
     ENDPOINT_A = "endpoint_a"
     ENDPOINT_B = "endpoint_b"
@@ -173,7 +179,9 @@ def validate(
     Raises the most specific `ValidationError` subclass on the first
     violated constraint.  A Mixed criterion whose crossover falls at or
     below a (or at or above b) is accepted; it simply behaves as the pure
-    relative (or absolute) criterion over the whole interval.
+    relative (or absolute) criterion over the whole interval.  The upper
+    bound b may be +inf; only a search whose tail bound truncates the scan
+    can use it, and a scan over it raises `NonFiniteBound`.
     """
     eps_values: tuple[float, ...]
     if isinstance(criterion, (Absolute, Relative)):
@@ -189,6 +197,9 @@ def validate(
     if not (0.0 < conf.delta < 1.0):
         raise DeltaOutOfRange(
             f"risk level must lie strictly inside (0, 1), got {conf.delta!r}")
+    if not math.isfinite(interval.a):
+        raise NonFiniteBound(
+            f"rate interval needs a finite lower bound, got a={interval.a!r}")
     if interval.a < 0.0:
         raise NegativeLowerBound(
             f"rate interval must satisfy a >= 0, got a={interval.a!r}")

@@ -19,6 +19,12 @@ endpoints are therefore also evaluated exactly at the point.
 
 Everything here leans on scipy's Poisson cdf rather than the package's own
 mass kernel, keeping the two routes numerically independent.
+
+`reference_candidate_set` is the package's earlier full-list candidate
+enumeration, kept as the oracle for the streamed one in
+`poisson_ss.candidates`: it lists every family member, sorts the whole list
+once and merges colliding groups, and must yield the same points in the
+same order.
 """
 
 from __future__ import annotations
@@ -29,7 +35,16 @@ import numpy as np
 from scipy.special import gammaln
 from scipy.stats import poisson as sp_poisson
 
-from poisson_ss import Absolute, Mixed, ParamInterval, Relative
+from poisson_ss import (
+    Absolute,
+    CandidateKind,
+    CandidatePoint,
+    Mixed,
+    ParamInterval,
+    Relative,
+    effective_criterion,
+)
+from poisson_ss.candidates import DEDUP_REL_TOL
 
 # Breakpoints closer than this (relative to interval scale) are floating
 # point duplicates of one another, not distinct window jumps.
@@ -148,3 +163,131 @@ def exact_min_coverage(criterion, n: int, interval: ParamInterval) -> float:
 
     at_vals = [coverage_at_exact(criterion, n, float(x)) for x in xs]
     return float(min(piece_min.min(), min(at_vals)))
+
+
+_KIND_PRIORITY = {
+    CandidateKind.ENDPOINT_A: 0,
+    CandidateKind.ENDPOINT_B: 1,
+    CandidateKind.CROSSOVER: 2,
+    CandidateKind.ABS_PLUS: 3,
+    CandidateKind.ABS_MINUS: 4,
+    CandidateKind.REL_UPPER: 5,
+    CandidateKind.REL_LOWER: 6,
+}
+
+
+def _absolute_family(
+    raw: list[tuple[float, CandidateKind, int]],
+    n: int,
+    eps: float,
+    lo: float,
+    hi: float,
+    tol: float,
+) -> None:
+    # ell/n + eps in (lo, hi)
+    first = math.floor(n * (lo - eps)) - 1
+    last = math.ceil(n * (hi - eps)) + 1
+    for ell in range(first, last + 1):
+        v = ell / n + eps
+        if lo - tol < v < hi + tol:
+            raw.append((v, CandidateKind.ABS_PLUS, ell))
+    # ell/n - eps in (lo, hi)
+    first = math.floor(n * (lo + eps)) - 1
+    last = math.ceil(n * (hi + eps)) + 1
+    for ell in range(first, last + 1):
+        v = ell / n - eps
+        if lo - tol < v < hi + tol:
+            raw.append((v, CandidateKind.ABS_MINUS, ell))
+
+
+def _relative_family(
+    raw: list[tuple[float, CandidateKind, int]],
+    n: int,
+    eps: float,
+    lo: float,
+    hi: float,
+    tol: float,
+) -> None:
+    # ell/(n (1 + eps)) in (lo, hi)
+    scale = n * (1.0 + eps)
+    first = math.floor(lo * scale) - 1
+    last = math.ceil(hi * scale) + 1
+    for ell in range(first, last + 1):
+        v = ell / scale
+        if lo - tol < v < hi + tol:
+            raw.append((v, CandidateKind.REL_UPPER, ell))
+    # ell/(n (1 - eps)) in (lo, hi)
+    scale = n * (1.0 - eps)
+    first = math.floor(lo * scale) - 1
+    last = math.ceil(hi * scale) + 1
+    for ell in range(first, last + 1):
+        v = ell / scale
+        if lo - tol < v < hi + tol:
+            raw.append((v, CandidateKind.REL_LOWER, ell))
+
+
+def _merge_group(
+    group: list[tuple[float, CandidateKind, int | None]],
+) -> list[CandidatePoint]:
+    group = sorted(group, key=lambda t: (_KIND_PRIORITY[t[1]], t[0]))
+    grid = tuple(
+        (kind, ell) for _, kind, ell in group if ell is not None
+    )
+    kinds = {kind for _, kind, _ in group}
+    has_a = CandidateKind.ENDPOINT_A in kinds
+    has_b = CandidateKind.ENDPOINT_B in kinds
+    if has_a and has_b:
+        # Sliver interval: keep both endpoints, never merged away.
+        a_val = next(v for v, k, _ in group if k is CandidateKind.ENDPOINT_A)
+        b_val = next(v for v, k, _ in group if k is CandidateKind.ENDPOINT_B)
+        return [
+            CandidatePoint(a_val, CandidateKind.ENDPOINT_A, None, grid),
+            CandidatePoint(b_val, CandidateKind.ENDPOINT_B, None, grid),
+        ]
+    value, kind, ell = group[0]
+    if ell is None:
+        return [CandidatePoint(value, kind, None, grid)]
+    return [CandidatePoint(value, kind, ell, grid[1:])]
+
+
+def reference_candidate_set(
+    criterion, n: int, interval: ParamInterval
+) -> tuple[CandidatePoint, ...]:
+    """The candidate points by a full build: every family member in a list,
+    one sort by (value, kind priority), then a merge of each group of values
+    within DEDUP_REL_TOL of the previous member."""
+    if n < 1:
+        raise ValueError(f"sample size must be >= 1, got {n!r}")
+    a, b = interval.a, interval.b
+    tol = DEDUP_REL_TOL * max(1.0, abs(a), abs(b))
+
+    raw: list[tuple[float, CandidateKind, int]] = []
+    eff = effective_criterion(criterion, interval)
+    specials: list[tuple[float, CandidateKind, None]] = [
+        (a, CandidateKind.ENDPOINT_A, None),
+        (b, CandidateKind.ENDPOINT_B, None),
+    ]
+    if isinstance(eff, Absolute):
+        _absolute_family(raw, n, eff.eps, a, b, tol)
+    elif isinstance(eff, Relative):
+        _relative_family(raw, n, eff.eps, a, b, tol)
+    else:
+        cx = eff.crossover
+        specials.append((cx, CandidateKind.CROSSOVER, None))
+        _absolute_family(raw, n, eff.eps_a, a, cx, tol)
+        _relative_family(raw, n, eff.eps_r, cx, b, tol)
+
+    entries: list[tuple[float, CandidateKind, int | None]] = [*raw, *specials]
+    entries.sort(key=lambda t: (t[0], _KIND_PRIORITY[t[1]]))
+
+    points: list[CandidatePoint] = []
+    group: list[tuple[float, CandidateKind, int | None]] = [entries[0]]
+    for entry in entries[1:]:
+        if entry[0] - group[-1][0] <= tol:
+            group.append(entry)
+        else:
+            points.extend(_merge_group(group))
+            group = [entry]
+    points.extend(_merge_group(group))
+
+    return tuple(points)

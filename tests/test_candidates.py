@@ -1,18 +1,29 @@
 """Candidate-set construction: membership, tags, ordering, cardinality."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisson_ss import (
     Absolute,
     CandidateKind,
     Mixed,
+    NonFiniteBound,
     ParamInterval,
     Relative,
     candidate_set,
+    candidate_stream,
     cardinality_bound,
     coverage_at_point,
 )
+from poisson_ss.candidates import DEDUP_REL_TOL
+
+sys.path.insert(0, __file__.rsplit("/", 1)[0])
+from exact_reference import reference_candidate_set  # noqa: E402
 
 
 def _random_config(rng):
@@ -180,6 +191,8 @@ def test_candidate_set_container_api():
 def test_candidate_set_rejects_bad_sample_size():
     with pytest.raises(ValueError):
         candidate_set(Absolute(0.2), 0, ParamInterval(0.0, 1.0))
+    with pytest.raises(ValueError):
+        candidate_stream(Absolute(0.2), 0, ParamInterval(0.0, 1.0))
 
 
 def test_candidate_set_is_deterministic():
@@ -205,3 +218,76 @@ def test_tagged_coverage_consistent_when_families_collide():
         hi = {kind: ell for kind, ell in p.grid_tags()}[CandidateKind.ABS_MINUS]
         assert result.g == max(0, lo + 1)
         assert result.h == hi - 1
+
+
+def _assert_matches_reference(crit, n, interval):
+    got = candidate_set(crit, n, interval).points
+    want = reference_candidate_set(crit, n, interval)
+    assert [(p.value, p.kind, p.ell, p.extra_tags) for p in got] == [
+        (p.value, p.kind, p.ell, p.extra_tags) for p in want]
+
+
+# Round margins make n * eps and the crossover land on exact lattice values,
+# so families collide with each other, the endpoints and the crossover.
+_margins = st.sampled_from([0.1, 0.125, 0.2, 0.25, 0.5]) | st.floats(0.01, 0.95)
+_widths = (st.sampled_from([0.25, 0.5, 1.0, 2.0, 0.5 * DEDUP_REL_TOL])
+           | st.floats(1e-13, 5.0))
+
+
+@st.composite
+def _configs(draw):
+    kind = draw(st.sampled_from(["abs", "rel", "mix"]))
+    n = draw(st.integers(1, 300))
+    if kind == "rel":
+        crit = Relative(draw(_margins))
+        a = draw(st.sampled_from([0.5, 1.0]) | st.floats(1e-3, 5.0))
+    else:
+        crit = (Absolute(draw(_margins)) if kind == "abs"
+                else Mixed(draw(_margins), draw(_margins)))
+        a = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 5.0))
+    return crit, n, ParamInterval(a, a + draw(_widths))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_configs())
+def test_stream_matches_full_sort_reference(config):
+    _assert_matches_reference(*config)
+
+
+@pytest.mark.parametrize("crit, n, interval", [
+    # the two absolute families collide at every interior point
+    (Absolute(0.25), 2, ParamInterval(0.0, 1.0)),
+    # crossover 0.5 = 1/4 + 0.25 = 3/4 - 0.25 = 3/6 = 1/2: all four families
+    (Mixed(0.25, 0.5), 4, ParamInterval(0.1, 2.0)),
+    # slivers: b - a < DEDUP_REL_TOL
+    (Absolute(0.2), 3, ParamInterval(0.25, 0.25 + 1e-15)),
+    (Mixed(0.3, 0.2), 5, ParamInterval(1.0, 1.0 + 0.5 * DEDUP_REL_TOL)),
+    # a = 0
+    (Absolute(0.1), 30, ParamInterval(0.0, 1.0)),
+    (Mixed(0.1, 0.2), 40, ParamInterval(0.0, 3.0)),
+    # a chain 1 - t, a, 1 + t, b with t = 0.75 DEDUP_REL_TOL is one group
+    # although its ends are further apart than the tolerance
+    (Absolute(0.75 * DEDUP_REL_TOL), 1, ParamInterval(1.0, 1.0 + 1.5 * DEDUP_REL_TOL)),
+    # breakpoints exactly at a - tol (ell = 0) or b + tol (ell = 1) stay out
+    (Absolute(0.5 - DEDUP_REL_TOL), 1, ParamInterval(0.5, 1.0)),
+    (Absolute(DEDUP_REL_TOL), 1, ParamInterval(0.5, 1.0)),
+])
+def test_stream_matches_reference_on_edge_cases(crit, n, interval):
+    _assert_matches_reference(crit, n, interval)
+
+
+def test_crossover_on_a_breakpoint_carries_every_family_tag():
+    cs = candidate_set(Mixed(0.25, 0.5), 4, ParamInterval(0.1, 2.0))
+    (cx,) = [p for p in cs if p.kind is CandidateKind.CROSSOVER]
+    assert cx.value == 0.5
+    assert {kind for kind, _ in cx.extra_tags} == {
+        CandidateKind.ABS_PLUS, CandidateKind.ABS_MINUS,
+        CandidateKind.REL_UPPER, CandidateKind.REL_LOWER}
+
+
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (math.nan, 1.0), (0.5, math.nan)])
+def test_stream_rejects_non_finite_bounds_before_iterating(a, b):
+    with pytest.raises(NonFiniteBound):
+        candidate_stream(Relative(0.2), 5, ParamInterval(a, b))
+    with pytest.raises(NonFiniteBound):
+        candidate_set(Absolute(0.2), 5, ParamInterval(a, b))

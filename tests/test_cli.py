@@ -217,11 +217,80 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
      "--b", "1", "--delta", "0.1", "--n", "5", "--trials", "0"],
     ["verify", "--criterion", "abs", "--eps", "0.2", "--a", "0",
      "--b", "1", "--delta", "0.1", "--n", "5", "--seed", "-1"],
+    ["size", "--criterion", "rel", "--eps", "0.2", "--a", "nan",
+     "--b", "1", "--delta", "0.1"],                         # non-finite a
+    ["size", "--criterion", "rel", "--eps", "0.2", "--a", "0.5",
+     "--b", "inf", "--delta", "0.1", "--chernoff", "off"],  # unbounded scan
+    ["verify", "--criterion", "rel", "--eps", "0.2", "--a", "0.5",
+     "--b", "inf", "--delta", "0.1"],
+    ["verify", "--criterion", "rel", "--eps", "0.2", "--a", "0.5",
+     "--b", "inf", "--delta", "0.1", "--n", "5"],
+    ["coverage", "--criterion", "rel", "--eps", "0.2", "--a", "0.5",
+     "--b", "inf", "--n", "5"],
+    ["coverage", "--criterion", "rel", "--eps", "0.2", "--a", "0.5",
+     "--b", "inf", "--n", "5", "--grid", "5"],
+    ["candidates", "--criterion", "rel", "--eps", "0.2", "--a", "0.5",
+     "--b", "inf", "--n", "5"],
 ])
 def test_validation_failures_exit_1(capsys, argv):
     code = main(argv)
     capsys.readouterr()
     assert code == 1
+
+
+def test_size_with_infinite_b_and_absolute_margin_exits_1(capsys):
+    code, out, err = run(capsys, [
+        "size", "--criterion", "abs", "--eps", "0.1", "--a", "0",
+        "--b", "inf", "--delta", "0.1"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+JSON_ARGV = [
+    ["size", "--criterion", "rel", "--eps", "0.2", "--a", "0.5", "--b", "inf",
+     "--delta", "0.1", "--format", "json"],
+    SIZE_ARGS,
+    ["coverage", "--criterion", "abs", "--eps", "0.25", "--a", "0", "--b", "1",
+     "--n", "2", "--format", "json"],
+    ["coverage", "--criterion", "abs", "--eps", "0.25", "--a", "0", "--b", "1",
+     "--n", "2", "--grid", "5", "--format", "json"],
+    ["candidates", "--criterion", "mixed", "--eps-a", "0.3", "--eps-r", "0.2",
+     "--a", "0.1", "--b", "3", "--n", "4", "--format", "json"],
+    ["verify", "--criterion", "rel", "--eps", "0.5", "--a", "0.5", "--b", "3",
+     "--delta", "0.2", "--n", "12", "--trials", "2000", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", JSON_ARGV)
+def test_json_output_is_strict(capsys, argv):
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    result = json.loads(out, parse_constant=_reject_constant)
+    if "inf" in argv:
+        assert result["interval"]["b"] is None
+
+
+def test_batch_output_is_strict_json(tmp_path, capsys):
+    jobs = []
+    for argv in JSON_ARGV:
+        job = {"cmd": argv[0]}
+        for flag, value in zip(argv[1::2], argv[2::2]):
+            job[flag[2:].replace("-", "_")] = value
+        jobs.append(job)
+    config = tmp_path / "jobs.jsonl"
+    config.write_text("".join(json.dumps(j) + "\n" for j in jobs), encoding="utf-8")
+    code, out, _ = run(capsys, ["--config", str(config)])
+    assert code == 0
+    lines = [json.loads(line, parse_constant=_reject_constant)
+             for line in out.splitlines()]
+    assert len(lines) == len(jobs)
+    assert not any("error" in line for line in lines)
+    assert lines[0]["interval"]["b"] is None
 
 
 def test_batch_preserves_input_order(tmp_path, capsys, monkeypatch):

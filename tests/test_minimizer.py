@@ -5,6 +5,7 @@ import pytest
 
 from poisson_ss import (
     Absolute,
+    CandidatePoint,
     Mixed,
     ParamInterval,
     Relative,
@@ -13,6 +14,7 @@ from poisson_ss import (
     min_coverage,
     scan_min_coverage,
 )
+from poisson_ss import candidates
 
 
 def test_empty_window_spike_is_found():
@@ -108,3 +110,21 @@ def test_early_stop_witness_is_below_threshold():
         assert witness.coverage <= threshold
     else:
         assert witness == exhaustive
+
+
+def test_fail_fast_scan_builds_only_what_it_evaluates(monkeypatch):
+    # [0.5, 1e6] holds about 2e6 candidates at n = 1, and the window at
+    # rate 0.5 is empty, so the first candidate already fails
+    built = []
+
+    def counting_point(*args):
+        built.append(args)
+        return CandidatePoint(*args)
+
+    monkeypatch.setattr(candidates, "CandidatePoint", counting_point)
+    witness, count = scan_min_coverage(
+        Relative(0.1), 1, ParamInterval(0.5, 1e6), fail_fast_threshold=0.9)
+    assert count == 1
+    assert witness.lam == 0.5
+    assert witness.coverage == 0.0
+    assert len(built) <= 2

@@ -1,5 +1,7 @@
 """Minimum sample size search: linear scan, gallop, truncation, budgets."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from poisson_ss import (
     DeltaOutOfRange,
     MaxSampleSizeExceeded,
     Mixed,
+    NonFiniteBound,
     ParamInterval,
     Relative,
     SearchOptions,
@@ -145,6 +148,29 @@ def test_degenerate_truncation_checks_only_the_lower_endpoint():
     assert plan.truncated_b == 0.2
     assert plan.evaluations == 1
     assert plan.worst_lambda == 0.2
+
+
+@pytest.mark.parametrize("criterion", [Relative(0.2), Mixed(0.1, 0.2)])
+def test_infinite_b_is_searched_when_the_tail_bound_truncates(criterion):
+    conf = ConfidenceSpec(0.1)
+    unbounded = min_sample_size(criterion, ParamInterval(0.5, math.inf), conf)
+    bounded = min_sample_size(criterion, ParamInterval(0.5, 2.0), conf)
+    assert unbounded.n_min == bounded.n_min == 141
+    assert unbounded.worst_lambda == bounded.worst_lambda
+    assert unbounded.worst_coverage == bounded.worst_coverage
+    assert unbounded.truncated_b == bounded.truncated_b < 2.0
+
+
+@pytest.mark.parametrize("criterion, opts", [
+    (Absolute(0.1), SearchOptions()),
+    (Absolute(0.1), SearchOptions(use_chernoff=True)),
+    (Relative(0.2), SearchOptions(use_chernoff=False)),
+    (Mixed(0.1, 0.2), SearchOptions(use_chernoff=False)),
+])
+def test_infinite_b_without_truncation_is_a_validation_error(criterion, opts):
+    with pytest.raises(NonFiniteBound):
+        min_sample_size(criterion, ParamInterval(0.5, math.inf),
+                        ConfidenceSpec(0.1), opts)
 
 
 def test_absolute_criterion_has_nothing_to_truncate():

@@ -1,6 +1,7 @@
 """Configuration validation and criterion resolution."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -14,6 +15,7 @@ from poisson_ss import (
     EpsilonOutOfRange,
     Mixed,
     NegativeLowerBound,
+    NonFiniteBound,
     ParamInterval,
     Relative,
     RelativeWithZeroLowerBound,
@@ -60,6 +62,18 @@ def test_interval_lower_bound_must_be_nonnegative():
         validate(Absolute(0.1), ParamInterval(-0.5, 1.0), ConfidenceSpec(0.1))
 
 
+@pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan])
+def test_interval_lower_bound_must_be_finite(a):
+    with pytest.raises(NonFiniteBound):
+        validate(Absolute(0.1), ParamInterval(a, math.inf), ConfidenceSpec(0.1))
+
+
+def test_infinite_upper_bound_passes_validation():
+    # only the search knows whether its tail bound makes the scan finite
+    for crit in (Absolute(0.1), Relative(0.1), Mixed(0.1, 0.2)):
+        validate(crit, ParamInterval(0.5, math.inf), ConfidenceSpec(0.1))
+
+
 def test_relative_criterion_rejects_zero_lower_bound():
     with pytest.raises(RelativeWithZeroLowerBound):
         validate(Relative(0.1), ParamInterval(0.0, 1.0), ConfidenceSpec(0.1))
@@ -78,7 +92,7 @@ def test_margin_violation_reported_before_delta_violation():
 
 def test_all_validation_errors_are_value_errors():
     for exc in (EpsilonOutOfRange, DeltaOutOfRange, EmptyInterval,
-                NegativeLowerBound, RelativeWithZeroLowerBound):
+                NonFiniteBound, NegativeLowerBound, RelativeWithZeroLowerBound):
         assert issubclass(exc, ValidationError)
         assert issubclass(exc, ValueError)
 
