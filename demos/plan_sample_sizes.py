@@ -15,14 +15,13 @@ from poisson_ss import (
     Mixed,
     ParamInterval,
     Relative,
-    SearchOptions,
     min_coverage,
     min_sample_size,
 )
 
 
-def describe(title, criterion, interval, conf, opts=None):
-    plan = min_sample_size(criterion, interval, conf, opts or SearchOptions())
+def describe(title, criterion, interval, conf):
+    plan = min_sample_size(criterion, interval, conf)
     print(title)
     print(f"  rate range        [{interval.a:g}, {interval.b:g}]")
     print(f"  confidence target > {1.0 - conf.delta:g}")
@@ -66,19 +65,13 @@ def main():
         worst = min_coverage(crit, n, interval)
         verdict = "pass" if worst.coverage > 1.0 - conf.delta else "FAIL"
         print(f"  n = {n}: worst coverage {worst.coverage:.6f}  {verdict}")
-    print()
 
-    # Because of such dips, the galloping strategy cannot simply walk
-    # back from its first passing probe; it confirms with the same
-    # ascending scan the linear strategy uses, so the two always agree.
-    linear = min_sample_size(crit, interval, conf,
-                             SearchOptions(strategy="linear"))
-    gallop = min_sample_size(crit, interval, conf,
-                             SearchOptions(strategy="gallop"))
-    assert (linear.n_min, linear.worst_coverage) == \
-        (gallop.n_min, gallop.worst_coverage)
-    print(f"linear and gallop both return n = {linear.n_min}, "
-          "not the higher passing probe")
+    # Because of such dips, no search may walk back from a passing n to
+    # the first failure below it; the ascending scan stops at the first
+    # passing n and so returns 7, not 9.
+    plan = min_sample_size(crit, interval, conf)
+    assert plan.n_min == 7
+    print(f"the search returns n = {plan.n_min}")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ a finite candidate set, so answers are exact rather than asymptotic.
 """
 
 from .candidates import CandidateSet, candidate_set, candidate_stream, cardinality_bound
-from .chernoff import TailBounds, lambda_threshold, tail_bounds, tight_tail_bounds
+from .chernoff import TailBounds, lambda_threshold, tail_bounds
 from .coverage import (
     AcceptanceBounds,
     acceptance_bounds,
@@ -91,7 +91,6 @@ __all__ = [
     # tail bounds
     "TailBounds",
     "tail_bounds",
-    "tight_tail_bounds",
     "lambda_threshold",
     # oracles
     "grid_min_coverage",

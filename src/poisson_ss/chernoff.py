@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 TWO_LN2_MINUS_1 = 2.0 * math.log(2.0) - 1.0
 
-__all__ = ["TWO_LN2_MINUS_1", "TailBounds", "tail_bounds", "tight_tail_bounds", "lambda_threshold"]
+__all__ = ["TWO_LN2_MINUS_1", "TailBounds", "tail_bounds", "lambda_threshold"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,38 +32,18 @@ class TailBounds:
     upper: float
 
 
-def _check_args(n: int, lam: float, eps: float) -> None:
+def tail_bounds(n: int, lam: float, eps: float) -> TailBounds:
+    """Closed-form exponential bounds on both relative tails."""
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n!r}")
     if not (lam >= 0.0):
         raise ValueError(f"rate must be nonnegative, got {lam!r}")
     if not (0.0 < eps < 1.0):
         raise ValueError(f"margin must lie strictly inside (0, 1), got {eps!r}")
-
-
-def tail_bounds(n: int, lam: float, eps: float) -> TailBounds:
-    """Closed-form exponential bounds on both relative tails."""
-    _check_args(n, lam, eps)
     x = n * lam * eps * eps
     return TailBounds(
         lower=min(1.0, math.exp(-0.5 * x)),
         upper=min(1.0, math.exp(-TWO_LN2_MINUS_1 * x)),
-    )
-
-
-def tight_tail_bounds(n: int, lam: float, eps: float) -> TailBounds:
-    """Sharper exponential-moment bounds, kept as a diagnostic.
-
-    Still valid upper bounds on the exact tails, and never larger than the
-    closed forms from `tail_bounds`.
-    """
-    _check_args(n, lam, eps)
-    nl = n * lam
-    lo_exp = nl * (-eps - (1.0 - eps) * math.log1p(-eps))
-    hi_exp = nl * (eps - (1.0 + eps) * math.log1p(eps))
-    return TailBounds(
-        lower=min(1.0, math.exp(lo_exp)),
-        upper=min(1.0, math.exp(hi_exp)),
     )
 
 

@@ -8,11 +8,13 @@ Subcommands:
 * ``verify``      cross-check the candidate-based answer against the
                   grid, brute-force, and Monte Carlo oracles
 
-A batch mode (``--config FILE``) runs one JSON job per line and emits one
-JSON result per line, in input order; ``POISSON_SS_THREADS`` caps the
-worker pool.  Machine output serializes every float with 17 significant
-digits so values round-trip exactly, and is strict JSON: a non-finite
-float (the upper bound b = inf of a truncated search) is written as null.
+A batch mode (``--config FILE``) runs one JSON job per line, one after
+another, and prints each job's JSON result line as soon as the job ends.
+A job's keys are the long flags of its subcommand in underscore form;
+any other key fails that job with a validation error.  Machine output
+serializes every float with 17 significant digits so values round-trip
+exactly, and is strict JSON: a non-finite float (the upper bound b = inf
+of a truncated search) is written as null.
 
 Exit codes: 0 success, 1 validation error, 2 budget exceeded, 3 internal
 verification failure.  No other value is ever returned.
@@ -23,10 +25,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .candidates import candidate_set, cardinality_bound
 from .coverage import coverage_at, coverage_at_point
@@ -115,14 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_flags(p_size, with_delta=True)
     p_size.add_argument("--start-n", dest="start_n", type=int, default=1)
     p_size.add_argument("--max-n", dest="max_n", type=int, default=1_000_000)
-    p_size.add_argument("--strategy", choices=("linear", "gallop"),
-                        default="linear")
     p_size.add_argument("--chernoff", choices=("auto", "on", "off"),
                         default="auto",
-                        help="tail-bound truncation of the scanned interval")
-    p_size.add_argument("--no-fail-fast", dest="fail_fast",
-                        action="store_false",
-                        help="always scan the full candidate set per n")
+                        help="tail-bound truncation of the scanned interval; "
+                             "auto and on both truncate")
     p_size.add_argument("--format", choices=("json", "text"), default="json")
 
     p_cov = sub.add_parser("coverage", help="coverage rows at fixed n")
@@ -207,10 +203,8 @@ def _require_positive_n(n: int) -> None:
 
 def _execute_size(ns: argparse.Namespace) -> tuple[dict, int]:
     criterion, interval, conf = _problem(ns, bounded=False)
-    use_chernoff = {"auto": None, "on": True, "off": False}[ns.chernoff]
     opts = SearchOptions(start_n=ns.start_n, max_n=ns.max_n,
-                         strategy=ns.strategy, fail_fast=ns.fail_fast,
-                         use_chernoff=use_chernoff)
+                         use_chernoff=ns.chernoff != "off")
     t0 = time.perf_counter()
     plan = min_sample_size(criterion, interval, conf, opts)
     elapsed_ms = (time.perf_counter() - t0) * 1e3
@@ -418,23 +412,39 @@ _RENDERERS = {
 }
 
 
-def _job_to_argv(job: dict) -> list[str]:
+def _job_keys(parser: argparse.ArgumentParser, cmd: str) -> set[str]:
+    """The keys a ``cmd`` job accepts: the subcommand's long flags in
+    underscore form, except help."""
+    sub = parser._subparsers._group_actions[0].choices[cmd]
+    return {flag[2:].replace("-", "_") for flag in sub._option_string_actions
+            if flag.startswith("--") and flag != "--help"}
+
+
+def _job_to_argv(job: dict, parser: argparse.ArgumentParser) -> list[str]:
+    """Each key names a flag exactly, so argparse never expands a prefix
+    (``"crit"``) or reaches help, which would print to stdout; values go
+    after ``=`` so none is read as a flag."""
     job = dict(job)
     cmd = job.pop("cmd", None)
     if cmd not in _EXECUTORS:
         raise ValidationError(
             f'job needs "cmd" set to one of size/coverage/candidates/verify, '
             f"got {cmd!r}")
+    keys = _job_keys(parser, cmd)
     argv = [cmd]
     for key, value in job.items():
+        if key not in keys:
+            raise ValidationError(
+                f"unknown key {key!r} for a {cmd} job; "
+                f"expected one of {', '.join(sorted(keys))}")
         if value is None:
             continue
-        flag = "--" + str(key).replace("_", "-")
+        flag = "--" + key.replace("_", "-")
         if isinstance(value, bool):
             if value:
                 argv.append(flag)
         else:
-            argv.extend([flag, str(value)])
+            argv.append(f"{flag}={value}")
     return argv
 
 
@@ -442,8 +452,8 @@ def _run_job(job) -> tuple[dict, int]:
     try:
         if not isinstance(job, dict):
             raise ValidationError(f"job must be a JSON object, got {job!r}")
-        argv = _job_to_argv(job)
-        ns = build_parser().parse_args(argv)
+        parser = build_parser()
+        ns = parser.parse_args(_job_to_argv(job, parser))
         return _EXECUTORS[ns.command](ns)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) and exc.code else EXIT_VALIDATION
@@ -474,23 +484,11 @@ def _run_batch(path: str, out) -> int:
                   file=sys.stderr)
             return EXIT_VALIDATION
 
-    env = os.environ.get("POISSON_SS_THREADS")
-    try:
-        workers = int(env) if env else (os.cpu_count() or 1)
-    except ValueError:
-        print(f"error: POISSON_SS_THREADS must be an integer, got {env!r}",
-              file=sys.stderr)
-        return EXIT_VALIDATION
-    if workers < 1:
-        print(f"error: POISSON_SS_THREADS must be >= 1, got {workers}",
-              file=sys.stderr)
-        return EXIT_VALIDATION
-
     status = EXIT_OK
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for result, code in pool.map(_run_job, jobs):
-            print(_jsonify(result), file=out)
-            status = max(status, code)
+    for job in jobs:
+        result, code = _run_job(job)
+        print(_jsonify(result), file=out, flush=True)
+        status = max(status, code)
     return status
 
 

@@ -32,8 +32,8 @@ from .types import (
 )
 
 # Monte Carlo trials are consumed in fixed-size chunks, each seeded from
-# (seed, chunk index); the estimate depends only on this partition, never on
-# how many workers drain the chunks.
+# (seed, chunk index), so memory stays bounded by the chunk and the estimate
+# depends only on (seed, trials).
 MC_CHUNK = 1 << 16
 
 # The error events use strict inequalities, so a count whose error ties the
@@ -133,7 +133,7 @@ def monte_carlo_coverage(
     Poisson(lam) observations is itself Poisson(n lam), so the sum is drawn
     in one shot) and tests the margin inequality on the estimate.  Streams
     come from the counter-based Philox generator keyed by (seed, chunk), so
-    results are reproducible and independent of worker count.
+    the same (seed, trials) always gives the same estimate.
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n!r}")

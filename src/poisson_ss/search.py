@@ -1,30 +1,34 @@
 """Search for the smallest sufficient sample size.
 
 A sample size n is sufficient when the minimum coverage over the rate
-interval strictly exceeds 1 - delta.  Sufficiency is not assumed monotone
-in n (isolated insufficient values above the answer do occur), so the
-default strategy simply walks n upward from start_n and returns the first
-sufficient value.  The gallop strategy first probes upward by doubling to
-find some sufficient n, which bounds the search, then locates the smallest
-sufficient value by the same ascending scan; it therefore always returns
-the linear answer, probe results included, and only the work differs.
+interval strictly exceeds 1 - delta.  Sufficiency is not monotone in n
+(isolated insufficient values above the answer do occur), so the search
+walks n upward from start_n and returns the first sufficient value.  Each
+n is decided by a candidate scan that stops at the first failing rate; at
+the returned n no rate fails, so that scan is complete and reports the
+global minimum.
 
 For relative and mixed criteria the exponential tail bounds discharge all
 rates above `lambda_threshold`, so each decision only scans candidates in
 [a, min(b, threshold)]; the threshold shrinks like 1/n, which keeps large
 searches cheap.  Truncation never changes a decision, only the work done:
 rates above the threshold are certified, not skipped.
+
+For a relative criterion the count K = 0 is never inside the acceptance
+window, so the coverage at rate a is at most 1 - exp(-n a) and every
+sufficient n exceeds ln(1/delta) / a.  A budget max_n below that bound is
+reported before any scan.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .chernoff import lambda_threshold
 from .coverage import coverage_at
 from .minimizer import scan_min_coverage
 from .types import (
-    Absolute,
     ConfidenceSpec,
     CoverageResult,
     ErrorCriterion,
@@ -37,30 +41,31 @@ from .types import (
 
 __all__ = ["SearchOptions", "MaxSampleSizeExceeded", "min_sample_size"]
 
+# The lower bound on n is only trusted when it clears max_n by more than
+# float rounding, so a near tie is left to the scan.
+_LOWER_BOUND_SLACK = 1e-9
+
 
 @dataclass(frozen=True, slots=True)
 class SearchOptions:
     """Knobs for `min_sample_size`.
 
-    strategy is "linear" or "gallop".  use_chernoff None picks the default:
-    tail-bound truncation on for Relative and Mixed, off for Absolute
-    (absolute-margin coverage does not improve with the rate, so there is
-    nothing to truncate).
+    use_chernoff switches tail-bound truncation of the scanned interval.
+    Only relative margins have tails to bound: an Absolute criterion scans
+    all of [a, b] either way, and a Mixed one truncates its relative part.
     """
 
     start_n: int = 1
     max_n: int = 1_000_000
-    strategy: str = "linear"
-    fail_fast: bool = True
-    use_chernoff: bool | None = None
+    use_chernoff: bool = True
 
 
 class MaxSampleSizeExceeded(RuntimeError):
     """No sample size within the budget met the coverage requirement."""
 
-    def __init__(self, max_n: int):
-        super().__init__(
-            f"no sufficient sample size found with n <= {max_n}")
+    def __init__(self, max_n: int, reason: str = ""):
+        message = f"no sufficient sample size found with n <= {max_n}"
+        super().__init__(f"{message}: {reason}" if reason else message)
         self.max_n = max_n
 
 
@@ -77,27 +82,22 @@ def _decide(
     interval: ParamInterval,
     delta: float,
     n: int,
-    fail_fast: bool,
     truncate: bool,
 ) -> tuple[bool, CoverageResult, int, float]:
     """Pass/fail at one n: (passed, witness, evaluations, scanned upper end)."""
     a, b = interval.a, interval.b
     scan_b = b
-    if truncate:
-        eps_r = _relative_eps(criterion)
-        # An absolute criterion has no relative margin to bound, so a forced
-        # truncation request is a no-op rather than an error.
-        if eps_r is not None:
-            threshold = lambda_threshold(n, eps_r, delta)
-            if threshold < b:
-                scan_b = threshold
+    eps_r = _relative_eps(criterion) if truncate else None
+    if eps_r is not None:
+        threshold = lambda_threshold(n, eps_r, delta)
+        if threshold < b:
+            scan_b = threshold
     if scan_b <= a:
         # The tail bounds certify every rate above a; only a itself is left.
         result = coverage_at(criterion, n, a)
         return result.coverage > 1.0 - delta, result, 1, a
-    threshold_arg = (1.0 - delta) if fail_fast else None
     result, evals = scan_min_coverage(
-        criterion, n, ParamInterval(a, scan_b), threshold_arg)
+        criterion, n, ParamInterval(a, scan_b), 1.0 - delta)
     return result.coverage > 1.0 - delta, result, evals, scan_b
 
 
@@ -124,67 +124,26 @@ def min_sample_size(
     if opts.max_n < opts.start_n:
         raise ValueError(
             f"max_n must be >= start_n, got max_n={opts.max_n!r} start_n={opts.start_n!r}")
-    if opts.strategy not in ("linear", "gallop"):
-        raise ValueError(f"strategy must be 'linear' or 'gallop', got {opts.strategy!r}")
-    truncate = (
-        opts.use_chernoff
-        if opts.use_chernoff is not None
-        else not isinstance(criterion, Absolute)
-    )
     delta = conf.delta
+    if isinstance(criterion, Relative):
+        n_lower = math.log(1.0 / delta) / interval.a
+        if opts.max_n <= n_lower * (1.0 - _LOWER_BOUND_SLACK):
+            raise MaxSampleSizeExceeded(
+                opts.max_n,
+                f"relative coverage at a = {interval.a!r} needs "
+                f"n > ln(1/delta) / a = {n_lower:.6g}")
 
     evaluations = 0
-
-    def decide(n: int) -> tuple[bool, CoverageResult, float]:
-        nonlocal evaluations
+    for n in range(opts.start_n, opts.max_n + 1):
         passed, result, evals, scan_b = _decide(
-            criterion, interval, delta, n, opts.fail_fast, truncate)
+            criterion, interval, delta, n, opts.use_chernoff)
         evaluations += evals
-        return passed, result, scan_b
-
-    if opts.strategy == "linear":
-        for n in range(opts.start_n, opts.max_n + 1):
-            passed, result, scan_b = decide(n)
-            if passed:
-                return SampleSizePlan(
-                    n_min=n,
-                    worst_lambda=result.lam,
-                    worst_coverage=result.coverage,
-                    evaluations=evaluations,
-                    truncated_b=scan_b,
-                )
-        raise MaxSampleSizeExceeded(opts.max_n)
-
-    # gallop: a doubling probe finds some sufficient n, which caps the
-    # search; the smallest sufficient n is then located by the same
-    # ascending scan the linear strategy uses.  Sufficiency is not monotone
-    # in n, so the probe's passing run need not contain the answer; only
-    # the capped ascending scan guarantees agreement with linear.
-    cache: dict[int, tuple[bool, CoverageResult, float]] = {}
-    cap = opts.max_n
-    n = opts.start_n
-    while True:
-        verdict = decide(n)
-        cache[n] = verdict
-        if verdict[0]:
-            cap = n
-            break
-        if n >= opts.max_n:
-            break
-        n = min(2 * n, opts.max_n)
-    for n in range(opts.start_n, cap + 1):
-        verdict = cache.get(n)
-        if verdict is None:
-            verdict = decide(n)
-        passed, result, scan_b = verdict
         if passed:
-            break
-    else:
-        raise MaxSampleSizeExceeded(opts.max_n)
-    return SampleSizePlan(
-        n_min=n,
-        worst_lambda=result.lam,
-        worst_coverage=result.coverage,
-        evaluations=evaluations,
-        truncated_b=scan_b,
-    )
+            return SampleSizePlan(
+                n_min=n,
+                worst_lambda=result.lam,
+                worst_coverage=result.coverage,
+                evaluations=evaluations,
+                truncated_b=scan_b,
+            )
+    raise MaxSampleSizeExceeded(opts.max_n)

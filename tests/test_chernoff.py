@@ -14,7 +14,6 @@ from poisson_ss import (
     interval_prob,
     lambda_threshold,
     tail_bounds,
-    tight_tail_bounds,
 )
 from poisson_ss.chernoff import TWO_LN2_MINUS_1
 
@@ -30,12 +29,6 @@ def test_closed_form_fixture():
     assert tb.upper == pytest.approx(6.3953197704145979e-05, rel=5e-14)
 
 
-def test_tight_form_fixture():
-    tb = tight_tail_bounds(100, 1.0, 0.5)
-    assert tb.lower == pytest.approx(2.1715792741453002e-07, rel=5e-14)
-    assert tb.upper == pytest.approx(2.0000241365168933e-05, rel=5e-14)
-
-
 def test_threshold_fixture():
     assert lambda_threshold(100, 0.1, 0.05) == pytest.approx(
         9.5494002123656493, rel=5e-14)
@@ -43,9 +36,6 @@ def test_threshold_fixture():
 
 def test_bounds_cap_at_one():
     tb = tail_bounds(1, 0.0, 0.5)
-    assert tb.lower == 1.0
-    assert tb.upper == 1.0
-    tb = tight_tail_bounds(1, 0.0, 0.5)
     assert tb.lower == 1.0
     assert tb.upper == 1.0
 
@@ -56,18 +46,6 @@ def test_bounds_multiply_across_sample_size():
     two = tail_bounds(100, 0.8, 0.3)
     assert two.lower == pytest.approx(one.lower**2, rel=1e-12)
     assert two.upper == pytest.approx(one.upper**2, rel=1e-12)
-
-
-def test_tight_bounds_never_exceed_closed_forms():
-    rng = np.random.default_rng(660)
-    for _ in range(100):
-        n = int(rng.integers(1, 500))
-        lam = float(rng.uniform(0.0, 10.0))
-        eps = float(rng.uniform(0.01, 0.99))
-        closed = tail_bounds(n, lam, eps)
-        tight = tight_tail_bounds(n, lam, eps)
-        assert tight.lower <= closed.lower + 1e-15
-        assert tight.upper <= closed.upper + 1e-15
 
 
 def test_exact_tails_never_exceed_bounds():
@@ -81,9 +59,9 @@ def test_exact_tails_never_exceed_bounds():
         k0 = math.ceil(mu * (1.0 + eps))
         k_hi = math.ceil(mu + 40.0 * math.sqrt(mu + 1.0)) + k0
         upper_exact = interval_prob(k0, k_hi, mu)
-        for bounds in (tail_bounds(n, lam, eps), tight_tail_bounds(n, lam, eps)):
-            assert lower_exact <= bounds.lower + 1e-12
-            assert upper_exact <= bounds.upper + 1e-12
+        bounds = tail_bounds(n, lam, eps)
+        assert lower_exact <= bounds.lower + 1e-12
+        assert upper_exact <= bounds.upper + 1e-12
 
 
 def test_threshold_scales_inversely_with_n_and_eps_squared():
@@ -113,7 +91,7 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         tail_bounds(5, 1.0, 0.0)
     with pytest.raises(ValueError):
-        tight_tail_bounds(5, 1.0, 1.0)
+        tail_bounds(5, 1.0, 1.0)
     with pytest.raises(ValueError):
         lambda_threshold(0, 0.5, 0.1)
     with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from poisson_ss import (
     min_sample_size,
     ConfidenceSpec,
 )
-from poisson_ss import cli
+from poisson_ss import cli, search
 from poisson_ss.cli import main
 
 SIZE_ARGS = ["size", "--criterion", "abs", "--eps", "0.5",
@@ -51,12 +51,6 @@ def test_size_text_format(capsys):
     assert "worst coverage:" in out
 
 
-def test_size_respects_strategy_flag(capsys):
-    code, out, _ = run(capsys, SIZE_ARGS + ["--strategy", "gallop"])
-    assert code == 0
-    assert json.loads(out)["n_min"] == 3
-
-
 def test_size_budget_exhaustion_exits_2(capsys):
     code, out, err = run(capsys, [
         "size", "--criterion", "rel", "--eps", "0.2", "--a", "0.5",
@@ -64,6 +58,30 @@ def test_size_budget_exhaustion_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "20" in err
+
+
+def test_size_tiny_relative_lower_bound_exits_2_at_once(capsys, monkeypatch):
+    def evaluated(*args, **kwargs):
+        raise AssertionError("coverage was evaluated")
+    monkeypatch.setattr(search, "scan_min_coverage", evaluated)
+    monkeypatch.setattr(search, "coverage_at", evaluated)
+    code, out, err = run(capsys, [
+        "size", "--criterion", "rel", "--eps", "0.1", "--a", "1e-300",
+        "--b", "1", "--delta", "0.05"])
+    assert code == 2
+    assert out == ""
+    assert "1000000" in err
+
+
+@pytest.mark.parametrize("chernoff", ["auto", "on", "off"])
+def test_size_accepts_every_chernoff_value(capsys, chernoff):
+    argv = ["size", "--criterion", "rel", "--eps", "0.5", "--a", "0.2",
+            "--b", "100", "--delta", "0.2", "--chernoff", chernoff]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    result = json.loads(out)
+    assert result["n_min"] == 41
+    assert (result["truncated_b"] < 100.0) == (chernoff != "off")
 
 
 def test_coverage_csv_schema(capsys):
@@ -293,13 +311,12 @@ def test_batch_output_is_strict_json(tmp_path, capsys):
     assert lines[0]["interval"]["b"] is None
 
 
-def test_batch_preserves_input_order(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("POISSON_SS_THREADS", "2")
+def test_batch_preserves_input_order(tmp_path, capsys):
     jobs = [
         {"cmd": "size", "criterion": "abs", "eps": 0.5, "a": 0, "b": 0.5,
          "delta": 0.5},
         {"cmd": "size", "criterion": "rel", "eps": 0.5, "a": 0.2, "b": 100,
-         "delta": 0.2, "strategy": "gallop"},
+         "delta": 0.2},
         {"cmd": "candidates", "criterion": "abs", "eps": 0.25, "a": 0, "b": 1,
          "n": 2, "check_bound": True},
     ]
@@ -368,14 +385,44 @@ def test_batch_empty_file_is_a_successful_noop(tmp_path, capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-3"])
-def test_batch_rejects_bad_thread_count(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("POISSON_SS_THREADS", value)
+@pytest.mark.parametrize("job, key", [
+    ({"cmd": "size", "help": True}, "help"),
+    ({"cmd": "verify", "h": True}, "h"),
+    ({"cmd": "size", "crit": "rel", "eps": 0.2, "a": 0.5, "b": 2,
+      "delta": 0.1}, "crit"),
+    ({"cmd": "coverage", "criterion": "abs", "eps": 0.25, "a": 0, "b": 1,
+      "n": 2, "delta": 0.1}, "delta"),
+    ({"cmd": "candidates", "criterion": "abs", "eps": 0.25, "a": 0, "b": 1,
+      "n": 2, "check-bound": True}, "check-bound"),
+])
+def test_batch_job_keys_must_name_a_flag_exactly(tmp_path, capsys, job, key):
+    good = {"cmd": "size", "criterion": "abs", "eps": 0.5, "a": 0, "b": 0.5,
+            "delta": 0.5}
     config = tmp_path / "jobs.jsonl"
-    config.write_text('{"cmd": "size"}\n', encoding="utf-8")
-    code, _, err = run(capsys, ["--config", str(config)])
+    config.write_text(json.dumps(job) + "\n" + json.dumps(good) + "\n",
+                      encoding="utf-8")
+    code, out, _ = run(capsys, ["--config", str(config)])
     assert code == 1
-    assert "POISSON_SS_THREADS" in err
+    lines = [json.loads(line, parse_constant=_reject_constant)
+             for line in out.splitlines()]
+    assert len(lines) == 2
+    assert lines[0]["code"] == 1
+    assert repr(key) in lines[0]["error"]
+    assert lines[1]["n_min"] == 3
+
+
+def test_batch_values_are_never_read_as_flags(tmp_path, capsys):
+    # "-1e-300" looks like a flag to argparse, so it must reach --a as a
+    # value and fail validation, not argument parsing
+    job = {"cmd": "size", "criterion": "abs", "eps": 0.5, "a": -1e-300,
+           "b": 0.5, "delta": 0.5}
+    config = tmp_path / "jobs.jsonl"
+    config.write_text(json.dumps(job) + "\n", encoding="utf-8")
+    code, out, _ = run(capsys, ["--config", str(config)])
+    assert code == 1
+    result = json.loads(out)
+    assert result["code"] == 1
+    assert "-1e-300" in result["error"]
 
 
 def test_config_and_subcommand_are_mutually_exclusive(tmp_path, capsys):

@@ -1,10 +1,10 @@
-"""Minimum sample size search: linear scan, gallop, truncation, budgets."""
+"""Minimum sample size search: ascending scan, truncation, budgets."""
 
 import math
 
-import numpy as np
 import pytest
 
+import poisson_ss.search
 from poisson_ss import (
     Absolute,
     ConfidenceSpec,
@@ -46,19 +46,6 @@ def test_pinned_plans(criterion, interval, delta, n_min, worst_lam, worst_cov,
     assert plan.worst_coverage > 1.0 - delta
 
 
-@pytest.mark.parametrize(
-    "criterion,interval,delta,n_min,worst_lam,worst_cov,evals,trunc_b", PINNED)
-def test_gallop_matches_linear(criterion, interval, delta, n_min, worst_lam,
-                               worst_cov, evals, trunc_b):
-    linear = min_sample_size(criterion, interval, ConfidenceSpec(delta))
-    gallop = min_sample_size(criterion, interval, ConfidenceSpec(delta),
-                             SearchOptions(strategy="gallop"))
-    assert gallop.n_min == linear.n_min
-    assert gallop.worst_lambda == linear.worst_lambda
-    assert gallop.worst_coverage == linear.worst_coverage
-    assert gallop.truncated_b == linear.truncated_b
-
-
 def test_returned_n_is_minimal():
     for criterion, interval, delta, n_min, *_ in PINNED:
         if n_min == 1:
@@ -67,8 +54,8 @@ def test_returned_n_is_minimal():
         assert below.coverage <= 1.0 - delta + 1e-12
 
 
-def test_gallop_survives_non_monotone_sufficiency():
-    # here n = 7 suffices, n = 8 does not, n = 9 does again; a strategy that
+def test_search_survives_non_monotone_sufficiency():
+    # here n = 7 suffices, n = 8 does not, n = 9 does again; a search that
     # walks down from a high passing probe until the first failure would
     # wrongly stop at 9
     criterion = Absolute(0.37201414200743804)
@@ -78,23 +65,53 @@ def test_gallop_survives_non_monotone_sufficiency():
     assert min_coverage(criterion, 7, interval).coverage > level
     assert min_coverage(criterion, 8, interval).coverage <= level
     assert min_coverage(criterion, 9, interval).coverage > level
-    linear = min_sample_size(criterion, interval, ConfidenceSpec(delta))
-    gallop = min_sample_size(criterion, interval, ConfidenceSpec(delta),
-                             SearchOptions(strategy="gallop"))
-    assert linear.n_min == 7
-    assert gallop.n_min == 7
+    plan = min_sample_size(criterion, interval, ConfidenceSpec(delta))
+    assert plan.n_min == 7
 
 
 def test_budget_exhaustion_raises_with_context():
     criterion = Relative(0.2)
     interval = ParamInterval(0.5, 2.0)
     conf = ConfidenceSpec(0.1)  # needs n = 141
-    for strategy in ("linear", "gallop"):
-        with pytest.raises(MaxSampleSizeExceeded) as info:
-            min_sample_size(criterion, interval, conf,
-                            SearchOptions(max_n=20, strategy=strategy))
-        assert info.value.max_n == 20
-        assert "20" in str(info.value)
+    with pytest.raises(MaxSampleSizeExceeded) as info:
+        min_sample_size(criterion, interval, conf, SearchOptions(max_n=20))
+    assert info.value.max_n == 20
+    assert "20" in str(info.value)
+
+
+@pytest.mark.parametrize("max_n", [20_000, 1_000_000])
+def test_tiny_relative_lower_bound_exhausts_the_budget_at_once(monkeypatch, max_n):
+    # coverage at a is at most 1 - exp(-n a), so every passing n exceeds
+    # ln(1/delta) / a ~ 3e300
+    def evaluated(*args, **kwargs):
+        raise AssertionError("coverage was evaluated")
+    monkeypatch.setattr(poisson_ss.search, "scan_min_coverage", evaluated)
+    monkeypatch.setattr(poisson_ss.search, "coverage_at", evaluated)
+    with pytest.raises(MaxSampleSizeExceeded) as info:
+        min_sample_size(Relative(0.1), ParamInterval(1e-300, 1.0),
+                        ConfidenceSpec(0.05), SearchOptions(max_n=max_n))
+    assert info.value.max_n == max_n
+    assert "ln(1/delta) / a" in str(info.value)
+
+
+def test_relative_lower_bound_tie_is_left_to_the_scan(monkeypatch):
+    # max_n * a equals ln(1/delta) up to rounding: the bound must not raise,
+    # the scan decides (and here every n <= max_n fails)
+    scanned = []
+    real_scan = poisson_ss.search.scan_min_coverage
+
+    def scan(*args):
+        scanned.append(args[1])
+        return real_scan(*args)
+
+    monkeypatch.setattr(poisson_ss.search, "scan_min_coverage", scan)
+    max_n, delta = 10, 0.1
+    a = math.log(1.0 / delta) / max_n
+    with pytest.raises(MaxSampleSizeExceeded) as info:
+        min_sample_size(Relative(0.5), ParamInterval(a, 1.0),
+                        ConfidenceSpec(delta), SearchOptions(max_n=max_n))
+    assert str(info.value) == f"no sufficient sample size found with n <= {max_n}"
+    assert scanned == list(range(1, max_n + 1))
 
 
 def test_start_n_floors_the_search():
@@ -118,8 +135,6 @@ def test_option_validation():
         min_sample_size(crit, iv, conf, SearchOptions(start_n=0))
     with pytest.raises(ValueError):
         min_sample_size(crit, iv, conf, SearchOptions(start_n=10, max_n=9))
-    with pytest.raises(ValueError):
-        min_sample_size(crit, iv, conf, SearchOptions(strategy="binary"))
 
 
 def test_configuration_validation_precedes_search():
@@ -184,34 +199,7 @@ def test_default_options():
     opts = SearchOptions()
     assert opts.start_n == 1
     assert opts.max_n == 1_000_000
-    assert opts.strategy == "linear"
-    assert opts.fail_fast is True
-    assert opts.use_chernoff is None
-
-
-def test_gallop_matches_linear_on_many_random_configs():
-    rng = np.random.default_rng(100179)
-    for i in range(100):
-        kind = ("abs", "rel", "mix")[i % 3]
-        delta = float(rng.uniform(0.2, 0.5))
-        if kind == "abs":
-            crit = Absolute(float(rng.uniform(0.25, 0.7)))
-            a = float(rng.uniform(0.0, 2.0))
-        elif kind == "rel":
-            crit = Relative(float(rng.uniform(0.25, 0.7)))
-            a = float(rng.uniform(0.1, 2.0))
-        else:
-            crit = Mixed(float(rng.uniform(0.25, 0.7)),
-                         float(rng.uniform(0.25, 0.7)))
-            a = float(rng.uniform(0.1, 2.0))
-        interval = ParamInterval(a, a + float(rng.uniform(0.1, 1.5)))
-        conf = ConfidenceSpec(delta)
-        linear = min_sample_size(crit, interval, conf)
-        gallop = min_sample_size(crit, interval, conf,
-                                 SearchOptions(strategy="gallop"))
-        assert gallop.n_min == linear.n_min, (i, crit, interval, delta)
-        assert gallop.worst_lambda == linear.worst_lambda, i
-        assert gallop.worst_coverage == linear.worst_coverage, i
+    assert opts.use_chernoff is True
 
 
 @pytest.mark.slow
