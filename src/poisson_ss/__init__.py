@@ -8,7 +8,7 @@ in the interval.  The worst case over the continuum of rates is reduced to
 a finite candidate set, so answers are exact rather than asymptotic.
 """
 
-from .candidates import CandidateSet, candidate_set, candidate_stream, cardinality_bound
+from .candidates import candidate_set, candidate_stream, cardinality_bound
 from .chernoff import TailBounds, lambda_threshold, tail_bounds
 from .coverage import (
     AcceptanceBounds,
@@ -77,7 +77,6 @@ __all__ = [
     # candidates
     "CandidateKind",
     "CandidatePoint",
-    "CandidateSet",
     "candidate_set",
     "candidate_stream",
     "cardinality_bound",

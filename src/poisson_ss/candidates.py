@@ -27,7 +27,6 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
@@ -59,27 +58,19 @@ _KIND_PRIORITY = {kind: rank for rank, kind in enumerate(CandidateKind)}
 _Entry = tuple[float, int, CandidateKind, int | None]
 _END = ((math.inf, 0, CandidateKind.ENDPOINT_B, None),)
 
-__all__ = ["DEDUP_REL_TOL", "CandidateSet", "candidate_set", "candidate_stream",
-           "cardinality_bound"]
+__all__ = ["DEDUP_REL_TOL", "candidate_set", "candidate_stream", "cardinality_bound"]
 
 
-@dataclass(frozen=True, slots=True)
-class CandidateSet:
-    """Candidate rates for one (criterion, n, interval), ascending in value."""
+class _Points(tuple):
+    """A plain tuple of points whose ``points`` is the tuple itself: the
+    traced benchmark run (``perfbench/layers.py``) still reads
+    ``candidate_set(...).points``."""
 
-    points: tuple[CandidatePoint, ...]
-    n: int
-    criterion: ErrorCriterion
-    interval: ParamInterval
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def values(self) -> list[float]:
-        return [p.value for p in self.points]
+    @property
+    def points(self) -> tuple[CandidatePoint, ...]:
+        return self
 
 
 def cardinality_bound(criterion: ErrorCriterion, n: int, interval: ParamInterval) -> float:
@@ -185,7 +176,7 @@ def candidate_stream(
 
 def candidate_set(
     criterion: ErrorCriterion, n: int, interval: ParamInterval
-) -> CandidateSet:
+) -> tuple[CandidatePoint, ...]:
     """Enumerate the candidate rates for (criterion, n) over the interval.
 
     The first point always carries value a and the last value b; interior
@@ -193,5 +184,4 @@ def candidate_set(
     ascending.  Breakpoints that collide (with each other, an endpoint, or
     the crossover) are merged into one point holding every tag.
     """
-    points = tuple(candidate_stream(criterion, n, interval))
-    return CandidateSet(points=points, n=n, criterion=criterion, interval=interval)
+    return _Points(candidate_stream(criterion, n, interval))

@@ -11,7 +11,12 @@ Subcommands:
 A batch mode (``--config FILE``) runs one JSON job per line, one after
 another, and prints each job's JSON result line as soon as the job ends.
 A job's keys are the long flags of its subcommand in underscore form;
-any other key fails that job with a validation error.  Machine output
+any other key fails that job with a validation error.  A job goes through
+the same argument parser as a command line, and a job the parser rejects
+gets a line whose error is the parser's reason (``poisson-ss size: the
+following arguments are required: --delta``).  JSON true and false switch
+an on/off flag (``check_bound``); any other flag takes its value as
+written, so true or false there is rejected with a reason.  Machine output
 serializes every float with 17 significant digits so values round-trip
 exactly, and is strict JSON: a non-finite float (the upper bound b = inf
 of a truncated search) is written as null.
@@ -57,12 +62,22 @@ BRUTE_FORCE_TOL = 1e-12
 MC_STDERR_MULTIPLE = 4.0
 
 
+class _UsageError(ValidationError):
+    """argparse's reason for rejecting arguments, prefixed by the rejecting
+    (sub)command's prog; ``usage`` is that (sub)command's usage line."""
+
+    def __init__(self, parser: argparse.ArgumentParser, reason: str) -> None:
+        super().__init__(f"{parser.prog}: {reason}")
+        self.usage = parser.format_usage()
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad usage; the contract reserves 2
-    for exceeded budgets, so usage errors are remapped to 1."""
+    """Usage errors raise instead of exiting: argparse would exit with
+    status 2, which the contract reserves for exceeded budgets, and a batch
+    job's line must carry the reason."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
-        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+        raise _UsageError(self, message)
 
 
 def _fmt(x: float) -> str:
@@ -225,17 +240,15 @@ def _execute_size(ns: argparse.Namespace) -> tuple[dict, int]:
 def _execute_coverage(ns: argparse.Namespace) -> tuple[dict, int]:
     criterion, interval, _ = _problem(ns)
     _require_positive_n(ns.n)
-    rows = []
     if ns.grid is not None:
         if ns.grid < 2:
             raise ValidationError(f"--grid needs at least 2 points, got {ns.grid}")
         step = interval.width / (ns.grid - 1)
-        for i in range(ns.grid):
-            lam = interval.b if i == ns.grid - 1 else interval.a + i * step
-            rows.append(coverage_at(criterion, ns.n, lam))
+        lams = [interval.a + i * step for i in range(ns.grid - 1)] + [interval.b]
+        rows = [coverage_at(criterion, ns.n, lam) for lam in lams]
     else:
-        for point in candidate_set(criterion, ns.n, interval):
-            rows.append(coverage_at_point(criterion, ns.n, point))
+        rows = [coverage_at_point(criterion, ns.n, point)
+                for point in candidate_set(criterion, ns.n, interval)]
     result = {
         "criterion": _criterion_obj(criterion),
         "interval": {"a": interval.a, "b": interval.b},
@@ -254,14 +267,6 @@ def _execute_candidates(ns: argparse.Namespace) -> tuple[dict, int]:
     points = candidate_set(criterion, ns.n, interval)
     bound = cardinality_bound(criterion, ns.n, interval)
     bound_holds = len(points) < bound
-    listing = []
-    for p in points:
-        listing.append({
-            "lambda": p.value,
-            "kind": p.kind.value,
-            "ell": p.ell,
-            "extra_tags": [[kind.value, ell] for kind, ell in p.extra_tags],
-        })
     result = {
         "criterion": _criterion_obj(criterion),
         "interval": {"a": interval.a, "b": interval.b},
@@ -269,12 +274,19 @@ def _execute_candidates(ns: argparse.Namespace) -> tuple[dict, int]:
         "count": len(points),
         "bound": bound,
         "bound_holds": bound_holds,
-        "points": listing,
+        "points": [{
+            "lambda": p.value,
+            "kind": p.kind.value,
+            "ell": p.ell,
+            "extra_tags": [[kind.value, ell] for kind, ell in p.extra_tags],
+        } for p in points],
     }
-    code = EXIT_OK
-    if ns.check_bound and not bound_holds:
-        code = EXIT_VERIFY
-    return result, code
+    return result, EXIT_VERIFY if ns.check_bound and not bound_holds else EXIT_OK
+
+
+def _check(name: str, discrepancy: float, tolerance: float) -> dict:
+    return {"name": name, "passed": discrepancy <= tolerance,
+            "discrepancy": discrepancy, "tolerance": tolerance}
 
 
 def _execute_verify(ns: argparse.Namespace) -> tuple[dict, int]:
@@ -287,48 +299,26 @@ def _execute_verify(ns: argparse.Namespace) -> tuple[dict, int]:
     if ns.seed < 0:
         raise ValidationError(f"--seed must be >= 0, got {ns.seed}")
     if ns.n is None:
-        plan = min_sample_size(criterion, interval, conf)
-        n = plan.n_min
+        n = min_sample_size(criterion, interval, conf).n_min
     else:
         _require_positive_n(ns.n)
         n = ns.n
     worst = min_coverage(criterion, n, interval)
 
-    checks = []
     grid = grid_min_coverage(criterion, n, interval, ns.grid_points)
-    grid_disc = worst.coverage - grid.coverage
-    checks.append({
-        "name": "grid_floor",
-        "passed": grid_disc <= GRID_FLOOR_TOL,
-        "discrepancy": grid_disc,
-        "tolerance": GRID_FLOOR_TOL,
-    })
     brute = brute_force_coverage(criterion, n, worst.lam)
-    brute_disc = abs(brute - worst.coverage)
-    checks.append({
-        "name": "brute_force_at_worst",
-        "passed": brute_disc <= BRUTE_FORCE_TOL,
-        "discrepancy": brute_disc,
-        "tolerance": BRUTE_FORCE_TOL,
-    })
     estimate, stderr = monte_carlo_coverage(
         criterion, n, worst.lam, ns.trials, ns.seed)
-    mc_disc = abs(estimate - worst.coverage)
-    mc_tol = MC_STDERR_MULTIPLE * stderr
-    checks.append({
-        "name": "monte_carlo_at_worst",
-        "passed": mc_disc <= mc_tol,
-        "discrepancy": mc_disc,
-        "tolerance": mc_tol,
-    })
     level = 1.0 - conf.delta
     decisions = {worst.coverage > level, grid.coverage > level, brute > level}
-    checks.append({
-        "name": "decision_agreement",
-        "passed": len(decisions) == 1,
-        "discrepancy": 0.0 if len(decisions) == 1 else 1.0,
-        "tolerance": 0.0,
-    })
+    checks = [
+        _check("grid_floor", worst.coverage - grid.coverage, GRID_FLOOR_TOL),
+        _check("brute_force_at_worst", abs(brute - worst.coverage),
+               BRUTE_FORCE_TOL),
+        _check("monte_carlo_at_worst", abs(estimate - worst.coverage),
+               MC_STDERR_MULTIPLE * stderr),
+        _check("decision_agreement", len(decisions) - 1, 0),
+    ]
     passed = all(c["passed"] for c in checks)
     result = {
         "criterion": _criterion_obj(criterion),
@@ -354,10 +344,7 @@ _EXECUTORS = {
 }
 
 
-def _render_size(result: dict, fmt: str, out) -> None:
-    if fmt == "json":
-        print(_jsonify(result), file=out)
-        return
+def _render_size(result: dict, out) -> None:
     print(f"n_min: {result['n_min']}", file=out)
     print(f"worst rate: {_fmt(result['worst_lambda'])}", file=out)
     print(f"worst coverage: {_fmt(result['worst_coverage'])}", file=out)
@@ -366,20 +353,14 @@ def _render_size(result: dict, fmt: str, out) -> None:
     print(f"elapsed: {result['elapsed_ms']:.1f} ms", file=out)
 
 
-def _render_coverage(result: dict, fmt: str, out) -> None:
-    if fmt == "json":
-        print(_jsonify(result), file=out)
-        return
+def _render_coverage(result: dict, out) -> None:
     print("lambda,g,h,coverage", file=out)
     for row in result["rows"]:
         print(f"{_fmt(row['lambda'])},{row['g']},{row['h']},"
               f"{_fmt(row['coverage'])}", file=out)
 
 
-def _render_candidates(result: dict, fmt: str, out) -> None:
-    if fmt == "json":
-        print(_jsonify(result), file=out)
-        return
+def _render_candidates(result: dict, out) -> None:
     for p in result["points"]:
         ell = "" if p["ell"] is None else f"  ell={p['ell']}"
         extras = "".join(
@@ -390,10 +371,7 @@ def _render_candidates(result: dict, fmt: str, out) -> None:
           f"({verdict})", file=out)
 
 
-def _render_verify(result: dict, fmt: str, out) -> None:
-    if fmt == "json":
-        print(_jsonify(result), file=out)
-        return
+def _render_verify(result: dict, out) -> None:
     for check in result["checks"]:
         status = "pass" if check["passed"] else "FAIL"
         print(f"check {check['name']}: {status} "
@@ -404,6 +382,7 @@ def _render_verify(result: dict, fmt: str, out) -> None:
     print("overall: " + ("pass" if result["passed"] else "FAIL"), file=out)
 
 
+# Text and CSV formats; every subcommand's json format is _jsonify(result).
 _RENDERERS = {
     "size": _render_size,
     "coverage": _render_coverage,
@@ -412,65 +391,68 @@ _RENDERERS = {
 }
 
 
-def _job_keys(parser: argparse.ArgumentParser, cmd: str) -> set[str]:
-    """The keys a ``cmd`` job accepts: the subcommand's long flags in
-    underscore form, except help."""
+def _run(execute, *args) -> tuple[dict, int]:
+    """``execute(*args)`` as (result, exit code); an exception becomes an
+    ``{"error", "code"}`` result under the exit-code contract."""
+    try:
+        return execute(*args)
+    except ValueError as exc:  # ValidationError included
+        error, code = str(exc), EXIT_VALIDATION
+    except MaxSampleSizeExceeded as exc:
+        error, code = str(exc), EXIT_BUDGET
+    except Exception as exc:  # keep the exit-code contract even on bugs
+        error, code = f"internal error: {exc}", EXIT_VERIFY
+    return {"error": error, "code": code}, code
+
+
+def _job_flags(parser: argparse.ArgumentParser, cmd: str) -> dict[str, bool]:
+    """The keys a ``cmd`` job accepts, the subcommand's long flags in
+    underscore form except help, each mapped to whether it is on/off."""
     sub = parser._subparsers._group_actions[0].choices[cmd]
-    return {flag[2:].replace("-", "_") for flag in sub._option_string_actions
+    return {flag[2:].replace("-", "_"): action.nargs == 0
+            for flag, action in sub._option_string_actions.items()
             if flag.startswith("--") and flag != "--help"}
 
 
 def _job_to_argv(job: dict, parser: argparse.ArgumentParser) -> list[str]:
     """Each key names a flag exactly, so argparse never expands a prefix
     (``"crit"``) or reaches help, which would print to stdout; values go
-    after ``=`` so none is read as a flag."""
+    after ``=`` so none is read as a flag.  true gives the bare flag and
+    false leaves an on/off flag off; for any other flag both reach argparse
+    as a missing or invalid value."""
     job = dict(job)
     cmd = job.pop("cmd", None)
     if cmd not in _EXECUTORS:
         raise ValidationError(
             f'job needs "cmd" set to one of size/coverage/candidates/verify, '
             f"got {cmd!r}")
-    keys = _job_keys(parser, cmd)
+    flags = _job_flags(parser, cmd)
     argv = [cmd]
     for key, value in job.items():
-        if key not in keys:
+        if key not in flags:
             raise ValidationError(
                 f"unknown key {key!r} for a {cmd} job; "
-                f"expected one of {', '.join(sorted(keys))}")
-        if value is None:
+                f"expected one of {', '.join(sorted(flags))}")
+        if value is None or (value is False and flags[key]):
             continue
         flag = "--" + key.replace("_", "-")
-        if isinstance(value, bool):
-            if value:
-                argv.append(flag)
-        else:
-            argv.append(f"{flag}={value}")
+        argv.append(flag if value is True else f"{flag}={value}")
     return argv
 
 
 def _run_job(job) -> tuple[dict, int]:
-    try:
-        if not isinstance(job, dict):
-            raise ValidationError(f"job must be a JSON object, got {job!r}")
-        parser = build_parser()
-        ns = parser.parse_args(_job_to_argv(job, parser))
-        return _EXECUTORS[ns.command](ns)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) and exc.code else EXIT_VALIDATION
-        return {"error": "invalid job arguments", "code": code}, code
-    except (ValidationError, ValueError) as exc:
-        return {"error": str(exc), "code": EXIT_VALIDATION}, EXIT_VALIDATION
-    except MaxSampleSizeExceeded as exc:
-        return {"error": str(exc), "code": EXIT_BUDGET}, EXIT_BUDGET
-    except Exception as exc:  # keep the exit-code contract even on bugs
-        return {"error": f"internal error: {exc}", "code": EXIT_VERIFY}, EXIT_VERIFY
+    if not isinstance(job, dict):
+        raise ValidationError(f"job must be a JSON object, got {job!r}")
+    parser = build_parser()
+    ns = parser.parse_args(_job_to_argv(job, parser))
+    return _EXECUTORS[ns.command](ns)
 
 
 def _run_batch(path: str, out) -> int:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config file: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     jobs = []
@@ -486,7 +468,7 @@ def _run_batch(path: str, out) -> int:
 
     status = EXIT_OK
     for job in jobs:
-        result, code = _run_job(job)
+        result, code = _run(_run_job, job)
         print(_jsonify(result), file=out, flush=True)
         status = max(status, code)
     return status
@@ -496,31 +478,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
-    if ns.config is not None and ns.command is not None:
-        print("error: --config replaces the subcommand; give one or the other",
-              file=sys.stderr)
+        if (ns.config is None) == (ns.command is None):
+            parser.error("give either a subcommand or --config")
+    except _UsageError as exc:
+        print(f"{exc.usage}error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     if ns.config is not None:
         return _run_batch(ns.config, sys.stdout)
-    if ns.command is None:
-        parser.print_usage(sys.stderr)
-        print(f"{parser.prog}: error: a subcommand or --config is required",
-              file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        result, code = _EXECUTORS[ns.command](ns)
-    except (ValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except MaxSampleSizeExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except Exception as exc:  # keep the exit-code contract even on bugs
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    _RENDERERS[ns.command](result, ns.format, sys.stdout)
+    result, code = _run(_EXECUTORS[ns.command], ns)
+    if "error" in result:
+        print(f"error: {result['error']}", file=sys.stderr)
+    elif ns.format == "json":
+        print(_jsonify(result))
+    else:
+        _RENDERERS[ns.command](result, sys.stdout)
     return code
 
 

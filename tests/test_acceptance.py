@@ -119,7 +119,7 @@ def test_02_windows_constant_between_candidates():
     checked = 0
     while checked < 500:
         crit, n, interval = _draw_problem(rng, KINDS[checked % 3], n_max=100)
-        points = candidate_set(crit, n, interval).points
+        points = candidate_set(crit, n, interval)
         i = int(rng.integers(0, len(points) - 1))
         x, y = points[i].value, points[i + 1].value
         if y - x <= 1e-9 * max(1.0, abs(y)):
@@ -143,7 +143,7 @@ def test_03_interior_coverage_dominates_candidate_pair():
     worst_margin = math.inf
     while checked < 500:
         crit, n, interval = _draw_problem(rng, KINDS[checked % 3], n_max=100)
-        points = candidate_set(crit, n, interval).points
+        points = candidate_set(crit, n, interval)
         i = int(rng.integers(0, len(points) - 1))
         alpha, beta = points[i], points[i + 1]
         if beta.value - alpha.value <= 1e-9 * max(1.0, abs(beta.value)):

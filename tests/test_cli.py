@@ -1,9 +1,14 @@
 """Command-line behavior: output schemas, formats, exit codes, batch mode."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import poisson_ss
 from poisson_ss import (
     Absolute,
     ParamInterval,
@@ -377,6 +382,15 @@ def test_batch_missing_file_exits_1(capsys):
     assert "cannot read" in err
 
 
+def test_batch_non_utf8_file_exits_1(tmp_path, capsys):
+    config = tmp_path / "jobs.jsonl"
+    config.write_bytes(b"\xff\xfe{\x00}\x00\n")
+    code, out, err = run(capsys, ["--config", str(config)])
+    assert code == 1
+    assert out == ""
+    assert "cannot read" in err
+
+
 def test_batch_empty_file_is_a_successful_noop(tmp_path, capsys):
     config = tmp_path / "jobs.jsonl"
     config.write_text("\n\n", encoding="utf-8")
@@ -409,6 +423,83 @@ def test_batch_job_keys_must_name_a_flag_exactly(tmp_path, capsys, job, key):
     assert lines[0]["code"] == 1
     assert repr(key) in lines[0]["error"]
     assert lines[1]["n_min"] == 3
+
+
+def test_batch_rejections_carry_the_parsers_reason(tmp_path, capsys):
+    size = {"cmd": "size", "criterion": "abs", "eps": 0.5, "a": 0, "b": 0.5}
+    cov = {"cmd": "coverage", "criterion": "abs", "eps": 0.25, "a": 0, "b": 1,
+           "n": 2}
+    jobs = [
+        (size, "poisson-ss size: the following arguments are required: --delta"),
+        ({**cov, "eps": True}, "argument --eps: expected one argument"),
+        ({**cov, "n": 2.0}, "argument --n: invalid int value: '2.0'"),
+        ({**cov, "criterion": "abs2"}, "argument --criterion: invalid choice"),
+    ]
+    config = tmp_path / "jobs.jsonl"
+    config.write_text("".join(json.dumps(job) + "\n" for job, _ in jobs),
+                      encoding="utf-8")
+    code, out, err = run(capsys, ["--config", str(config)])
+    assert code == 1
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert len(lines) == len(jobs)
+    for line, (job, reason) in zip(lines, jobs):
+        assert line["code"] == 1
+        assert line["error"].startswith(f"poisson-ss {job['cmd']}: ")
+        assert reason in line["error"]
+        assert "usage:" not in line["error"]
+    assert "usage:" not in err
+
+
+@pytest.mark.parametrize("key, value, flag", [
+    ("max_n", False, "--max-n"),
+    ("eps", False, "--eps"),
+    ("start_n", True, "--start-n"),
+])
+def test_batch_true_or_false_for_a_valued_flag_names_the_flag(
+        tmp_path, capsys, key, value, flag):
+    job = {"cmd": "size", "criterion": "abs", "eps": 0.5, "a": 0, "b": 0.5,
+           "delta": 0.5, key: value}
+    config = tmp_path / "jobs.jsonl"
+    config.write_text(json.dumps(job) + "\n", encoding="utf-8")
+    code, out, _ = run(capsys, ["--config", str(config)])
+    assert code == 1
+    result = json.loads(out)
+    assert result["code"] == 1
+    assert f"argument {flag}:" in result["error"]
+
+
+def test_batch_false_leaves_an_on_off_flag_off(tmp_path, capsys, monkeypatch):
+    # a bound that cannot hold: a job with --check-bound on exits 3
+    monkeypatch.setattr(cli, "cardinality_bound", lambda *args: 0.0)
+    job = {"cmd": "candidates", "criterion": "abs", "eps": 0.25, "a": 0,
+           "b": 1, "n": 2}
+    config = tmp_path / "jobs.jsonl"
+    for check_bound, want in ((False, 0), (True, 3)):
+        config.write_text(json.dumps({**job, "check_bound": check_bound}) + "\n",
+                          encoding="utf-8")
+        code, out, _ = run(capsys, ["--config", str(config)])
+        assert code == want
+        assert json.loads(out)["count"] == 4
+
+
+def test_command_line_usage_error_prints_usage_and_reason(capsys):
+    code, out, err = run(capsys, SIZE_ARGS[:-2])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: poisson-ss size ")
+    assert "poisson-ss size: the following arguments are required: --delta" in err
+
+
+def test_subcommand_help_prints_to_stdout_and_exits_0():
+    src = pathlib.Path(poisson_ss.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "poisson_ss", "size", "--help"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: poisson-ss size ")
+    assert "--delta" in proc.stdout
+    assert proc.stderr == ""
 
 
 def test_batch_values_are_never_read_as_flags(tmp_path, capsys):

@@ -179,7 +179,7 @@ def test_window_constant_between_adjacent_candidates():
     crit = Absolute(0.2)
     n = 9
     interval = ParamInterval(0.0, 2.5)
-    points = candidate_set(crit, n, interval).values()
+    points = [p.value for p in candidate_set(crit, n, interval)]
     rng = np.random.default_rng(91)
     for lo, hi in zip(points, points[1:]):
         if hi - lo < 1e-6:
