@@ -7,8 +7,11 @@ tails shrink like exp(-n * rate * eps^2).  Past a closed-form threshold
 the coverage provably exceeds the confidence target, so a planner faced
 with a huge rate range only needs exact evaluation below the threshold.
 This script compares the bounds with the exact tails, then plans over
-[0.2, 100] with and without the truncation.
+[0.2, 100] with the truncation, as `min_sample_size` always does, and
+without it, by scanning all of [0.2, 100] at every n.
 """
+
+import itertools
 
 import numpy as np
 
@@ -16,10 +19,10 @@ from poisson_ss import (
     ConfidenceSpec,
     ParamInterval,
     Relative,
-    SearchOptions,
     interval_prob,
     lambda_threshold,
     min_sample_size,
+    scan_min_coverage,
     tail_bounds,
 )
 
@@ -33,6 +36,17 @@ def exact_tails(n, lam, eps):
     lower = interval_prob(0, k_lo, mu) if k_lo >= 0 else 0.0
     upper = interval_prob(k_hi, k_hi + span, mu)
     return lower, upper
+
+
+def untruncated_search(criterion, interval, delta):
+    """The search with no tail bound: every n scans all of [a, b] until the
+    first failing rate.  Returns (n_min, coverage evaluations)."""
+    evaluations = 0
+    for n in itertools.count(1):
+        witness, evals = scan_min_coverage(criterion, n, interval, 1.0 - delta)
+        evaluations += evals
+        if witness.coverage > 1.0 - delta:
+            return n, evaluations
 
 
 def main():
@@ -55,22 +69,20 @@ def main():
     interval = ParamInterval(0.2, 100.0)
     conf = ConfidenceSpec(0.2)
 
-    full = min_sample_size(criterion, interval, conf,
-                           SearchOptions(use_chernoff=False))
-    cut = min_sample_size(criterion, interval, conf,
-                          SearchOptions(use_chernoff=True))
+    full_n, full_evals = untruncated_search(criterion, interval, conf.delta)
+    cut = min_sample_size(criterion, interval, conf)
     thr = lambda_threshold(cut.n_min, criterion.eps, conf.delta)
     print(f"planning {criterion!r} over [{interval.a:g}, {interval.b:g}], "
           f"80% confidence:")
-    print(f"  without truncation: n = {full.n_min}, "
-          f"{full.evaluations} coverage evaluations, "
-          f"scanned up to {full.truncated_b:g}")
+    print(f"  without truncation: n = {full_n}, "
+          f"{full_evals} coverage evaluations, "
+          f"scanned up to {interval.b:g}")
     print(f"  with truncation:    n = {cut.n_min}, "
           f"{cut.evaluations} coverage evaluations, "
           f"scanned up to {cut.truncated_b:.6g}")
     print(f"  threshold at the answer: {thr:.6g}")
-    assert full.n_min == cut.n_min
-    print(f"  same answer, {full.evaluations / cut.evaluations:.0f}x "
+    assert full_n == cut.n_min
+    print(f"  same answer, {full_evals / cut.evaluations:.0f}x "
           f"fewer evaluations with the bound")
 
 

@@ -20,7 +20,7 @@ from .coverage import (
 from .kernel import PoissonMean, interval_prob, pmf
 from .minimizer import min_coverage, scan_min_coverage
 from .oracle import brute_force_coverage, grid_min_coverage, monte_carlo_coverage
-from .search import MaxSampleSizeExceeded, SearchOptions, min_sample_size
+from .search import MaxSampleSizeExceeded, min_sample_size
 from .types import (
     Absolute,
     CandidateKind,
@@ -83,7 +83,6 @@ __all__ = [
     # minimization and search
     "min_coverage",
     "scan_min_coverage",
-    "SearchOptions",
     "min_sample_size",
     "MaxSampleSizeExceeded",
     "SampleSizePlan",

@@ -166,11 +166,14 @@ def candidate_stream(
         pieces = ((Absolute(eff.eps_a), a, cx), (Relative(eff.eps_r), cx, b))
     else:
         pieces = ((eff, a, b),)
-    families = [
-        _family(kind, div, shift, lo, hi, tol)
-        for piece, lo, hi in pieces
-        for kind, div, shift in _progressions(piece, n)
-    ]
+    families = []
+    for piece, lo, hi in pieces:
+        for kind, div, shift in _progressions(piece, n):
+            if not math.isfinite(div * (hi - shift)):
+                raise ValueError(
+                    f"candidate rates up to {b!r} are too large for n = {n!r}: "
+                    "their breakpoint indices are not finite")
+            families.append(_family(kind, div, shift, lo, hi, tol))
     return _points(heapq.merge(sorted(specials), *families), tol)
 
 

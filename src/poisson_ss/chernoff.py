@@ -57,6 +57,8 @@ def lambda_threshold(n: int, eps_r: float, delta: float) -> float:
 
     Every lam > threshold satisfies Pr{|K/n - lam| < eps_r lam} > 1 - delta,
     so a search only needs to evaluate rates in [a, min(b, threshold)].
+    When eps_r is so small that the denominator underflows to 0, no finite
+    rate is certified and the threshold is inf.
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n!r}")
@@ -64,4 +66,7 @@ def lambda_threshold(n: int, eps_r: float, delta: float) -> float:
         raise ValueError(f"margin must lie strictly inside (0, 1), got {eps_r!r}")
     if not (0.0 < delta < 1.0):
         raise ValueError(f"risk level must lie strictly inside (0, 1), got {delta!r}")
-    return math.log(2.0 / delta) / (TWO_LN2_MINUS_1 * n * eps_r * eps_r)
+    denom = TWO_LN2_MINUS_1 * n * eps_r * eps_r
+    if denom == 0.0:
+        return math.inf
+    return math.log(2.0 / delta) / denom

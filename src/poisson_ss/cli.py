@@ -19,7 +19,8 @@ an on/off flag (``check_bound``); any other flag takes its value as
 written, so true or false there is rejected with a reason.  Machine output
 serializes every float with 17 significant digits so values round-trip
 exactly, and is strict JSON: a non-finite float (the upper bound b = inf
-of a truncated search) is written as null.
+that ``size`` accepts for a relative or mixed margin, whose tail bound
+makes the scan finite) is written as null.
 
 Exit codes: 0 success, 1 validation error, 2 budget exceeded, 3 internal
 verification failure.  No other value is ever returned.
@@ -37,7 +38,7 @@ from .candidates import candidate_set, cardinality_bound
 from .coverage import coverage_at, coverage_at_point
 from .minimizer import min_coverage
 from .oracle import brute_force_coverage, grid_min_coverage, monte_carlo_coverage
-from .search import MaxSampleSizeExceeded, SearchOptions, min_sample_size
+from .search import MaxSampleSizeExceeded, min_sample_size
 from .types import (
     Absolute,
     ConfidenceSpec,
@@ -130,10 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_flags(p_size, with_delta=True)
     p_size.add_argument("--start-n", dest="start_n", type=int, default=1)
     p_size.add_argument("--max-n", dest="max_n", type=int, default=1_000_000)
-    p_size.add_argument("--chernoff", choices=("auto", "on", "off"),
-                        default="auto",
-                        help="tail-bound truncation of the scanned interval; "
-                             "auto and on both truncate")
     p_size.add_argument("--format", choices=("json", "text"), default="json")
 
     p_cov = sub.add_parser("coverage", help="coverage rows at fixed n")
@@ -211,17 +208,11 @@ def _criterion_obj(criterion: ErrorCriterion) -> dict:
             "eps_r": criterion.eps_r}
 
 
-def _require_positive_n(n: int) -> None:
-    if n < 1:
-        raise ValidationError(f"--n must be >= 1, got {n}")
-
-
 def _execute_size(ns: argparse.Namespace) -> tuple[dict, int]:
     criterion, interval, conf = _problem(ns, bounded=False)
-    opts = SearchOptions(start_n=ns.start_n, max_n=ns.max_n,
-                         use_chernoff=ns.chernoff != "off")
     t0 = time.perf_counter()
-    plan = min_sample_size(criterion, interval, conf, opts)
+    plan = min_sample_size(criterion, interval, conf,
+                           start_n=ns.start_n, max_n=ns.max_n)
     elapsed_ms = (time.perf_counter() - t0) * 1e3
     result = {
         "criterion": _criterion_obj(criterion),
@@ -239,7 +230,6 @@ def _execute_size(ns: argparse.Namespace) -> tuple[dict, int]:
 
 def _execute_coverage(ns: argparse.Namespace) -> tuple[dict, int]:
     criterion, interval, _ = _problem(ns)
-    _require_positive_n(ns.n)
     if ns.grid is not None:
         if ns.grid < 2:
             raise ValidationError(f"--grid needs at least 2 points, got {ns.grid}")
@@ -263,7 +253,6 @@ def _execute_coverage(ns: argparse.Namespace) -> tuple[dict, int]:
 
 def _execute_candidates(ns: argparse.Namespace) -> tuple[dict, int]:
     criterion, interval, _ = _problem(ns)
-    _require_positive_n(ns.n)
     points = candidate_set(criterion, ns.n, interval)
     bound = cardinality_bound(criterion, ns.n, interval)
     bound_holds = len(points) < bound
@@ -298,11 +287,9 @@ def _execute_verify(ns: argparse.Namespace) -> tuple[dict, int]:
             f"--grid-points needs at least 2 points, got {ns.grid_points}")
     if ns.seed < 0:
         raise ValidationError(f"--seed must be >= 0, got {ns.seed}")
-    if ns.n is None:
+    n = ns.n
+    if n is None:
         n = min_sample_size(criterion, interval, conf).n_min
-    else:
-        _require_positive_n(ns.n)
-        n = ns.n
     worst = min_coverage(criterion, n, interval)
 
     grid = grid_min_coverage(criterion, n, interval, ns.grid_points)

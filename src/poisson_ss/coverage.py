@@ -61,6 +61,10 @@ class AcceptanceBounds:
 
 
 def _snap(x: float) -> float:
+    if not math.isfinite(x):
+        raise ValueError(
+            f"acceptance window bound {x!r} is not finite: the rate is too "
+            "large for this sample size")
     r = round(x)
     if abs(x - r) <= SNAP_TOL * max(1.0, abs(x)):
         return float(r)

@@ -80,15 +80,15 @@ def grid_min_coverage(
     return best
 
 
-def _event_holds(criterion: ErrorCriterion, estimate: float, lam: float) -> bool:
+def _margin(criterion: ErrorCriterion, lam: float) -> float:
+    """The largest error the event allows at rate lam.  A mixed event holds
+    when either margin does, so its margin is the larger of the two."""
     if isinstance(criterion, Absolute):
-        return bool(_strictly_below(abs(estimate - lam), criterion.eps))
+        return criterion.eps
     if isinstance(criterion, Relative):
-        return bool(_strictly_below(abs(estimate - lam), criterion.eps * lam))
+        return criterion.eps * lam
     if isinstance(criterion, Mixed):
-        err = abs(estimate - lam)
-        return bool(_strictly_below(err, criterion.eps_a)
-                    or _strictly_below(err, criterion.eps_r * lam))
+        return max(criterion.eps_a, criterion.eps_r * lam)
     raise TypeError(f"unknown criterion type: {criterion!r}")
 
 
@@ -112,10 +112,11 @@ def brute_force_coverage(
     mu = n * lam
     if k_max is None:
         k_max = math.ceil(mu + 40.0 * math.sqrt(mu + 1.0))
+    margin = _margin(criterion, lam)
     terms = [
         pmf(k, mu)
         for k in range(k_max + 1)
-        if _event_holds(criterion, k / n, lam)
+        if _strictly_below(abs(k / n - lam), margin)
     ]
     return min(1.0, math.fsum(terms))
 
@@ -145,6 +146,7 @@ def monte_carlo_coverage(
         raise ValueError(f"seed must be nonnegative, got {seed!r}")
 
     mu = n * lam
+    margin = _margin(criterion, lam)
     hits = 0
     done = 0
     chunk_index = 0
@@ -152,17 +154,7 @@ def monte_carlo_coverage(
         size = min(MC_CHUNK, trials - done)
         rng = np.random.Generator(np.random.Philox(seed=[seed, chunk_index]))
         counts = rng.poisson(lam=mu, size=size)
-        estimates = counts / n
-        err = np.abs(estimates - lam)
-        if isinstance(criterion, Absolute):
-            ok = _strictly_below(err, criterion.eps)
-        elif isinstance(criterion, Relative):
-            ok = _strictly_below(err, criterion.eps * lam)
-        elif isinstance(criterion, Mixed):
-            ok = (_strictly_below(err, criterion.eps_a)
-                  | _strictly_below(err, criterion.eps_r * lam))
-        else:
-            raise TypeError(f"unknown criterion type: {criterion!r}")
+        ok = _strictly_below(np.abs(counts / n - lam), margin)
         hits += int(np.count_nonzero(ok))
         done += size
         chunk_index += 1

@@ -6,13 +6,16 @@ interval strictly exceeds 1 - delta.  Sufficiency is not monotone in n
 walks n upward from start_n and returns the first sufficient value.  Each
 n is decided by a candidate scan that stops at the first failing rate; at
 the returned n no rate fails, so that scan is complete and reports the
-global minimum.
+minimum over the scanned rates.
 
 For relative and mixed criteria the exponential tail bounds discharge all
 rates above `lambda_threshold`, so each decision only scans candidates in
 [a, min(b, threshold)]; the threshold shrinks like 1/n, which keeps large
-searches cheap.  Truncation never changes a decision, only the work done:
-rates above the threshold are certified, not skipped.
+searches cheap.  Truncation is always on and never changes a decision,
+only the work done: rates above the threshold are certified, not skipped.
+An Absolute criterion has no tails to bound and scans all of [a, b].  The
+global worst case at the returned n, over all of [a, b], is
+`min_coverage(criterion, plan.n_min, interval)`.
 
 For a relative criterion the count K = 0 is never inside the acceptance
 window, so the coverage at rate a is at most 1 - exp(-n a) and every
@@ -23,7 +26,6 @@ reported before any scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .chernoff import lambda_threshold
 from .coverage import coverage_at
@@ -39,25 +41,11 @@ from .types import (
     validate,
 )
 
-__all__ = ["SearchOptions", "MaxSampleSizeExceeded", "min_sample_size"]
+__all__ = ["MaxSampleSizeExceeded", "min_sample_size"]
 
 # The lower bound on n is only trusted when it clears max_n by more than
 # float rounding, so a near tie is left to the scan.
 _LOWER_BOUND_SLACK = 1e-9
-
-
-@dataclass(frozen=True, slots=True)
-class SearchOptions:
-    """Knobs for `min_sample_size`.
-
-    use_chernoff switches tail-bound truncation of the scanned interval.
-    Only relative margins have tails to bound: an Absolute criterion scans
-    all of [a, b] either way, and a Mixed one truncates its relative part.
-    """
-
-    start_n: int = 1
-    max_n: int = 1_000_000
-    use_chernoff: bool = True
 
 
 class MaxSampleSizeExceeded(RuntimeError):
@@ -82,12 +70,11 @@ def _decide(
     interval: ParamInterval,
     delta: float,
     n: int,
-    truncate: bool,
 ) -> tuple[bool, CoverageResult, int, float]:
     """Pass/fail at one n: (passed, witness, evaluations, scanned upper end)."""
     a, b = interval.a, interval.b
     scan_b = b
-    eps_r = _relative_eps(criterion) if truncate else None
+    eps_r = _relative_eps(criterion)
     if eps_r is not None:
         threshold = lambda_threshold(n, eps_r, delta)
         if threshold < b:
@@ -105,38 +92,39 @@ def min_sample_size(
     criterion: ErrorCriterion,
     interval: ParamInterval,
     conf: ConfidenceSpec,
-    opts: SearchOptions = SearchOptions(),
+    *,
+    start_n: int = 1,
+    max_n: int = 1_000_000,
 ) -> SampleSizePlan:
-    """Smallest n >= opts.start_n whose worst-case coverage exceeds 1 - delta.
+    """Smallest n >= start_n whose worst-case coverage exceeds 1 - delta.
 
     The returned plan reports the worst rate and its coverage at the chosen
     n (over the scanned interval; ties on coverage go to the smaller rate)
     and the total number of coverage evaluations spent by the search.
 
-    Raises MaxSampleSizeExceeded when every n up to opts.max_n fails, and
-    ValueError for a malformed option set.  Note the search begins at
+    Raises MaxSampleSizeExceeded when every n up to max_n fails, and
+    ValueError when start_n < 1 or max_n < start_n.  Note the search begins at
     start_n = 1 by default; set start_n=2 to reproduce conventions that
     treat a single observation as no estimate at all.
     """
     validate(criterion, interval, conf)
-    if opts.start_n < 1:
-        raise ValueError(f"start_n must be >= 1, got {opts.start_n!r}")
-    if opts.max_n < opts.start_n:
+    if start_n < 1:
+        raise ValueError(f"start_n must be >= 1, got {start_n!r}")
+    if max_n < start_n:
         raise ValueError(
-            f"max_n must be >= start_n, got max_n={opts.max_n!r} start_n={opts.start_n!r}")
+            f"max_n must be >= start_n, got max_n={max_n!r} start_n={start_n!r}")
     delta = conf.delta
     if isinstance(criterion, Relative):
         n_lower = math.log(1.0 / delta) / interval.a
-        if opts.max_n <= n_lower * (1.0 - _LOWER_BOUND_SLACK):
+        if max_n <= n_lower * (1.0 - _LOWER_BOUND_SLACK):
             raise MaxSampleSizeExceeded(
-                opts.max_n,
+                max_n,
                 f"relative coverage at a = {interval.a!r} needs "
                 f"n > ln(1/delta) / a = {n_lower:.6g}")
 
     evaluations = 0
-    for n in range(opts.start_n, opts.max_n + 1):
-        passed, result, evals, scan_b = _decide(
-            criterion, interval, delta, n, opts.use_chernoff)
+    for n in range(start_n, max_n + 1):
+        passed, result, evals, scan_b = _decide(criterion, interval, delta, n)
         evaluations += evals
         if passed:
             return SampleSizePlan(
@@ -146,4 +134,4 @@ def min_sample_size(
                 evaluations=evaluations,
                 truncated_b=scan_b,
             )
-    raise MaxSampleSizeExceeded(opts.max_n)
+    raise MaxSampleSizeExceeded(max_n)

@@ -285,6 +285,17 @@ def test_crossover_on_a_breakpoint_carries_every_family_tag():
         CandidateKind.REL_UPPER, CandidateKind.REL_LOWER}
 
 
+@pytest.mark.parametrize("criterion, interval", [
+    (Absolute(0.1), ParamInterval(1e308, 1.7e308)),
+    (Relative(0.1), ParamInterval(1.0, 1e308)),
+    (Mixed(0.1, 0.1), ParamInterval(0.5, 1e308)),   # only the relative piece
+])
+def test_stream_rejects_overflowing_breakpoints_before_iterating(criterion, interval):
+    # at n = 2 the last breakpoint index n * b (1 + eps) is not finite
+    with pytest.raises(ValueError, match="too large for n = 2"):
+        candidate_stream(criterion, 2, interval)
+
+
 @pytest.mark.parametrize("a, b", [(0.0, math.inf), (math.nan, 1.0), (0.5, math.nan)])
 def test_stream_rejects_non_finite_bounds_before_iterating(a, b):
     with pytest.raises(NonFiniteBound):

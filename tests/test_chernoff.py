@@ -64,6 +64,14 @@ def test_exact_tails_never_exceed_bounds():
         assert upper_exact <= bounds.upper + 1e-12
 
 
+def test_threshold_is_infinite_when_the_margin_underflows():
+    # (2 ln 2 - 1) n eps_r^2 underflows to 0: no finite rate is certified
+    assert lambda_threshold(1, 1e-200, 0.1) == math.inf
+    assert lambda_threshold(10**6, 1e-170, 0.1) == math.inf
+    assert lambda_threshold(1, 1e-150, 0.1) == pytest.approx(
+        math.log(20.0) / (TWO_LN2_MINUS_1 * 1e-300), rel=1e-15)
+
+
 def test_threshold_scales_inversely_with_n_and_eps_squared():
     t = lambda_threshold(50, 0.2, 0.1)
     assert lambda_threshold(100, 0.2, 0.1) == pytest.approx(t / 2.0, rel=1e-12)

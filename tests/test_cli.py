@@ -78,15 +78,20 @@ def test_size_tiny_relative_lower_bound_exits_2_at_once(capsys, monkeypatch):
     assert "1000000" in err
 
 
-@pytest.mark.parametrize("chernoff", ["auto", "on", "off"])
-def test_size_accepts_every_chernoff_value(capsys, chernoff):
-    argv = ["size", "--criterion", "rel", "--eps", "0.5", "--a", "0.2",
-            "--b", "100", "--delta", "0.2", "--chernoff", chernoff]
-    code, out, _ = run(capsys, argv)
-    assert code == 0
-    result = json.loads(out)
-    assert result["n_min"] == 41
-    assert (result["truncated_b"] < 100.0) == (chernoff != "off")
+@pytest.mark.parametrize("argv", [
+    ["size", "--criterion", "rel", "--eps", "1e-200", "--a", "0.5",
+     "--b", "2", "--delta", "0.1", "--max-n", "5"],
+    ["size", "--criterion", "mixed", "--eps-a", "0.1", "--eps-r", "1e-200",
+     "--a", "0.5", "--b", "2", "--delta", "0.1", "--max-n", "3"],
+])
+def test_size_with_an_underflowing_relative_margin_exits_2(capsys, argv):
+    # eps_r**2 underflows to 0, so the tail bound certifies nothing and
+    # every n up to max_n is scanned over all of [a, b]; --max-n 5 clears
+    # the relative lower bound ln(1/delta) / a ~ 4.6, so rel is scanned too
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: no sufficient sample size found with n <= {argv[-1]}\n"
 
 
 def test_coverage_csv_schema(capsys):
@@ -242,8 +247,8 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
      "--b", "1", "--delta", "0.1", "--n", "5", "--seed", "-1"],
     ["size", "--criterion", "rel", "--eps", "0.2", "--a", "nan",
      "--b", "1", "--delta", "0.1"],                         # non-finite a
-    ["size", "--criterion", "rel", "--eps", "0.2", "--a", "0.5",
-     "--b", "inf", "--delta", "0.1", "--chernoff", "off"],  # unbounded scan
+    ["size", "--criterion", "mixed", "--eps-a", "0.1", "--eps-r", "1e-200",
+     "--a", "0.5", "--b", "inf", "--delta", "0.1"],         # unbounded scan
     ["verify", "--criterion", "rel", "--eps", "0.2", "--a", "0.5",
      "--b", "inf", "--delta", "0.1"],
     ["verify", "--criterion", "rel", "--eps", "0.2", "--a", "0.5",
@@ -254,11 +259,40 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
      "--b", "inf", "--n", "5", "--grid", "5"],
     ["candidates", "--criterion", "rel", "--eps", "0.2", "--a", "0.5",
      "--b", "inf", "--n", "5"],
+    ["size", "--criterion", "rel", "--eps", "0.5", "--a", "0.2",
+     "--b", "100", "--delta", "0.2", "--chernoff", "off"],  # not a flag
+    ["coverage", "--criterion", "abs", "--eps", "0.1", "--a", "0",
+     "--b", "1e308", "--n", "2", "--grid", "2"],            # n * b overflows
+    ["coverage", "--criterion", "rel", "--eps", "0.1", "--a", "1",
+     "--b", "1e308", "--n", "2", "--grid", "2"],
+    ["verify", "--criterion", "abs", "--eps", "0.1", "--a", "1e308",
+     "--b", "1.7e308", "--delta", "0.1", "--n", "2"],
+    ["candidates", "--criterion", "abs", "--eps", "0.2", "--a", "0",
+     "--b", "1", "--n", "-3"],                              # n < 1
+    ["verify", "--criterion", "abs", "--eps", "0.2", "--a", "0",
+     "--b", "1", "--delta", "0.1", "--n", "0"],
 ])
 def test_validation_failures_exit_1(capsys, argv):
     code = main(argv)
     capsys.readouterr()
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["coverage", "--criterion", "abs", "--eps", "0.2", "--a", "0", "--b", "1",
+     "--n", "0"],
+    ["coverage", "--criterion", "abs", "--eps", "0.2", "--a", "0", "--b", "1",
+     "--n", "0", "--grid", "3"],
+    ["candidates", "--criterion", "abs", "--eps", "0.2", "--a", "0", "--b", "1",
+     "--n", "0"],
+    ["verify", "--criterion", "abs", "--eps", "0.2", "--a", "0", "--b", "1",
+     "--delta", "0.1", "--n", "0"],
+])
+def test_sample_size_below_one_is_the_librarys_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: sample size must be >= 1, got 0\n"
 
 
 def test_size_with_infinite_b_and_absolute_margin_exits_1(capsys):
@@ -408,6 +442,8 @@ def test_batch_empty_file_is_a_successful_noop(tmp_path, capsys):
       "n": 2, "delta": 0.1}, "delta"),
     ({"cmd": "candidates", "criterion": "abs", "eps": 0.25, "a": 0, "b": 1,
       "n": 2, "check-bound": True}, "check-bound"),
+    ({"cmd": "size", "criterion": "rel", "eps": 0.5, "a": 0.2, "b": 100,
+      "delta": 0.2, "chernoff": "off"}, "chernoff"),
 ])
 def test_batch_job_keys_must_name_a_flag_exactly(tmp_path, capsys, job, key):
     good = {"cmd": "size", "criterion": "abs", "eps": 0.5, "a": 0, "b": 0.5,

@@ -49,6 +49,16 @@ def test_acceptance_bounds_rejects_bad_arguments():
         acceptance_bounds(object(), 5, 1.0)
 
 
+@pytest.mark.parametrize("criterion", [Absolute(0.1), Relative(0.1), Mixed(0.1, 0.1)])
+def test_acceptance_bounds_rejects_an_overflowing_window(criterion):
+    # n * (rate + margin) is inf at n = 2, rate 1e308; at n = 1 it is finite
+    with pytest.raises(ValueError, match="not finite"):
+        acceptance_bounds(criterion, 2, 1e308)
+    with pytest.raises(ValueError, match="not finite"):
+        coverage_at(criterion, 2, 1e308)
+    assert isinstance(acceptance_bounds(criterion, 1, 1e307), AcceptanceBounds)
+
+
 def test_window_can_be_empty_for_tight_relative_margin():
     # n=1, lam=0.4, eps=0.2: g = floor(0.32)+1 = 1, h = ceil(0.48)-1 = 0
     b = acceptance_bounds(Relative(0.2), 1, 0.4)

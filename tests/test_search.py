@@ -1,8 +1,13 @@
 """Minimum sample size search: ascending scan, truncation, budgets."""
 
+import inspect
+import itertools
 import math
+import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import poisson_ss.search
 from poisson_ss import (
@@ -14,10 +19,14 @@ from poisson_ss import (
     NonFiniteBound,
     ParamInterval,
     Relative,
-    SearchOptions,
+    brute_force_coverage,
     min_coverage,
     min_sample_size,
+    scan_min_coverage,
 )
+
+sys.path.insert(0, __file__.rsplit("/", 1)[0])
+from exact_reference import exact_min_coverage  # noqa: E402
 
 # (criterion, interval, delta) -> (n_min, worst_lambda, worst_coverage,
 #                                  linear evaluations, truncated_b)
@@ -74,7 +83,7 @@ def test_budget_exhaustion_raises_with_context():
     interval = ParamInterval(0.5, 2.0)
     conf = ConfidenceSpec(0.1)  # needs n = 141
     with pytest.raises(MaxSampleSizeExceeded) as info:
-        min_sample_size(criterion, interval, conf, SearchOptions(max_n=20))
+        min_sample_size(criterion, interval, conf, max_n=20)
     assert info.value.max_n == 20
     assert "20" in str(info.value)
 
@@ -89,7 +98,7 @@ def test_tiny_relative_lower_bound_exhausts_the_budget_at_once(monkeypatch, max_
     monkeypatch.setattr(poisson_ss.search, "coverage_at", evaluated)
     with pytest.raises(MaxSampleSizeExceeded) as info:
         min_sample_size(Relative(0.1), ParamInterval(1e-300, 1.0),
-                        ConfidenceSpec(0.05), SearchOptions(max_n=max_n))
+                        ConfidenceSpec(0.05), max_n=max_n)
     assert info.value.max_n == max_n
     assert "ln(1/delta) / a" in str(info.value)
 
@@ -109,14 +118,14 @@ def test_relative_lower_bound_tie_is_left_to_the_scan(monkeypatch):
     a = math.log(1.0 / delta) / max_n
     with pytest.raises(MaxSampleSizeExceeded) as info:
         min_sample_size(Relative(0.5), ParamInterval(a, 1.0),
-                        ConfidenceSpec(delta), SearchOptions(max_n=max_n))
+                        ConfidenceSpec(delta), max_n=max_n)
     assert str(info.value) == f"no sufficient sample size found with n <= {max_n}"
     assert scanned == list(range(1, max_n + 1))
 
 
 def test_start_n_floors_the_search():
     plan = min_sample_size(Absolute(0.5), ParamInterval(0.0, 0.5),
-                           ConfidenceSpec(0.5), SearchOptions(start_n=200))
+                           ConfidenceSpec(0.5), start_n=200)
     assert plan.n_min >= 200
 
 
@@ -132,9 +141,9 @@ def test_option_validation():
     iv = ParamInterval(0.0, 0.5)
     conf = ConfidenceSpec(0.5)
     with pytest.raises(ValueError):
-        min_sample_size(crit, iv, conf, SearchOptions(start_n=0))
+        min_sample_size(crit, iv, conf, start_n=0)
     with pytest.raises(ValueError):
-        min_sample_size(crit, iv, conf, SearchOptions(start_n=10, max_n=9))
+        min_sample_size(crit, iv, conf, start_n=10, max_n=9)
 
 
 def test_configuration_validation_precedes_search():
@@ -142,23 +151,58 @@ def test_configuration_validation_precedes_search():
         min_sample_size(Absolute(0.5), ParamInterval(0.0, 0.5), ConfidenceSpec(0.0))
 
 
+def _untruncated_search(criterion, interval, delta):
+    """The search with every n decided by a scan of all of [a, b]:
+    (n_min, total evaluations)."""
+    evaluations = 0
+    for n in itertools.count(1):
+        witness, evals = scan_min_coverage(criterion, n, interval, 1.0 - delta)
+        evaluations += evals
+        if witness.coverage > 1.0 - delta:
+            return n, evaluations
+
+
 def test_truncation_never_changes_the_answer():
     criterion = Relative(0.4)
     interval = ParamInterval(0.5, 8.0)
-    conf = ConfidenceSpec(0.15)
-    on = min_sample_size(criterion, interval, conf, SearchOptions(use_chernoff=True))
-    off = min_sample_size(criterion, interval, conf, SearchOptions(use_chernoff=False))
-    assert on.n_min == off.n_min == 31
-    assert on.truncated_b < interval.b       # the tail bounds bit
-    assert off.truncated_b == interval.b
-    assert on.evaluations < off.evaluations  # and they saved work
+    delta = 0.15
+    plan = min_sample_size(criterion, interval, ConfidenceSpec(delta))
+    n_full, evals_full = _untruncated_search(criterion, interval, delta)
+    assert plan.n_min == n_full == 31
+    assert plan.truncated_b < interval.b       # the tail bounds bit
+    assert plan.evaluations < evals_full       # and they saved work
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    mixed=st.booleans(),
+    eps=st.floats(0.25, 0.6),
+    eps_a=st.floats(0.05, 0.5),
+    a=st.floats(0.5, 2.0),
+    width=st.floats(2.0, 10.0),
+    delta=st.floats(0.1, 0.4),
+)
+def test_truncated_search_is_exact_on_the_whole_interval(
+        mixed, eps, eps_a, a, width, delta):
+    # every n below n_min has a failing rate somewhere in [a, b], confirmed
+    # by brute force, and n_min covers all of [a, b], not just [a, scan_b]
+    criterion = Mixed(eps_a, eps) if mixed else Relative(eps)
+    interval = ParamInterval(a, a + width)
+    level = 1.0 - delta
+    plan = min_sample_size(criterion, interval, ConfidenceSpec(delta))
+    assume(plan.truncated_b < interval.b)
+    for n in range(1, plan.n_min):
+        witness, _ = scan_min_coverage(criterion, n, interval, level)
+        assert witness.coverage <= level
+        assert brute_force_coverage(criterion, n, witness.lam) <= level + 1e-12
+    assert exact_min_coverage(criterion, plan.n_min, interval) > level
 
 
 def test_degenerate_truncation_checks_only_the_lower_endpoint():
     # at n = 500 the certified threshold sits below a, so one evaluation at
     # a decides the whole interval
     plan = min_sample_size(Relative(0.5), ParamInterval(0.2, 100.0),
-                           ConfidenceSpec(0.2), SearchOptions(start_n=500))
+                           ConfidenceSpec(0.2), start_n=500)
     assert plan.n_min == 500
     assert plan.truncated_b == 0.2
     assert plan.evaluations == 1
@@ -176,30 +220,31 @@ def test_infinite_b_is_searched_when_the_tail_bound_truncates(criterion):
     assert unbounded.truncated_b == bounded.truncated_b < 2.0
 
 
-@pytest.mark.parametrize("criterion, opts", [
-    (Absolute(0.1), SearchOptions()),
-    (Absolute(0.1), SearchOptions(use_chernoff=True)),
-    (Relative(0.2), SearchOptions(use_chernoff=False)),
-    (Mixed(0.1, 0.2), SearchOptions(use_chernoff=False)),
+@pytest.mark.parametrize("criterion", [
+    Absolute(0.1),
+    Mixed(0.1, 5e-324),     # crossover inf: absolute on all of [a, b]
+    Relative(1e-200),       # eps_r**2 underflows: the threshold is inf
+    Mixed(0.1, 1e-200),
 ])
-def test_infinite_b_without_truncation_is_a_validation_error(criterion, opts):
+def test_infinite_b_without_truncation_is_a_validation_error(criterion):
     with pytest.raises(NonFiniteBound):
         min_sample_size(criterion, ParamInterval(0.5, math.inf),
-                        ConfidenceSpec(0.1), opts)
+                        ConfidenceSpec(0.1))
 
 
 def test_absolute_criterion_has_nothing_to_truncate():
     plan = min_sample_size(Absolute(0.5), ParamInterval(0.0, 0.5),
-                           ConfidenceSpec(0.5), SearchOptions(use_chernoff=True))
+                           ConfidenceSpec(0.5))
     assert plan.n_min == 3
     assert plan.truncated_b == 0.5
 
 
 def test_default_options():
-    opts = SearchOptions()
-    assert opts.start_n == 1
-    assert opts.max_n == 1_000_000
-    assert opts.use_chernoff is True
+    params = inspect.signature(min_sample_size).parameters
+    assert list(params) == ["criterion", "interval", "conf", "start_n", "max_n"]
+    assert params["start_n"].default == 1
+    assert params["max_n"].default == 1_000_000
+    assert params["start_n"].kind is params["max_n"].kind is inspect.Parameter.KEYWORD_ONLY
 
 
 @pytest.mark.slow
