@@ -13,11 +13,10 @@ from .chernoff import TailBounds, lambda_threshold, tail_bounds
 from .coverage import (
     AcceptanceBounds,
     acceptance_bounds,
-    acceptance_bounds_at_candidate,
     coverage_at,
     coverage_at_point,
 )
-from .kernel import PoissonMean, interval_prob, pmf
+from .kernel import interval_prob, pmf
 from .minimizer import min_coverage, scan_min_coverage
 from .oracle import brute_force_coverage, grid_min_coverage, monte_carlo_coverage
 from .search import MaxSampleSizeExceeded, min_sample_size
@@ -64,13 +63,11 @@ __all__ = [
     "NonFiniteBound",
     "RelativeWithZeroLowerBound",
     # kernel
-    "PoissonMean",
     "pmf",
     "interval_prob",
     # coverage
     "AcceptanceBounds",
     "acceptance_bounds",
-    "acceptance_bounds_at_candidate",
     "coverage_at",
     "coverage_at_point",
     "CoverageResult",

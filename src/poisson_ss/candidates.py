@@ -166,14 +166,22 @@ def candidate_stream(
         pieces = ((Absolute(eff.eps_a), a, cx), (Relative(eff.eps_r), cx, b))
     else:
         pieces = ((eff, a, b),)
-    families = []
-    for piece, lo, hi in pieces:
-        for kind, div, shift in _progressions(piece, n):
-            if not math.isfinite(div * (hi - shift)):
-                raise ValueError(
-                    f"candidate rates up to {b!r} are too large for n = {n!r}: "
-                    "their breakpoint indices are not finite")
-            families.append(_family(kind, div, shift, lo, hi, tol))
+    grids = [(kind, div, shift, lo, hi)
+             for piece, lo, hi in pieces
+             for kind, div, shift in _progressions(piece, n)]
+    if not all(math.isfinite(div * (hi - shift)) for _, div, shift, _, hi in grids):
+        raise ValueError(
+            f"candidate rates up to {b!r} are too large for n = {n!r}: "
+            "their breakpoint indices are not finite")
+    # A family's breakpoints are 1/div apart; a merge tolerance within 8x of
+    # that would merge distinct ones.  The indices div * value then exceed
+    # 1e11, where the 1e-12 window snap spans an eighth of a step: floats
+    # cannot resolve the grid at this scale.
+    if any(8.0 * tol * div >= 1.0 for _, div, _, _, _ in grids):
+        raise ValueError(
+            f"the interval [{a!r}, {b!r}] is too wide for n = {n!r}: floats "
+            "cannot tell its breakpoints apart")
+    families = [_family(*grid, tol) for grid in grids]
     return _points(heapq.merge(sorted(specials), *families), tol)
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "SNAP_TOL",
     "AcceptanceBounds",
     "acceptance_bounds",
-    "acceptance_bounds_at_candidate",
     "coverage_at",
     "coverage_at_point",
 ]
@@ -71,23 +70,15 @@ def _snap(x: float) -> float:
     return x
 
 
-def _floor(x: float) -> int:
-    return math.floor(_snap(x))
-
-
-def _ceil(x: float) -> int:
-    return math.ceil(_snap(x))
-
-
 def _absolute_bounds(n: int, lam: float, eps: float) -> AcceptanceBounds:
-    g = max(0, _floor(n * (lam - eps)) + 1)
-    h = _ceil(n * (lam + eps)) - 1
+    g = max(0, math.floor(_snap(n * (lam - eps))) + 1)
+    h = math.ceil(_snap(n * (lam + eps))) - 1
     return AcceptanceBounds(g, h)
 
 
 def _relative_bounds(n: int, lam: float, eps: float) -> AcceptanceBounds:
-    g = _floor(n * lam * (1.0 - eps)) + 1
-    h = _ceil(n * lam * (1.0 + eps)) - 1
+    g = math.floor(_snap(n * lam * (1.0 - eps))) + 1
+    h = math.ceil(_snap(n * lam * (1.0 + eps))) - 1
     return AcceptanceBounds(g, h)
 
 
@@ -108,37 +99,6 @@ def acceptance_bounds(criterion: ErrorCriterion, n: int, lam: float) -> Acceptan
     raise TypeError(f"unknown criterion type: {criterion!r}")
 
 
-def acceptance_bounds_at_candidate(
-    criterion: ErrorCriterion, n: int, point: CandidatePoint
-) -> AcceptanceBounds:
-    """Window at a candidate point, using its breakpoint tags exactly.
-
-    At a breakpoint one side of the window sits exactly on an integer jump;
-    the stored ell resolves that side in integer arithmetic instead of
-    trusting a floating floor or ceiling:
-
-        value = ell/n + eps            ->  g = max(0, ell + 1)
-        value = ell/n - eps            ->  h = ell - 1
-        value = ell/(n (1 + eps))      ->  h = ell - 1
-        value = ell/(n (1 - eps))      ->  g = ell + 1
-
-    Untagged sides (and untagged points such as plain endpoints) fall back
-    to `acceptance_bounds`.
-    """
-    base = acceptance_bounds(criterion, n, point.value)
-    g, h = base.g, base.h
-    for kind, ell in point.grid_tags():
-        if kind is CandidateKind.ABS_PLUS:
-            g = max(0, ell + 1)
-        elif kind is CandidateKind.ABS_MINUS:
-            h = ell - 1
-        elif kind is CandidateKind.REL_UPPER:
-            h = ell - 1
-        elif kind is CandidateKind.REL_LOWER:
-            g = ell + 1
-    return AcceptanceBounds(g, h)
-
-
 def coverage_at(criterion: ErrorCriterion, n: int, lam: float) -> CoverageResult:
     """Probability that the error event holds at rate lam with n samples."""
     bounds = acceptance_bounds(criterion, n, lam)
@@ -149,7 +109,29 @@ def coverage_at(criterion: ErrorCriterion, n: int, lam: float) -> CoverageResult
 def coverage_at_point(
     criterion: ErrorCriterion, n: int, point: CandidatePoint
 ) -> CoverageResult:
-    """Coverage at a candidate point through the exact tagged window."""
-    bounds = acceptance_bounds_at_candidate(criterion, n, point)
-    cov = interval_prob(bounds.g, bounds.h, n * point.value)
-    return CoverageResult(lam=point.value, g=bounds.g, h=bounds.h, coverage=cov)
+    """Coverage at a candidate point through the exact tagged window.
+
+    At a breakpoint one side of the window sits exactly on an integer jump;
+    the stored ell resolves that side in integer arithmetic instead of
+    trusting a floating floor or ceiling:
+
+        value = ell/n + eps            ->  g = max(0, ell + 1)
+        value = ell/(n (1 - eps))      ->  g = ell + 1
+        value = ell/n - eps            ->  h = ell - 1
+        value = ell/(n (1 + eps))      ->  h = ell - 1
+
+    Untagged sides (and untagged points such as plain endpoints) keep the
+    window of `acceptance_bounds`.
+    """
+    bounds = acceptance_bounds(criterion, n, point.value)
+    g, h = bounds.g, bounds.h
+    # Tags are only the four grid kinds: the else is ABS_MINUS or REL_UPPER.
+    for kind, ell in point.grid_tags():
+        if kind is CandidateKind.ABS_PLUS:
+            g = max(0, ell + 1)
+        elif kind is CandidateKind.REL_LOWER:
+            g = ell + 1
+        else:
+            h = ell - 1
+    cov = interval_prob(g, h, n * point.value)
+    return CoverageResult(lam=point.value, g=g, h=h, coverage=cov)

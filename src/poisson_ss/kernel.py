@@ -16,14 +16,14 @@ several digits to rounding inside the large exponent.
 
 Interval masses are summed outward from the in-range index nearest the mode
 with the two-term recurrence ``p(k+1) = p(k) mu / (k+1)``, compensated
-(Neumaier) addition, and a relative cutoff of 1e-18 once terms are falling.
+Fast2Sum addition, and a relative cutoff of 1e-18 once terms are falling.
+Fast2Sum's error term is exact because no term exceeds the running total:
+the anchor is the largest in-range term and the total never drops below it.
 """
 
 from __future__ import annotations
 
 import math
-
-PoissonMean = float
 
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -36,7 +36,7 @@ _S4 = 1.0 / 1188.0
 
 _TERM_CUTOFF = 1e-18
 
-__all__ = ["PoissonMean", "pmf", "interval_prob"]
+__all__ = ["pmf", "interval_prob"]
 
 
 def _stirlerr(n: float) -> float:
@@ -77,7 +77,7 @@ def _bd0(x: float, mu: float) -> float:
     return x * math.log(x / mu) + mu - x
 
 
-def pmf(k: int, mu: PoissonMean) -> float:
+def pmf(k: int, mu: float) -> float:
     """Poisson probability mass mu^k e^(-mu) / k!.
 
     Args:
@@ -101,7 +101,7 @@ def pmf(k: int, mu: PoissonMean) -> float:
     return math.exp(-_stirlerr(kf) - _bd0(kf, mu)) / math.sqrt(2.0 * math.pi * kf)
 
 
-def interval_prob(k_lo: int, k_hi: int, mu: PoissonMean) -> float:
+def interval_prob(k_lo: int, k_hi: int, mu: float) -> float:
     """Probability that a Poisson(mu) variate lies in [max(0, k_lo), k_hi].
 
     An empty range (k_hi < max(0, k_lo)) has probability 0.  The sum is
@@ -120,7 +120,11 @@ def interval_prob(k_lo: int, k_hi: int, mu: PoissonMean) -> float:
     if mu == 0.0:
         return 1.0 if lo == 0 else 0.0
 
-    anchor = min(max(int(math.floor(mu)), lo), k_hi)
+    # The pmf is unimodal with mode floor(mu), so the clamped anchor is the
+    # largest in-range term.  Each recurrence factor (mu/k with k > mu, k/mu
+    # with k <= floor(mu)) rounds to at most 1 and a sum of positive terms
+    # never drops below the anchor mass, so total >= term at every step.
+    anchor = min(max(math.floor(mu), lo), k_hi)
     anchor_mass = pmf(anchor, mu)
     if anchor_mass == 0.0:
         # The largest in-range term underflows; the whole range is
@@ -136,10 +140,7 @@ def interval_prob(k_lo: int, k_hi: int, mu: PoissonMean) -> float:
         k += 1
         term *= mu / k
         fresh = total + term
-        if abs(total) >= abs(term):
-            comp += (total - fresh) + term
-        else:
-            comp += (term - fresh) + total
+        comp += (total - fresh) + term
         total = fresh
         if term <= _TERM_CUTOFF * total:
             break
@@ -150,10 +151,7 @@ def interval_prob(k_lo: int, k_hi: int, mu: PoissonMean) -> float:
         term *= k / mu
         k -= 1
         fresh = total + term
-        if abs(total) >= abs(term):
-            comp += (total - fresh) + term
-        else:
-            comp += (term - fresh) + total
+        comp += (total - fresh) + term
         total = fresh
         if term <= _TERM_CUTOFF * total:
             break

@@ -10,8 +10,9 @@ Three deliberately different routes to the same quantities:
 * `monte_carlo_coverage` simulates the experiment with a counter-based
   generator, so a third estimate comes from actual sampling.
 
-None of these share the acceptance-window derivation with the main path,
-which is the point.
+The grid route evaluates each rate with `coverage_at`, so it shares the
+acceptance-window code with the main path and checks only the reduction to
+candidates; brute force and Monte Carlo share nothing with the window code.
 """
 
 from __future__ import annotations

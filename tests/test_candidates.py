@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from poisson_ss import (
     Absolute,
     CandidateKind,
+    ConfidenceSpec,
     Mixed,
     NonFiniteBound,
     ParamInterval,
@@ -19,6 +20,8 @@ from poisson_ss import (
     candidate_stream,
     cardinality_bound,
     coverage_at_point,
+    min_coverage,
+    min_sample_size,
 )
 from poisson_ss.candidates import DEDUP_REL_TOL
 
@@ -294,6 +297,16 @@ def test_stream_rejects_overflowing_breakpoints_before_iterating(criterion, inte
     # at n = 2 the last breakpoint index n * b (1 + eps) is not finite
     with pytest.raises(ValueError, match="too large for n = 2"):
         candidate_stream(criterion, 2, interval)
+
+
+def test_intervals_too_wide_to_resolve_are_rejected():
+    # b = 1e308: the merge tolerance was 1e296 and one group grew forever
+    with pytest.raises(ValueError, match="too wide for n = 1"):
+        min_sample_size(Absolute(0.1), ParamInterval(0.0, 1e308), ConfidenceSpec(0.1))
+    # every breakpoint merged into the two endpoints: worst rate 1e13, g > h
+    # and coverage 0.0, while pmf(1e13; 1e13) ~ 1.26e-7
+    with pytest.raises(ValueError, match="too wide for n = 1"):
+        min_coverage(Absolute(0.1), 1, ParamInterval(1e13, 1e13 + 3))
 
 
 @pytest.mark.parametrize("a, b", [(0.0, math.inf), (math.nan, 1.0), (0.5, math.nan)])

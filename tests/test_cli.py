@@ -271,6 +271,8 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
      "--b", "1", "--n", "-3"],                              # n < 1
     ["verify", "--criterion", "abs", "--eps", "0.2", "--a", "0",
      "--b", "1", "--delta", "0.1", "--n", "0"],
+    ["size", "--criterion", "abs", "--eps", "0.1", "--a", "0",
+     "--b", "1e308", "--delta", "0.1"],                     # too wide to resolve
 ])
 def test_validation_failures_exit_1(capsys, argv):
     code = main(argv)

@@ -14,7 +14,6 @@ from poisson_ss import (
     ParamInterval,
     Relative,
     acceptance_bounds,
-    acceptance_bounds_at_candidate,
     brute_force_coverage,
     candidate_set,
     coverage_at,
@@ -102,34 +101,35 @@ def test_mixed_windows_agree_at_crossover():
 # tagged candidate windows: the tag pins one side in integer arithmetic
 def test_tagged_window_abs_plus_sets_lower_bound():
     point = CandidatePoint(3 / 10 + 0.1, CandidateKind.ABS_PLUS, ell=3)
-    b = acceptance_bounds_at_candidate(Absolute(0.1), 10, point)
-    assert b.g == 4
+    r = coverage_at_point(Absolute(0.1), 10, point)
+    assert r.g == 4
 
 
 def test_tagged_window_abs_minus_sets_upper_bound():
     point = CandidatePoint(7 / 10 - 0.1, CandidateKind.ABS_MINUS, ell=7)
-    b = acceptance_bounds_at_candidate(Absolute(0.1), 10, point)
-    assert b.h == 6
+    r = coverage_at_point(Absolute(0.1), 10, point)
+    assert r.h == 6
 
 
 def test_tagged_window_rel_lower_sets_lower_bound():
     value = 5 / (10 * (1.0 - 0.2))
     point = CandidatePoint(value, CandidateKind.REL_LOWER, ell=5)
-    b = acceptance_bounds_at_candidate(Relative(0.2), 10, point)
-    assert b.g == 6
+    r = coverage_at_point(Relative(0.2), 10, point)
+    assert r.g == 6
 
 
 def test_tagged_window_rel_upper_sets_upper_bound():
     value = 9 / (10 * (1.0 + 0.2))
     point = CandidatePoint(value, CandidateKind.REL_UPPER, ell=9)
-    b = acceptance_bounds_at_candidate(Relative(0.2), 10, point)
-    assert b.h == 8
+    r = coverage_at_point(Relative(0.2), 10, point)
+    assert r.h == 8
 
 
 def test_untagged_point_falls_back_to_plain_bounds():
     point = CandidatePoint(0.7345, CandidateKind.ENDPOINT_A)
-    assert (acceptance_bounds_at_candidate(Absolute(0.2), 9, point)
-            == acceptance_bounds(Absolute(0.2), 9, 0.7345))
+    r = coverage_at_point(Absolute(0.2), 9, point)
+    b = acceptance_bounds(Absolute(0.2), 9, 0.7345)
+    assert (r.g, r.h) == (b.g, b.h)
 
 
 COVERAGE_FIXTURES = [
@@ -237,10 +237,8 @@ def test_coverage_at_point_uses_tagged_window():
     interval = ParamInterval(0.5, 3.0)
     for point in candidate_set(crit, n, interval):
         result = coverage_at_point(crit, n, point)
-        bounds = acceptance_bounds_at_candidate(crit, n, point)
-        assert (result.g, result.h) == (bounds.g, bounds.h)
         assert result.lam == point.value
-        assert result.coverage == interval_prob(bounds.g, bounds.h, n * point.value)
+        assert result.coverage == interval_prob(result.g, result.h, n * point.value)
 
 
 def test_coverage_between_candidates_never_below_both_neighbours():

@@ -111,6 +111,26 @@ def test_interval_prob_normalizes():
         assert interval_prob(0, hi, mu) == pytest.approx(1.0, abs=1e-13)
 
 
+# (k_lo, k_hi, mu) -> interval_prob, bit for bit: the references above allow
+# ~1e-13, so only these catch a change in summation order or compensation
+INTERVAL_BITS = {
+    (3, 12, 7.0): "0x1.e3009d4afc94ep-1",          # integer mu: two modal terms
+    (900, 1100, 1000.0): "0x1.ff3cabe2a1715p-1",
+    (15, 30, 7.3): "0x1.0c4e04779840cp-7",         # anchor clamped at lo
+    (0, 4, 9.6): "0x1.359d37ca89f7bp-5",           # anchor clamped at k_hi
+    (1, 3, 1e-9): "0x1.12e0be801f1e3p-30",
+    (995000, 1005000, 1e6): "0x1.ffffeccf51008p-1",
+    (50, 50, 48.5): "0x1.c2f0deeff8780p-5",        # single-point range
+    (-5, 20, math.nextafter(10.0, 0.0)): "0x1.ff2fd2d0ccb44p-1",
+    (432, 743, 462.8893215240607): "0x1.dba0bbb52b23fp-1",  # moves if summed downward first
+}
+
+
+@pytest.mark.parametrize("k_lo,k_hi,mu", list(INTERVAL_BITS))
+def test_interval_prob_is_bit_stable(k_lo, k_hi, mu):
+    assert interval_prob(k_lo, k_hi, mu).hex() == INTERVAL_BITS[k_lo, k_hi, mu]
+
+
 def test_interval_prob_monotone_in_upper_index():
     mu = 7.3
     values = [interval_prob(2, hi, mu) for hi in range(2, 40)]
