@@ -19,7 +19,8 @@ The set is streamed in ascending rate order, not built as a list: each
 breakpoint family is a progression ell / div + shift over an integer range
 of ell, generated lazily, and a k-way merge of the families with the
 endpoints and the crossover yields the points one at a time.  A scan that
-stops at an early witness builds only the points it has evaluated.
+stops at an early witness builds only the points it has evaluated.  The
+scan reads the plain tuples; `candidate_stream` makes CandidatePoints.
 """
 
 from __future__ import annotations
@@ -27,13 +28,14 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Iterator
-from itertools import chain
+from itertools import chain, starmap
 from operator import itemgetter
 
 from .types import (
     Absolute,
     CandidateKind,
     CandidatePoint,
+    EmptyInterval,
     ErrorCriterion,
     Mixed,
     NonFiniteBound,
@@ -56,6 +58,7 @@ _KIND_PRIORITY = {kind: rank for rank, kind in enumerate(CandidateKind)}
 # endpoints and the crossover.  No two merged sources share a priority, so
 # comparisons never reach the unorderable kind.  _END closes the last group.
 _Entry = tuple[float, int, CandidateKind, int | None]
+_Point = tuple[float, CandidateKind, int | None, tuple]  # CandidatePoint's fields
 _END = ((math.inf, 0, CandidateKind.ENDPOINT_B, None),)
 
 __all__ = ["DEDUP_REL_TOL", "candidate_set", "candidate_stream", "cardinality_bound"]
@@ -76,8 +79,15 @@ class _Points(tuple):
 def cardinality_bound(criterion: ErrorCriterion, n: int, interval: ParamInterval) -> float:
     """Strict upper bound on the candidate count: 2 n (b - a) plus 4, or
     plus 7 when a crossover point can join the set."""
+    _check_order(interval)
     extra = 7.0 if isinstance(criterion, Mixed) else 4.0
     return 2.0 * n * interval.width + extra
+
+
+def _check_order(interval: ParamInterval) -> None:
+    if interval.a > interval.b:
+        raise EmptyInterval(
+            f"rate interval must satisfy a <= b, got [{interval.a!r}, {interval.b!r}]")
 
 
 def _progressions(
@@ -107,21 +117,19 @@ def _family(
             yield v, rank, kind, ell
 
 
-def _merge_group(group: list[_Entry]) -> list[CandidatePoint]:
+def _merge_group(group: list[_Entry]) -> list[_Point]:
     """Colliding entries as one point tagged by all (two for a sliver)."""
     group = sorted(group, key=itemgetter(1, 0))
     grid = tuple((kind, ell) for _, _, kind, ell in group if ell is not None)
     value, _, kind, ell = group[0]
     if kind is CandidateKind.ENDPOINT_A and group[1][2] is CandidateKind.ENDPOINT_B:
         # Sliver interval: keep both endpoints, never merged away.
-        return [
-            CandidatePoint(value, kind, None, grid),
-            CandidatePoint(group[1][0], CandidateKind.ENDPOINT_B, None, grid),
-        ]
-    return [CandidatePoint(value, kind, ell, grid if ell is None else grid[1:])]
+        return [(value, kind, None, grid),
+                (group[1][0], CandidateKind.ENDPOINT_B, None, grid)]
+    return [(value, kind, ell, grid if ell is None else grid[1:])]
 
 
-def _points(merged: Iterator[_Entry], tol: float) -> Iterator[CandidatePoint]:
+def _points(merged: Iterator[_Entry], tol: float) -> Iterator[_Point]:
     """Group entries within tol of the group's last member; a lone entry
     becomes its point directly and only collisions are merged."""
     group = [next(merged)]
@@ -131,18 +139,17 @@ def _points(merged: Iterator[_Entry], tol: float) -> Iterator[CandidatePoint]:
             continue
         if len(group) == 1:
             value, _, kind, ell = group[0]
-            yield CandidatePoint(value, kind, ell)
+            yield value, kind, ell, ()
         else:
             yield from _merge_group(group)
         group = [entry]
 
 
-def candidate_stream(
+def _point_tuples(
     criterion: ErrorCriterion, n: int, interval: ParamInterval
-) -> Iterator[CandidatePoint]:
-    """The points of `candidate_set`, built one at a time in the same order.
-
-    Bad arguments raise here, before the first point is requested.
+) -> Iterator[_Point]:
+    """The points of `candidate_stream` as (value, kind, ell, extra_tags)
+    tuples.  Bad arguments raise here, before the first point is requested.
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n!r}")
@@ -152,6 +159,7 @@ def candidate_stream(
             f"candidate rates need a finite interval, got [{a!r}, {b!r}]; an "
             "infinite b is only searchable with tail-bound truncation under "
             "a relative or mixed margin")
+    _check_order(interval)
     tol = DEDUP_REL_TOL * max(1.0, abs(a), abs(b))
 
     eff = effective_criterion(criterion, interval)
@@ -183,6 +191,14 @@ def candidate_stream(
             "cannot tell its breakpoints apart")
     families = [_family(*grid, tol) for grid in grids]
     return _points(heapq.merge(sorted(specials), *families), tol)
+
+
+def candidate_stream(
+    criterion: ErrorCriterion, n: int, interval: ParamInterval
+) -> Iterator[CandidatePoint]:
+    """The points of `candidate_set`, built one at a time in the same order.
+    Bad arguments, a > b included, raise before the first point."""
+    return starmap(CandidatePoint, _point_tuples(criterion, n, interval))
 
 
 def candidate_set(

@@ -16,6 +16,10 @@ eps_a / eps_r and the relative window above it; the two windows agree at
 the crossover itself.
 
 Coverage at lam is then the Poisson(n * lam) mass of the window.
+
+At a candidate breakpoint the side its tag names comes from the integer
+ell instead (`coverage_at_point`); only untagged sides use the float rule
+above.  The scan calls that step with plain fields, building no objects.
 """
 
 from __future__ import annotations
@@ -60,43 +64,48 @@ class AcceptanceBounds:
 
 
 def _snap(x: float) -> float:
-    if not math.isfinite(x):
-        raise ValueError(
-            f"acceptance window bound {x!r} is not finite: the rate is too "
-            "large for this sample size")
     r = round(x)
     if abs(x - r) <= SNAP_TOL * max(1.0, abs(x)):
         return float(r)
     return x
 
 
-def _absolute_bounds(n: int, lam: float, eps: float) -> AcceptanceBounds:
-    g = max(0, math.floor(_snap(n * (lam - eps))) + 1)
-    h = math.ceil(_snap(n * (lam + eps))) - 1
-    return AcceptanceBounds(g, h)
-
-
-def _relative_bounds(n: int, lam: float, eps: float) -> AcceptanceBounds:
-    g = math.floor(_snap(n * lam * (1.0 - eps))) + 1
-    h = math.ceil(_snap(n * lam * (1.0 + eps))) - 1
-    return AcceptanceBounds(g, h)
-
-
-def acceptance_bounds(criterion: ErrorCriterion, n: int, lam: float) -> AcceptanceBounds:
-    """Window of total counts for which the error event holds at rate lam."""
+def _products(criterion: ErrorCriterion, n: int, lam: float) -> tuple[float, float, bool]:
+    """(lower, upper, absolute): g = floor(lower) + 1, clamped at 0 when
+    absolute, and h = ceil(upper) - 1, both through `_snap`."""
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n!r}")
     if not (lam >= 0.0):
         raise ValueError(f"rate must be nonnegative, got {lam!r}")
     if isinstance(criterion, Absolute):
-        return _absolute_bounds(n, lam, criterion.eps)
-    if isinstance(criterion, Relative):
-        return _relative_bounds(n, lam, criterion.eps)
-    if isinstance(criterion, Mixed):
-        if lam <= criterion.crossover:
-            return _absolute_bounds(n, lam, criterion.eps_a)
-        return _relative_bounds(n, lam, criterion.eps_r)
-    raise TypeError(f"unknown criterion type: {criterion!r}")
+        absolute, eps = True, criterion.eps
+    elif isinstance(criterion, Relative):
+        absolute, eps = False, criterion.eps
+    elif isinstance(criterion, Mixed):
+        absolute = lam <= criterion.crossover
+        eps = criterion.eps_a if absolute else criterion.eps_r
+    else:
+        raise TypeError(f"unknown criterion type: {criterion!r}")
+    if absolute:
+        lower, upper = n * (lam - eps), n * (lam + eps)
+    else:
+        lower, upper = n * lam * (1.0 - eps), n * lam * (1.0 + eps)
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise ValueError(
+            f"acceptance window bound {upper if math.isfinite(lower) else lower!r} "
+            "is not finite: the rate is too large for this sample size")
+    return lower, upper, absolute
+
+
+def _floor_g(lower: float, absolute: bool) -> int:
+    g = math.floor(_snap(lower)) + 1
+    return max(0, g) if absolute else g
+
+
+def acceptance_bounds(criterion: ErrorCriterion, n: int, lam: float) -> AcceptanceBounds:
+    """Window of total counts for which the error event holds at rate lam."""
+    lower, upper, absolute = _products(criterion, n, lam)
+    return AcceptanceBounds(_floor_g(lower, absolute), math.ceil(_snap(upper)) - 1)
 
 
 def coverage_at(criterion: ErrorCriterion, n: int, lam: float) -> CoverageResult:
@@ -104,6 +113,26 @@ def coverage_at(criterion: ErrorCriterion, n: int, lam: float) -> CoverageResult
     bounds = acceptance_bounds(criterion, n, lam)
     cov = interval_prob(bounds.g, bounds.h, n * lam)
     return CoverageResult(lam=lam, g=bounds.g, h=bounds.h, coverage=cov)
+
+
+def _tagged_coverage(criterion: ErrorCriterion, n: int, value: float, kind: CandidateKind,
+                     ell: int | None, extra_tags: tuple) -> tuple[int, int, float]:
+    """(g, h, coverage) at the point (value, kind, ell, extra_tags).  Tags
+    apply in order, own tag first; only untagged sides use `_snap`."""
+    lower, upper, absolute = _products(criterion, n, value)
+    g = h = None
+    for tag, k in ((kind, ell),) + extra_tags:
+        if tag is CandidateKind.ABS_PLUS:
+            g = max(0, k + 1)
+        elif tag is CandidateKind.REL_LOWER:
+            g = k + 1
+        elif tag is CandidateKind.ABS_MINUS or tag is CandidateKind.REL_UPPER:
+            h = k - 1
+    if g is None:
+        g = _floor_g(lower, absolute)
+    if h is None:
+        h = math.ceil(_snap(upper)) - 1
+    return g, h, interval_prob(g, h, n * value)
 
 
 def coverage_at_point(
@@ -123,15 +152,6 @@ def coverage_at_point(
     Untagged sides (and untagged points such as plain endpoints) keep the
     window of `acceptance_bounds`.
     """
-    bounds = acceptance_bounds(criterion, n, point.value)
-    g, h = bounds.g, bounds.h
-    # Tags are only the four grid kinds: the else is ABS_MINUS or REL_UPPER.
-    for kind, ell in point.grid_tags():
-        if kind is CandidateKind.ABS_PLUS:
-            g = max(0, ell + 1)
-        elif kind is CandidateKind.REL_LOWER:
-            g = ell + 1
-        else:
-            h = ell - 1
-    cov = interval_prob(g, h, n * point.value)
+    g, h, cov = _tagged_coverage(
+        criterion, n, point.value, point.kind, point.ell, point.extra_tags)
     return CoverageResult(lam=point.value, g=g, h=h, coverage=cov)

@@ -4,12 +4,15 @@ Evaluating coverage on the candidate set and taking the smallest value
 yields the exact minimum over the whole continuum of rates; between
 consecutive candidates the coverage never dips below the smaller of the two
 adjacent candidate values.
+
+The scan reads candidates as plain tuples, keeps the best point as
+scalars and builds one `CoverageResult` on return.
 """
 
 from __future__ import annotations
 
-from .candidates import candidate_stream
-from .coverage import coverage_at_point
+from .candidates import _point_tuples
+from .coverage import _tagged_coverage
 from .types import CoverageResult, ErrorCriterion, ParamInterval
 
 __all__ = ["min_coverage", "scan_min_coverage"]
@@ -30,17 +33,17 @@ def scan_min_coverage(
     decision needs.  Candidates are streamed, so an early stop also stops
     building them.
     """
-    best: CoverageResult | None = None
+    best_cov = None
     count = 0
-    for point in candidate_stream(criterion, n, interval):
-        result = coverage_at_point(criterion, n, point)
+    for value, kind, ell, extra_tags in _point_tuples(criterion, n, interval):
+        g, h, cov = _tagged_coverage(criterion, n, value, kind, ell, extra_tags)
         count += 1
-        if best is None or result.coverage < best.coverage:
-            best = result
-        if fail_fast_threshold is not None and best.coverage <= fail_fast_threshold:
-            break
-    assert best is not None
-    return best, count
+        if best_cov is None or cov < best_cov:
+            best_lam, best_g, best_h, best_cov = value, g, h, cov
+            # Only a new best can first reach the threshold.
+            if fail_fast_threshold is not None and cov <= fail_fast_threshold:
+                break
+    return CoverageResult(lam=best_lam, g=best_g, h=best_h, coverage=best_cov), count
 
 
 def min_coverage(

@@ -25,6 +25,13 @@ enumeration, kept as the oracle for the streamed one in
 `poisson_ss.candidates`: it lists every family member, sorts the whole list
 once and merges colliding groups, and must yield the same points in the
 same order.
+
+`reference_scan` is the package's earlier scan, kept as the oracle for
+`poisson_ss.minimizer.scan_min_coverage`: it builds a `CandidatePoint` per
+candidate, resolves its window as `acceptance_bounds` at the point's value
+with each breakpoint tag then overriding one side, and keeps the best
+`CoverageResult`.  The scan must return the same result bit for bit and
+the same count.
 """
 
 from __future__ import annotations
@@ -39,10 +46,14 @@ from poisson_ss import (
     Absolute,
     CandidateKind,
     CandidatePoint,
+    CoverageResult,
     Mixed,
     ParamInterval,
     Relative,
+    acceptance_bounds,
+    candidate_stream,
     effective_criterion,
+    interval_prob,
 )
 from poisson_ss.candidates import DEDUP_REL_TOL
 
@@ -291,3 +302,37 @@ def reference_candidate_set(
     points.extend(_merge_group(group))
 
     return tuple(points)
+
+
+def _reference_coverage_at_point(criterion, n: int, point: CandidatePoint) -> CoverageResult:
+    bounds = acceptance_bounds(criterion, n, point.value)
+    g, h = bounds.g, bounds.h
+    # Tags are only the four grid kinds: the else is ABS_MINUS or REL_UPPER.
+    for kind, ell in point.grid_tags():
+        if kind is CandidateKind.ABS_PLUS:
+            g = max(0, ell + 1)
+        elif kind is CandidateKind.REL_LOWER:
+            g = ell + 1
+        else:
+            h = ell - 1
+    cov = interval_prob(g, h, n * point.value)
+    return CoverageResult(lam=point.value, g=g, h=h, coverage=cov)
+
+
+def reference_scan(
+    criterion, n: int, interval: ParamInterval, fail_fast_threshold: float | None = None
+) -> tuple[CoverageResult, int]:
+    """(minimum or first witness, evaluations) by one `CandidatePoint` and
+    one `CoverageResult` per candidate; ties go to the smaller rate and the
+    scan stops once the best coverage is <= the threshold."""
+    best = None
+    count = 0
+    for point in candidate_stream(criterion, n, interval):
+        result = _reference_coverage_at_point(criterion, n, point)
+        count += 1
+        if best is None or result.coverage < best.coverage:
+            best = result
+        if fail_fast_threshold is not None and best.coverage <= fail_fast_threshold:
+            break
+    assert best is not None
+    return best, count

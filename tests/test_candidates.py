@@ -12,6 +12,7 @@ from poisson_ss import (
     Absolute,
     CandidateKind,
     ConfidenceSpec,
+    EmptyInterval,
     Mixed,
     NonFiniteBound,
     ParamInterval,
@@ -315,3 +316,20 @@ def test_stream_rejects_non_finite_bounds_before_iterating(a, b):
         candidate_stream(Relative(0.2), 5, ParamInterval(a, b))
     with pytest.raises(NonFiniteBound):
         candidate_set(Absolute(0.2), 5, ParamInterval(a, b))
+
+
+def test_reversed_interval_is_rejected_and_a_point_interval_is_not():
+    crit, reversed_ = Absolute(0.1), ParamInterval(1.0, 0.0)
+    with pytest.raises(EmptyInterval):
+        candidate_stream(crit, 5, reversed_)
+    with pytest.raises(EmptyInterval):
+        cardinality_bound(crit, 5, reversed_)
+    with pytest.raises(EmptyInterval):
+        min_coverage(crit, 5, reversed_)
+    # a == b is a sliver: both endpoints, the first one a
+    point = ParamInterval(0.5, 0.5)
+    cs = candidate_set(crit, 5, point)
+    assert [(p.value, p.kind) for p in cs] == [
+        (0.5, CandidateKind.ENDPOINT_A), (0.5, CandidateKind.ENDPOINT_B)]
+    assert cardinality_bound(crit, 5, point) == 4.0
+    assert min_coverage(crit, 5, point).lam == 0.5

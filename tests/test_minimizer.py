@@ -1,11 +1,14 @@
 """Worst-case coverage over an interval via the candidate set."""
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisson_ss import (
     Absolute,
-    CandidatePoint,
     Mixed,
     ParamInterval,
     Relative,
@@ -15,6 +18,10 @@ from poisson_ss import (
     scan_min_coverage,
 )
 from poisson_ss import candidates
+from poisson_ss.candidates import DEDUP_REL_TOL
+
+sys.path.insert(0, __file__.rsplit("/", 1)[0])
+from exact_reference import reference_scan  # noqa: E402
 
 
 def test_empty_window_spike_is_found():
@@ -116,15 +123,81 @@ def test_fail_fast_scan_builds_only_what_it_evaluates(monkeypatch):
     # [0.5, 1e6] holds about 2e6 candidates at n = 1, and the window at
     # rate 0.5 is empty, so the first candidate already fails
     built = []
+    grouped = candidates._points
 
-    def counting_point(*args):
-        built.append(args)
-        return CandidatePoint(*args)
+    def counting_points(*args):
+        for point in grouped(*args):
+            built.append(point)
+            yield point
 
-    monkeypatch.setattr(candidates, "CandidatePoint", counting_point)
+    monkeypatch.setattr(candidates, "_points", counting_points)
     witness, count = scan_min_coverage(
         Relative(0.1), 1, ParamInterval(0.5, 1e6), fail_fast_threshold=0.9)
     assert count == 1
     assert witness.lam == 0.5
     assert witness.coverage == 0.0
-    assert len(built) <= 2
+    assert len(built) == 1
+
+
+# Round margins put n * eps, 2 n eps and the crossover on lattice values, so
+# families collide with each other, with the endpoints and the crossover.
+_margins = st.sampled_from([0.1, 0.125, 0.2, 0.25, 0.5]) | st.floats(0.05, 0.9)
+
+
+@st.composite
+def _tagged_a(draw, crit, n, width):
+    """A breakpoint of crit, or 0.9 merge tolerances of [a, a + width] off
+    it on the side where the point a, which then carries its tag, has a
+    different float window: below a jump in g, above a jump in h."""
+    if isinstance(crit, Mixed):
+        crit = draw(st.sampled_from([Absolute(crit.eps_a), Relative(crit.eps_r)]))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    ell = draw(st.integers(0, 3 * n))
+    if isinstance(crit, Absolute):
+        bp, sets_g = ell / n + sign * crit.eps, sign > 0
+    else:
+        bp, sets_g = ell / (n * (1.0 + sign * crit.eps)), sign < 0
+    off = draw(st.sampled_from([0.0, 0.9, 0.9])) * DEDUP_REL_TOL * max(1.0, bp + width)
+    return max(0.0, bp - off if sets_g else bp + off)
+
+
+@st.composite
+def _scans(draw):
+    kind = draw(st.sampled_from(["abs", "rel", "mix", "cx"]))
+    n = draw(st.integers(1, 40))
+    if kind == "abs":
+        crit = Absolute(draw(_margins))
+    elif kind == "rel":
+        crit = Relative(draw(_margins))
+    elif kind == "mix":
+        crit = Mixed(draw(_margins), draw(_margins))
+    else:
+        # crossover 0.5 on a breakpoint of all four families
+        crit = Mixed(*draw(st.sampled_from([(0.25, 0.5), (0.1, 0.2)])))
+        n = 20 * draw(st.integers(1, 2))
+    width = draw(st.sampled_from([0.0, 0.5 * DEDUP_REL_TOL, 0.5, 1.0, 2.0])
+                 | st.floats(1e-13, 3.0))
+    if draw(st.booleans()):
+        a = draw(_tagged_a(crit, n, width))
+    else:
+        a = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 3.0))
+    # None scans everything; "min" stops exactly at the minimum (a tie) and
+    # "first" exactly at the point a
+    threshold = draw(st.sampled_from([None, "min", "first", "float"]))
+    if threshold == "float":
+        threshold = draw(st.floats(0.0, 1.0))
+    return crit, n, ParamInterval(a, a + width), threshold
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scans())
+def test_scan_matches_the_per_point_reference_bit_for_bit(config):
+    crit, n, interval, threshold = config
+    if threshold == "min":
+        threshold = reference_scan(crit, n, interval)[0].coverage
+    elif threshold == "first":
+        threshold = reference_scan(crit, n, interval, 1.0)[0].coverage
+    got, got_count = scan_min_coverage(crit, n, interval, threshold)
+    want, want_count = reference_scan(crit, n, interval, threshold)
+    assert (got.lam.hex(), got.g, got.h, got.coverage.hex(), got_count) == (
+        want.lam.hex(), want.g, want.h, want.coverage.hex(), want_count)

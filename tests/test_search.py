@@ -198,6 +198,30 @@ def test_truncated_search_is_exact_on_the_whole_interval(
     assert exact_min_coverage(criterion, plan.n_min, interval) > level
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    mixed=st.booleans(),
+    eps=st.floats(0.25, 0.6),
+    eps_r=st.floats(0.25, 0.6),
+    b=st.floats(0.2, 1.5),
+    delta=st.floats(0.1, 0.4),
+)
+def test_absolute_and_zero_based_mixed_searches_are_exact(mixed, eps, eps_r, b, delta):
+    # the searches the truncated property above does not draw: n_min - 1
+    # fails at a rate that brute force confirms, and n_min covers all of
+    # [0, b] by the independent piecewise minimum
+    criterion = Mixed(eps, eps_r) if mixed else Absolute(eps)
+    interval = ParamInterval(0.0, b)
+    level = 1.0 - delta
+    plan = min_sample_size(criterion, interval, ConfidenceSpec(delta))
+    if plan.n_min > 1:
+        n = plan.n_min - 1
+        witness, _ = scan_min_coverage(criterion, n, interval, level)
+        assert witness.coverage <= level
+        assert brute_force_coverage(criterion, n, witness.lam) <= level + 1e-12
+    assert exact_min_coverage(criterion, plan.n_min, interval) > level
+
+
 def test_degenerate_truncation_checks_only_the_lower_endpoint():
     # at n = 500 the certified threshold sits below a, so one evaluation at
     # a decides the whole interval
