@@ -41,6 +41,7 @@ from .types import (
     NonFiniteBound,
     ParamInterval,
     Relative,
+    _check_margins,
     effective_criterion,
 )
 
@@ -49,17 +50,16 @@ from .types import (
 # both window sides stay exact.
 DEDUP_REL_TOL = 1e-12
 
-# Order among equal values, and the kind a merged point keeps: endpoints,
-# crossover, then the four families.  CandidateKind declares its members
-# in this order.
+# Order inside a merged group, and the kind a merged point keeps:
+# endpoints, crossover, then the four families.  CandidateKind declares its
+# members in this order.
 _KIND_PRIORITY = {kind: rank for rank, kind in enumerate(CandidateKind)}
 
-# A stream entry is (value, kind priority, kind, ell), ell None for the
-# endpoints and the crossover.  No two merged sources share a priority, so
-# comparisons never reach the unorderable kind.  _END closes the last group.
-_Entry = tuple[float, int, CandidateKind, int | None]
-_Point = tuple[float, CandidateKind, int | None, tuple]  # CandidatePoint's fields
-_END = ((math.inf, 0, CandidateKind.ENDPOINT_B, None),)
+# Every source, group and point is (value, kind, ell, extra_tags), the field
+# order of CandidatePoint; ell is None for the endpoints and the crossover.
+# Merges key on the value alone.  _END closes the last group.
+_Point = tuple[float, CandidateKind, int | None, tuple]
+_END = ((math.inf, CandidateKind.ENDPOINT_B, None, ()),)
 
 __all__ = ["DEDUP_REL_TOL", "candidate_set", "candidate_stream", "cardinality_bound"]
 
@@ -105,44 +105,42 @@ def _progressions(
 
 def _family(
     kind: CandidateKind, div: float, shift: float, lo: float, hi: float, tol: float
-) -> Iterator[_Entry]:
+) -> Iterator[_Point]:
     """Members of one family strictly within tol of (lo, hi), ascending."""
-    rank = _KIND_PRIORITY[kind]
     first = math.floor(div * (lo - shift)) - 1
     last = math.ceil(div * (hi - shift)) + 1
     lo, hi = lo - tol, hi + tol
     for ell in range(first, last + 1):
         v = ell / div + shift
         if lo < v < hi:
-            yield v, rank, kind, ell
+            yield v, kind, ell, ()
 
 
-def _merge_group(group: list[_Entry]) -> list[_Point]:
-    """Colliding entries as one point tagged by all (two for a sliver)."""
-    group = sorted(group, key=itemgetter(1, 0))
-    grid = tuple((kind, ell) for _, _, kind, ell in group if ell is not None)
-    value, _, kind, ell = group[0]
-    if kind is CandidateKind.ENDPOINT_A and group[1][2] is CandidateKind.ENDPOINT_B:
+def _merge_group(group: list[_Point]) -> list[_Point]:
+    """Colliding points as one point tagged by all (two for a sliver)."""
+    group = sorted(group, key=lambda p: (_KIND_PRIORITY[p[1]], p[0]))
+    grid = tuple((kind, ell) for _, kind, ell, _ in group if ell is not None)
+    value, kind, ell, _ = group[0]
+    if kind is CandidateKind.ENDPOINT_A and group[1][1] is CandidateKind.ENDPOINT_B:
         # Sliver interval: keep both endpoints, never merged away.
         return [(value, kind, None, grid),
                 (group[1][0], CandidateKind.ENDPOINT_B, None, grid)]
     return [(value, kind, ell, grid if ell is None else grid[1:])]
 
 
-def _points(merged: Iterator[_Entry], tol: float) -> Iterator[_Point]:
-    """Group entries within tol of the group's last member; a lone entry
-    becomes its point directly and only collisions are merged."""
+def _points(merged: Iterator[_Point], tol: float) -> Iterator[_Point]:
+    """Group points within tol of the group's last member; a lone point
+    passes through as is and only collisions are merged."""
     group = [next(merged)]
-    for entry in chain(merged, _END):
-        if entry[0] - group[-1][0] <= tol:
-            group.append(entry)
+    for point in chain(merged, _END):
+        if point[0] - group[-1][0] <= tol:
+            group.append(point)
             continue
         if len(group) == 1:
-            value, _, kind, ell = group[0]
-            yield value, kind, ell, ()
+            yield group[0]
         else:
             yield from _merge_group(group)
-        group = [entry]
+        group = [point]
 
 
 def _point_tuples(
@@ -151,8 +149,11 @@ def _point_tuples(
     """The points of `candidate_stream` as (value, kind, ell, extra_tags)
     tuples.  Bad arguments raise here, before the first point is requested.
     """
+    _check_margins(criterion)
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n!r}")
+    if n % 1:
+        raise ValueError(f"sample size must be an integer, got {n!r}")
     a, b = interval.a, interval.b
     if not (math.isfinite(a) and math.isfinite(b)):
         raise NonFiniteBound(
@@ -163,14 +164,11 @@ def _point_tuples(
     tol = DEDUP_REL_TOL * max(1.0, abs(a), abs(b))
 
     eff = effective_criterion(criterion, interval)
-    specials: list[_Entry] = [
-        (a, _KIND_PRIORITY[CandidateKind.ENDPOINT_A], CandidateKind.ENDPOINT_A, None),
-        (b, _KIND_PRIORITY[CandidateKind.ENDPOINT_B], CandidateKind.ENDPOINT_B, None),
-    ]
+    specials: list[_Point] = [
+        (a, CandidateKind.ENDPOINT_A, None, ()), (b, CandidateKind.ENDPOINT_B, None, ())]
     if isinstance(eff, Mixed):
         cx = eff.crossover
-        specials.append(
-            (cx, _KIND_PRIORITY[CandidateKind.CROSSOVER], CandidateKind.CROSSOVER, None))
+        specials.insert(1, (cx, CandidateKind.CROSSOVER, None, ()))  # a < cx < b
         pieces = ((Absolute(eff.eps_a), a, cx), (Relative(eff.eps_r), cx, b))
     else:
         pieces = ((eff, a, b),)
@@ -190,7 +188,7 @@ def _point_tuples(
             f"the interval [{a!r}, {b!r}] is too wide for n = {n!r}: floats "
             "cannot tell its breakpoints apart")
     families = [_family(*grid, tol) for grid in grids]
-    return _points(heapq.merge(sorted(specials), *families), tol)
+    return _points(heapq.merge(specials, *families, key=itemgetter(0)), tol)
 
 
 def candidate_stream(

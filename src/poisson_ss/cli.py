@@ -37,7 +37,7 @@ import time
 from .candidates import candidate_set, cardinality_bound
 from .coverage import coverage_at, coverage_at_point
 from .minimizer import min_coverage
-from .oracle import brute_force_coverage, grid_min_coverage, monte_carlo_coverage
+from .oracle import _grid, brute_force_coverage, grid_min_coverage, monte_carlo_coverage
 from .search import MaxSampleSizeExceeded, min_sample_size
 from .types import (
     Absolute,
@@ -231,11 +231,7 @@ def _execute_size(ns: argparse.Namespace) -> tuple[dict, int]:
 def _execute_coverage(ns: argparse.Namespace) -> tuple[dict, int]:
     criterion, interval, _ = _problem(ns)
     if ns.grid is not None:
-        if ns.grid < 2:
-            raise ValidationError(f"--grid needs at least 2 points, got {ns.grid}")
-        step = interval.width / (ns.grid - 1)
-        lams = [interval.a + i * step for i in range(ns.grid - 1)] + [interval.b]
-        rows = [coverage_at(criterion, ns.n, lam) for lam in lams]
+        rows = [coverage_at(criterion, ns.n, lam) for lam in _grid(interval, ns.grid)]
     else:
         rows = [coverage_at_point(criterion, ns.n, point)
                 for point in candidate_set(criterion, ns.n, interval)]
@@ -282,9 +278,7 @@ def _execute_verify(ns: argparse.Namespace) -> tuple[dict, int]:
     criterion, interval, conf = _problem(ns)
     if ns.trials < 1:
         raise ValidationError(f"--trials must be >= 1, got {ns.trials}")
-    if ns.grid_points < 2:
-        raise ValidationError(
-            f"--grid-points needs at least 2 points, got {ns.grid_points}")
+    _grid(interval, ns.grid_points)  # a bad size fails before any search
     if ns.seed < 0:
         raise ValidationError(f"--seed must be >= 0, got {ns.seed}")
     n = ns.n

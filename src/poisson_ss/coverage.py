@@ -18,8 +18,9 @@ the crossover itself.
 Coverage at lam is then the Poisson(n * lam) mass of the window.
 
 At a candidate breakpoint the side its tag names comes from the integer
-ell instead (`coverage_at_point`); only untagged sides use the float rule
-above.  The scan calls that step with plain fields, building no objects.
+ell instead.  The whole rule, float and tagged sides, lives in `_window`,
+which every public function here and the scan go through; the scan passes
+plain fields and builds no objects.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .types import (
     CoverageResult,
     ErrorCriterion,
     Mixed,
-    Relative,
+    _check_margins,
 )
 
 # Products such as n * (lam - eps) are snapped to an integer when they land
@@ -70,22 +71,28 @@ def _snap(x: float) -> float:
     return x
 
 
-def _products(criterion: ErrorCriterion, n: int, lam: float) -> tuple[float, float, bool]:
-    """(lower, upper, absolute): g = floor(lower) + 1, clamped at 0 when
-    absolute, and h = ceil(upper) - 1, both through `_snap`."""
+def _window(criterion: ErrorCriterion, n: int, lam: float, tags: tuple) -> tuple[int, int]:
+    """The window (g, h) at rate lam.  Each (kind, ell) in ``tags``, a
+    point's own tag first, pins one side in integer arithmetic, since at a
+    breakpoint that side sits exactly on an integer jump; a kind that is
+    not a breakpoint family pins nothing:
+
+        value = ell/n + eps            ->  g = max(0, ell + 1)
+        value = ell/(n (1 - eps))      ->  g = ell + 1
+        value = ell/n - eps            ->  h = ell - 1
+        value = ell/(n (1 + eps))      ->  h = ell - 1
+
+    Unpinned sides take the float rule above through `_snap`.  The caller
+    has checked the criterion's margins."""
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n!r}")
     if not (lam >= 0.0):
         raise ValueError(f"rate must be nonnegative, got {lam!r}")
-    if isinstance(criterion, Absolute):
-        absolute, eps = True, criterion.eps
-    elif isinstance(criterion, Relative):
-        absolute, eps = False, criterion.eps
-    elif isinstance(criterion, Mixed):
+    if isinstance(criterion, Mixed):
         absolute = lam <= criterion.crossover
         eps = criterion.eps_a if absolute else criterion.eps_r
     else:
-        raise TypeError(f"unknown criterion type: {criterion!r}")
+        absolute, eps = isinstance(criterion, Absolute), criterion.eps
     if absolute:
         lower, upper = n * (lam - eps), n * (lam + eps)
     else:
@@ -94,64 +101,48 @@ def _products(criterion: ErrorCriterion, n: int, lam: float) -> tuple[float, flo
         raise ValueError(
             f"acceptance window bound {upper if math.isfinite(lower) else lower!r} "
             "is not finite: the rate is too large for this sample size")
-    return lower, upper, absolute
+    g = h = None
+    for kind, ell in tags:
+        if kind is CandidateKind.ABS_PLUS:
+            g = max(0, ell + 1)
+        elif kind is CandidateKind.REL_LOWER:
+            g = ell + 1
+        elif kind is CandidateKind.ABS_MINUS or kind is CandidateKind.REL_UPPER:
+            h = ell - 1
+    if g is None:  # a relative lower product is >= 0: only absolute g clamps
+        g = max(0, math.floor(_snap(lower)) + 1)
+    if h is None:
+        h = math.ceil(_snap(upper)) - 1
+    return g, h
 
 
-def _floor_g(lower: float, absolute: bool) -> int:
-    g = math.floor(_snap(lower)) + 1
-    return max(0, g) if absolute else g
+def _coverage(
+    criterion: ErrorCriterion, n: int, lam: float, tags: tuple
+) -> tuple[int, int, float]:
+    """(g, h, coverage) at rate lam; see `_window`."""
+    g, h = _window(criterion, n, lam, tags)
+    return g, h, interval_prob(g, h, n * lam)
 
 
 def acceptance_bounds(criterion: ErrorCriterion, n: int, lam: float) -> AcceptanceBounds:
     """Window of total counts for which the error event holds at rate lam."""
-    lower, upper, absolute = _products(criterion, n, lam)
-    return AcceptanceBounds(_floor_g(lower, absolute), math.ceil(_snap(upper)) - 1)
+    _check_margins(criterion)
+    return AcceptanceBounds(*_window(criterion, n, lam, ()))
 
 
 def coverage_at(criterion: ErrorCriterion, n: int, lam: float) -> CoverageResult:
     """Probability that the error event holds at rate lam with n samples."""
-    bounds = acceptance_bounds(criterion, n, lam)
-    cov = interval_prob(bounds.g, bounds.h, n * lam)
-    return CoverageResult(lam=lam, g=bounds.g, h=bounds.h, coverage=cov)
-
-
-def _tagged_coverage(criterion: ErrorCriterion, n: int, value: float, kind: CandidateKind,
-                     ell: int | None, extra_tags: tuple) -> tuple[int, int, float]:
-    """(g, h, coverage) at the point (value, kind, ell, extra_tags).  Tags
-    apply in order, own tag first; only untagged sides use `_snap`."""
-    lower, upper, absolute = _products(criterion, n, value)
-    g = h = None
-    for tag, k in ((kind, ell),) + extra_tags:
-        if tag is CandidateKind.ABS_PLUS:
-            g = max(0, k + 1)
-        elif tag is CandidateKind.REL_LOWER:
-            g = k + 1
-        elif tag is CandidateKind.ABS_MINUS or tag is CandidateKind.REL_UPPER:
-            h = k - 1
-    if g is None:
-        g = _floor_g(lower, absolute)
-    if h is None:
-        h = math.ceil(_snap(upper)) - 1
-    return g, h, interval_prob(g, h, n * value)
+    _check_margins(criterion)
+    g, h, cov = _coverage(criterion, n, lam, ())
+    return CoverageResult(lam=lam, g=g, h=h, coverage=cov)
 
 
 def coverage_at_point(
     criterion: ErrorCriterion, n: int, point: CandidatePoint
 ) -> CoverageResult:
-    """Coverage at a candidate point through the exact tagged window.
-
-    At a breakpoint one side of the window sits exactly on an integer jump;
-    the stored ell resolves that side in integer arithmetic instead of
-    trusting a floating floor or ceiling:
-
-        value = ell/n + eps            ->  g = max(0, ell + 1)
-        value = ell/(n (1 - eps))      ->  g = ell + 1
-        value = ell/n - eps            ->  h = ell - 1
-        value = ell/(n (1 + eps))      ->  h = ell - 1
-
-    Untagged sides (and untagged points such as plain endpoints) keep the
-    window of `acceptance_bounds`.
-    """
-    g, h, cov = _tagged_coverage(
-        criterion, n, point.value, point.kind, point.ell, point.extra_tags)
+    """Coverage at a candidate point through the window its tags pin
+    (`_window`); an untagged point gets `acceptance_bounds`' window."""
+    _check_margins(criterion)
+    g, h, cov = _coverage(criterion, n, point.value,
+                          ((point.kind, point.ell),) + point.extra_tags)
     return CoverageResult(lam=point.value, g=g, h=h, coverage=cov)

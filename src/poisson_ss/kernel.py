@@ -19,6 +19,10 @@ with the two-term recurrence ``p(k+1) = p(k) mu / (k+1)``, compensated
 Fast2Sum addition, and a relative cutoff of 1e-18 once terms are falling.
 Fast2Sum's error term is exact because no term exceeds the running total:
 the anchor is the largest in-range term and the total never drops below it.
+
+A sum's length grows like sqrt(mu) (0.3 s at mu = 1e10), so a mean above
+_MAX_MEAN = 2**38 (about 2.7e11; the candidate stream's spacing guard keeps
+n * b below 1.25e11), a non-finite mean or a non-finite count raises.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ _S3 = 1.0 / 1680.0
 _S4 = 1.0 / 1188.0
 
 _TERM_CUTOFF = 1e-18
+_MAX_MEAN = 2.0 ** 38
 
 __all__ = ["pmf", "interval_prob"]
 
@@ -82,17 +87,17 @@ def pmf(k: int, mu: float) -> float:
 
     Args:
         k: nonnegative integer count.
-        mu: nonnegative mean; pmf(0, 0.0) is 1.0 by convention.
+        mu: mean in [0, 2**38]; pmf(0, 0.0) is 1.0 by convention.
 
     Returns:
         The mass as a float, with relative error a few ulps (well inside
         1e-13) throughout the supported range; underflows to 0.0 in the far
         tails rather than raising.
     """
-    if k < 0 or k != int(k):
+    if k < 0 or k != k // 1:  # inf // 1 and NaN // 1 are NaN
         raise ValueError(f"count must be a nonnegative integer, got {k!r}")
-    if not (mu >= 0.0):
-        raise ValueError(f"mean must be nonnegative, got {mu!r}")
+    if not (0.0 <= mu <= _MAX_MEAN):
+        raise ValueError(f"mean must lie in [0, 2**38], got {mu!r}")
     if mu == 0.0:
         return 1.0 if k == 0 else 0.0
     if k == 0:
@@ -112,8 +117,10 @@ def interval_prob(k_lo: int, k_hi: int, mu: float) -> float:
     Absolute error is far below 1e-12 for means up to 1e6 and ranges up to
     1e6 terms.  The result is clamped to [0, 1].
     """
-    if not (mu >= 0.0):
-        raise ValueError(f"mean must be nonnegative, got {mu!r}")
+    if not (0.0 <= mu <= _MAX_MEAN):
+        raise ValueError(f"mean must lie in [0, 2**38], got {mu!r}")
+    if not (abs(k_hi - k_lo) < math.inf):  # inf or NaN: a count is not finite
+        raise ValueError(f"counts must be finite, got [{k_lo!r}, {k_hi!r}]")
     lo = max(0, k_lo)
     if k_hi < lo:
         return 0.0

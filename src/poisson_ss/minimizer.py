@@ -12,7 +12,7 @@ scalars and builds one `CoverageResult` on return.
 from __future__ import annotations
 
 from .candidates import _point_tuples
-from .coverage import _tagged_coverage
+from .coverage import _coverage
 from .types import CoverageResult, ErrorCriterion, ParamInterval
 
 __all__ = ["min_coverage", "scan_min_coverage"]
@@ -36,7 +36,7 @@ def scan_min_coverage(
     best_cov = None
     count = 0
     for value, kind, ell, extra_tags in _point_tuples(criterion, n, interval):
-        g, h, cov = _tagged_coverage(criterion, n, value, kind, ell, extra_tags)
+        g, h, cov = _coverage(criterion, n, value, ((kind, ell),) + extra_tags)
         count += 1
         if best_cov is None or cov < best_cov:
             best_lam, best_g, best_h, best_cov = value, g, h, cov

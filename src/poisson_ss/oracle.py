@@ -18,6 +18,8 @@ candidates; brute force and Monte Carlo share nothing with the window code.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
+from itertools import chain
 
 import numpy as np
 
@@ -44,6 +46,9 @@ MC_CHUNK = 1 << 16
 # tolerance used for the window bounds, so all routes agree near breakpoints.
 EDGE_TOL = 1e-12
 
+# Most points a uniform grid may have, already minutes of coverage work.
+_MAX_GRID_POINTS = 10 ** 7
+
 __all__ = [
     "MC_CHUNK",
     "EDGE_TOL",
@@ -58,6 +63,15 @@ def _strictly_below(err, margin):
     return err < margin * (1.0 - EDGE_TOL)
 
 
+def _grid(interval: ParamInterval, points: int) -> Iterator[float]:
+    """``points`` evenly spaced rates from a to b, made one at a time:
+    a + i * step for i < points - 1, then b, as np.linspace makes them."""
+    if not (2 <= points <= _MAX_GRID_POINTS):
+        raise ValueError(f"grid needs 2 to {_MAX_GRID_POINTS} points, got {points!r}")
+    a, step = interval.a, interval.width / (points - 1)
+    return chain((a + i * step for i in range(points - 1)), (interval.b,))
+
+
 def grid_min_coverage(
     criterion: ErrorCriterion,
     n: int,
@@ -70,11 +84,9 @@ def grid_min_coverage(
     confirm that the candidate minimum is genuinely the floor.  Ties go to
     the smaller rate.
     """
-    if points < 2:
-        raise ValueError(f"grid needs at least 2 points, got {points!r}")
     best: CoverageResult | None = None
-    for lam in np.linspace(interval.a, interval.b, points):
-        result = coverage_at(criterion, n, float(lam))
+    for lam in _grid(interval, points):
+        result = coverage_at(criterion, n, lam)
         if best is None or result.coverage < best.coverage:
             best = result
     assert best is not None

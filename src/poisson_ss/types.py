@@ -169,6 +169,21 @@ class SampleSizePlan:
     truncated_b: float
 
 
+def _check_margins(criterion: ErrorCriterion) -> None:
+    """Raise `EpsilonOutOfRange` unless every margin lies strictly inside
+    (0, 1), and TypeError for a criterion of unknown type."""
+    if isinstance(criterion, (Absolute, Relative)):
+        eps_values: tuple[float, ...] = (criterion.eps,)
+    elif isinstance(criterion, Mixed):
+        eps_values = (criterion.eps_a, criterion.eps_r)
+    else:
+        raise TypeError(f"unknown criterion type: {criterion!r}")
+    for eps in eps_values:
+        if not (0.0 < eps < 1.0):
+            raise EpsilonOutOfRange(
+                f"margin must lie strictly inside (0, 1), got {eps!r}")
+
+
 def validate(
     criterion: ErrorCriterion,
     interval: ParamInterval,
@@ -183,17 +198,9 @@ def validate(
     bound b may be +inf; only a search whose tail bound truncates the scan
     can use it, and a scan over it raises `NonFiniteBound`.
     """
-    eps_values: tuple[float, ...]
-    if isinstance(criterion, (Absolute, Relative)):
-        eps_values = (criterion.eps,)
-    elif isinstance(criterion, Mixed):
-        eps_values = (criterion.eps_a, criterion.eps_r)
-    else:
+    if not isinstance(criterion, (Absolute, Relative, Mixed)):
         raise ValidationError(f"unknown criterion type: {criterion!r}")
-    for eps in eps_values:
-        if not (0.0 < eps < 1.0):
-            raise EpsilonOutOfRange(
-                f"margin must lie strictly inside (0, 1), got {eps!r}")
+    _check_margins(criterion)
     if not (0.0 < conf.delta < 1.0):
         raise DeltaOutOfRange(
             f"risk level must lie strictly inside (0, 1), got {conf.delta!r}")

@@ -26,12 +26,16 @@ enumeration, kept as the oracle for the streamed one in
 once and merges colliding groups, and must yield the same points in the
 same order.
 
-`reference_scan` is the package's earlier scan, kept as the oracle for
-`poisson_ss.minimizer.scan_min_coverage`: it builds a `CandidatePoint` per
-candidate, resolves its window as `acceptance_bounds` at the point's value
-with each breakpoint tag then overriding one side, and keeps the best
-`CoverageResult`.  The scan must return the same result bit for bit and
-the same count.
+`reference_window` is the package's earlier float window rule, kept as the
+oracle for `poisson_ss.coverage`: the two products, a snap to the nearest
+integer within 1e-12, floor + 1 and ceil - 1, the absolute clamp at 0, and
+the absolute window up to the Mixed crossover.  `reference_coverage_at_point`
+applies it at a point's value, then lets each breakpoint tag override one
+side.  `reference_scan` is the package's earlier scan, kept as the oracle
+for `poisson_ss.minimizer.scan_min_coverage`: it builds a `CandidatePoint`
+per candidate, resolves its window by `reference_coverage_at_point`, and
+keeps the best `CoverageResult`.  The scan must return the same result bit
+for bit and the same count.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ from poisson_ss import (
     Mixed,
     ParamInterval,
     Relative,
-    acceptance_bounds,
     candidate_stream,
     effective_criterion,
     interval_prob,
@@ -86,9 +89,9 @@ def _breaks_relative(n: int, eps: float, lo: float, hi: float) -> list[float]:
     return pts
 
 
-def _snap_int(x: float) -> float:
+def _snap_int(x: float, tol: float = 1e-15) -> float:
     r = round(x)
-    if abs(x - r) <= 1e-15 * max(1.0, abs(x)):
+    if abs(x - r) <= tol * max(1.0, abs(x)):
         return float(r)
     return x
 
@@ -304,9 +307,24 @@ def reference_candidate_set(
     return tuple(points)
 
 
-def _reference_coverage_at_point(criterion, n: int, point: CandidatePoint) -> CoverageResult:
-    bounds = acceptance_bounds(criterion, n, point.value)
-    g, h = bounds.g, bounds.h
+def reference_window(criterion, n: int, lam: float) -> tuple[int, int]:
+    """(g, h) at rate lam by the float rule alone, no breakpoint tags."""
+    if isinstance(criterion, Mixed):
+        absolute = lam <= criterion.crossover
+        eps = criterion.eps_a if absolute else criterion.eps_r
+    else:
+        absolute, eps = isinstance(criterion, Absolute), criterion.eps
+    if absolute:
+        lower, upper = n * (lam - eps), n * (lam + eps)
+    else:
+        lower, upper = n * lam * (1.0 - eps), n * lam * (1.0 + eps)
+    g = math.floor(_snap_int(lower, 1e-12)) + 1
+    h = math.ceil(_snap_int(upper, 1e-12)) - 1
+    return (max(0, g) if absolute else g), h
+
+
+def reference_coverage_at_point(criterion, n: int, point: CandidatePoint) -> CoverageResult:
+    g, h = reference_window(criterion, n, point.value)
     # Tags are only the four grid kinds: the else is ABS_MINUS or REL_UPPER.
     for kind, ell in point.grid_tags():
         if kind is CandidateKind.ABS_PLUS:
@@ -328,7 +346,7 @@ def reference_scan(
     best = None
     count = 0
     for point in candidate_stream(criterion, n, interval):
-        result = _reference_coverage_at_point(criterion, n, point)
+        result = reference_coverage_at_point(criterion, n, point)
         count += 1
         if best is None or result.coverage < best.coverage:
             best = result

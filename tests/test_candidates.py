@@ -11,19 +11,25 @@ from hypothesis import strategies as st
 from poisson_ss import (
     Absolute,
     CandidateKind,
+    CandidatePoint,
     ConfidenceSpec,
     EmptyInterval,
+    EpsilonOutOfRange,
     Mixed,
     NonFiniteBound,
     ParamInterval,
     Relative,
+    acceptance_bounds,
     candidate_set,
     candidate_stream,
     cardinality_bound,
+    coverage_at,
     coverage_at_point,
     min_coverage,
     min_sample_size,
+    scan_min_coverage,
 )
+from poisson_ss import candidates, coverage
 from poisson_ss.candidates import DEDUP_REL_TOL
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
@@ -333,3 +339,45 @@ def test_reversed_interval_is_rejected_and_a_point_interval_is_not():
         (0.5, CandidateKind.ENDPOINT_A), (0.5, CandidateKind.ENDPOINT_B)]
     assert cardinality_bound(crit, 5, point) == 4.0
     assert min_coverage(crit, 5, point).lam == 0.5
+
+
+@pytest.mark.parametrize("criterion", [
+    Relative(1.0),          # n (1 - eps) = 0 divides the family spacing
+    Mixed(0.1, 0.0),        # crossover eps_a / eps_r divides by zero
+    Absolute(2.0),          # a margin wider than the rates: coverage near 1
+    Absolute(0.0),
+    Relative(math.nan),
+])
+def test_fixed_n_calls_reject_bad_margins(criterion):
+    point = CandidatePoint(0.5, CandidateKind.ENDPOINT_A)
+    calls = [
+        lambda: candidate_stream(criterion, 5, ParamInterval(0.5, 1.0)),
+        lambda: min_coverage(criterion, 5, ParamInterval(0.5, 1.0)),
+        lambda: acceptance_bounds(criterion, 5, 0.5),
+        lambda: coverage_at(criterion, 5, 0.5),
+        lambda: coverage_at_point(criterion, 5, point),
+    ]
+    for call in calls:
+        with pytest.raises(EpsilonOutOfRange):
+            call()
+
+
+@pytest.mark.parametrize("n", [2.5, math.inf, math.nan])
+def test_stream_requires_an_integer_sample_size(n):
+    with pytest.raises(ValueError, match="integer"):
+        min_coverage(Absolute(0.1), n, ParamInterval(0.0, 1.0))
+    # an integral float is still a sample size
+    assert min_coverage(Absolute(0.1), 5.0, ParamInterval(0.0, 1.0)) == min_coverage(
+        Absolute(0.1), 5, ParamInterval(0.0, 1.0))
+
+
+def test_scan_checks_margins_once_per_stream_not_per_point(monkeypatch):
+    streams = []
+    check = candidates._check_margins
+    monkeypatch.setattr(candidates, "_check_margins",
+                        lambda criterion: (streams.append(criterion), check(criterion)))
+    monkeypatch.setattr(coverage, "_check_margins",
+                        lambda criterion: pytest.fail("margins checked per point"))
+    _, count = scan_min_coverage(Mixed(0.1, 0.2), 40, ParamInterval(0.0, 2.0))
+    assert count > 100
+    assert streams == [Mixed(0.1, 0.2)]

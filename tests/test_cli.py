@@ -273,6 +273,14 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
      "--b", "1", "--delta", "0.1", "--n", "0"],
     ["size", "--criterion", "abs", "--eps", "0.1", "--a", "0",
      "--b", "1e308", "--delta", "0.1"],                     # too wide to resolve
+    ["size", "--criterion", "rel", "--eps", "0.3", "--a", "1e300",
+     "--b", "1.5e300", "--delta", "0.1"],                   # mean above the limit
+    ["coverage", "--criterion", "rel", "--eps", "0.3", "--a", "1e-300",
+     "--b", "1e300", "--n", "1", "--grid", "2"],
+    ["verify", "--criterion", "abs", "--eps", "0.3", "--a", "0", "--b", "1",
+     "--delta", "0.1", "--n", "3", "--grid-points", "99999999999999"],
+    ["coverage", "--criterion", "abs", "--eps", "0.3", "--a", "0", "--b", "1",
+     "--n", "3", "--grid", "99999999999999"],               # grid above the ceiling
 ])
 def test_validation_failures_exit_1(capsys, argv):
     code = main(argv)

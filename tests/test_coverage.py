@@ -1,9 +1,12 @@
 """Acceptance windows and pointwise coverage."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisson_ss import (
     Absolute,
@@ -16,10 +19,14 @@ from poisson_ss import (
     acceptance_bounds,
     brute_force_coverage,
     candidate_set,
+    candidate_stream,
     coverage_at,
     coverage_at_point,
     interval_prob,
 )
+
+sys.path.insert(0, __file__.rsplit("/", 1)[0])
+from exact_reference import reference_coverage_at_point, reference_window  # noqa: E402
 
 
 # hand-derived windows: (criterion, n, lam) -> (g, h)
@@ -256,3 +263,53 @@ def test_coverage_between_candidates_never_below_both_neighbours():
         for u in rng.uniform(0.05, 0.95, size=4):
             lam = lo + (hi - lo) * float(u)
             assert coverage_at(crit, n, lam).coverage >= floor - 1e-12
+
+
+# Round margins put n * eps, 2 n eps and the crossover on lattice values, so
+# families collide with each other, with the endpoints and the crossover.
+_margins = st.sampled_from([0.1, 0.125, 0.2, 0.25, 0.5]) | st.floats(0.05, 0.9)
+
+
+@st.composite
+def _streams(draw):
+    kind = draw(st.sampled_from(["abs", "rel", "mix", "cx", "large"]))
+    n = draw(st.integers(1, 40))
+    if kind == "large":
+        # Large n near ell = 0: n (lam - eps) cancels, so an ABS_PLUS tag and
+        # the snapped float g differ there.
+        n = draw(st.sampled_from([10**4, 10**5, 10**6, 10**7]))
+        crit = draw(st.sampled_from([Absolute, Relative]))(draw(_margins))
+        lo = crit.eps if isinstance(crit, Absolute) else 0.0
+        a = max(0.0, lo - draw(st.integers(0, 5)) / n)
+        return crit, n, ParamInterval(a, lo + draw(st.integers(1, 30)) / n)
+    if kind == "abs":
+        crit = Absolute(draw(_margins))
+    elif kind == "rel":
+        crit = Relative(draw(_margins))
+    elif kind == "mix":
+        crit = Mixed(draw(_margins), draw(_margins))
+    else:
+        # crossover 0.5 on a breakpoint of all four families
+        crit = Mixed(*draw(st.sampled_from([(0.25, 0.5), (0.1, 0.2)])))
+        n = 20 * draw(st.integers(1, 2))
+    a = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 3.0))
+    width = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(1e-13, 3.0))
+    return crit, n, ParamInterval(a, a + width)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_streams())
+def test_windows_match_the_independent_reference_bit_for_bit(config):
+    crit, n, interval = config
+    for point in candidate_stream(crit, n, interval):
+        lam = point.value
+        g, h = reference_window(crit, n, lam)
+        bounds = acceptance_bounds(crit, n, lam)
+        assert (bounds.g, bounds.h) == (g, h), (point, bounds)
+        plain = coverage_at(crit, n, lam)
+        assert (plain.g, plain.h, plain.coverage.hex()) == (
+            g, h, interval_prob(g, h, n * lam).hex()), point
+        tagged = coverage_at_point(crit, n, point)
+        want = reference_coverage_at_point(crit, n, point)
+        assert (tagged.g, tagged.h, tagged.coverage.hex()) == (
+            want.g, want.h, want.coverage.hex()), point

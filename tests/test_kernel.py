@@ -100,6 +100,36 @@ def test_interval_prob_rejects_negative_mean():
         interval_prob(0, 3, -1.0)
 
 
+_BAD_KERNEL_CALLS = [
+    (interval_prob, (0, 3, math.inf)),
+    (interval_prob, (0, 3, math.nan)),
+    (interval_prob, (0, 3, math.nextafter(2.0 ** 38, math.inf))),
+    (interval_prob, (0, 10**13, 1e13)),       # millions of terms to sum
+    (interval_prob, (0, math.inf, 1.0)),
+    (interval_prob, (-math.inf, 3, 1.0)),
+    (interval_prob, (math.inf, math.inf, 1.0)),
+    (interval_prob, (0, math.nan, 1.0)),
+    (pmf, (math.inf, 1.0)),
+    (pmf, (math.nan, 1.0)),
+    (pmf, (0, math.inf)),
+    (pmf, (1, math.nextafter(2.0 ** 38, math.inf))),
+]
+
+
+@pytest.mark.parametrize("fn, args", _BAD_KERNEL_CALLS,
+                         ids=[f"{fn.__name__}{args}" for fn, args in _BAD_KERNEL_CALLS])
+def test_kernel_rejects_non_finite_inputs_and_means_above_the_limit(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
+def test_kernel_accepts_the_mean_limit_itself():
+    k = 2 ** 38
+    assert interval_prob(0, 3, float(k)) == 0.0
+    assert pmf(0, float(k)) == 0.0
+    assert 0.0 < interval_prob(k - 10, k + 10, float(k)) < 1.0
+
+
 def test_interval_prob_single_point_equals_pmf():
     for k, mu in [(0, 0.3), (4, 4.0), (60, 50.0), (5100, 5000.0)]:
         assert interval_prob(k, k, mu) == pytest.approx(pmf(k, mu), rel=1e-13)
