@@ -37,7 +37,13 @@ import time
 from .candidates import candidate_set, cardinality_bound
 from .coverage import coverage_at, coverage_at_point
 from .minimizer import min_coverage
-from .oracle import _grid, brute_force_coverage, grid_min_coverage, monte_carlo_coverage
+from .oracle import (
+    _check_trials,
+    _grid,
+    brute_force_coverage,
+    grid_min_coverage,
+    monte_carlo_coverage,
+)
 from .search import MaxSampleSizeExceeded, min_sample_size
 from .types import (
     Absolute,
@@ -276,9 +282,8 @@ def _check(name: str, discrepancy: float, tolerance: float) -> dict:
 
 def _execute_verify(ns: argparse.Namespace) -> tuple[dict, int]:
     criterion, interval, conf = _problem(ns)
-    if ns.trials < 1:
-        raise ValidationError(f"--trials must be >= 1, got {ns.trials}")
-    _grid(interval, ns.grid_points)  # a bad size fails before any search
+    _check_trials(ns.trials)  # bad sizes fail before any search
+    _grid(interval, ns.grid_points)
     if ns.seed < 0:
         raise ValidationError(f"--seed must be >= 0, got {ns.seed}")
     n = ns.n

@@ -23,13 +23,28 @@ the anchor is the largest in-range term and the total never drops below it.
 A sum's length grows like sqrt(mu) (0.3 s at mu = 1e10), so a mean above
 _MAX_MEAN = 2**38 (about 2.7e11; the candidate stream's spacing guard keeps
 n * b below 1.25e11), a non-finite mean or a non-finite count raises.
+
+`interval_probs` is the batched form: element i of its result is
+``interval_prob(g[i], h[i], mu[i])`` bit for bit.  It performs the same
+floating-point operations in the same order, on arrays laid out steps x
+points.  The term recurrence is ``np.multiply.accumulate`` and the running
+totals and Fast2Sum error terms are ``np.add.accumulate`` down the step
+axis; both fold strictly left to right, as the loops do (``np.sum`` would
+sum pairwise and change bits).  Steps past a range's end have ratio 0, and
+adding 0 is exact.  numpy's ``+ - * /`` and ``sqrt`` round correctly, like
+Python's, but its ``exp`` and ``log`` need not round like libm, so those go
+through ``math`` one element at a time.  Each internal batch holds at most
+_BATCH_CELLS steps x points, or one step when there are more points.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
+_TWO_PI = 2.0 * math.pi
 
 # Coefficients of the asymptotic series stirlerr(n) ~ 1/(12n) - 1/(360n^3) + ...
 _S0 = 1.0 / 12.0
@@ -41,7 +56,12 @@ _S4 = 1.0 / 1188.0
 _TERM_CUTOFF = 1e-18
 _MAX_MEAN = 2.0 ** 38
 
-__all__ = ["pmf", "interval_prob"]
+# Most steps x points cells one batch of `interval_probs` holds (64 KiB per
+# float array), so long ranges do not grow its memory; more points than
+# this take one step a batch.
+_BATCH_CELLS = 8192
+
+__all__ = ["pmf", "interval_prob", "interval_probs"]
 
 
 def _stirlerr(n: float) -> float:
@@ -80,6 +100,72 @@ def _bd0(x: float, mu: float) -> float:
             s = s1
             j += 1
     return x * math.log(x / mu) + mu - x
+
+
+# _stirlerr(k) for k = 0..15, the range it evaluates through lgamma and log;
+# entry 0 is never read.
+_STIRLERR_TABLE = np.array([0.0] + [_stirlerr(float(k)) for k in range(1, 16)])
+
+
+def _stirlerrs(n: np.ndarray) -> np.ndarray:
+    """`_stirlerr` elementwise for integer n >= 1.  Its four series nest
+    alike, so one nested evaluation serves them all: where a series stops
+    early, its innermost coefficient (``_S3``, ``_S2`` or ``_S1``) stands
+    alone."""
+    nn = n * n
+    c = np.where(n > 35.0, _S3, _S3 - _S4 / nn)
+    c = np.where(n > 80.0, _S2, _S2 - c / nn)
+    c = np.where(n > 500.0, _S1, _S1 - c / nn)
+    out = (_S0 - c / nn) / n
+    small = n <= 15.0
+    if small.any():
+        out[small] = _STIRLERR_TABLE[n[small].astype(np.intp)]
+    return out
+
+
+def _bd0s(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """`_bd0` elementwise; the direct formula takes its log from `math`."""
+    near = np.abs(x - mu) < 0.1 * (x + mu)
+    if near.all():
+        return _bd0_series(x, mu)
+    out = np.empty_like(x)
+    out[near] = _bd0_series(x[near], mu[near])
+    xf, mf = x[~near], mu[~near]
+    logs = np.array([math.log(r) for r in (xf / mf).tolist()], dtype=np.float64)
+    out[~near] = xf * logs + mf - xf
+    return out
+
+
+def _bd0_series(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """The series of `_bd0` until no element changes.  An element that has
+    stopped changing stays put: its later addends are smaller, with the same
+    sign, and rounding is monotone."""
+    v = (x - mu) / (x + mu)
+    s = (x - mu) * v
+    ej = 2.0 * x * v
+    v2 = v * v
+    j = 1
+    while True:
+        ej *= v2
+        s1 = s + ej / (2 * j + 1)
+        if (s1 == s).all():
+            return s1
+        s = s1
+        j += 1
+
+
+def _pmfs(k: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """`pmf` elementwise for integer k >= 0 and 0 < mu <= 2**38, every exp
+    through `math`."""
+    zero = k == 0.0
+    if zero.any():
+        out = np.empty_like(mu)
+        out[zero] = [math.exp(-m) for m in mu[zero].tolist()]
+        out[~zero] = _pmfs(k[~zero], mu[~zero])
+        return out
+    args = -_stirlerrs(k) - _bd0s(k, mu)
+    return (np.array([math.exp(a) for a in args.tolist()], dtype=np.float64)
+            / np.sqrt(_TWO_PI * k))
 
 
 def pmf(k: int, mu: float) -> float:
@@ -168,4 +254,100 @@ def interval_prob(k_lo: int, k_hi: int, mu: float) -> float:
         return 0.0
     if out > 1.0:
         return 1.0
+    return out
+
+
+def _extend(total, comp, mass, anchor, steps, mu, up: bool) -> None:
+    """Continue the compensated sums (total, comp), in place, by up to
+    ``steps`` terms outward from ``mass`` at index ``anchor``: upward by the
+    ratio mu / k, downward by k / mu, each point stopping after its first
+    term at or below 1e-18 of its total, as the loops of `interval_prob` do.
+
+    Rows are steps and columns points, at most _BATCH_CELLS cells a batch.
+    A step past a point's last one has ratio 0 and adds an exact 0, so the
+    last row holds each point's sums after its last step, unless the cutoff
+    stopped it on an earlier row."""
+    term, k, left, pos = mass, anchor, steps, slice(None)
+    while left.size:
+        most = int(left.max())
+        if most == 0:
+            return
+        rows = min(most, max(1, _BATCH_CELLS // left.size))
+        j = np.arange(1.0, rows + 1.0)[:, None]
+        terms = np.empty((rows + 1, left.size))
+        terms[0] = term
+        if up:
+            np.divide(mu, k + j, out=terms[1:])
+        else:
+            np.divide(k - (j - 1.0), mu, out=terms[1:])
+        np.copyto(terms[1:], 0.0, where=j > left)
+        np.multiply.accumulate(terms, axis=0, out=terms)
+        sums = terms.copy()
+        sums[0] = total[pos]
+        np.add.accumulate(sums, axis=0, out=sums)
+        comps = np.empty_like(sums)
+        comps[0] = comp[pos]
+        np.subtract(sums[:-1], sums[1:], out=comps[1:])
+        comps[1:] += terms[1:]
+        np.add.accumulate(comps, axis=0, out=comps)
+        # a cutoff on a point's last step or later changes nothing
+        early = (terms[1:] <= _TERM_CUTOFF * sums[1:]) & (j < left)
+        stopped = early.any(axis=0)
+        if stopped.any():
+            stop = np.where(stopped, early.argmax(axis=0) + 1, rows)
+            cols = np.arange(left.size)
+            term, total[pos], comp[pos] = (
+                terms[stop, cols], sums[stop, cols], comps[stop, cols])
+        else:
+            term, total[pos], comp[pos] = terms[-1], sums[-1], comps[-1]
+        if rows == most:
+            return
+        more = ~stopped & (left > rows)
+        pos = np.flatnonzero(more) if isinstance(pos, slice) else pos[more]
+        term, k, left, mu = term[more], k[more], left[more] - rows, mu[more]
+        k = k + rows if up else k - rows
+
+
+def interval_probs(g, h, mu) -> np.ndarray:
+    """`interval_prob` over 1-D arrays of equal length.
+
+    Element i of the float64 result is ``interval_prob(g[i], h[i], mu[i])``
+    bit for bit.  Counts are integers (integer or float arrays); input that
+    `interval_prob` rejects raises its ValueError, for the first bad
+    element.
+    """
+    # Python floats overflow to inf silently (x / mu at a subnormal mean,
+    # inf - inf in the count check); so do these arrays.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _interval_probs(np.asarray(g), np.asarray(h), np.asarray(mu))
+
+
+def _interval_probs(g: np.ndarray, h: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    if mu.size and not (mu.min() >= 0.0 and mu.max() <= _MAX_MEAN
+                        and np.isfinite(h - g).all()):
+        bad = ~((mu >= 0.0) & (mu <= _MAX_MEAN) & np.isfinite(h - g))
+        i = int(bad.argmax())
+        interval_prob(g[i].item(), h[i].item(), mu[i].item())  # raises
+    lo = np.maximum(g, 0.0)
+    hi = np.asarray(h, dtype=np.float64)
+    mu = np.asarray(mu, dtype=np.float64)
+    live = (hi >= lo) & (mu != 0.0)
+    if live.all():
+        out = np.empty(mu.shape)
+        live = slice(None)
+    else:
+        out = np.zeros(mu.shape)
+        out[(mu == 0.0) & (lo == 0.0) & (hi >= 0.0)] = 1.0
+        live = np.flatnonzero(live)
+        lo, hi, mu = lo[live], hi[live], mu[live]
+
+    anchor = np.minimum(np.maximum(np.floor(mu), lo), hi)
+    mass = _pmfs(anchor, mu)
+    total, comp = mass.copy(), np.zeros_like(mass)
+    _extend(total, comp, mass, anchor, hi - anchor, mu, up=True)
+    _extend(total, comp, mass, anchor, anchor - lo, mu, up=False)
+    # An underflowing anchor, the largest in-range term, makes every term
+    # and so the result an exact 0.0.
+    res = total + comp
+    out[live] = np.where(res < 0.0, 0.0, np.where(res > 1.0, 1.0, res))
     return out

@@ -281,6 +281,8 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
      "--delta", "0.1", "--n", "3", "--grid-points", "99999999999999"],
     ["coverage", "--criterion", "abs", "--eps", "0.3", "--a", "0", "--b", "1",
      "--n", "3", "--grid", "99999999999999"],               # grid above the ceiling
+    ["verify", "--criterion", "abs", "--eps", "0.3", "--a", "0", "--b", "1",
+     "--delta", "0.1", "--n", "3", "--trials", "99999999999999"],  # trials above it
 ])
 def test_validation_failures_exit_1(capsys, argv):
     code = main(argv)

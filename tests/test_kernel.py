@@ -3,17 +3,21 @@
 The frozen constants below were produced with mpmath at 60 significant
 digits: the mass as exp(k ln mu - mu - lngamma(k+1)) and the interval mass
 as a difference of regularized upper incomplete gamma functions.  The slow
-tier recomputes references live over a wide sweep.
+tier recomputes references live over a wide sweep.  The batched
+`interval_probs` is checked against the scalar `interval_prob` bit for bit.
 """
 
 import math
+from unittest import mock
 
 import mpmath as mp
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poisson_ss import interval_prob, pmf
+from poisson_ss import interval_prob, kernel, pmf
+from poisson_ss.kernel import interval_probs
 
 REL_TOL = 1e-13
 ABS_TOL = 1e-12
@@ -123,6 +127,21 @@ def test_kernel_rejects_non_finite_inputs_and_means_above_the_limit(fn, args):
         fn(*args)
 
 
+_BAD_INTERVAL_CALLS = [args for fn, args in _BAD_KERNEL_CALLS if fn is interval_prob]
+
+
+@pytest.mark.parametrize("args", _BAD_INTERVAL_CALLS, ids=str)
+def test_batched_kernel_raises_the_scalar_error(args):
+    with pytest.raises(ValueError) as want:
+        interval_prob(*args)
+    # alone, and behind a good element so the first bad one is reported
+    for g, h, mu in ([args[0]], [args[1]], [args[2]]), (
+            [0, args[0], 1], [3, args[1], 2], [1.0, args[2], 1.0]):
+        with pytest.raises(ValueError) as got:
+            interval_probs(g, h, mu)
+        assert str(got.value) == str(want.value)
+
+
 def test_kernel_accepts_the_mean_limit_itself():
     k = 2 ** 38
     assert interval_prob(0, 3, float(k)) == 0.0
@@ -159,6 +178,54 @@ INTERVAL_BITS = {
 @pytest.mark.parametrize("k_lo,k_hi,mu", list(INTERVAL_BITS))
 def test_interval_prob_is_bit_stable(k_lo, k_hi, mu):
     assert interval_prob(k_lo, k_hi, mu).hex() == INTERVAL_BITS[k_lo, k_hi, mu]
+
+
+def test_batched_kernel_reproduces_the_pinned_bits():
+    g, h, mu = zip(*INTERVAL_BITS)
+    want = list(INTERVAL_BITS.values())
+    assert [v.hex() for v in interval_probs(g, h, mu).tolist()] == want
+    assert [interval_probs([a], [b], [m])[0].hex()
+            for a, b, m in INTERVAL_BITS] == want
+
+
+def _scalar_hex(g, h, mu):
+    return [interval_prob(a, b, m).hex() for a, b, m in zip(g, h, mu)]
+
+
+@st.composite
+def _kernel_args(draw):
+    """(g, h, mu) around the mode of mu: negative g, empty ranges, zero and
+    tiny means up to 2**38, anchors far enough out to underflow, and ranges
+    wide enough that the 1e-18 cutoff stops either side early."""
+    mu = draw(st.sampled_from([0.0, 5e-324, 1e-300, 1e-9, 2.0 ** 38])
+              | st.floats(0.0, 1e-9) | st.floats(1e-9, 60.0)
+              | st.floats(60.0, 1e5) | st.floats(1e5, 2.0 ** 38))
+    spread = int(12.0 * math.sqrt(mu)) + 40 if mu <= 1e5 else 2000
+    g = math.floor(mu) + draw(st.integers(-spread, spread)
+                              | st.integers(spread, 40 * spread))
+    if draw(st.integers(0, 9)) == 0:
+        g = -draw(st.integers(1, 50))
+    return g, g + draw(st.integers(-3, 2 * spread)), mu
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_kernel_args(), min_size=1, max_size=40),
+       st.sampled_from([8192, 64, 7, 1]))
+@example([(-5, 3, 0.0), (0, 0, 0.0), (2, 9, 0.0)], 8192)      # mu = 0
+@example([(4, 3, 2.5), (-9, -2, 1.0), (0, 40, 1e-9)], 8192)   # empty and tiny
+@example([(3000, 3100, 50.0), (0, 3, 1e10)], 1)              # anchor underflows
+@example([(0, 2000, 4.5), (0, 2000, 1500.0)], 64)            # cutoff up, down
+def test_batched_kernel_matches_the_scalar_kernel_bit_for_bit(args, cells):
+    g, h, mu = zip(*args)
+    # small batch sizes split the steps into many batches
+    with mock.patch.object(kernel, "_BATCH_CELLS", cells):
+        got = interval_probs(g, h, mu)
+    assert got.dtype == np.float64
+    assert [v.hex() for v in got.tolist()] == _scalar_hex(g, h, mu)
+
+
+def test_batched_kernel_takes_empty_arrays():
+    assert interval_probs([], [], []).shape == (0,)
 
 
 def test_interval_prob_monotone_in_upper_index():

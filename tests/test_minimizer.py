@@ -13,15 +13,17 @@ from poisson_ss import (
     ParamInterval,
     Relative,
     candidate_set,
+    candidate_stream,
     grid_min_coverage,
     min_coverage,
     scan_min_coverage,
 )
 from poisson_ss import candidates
 from poisson_ss.candidates import DEDUP_REL_TOL
+from poisson_ss.minimizer import _FIRST_BLOCK, _MAX_BLOCK, _PREFIX
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from exact_reference import reference_scan  # noqa: E402
+from exact_reference import reference_coverage_at_point, reference_scan  # noqa: E402
 
 
 def test_empty_window_spike_is_found():
@@ -161,10 +163,21 @@ def _tagged_a(draw, crit, n, width):
     return max(0.0, bp - off if sets_g else bp + off)
 
 
+def _block_rows() -> list[int]:
+    """0-based rows of the scan where the path changes: the last scalar row,
+    then the first, a middle and the last row of the first three blocks."""
+    rows, start, size = [_PREFIX - 1], _PREFIX, _FIRST_BLOCK
+    for _ in range(3):
+        rows += [start, start + size // 2, start + size - 1]
+        start, size = start + size, min(2 * size, _MAX_BLOCK)
+    return rows
+
+
 @st.composite
 def _scans(draw):
     kind = draw(st.sampled_from(["abs", "rel", "mix", "cx"]))
-    n = draw(st.integers(1, 40))
+    # a large n crosses the scalar prefix into two or more blocks
+    n = draw(st.integers(1, 40) | st.integers(100, 400))
     if kind == "abs":
         crit = Absolute(draw(_margins))
     elif kind == "rel":
@@ -177,16 +190,24 @@ def _scans(draw):
         n = 20 * draw(st.integers(1, 2))
     width = draw(st.sampled_from([0.0, 0.5 * DEDUP_REL_TOL, 0.5, 1.0, 2.0])
                  | st.floats(1e-13, 3.0))
+    width = min(width, 600.0 / n)  # at most ~1 200 candidates
     if draw(st.booleans()):
         a = draw(_tagged_a(crit, n, width))
     else:
         a = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 3.0))
-    # None scans everything; "min" stops exactly at the minimum (a tie) and
-    # "first" exactly at the point a
-    threshold = draw(st.sampled_from([None, "min", "first", "float"]))
+    # None scans everything; "min" stops exactly at the minimum (a tie),
+    # "first" exactly at the point a and ("row", k) at or before row k
+    threshold = draw(st.sampled_from([None, "min", "first", "float", "row"]))
     if threshold == "float":
         threshold = draw(st.floats(0.0, 1.0))
+    elif threshold == "row":
+        threshold = ("row", draw(st.sampled_from(_block_rows()) | st.integers(0, 1200)))
     return crit, n, ParamInterval(a, a + width), threshold
+
+
+def _coverages(crit, n, interval):
+    return [reference_coverage_at_point(crit, n, point).coverage
+            for point in candidate_stream(crit, n, interval)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -197,7 +218,29 @@ def test_scan_matches_the_per_point_reference_bit_for_bit(config):
         threshold = reference_scan(crit, n, interval)[0].coverage
     elif threshold == "first":
         threshold = reference_scan(crit, n, interval, 1.0)[0].coverage
+    elif isinstance(threshold, tuple):
+        covs = _coverages(crit, n, interval)
+        threshold = covs[min(threshold[1], len(covs) - 1)]
     got, got_count = scan_min_coverage(crit, n, interval, threshold)
     want, want_count = reference_scan(crit, n, interval, threshold)
     assert (got.lam.hex(), got.g, got.h, got.coverage.hex(), got_count) == (
         want.lam.hex(), want.g, want.h, want.coverage.hex(), want_count)
+
+
+@pytest.mark.parametrize("row", _block_rows())
+def test_fail_fast_stop_on_a_block_edge_row(row):
+    # Absolute coverage falls as the rate grows, so new minima are common.
+    # Start the interval at a candidate so that the first new minimum at or
+    # after `row` moves onto `row` itself; a threshold at its coverage must
+    # then stop the scan there.
+    crit, n, b = Absolute(0.1), 400, 1.6
+    full = list(candidate_stream(crit, n, ParamInterval(0.0, b)))
+    covs = _coverages(crit, n, ParamInterval(0.0, b))
+    low = min(covs[:row])
+    q = next(i for i in range(row, len(covs)) if covs[i] < low)
+    interval = ParamInterval(full[q - row].value, b)
+    witness, count = scan_min_coverage(crit, n, interval, covs[q])
+    assert count == row + 1
+    assert witness.lam == full[q].value
+    assert witness.coverage == covs[q]
+    assert (witness, count) == reference_scan(crit, n, interval, covs[q])

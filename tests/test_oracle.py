@@ -16,7 +16,7 @@ from poisson_ss import (
     min_coverage,
     monte_carlo_coverage,
 )
-from poisson_ss.oracle import EDGE_TOL, MC_CHUNK
+from poisson_ss.oracle import _MAX_TRIALS, EDGE_TOL, MC_CHUNK
 
 
 def test_two_point_grid_is_the_endpoint_minimum():
@@ -136,3 +136,5 @@ def test_monte_carlo_argument_validation():
         monte_carlo_coverage(Absolute(0.2), 3, 1.0, trials=0)
     with pytest.raises(ValueError):
         monte_carlo_coverage(Absolute(0.2), 3, 1.0, trials=10, seed=-1)
+    with pytest.raises(ValueError, match="trials must be 1 to"):
+        monte_carlo_coverage(Absolute(0.2), 3, 1.0, trials=_MAX_TRIALS + 1)
