@@ -15,12 +15,16 @@ are enumerated on the left piece and the relative families on the right
 piece.  A crossover at or outside the interval reduces the criterion to a
 pure one and the reduced families are used over all of [a, b].
 
-The set is streamed in ascending rate order, not built as a list: each
-breakpoint family is a progression ell / div + shift over an integer range
-of ell, generated lazily, and a k-way merge of the families with the
-endpoints and the crossover yields the points one at a time.  A scan that
-stops at an early witness builds only the points it has evaluated.  The
-scan reads the plain tuples; `candidate_stream` makes CandidatePoints.
+The set comes in ascending rate order, never as one list.  Each breakpoint
+family is a progression ell / div + shift over an integer range of ell, and
+`_layout` checks the arguments and lays out those ranges, the endpoints and
+the crossover once; two layouts read them.  `_point_tuples` is lazy: a
+k-way merge of one generator per family yields plain tuples one at a time,
+so a scan that stops at one of its first candidates builds only those.
+`_point_arrays` builds the same points as numpy arrays from slices of the
+ell ranges, one chunk of about _CHUNK points at a time, so a scan past its
+first few candidates never holds more than a chunk.  `candidate_stream`
+makes CandidatePoints from the lazy layout.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ from collections.abc import Iterator
 from itertools import chain, starmap
 from operator import itemgetter
 
+import numpy as np
+
+from .coverage import _PIN_SIDE, _UNPINNED
 from .types import (
     Absolute,
     CandidateKind,
@@ -54,6 +61,10 @@ DEDUP_REL_TOL = 1e-12
 # endpoints, crossover, then the four families.  CandidateKind declares its
 # members in this order.
 _KIND_PRIORITY = {kind: rank for rank, kind in enumerate(CandidateKind)}
+
+# Points per chunk of `_point_arrays`, about; a chunk holds at most this
+# many family members plus a few at its edges.
+_CHUNK = 8192
 
 # Every source, group and point is (value, kind, ell, extra_tags), the field
 # order of CandidatePoint; ell is None for the endpoints and the crossover.
@@ -143,12 +154,16 @@ def _points(merged: Iterator[_Point], tol: float) -> Iterator[_Point]:
         group = [point]
 
 
-def _point_tuples(
-    criterion: ErrorCriterion, n: int, interval: ParamInterval
-) -> Iterator[_Point]:
-    """The points of `candidate_stream` as (value, kind, ell, extra_tags)
-    tuples.  Bad arguments raise here, before the first point is requested.
-    """
+_Grid = tuple[CandidateKind, float, float, float, float]
+_Layout = tuple[float, list[_Point], list[_Grid]]
+
+
+def _layout(criterion: ErrorCriterion, n: int, interval: ParamInterval) -> _Layout:
+    """Check the arguments and lay out the candidate set as (tol, specials,
+    grids): the merge tolerance, the endpoints and the crossover as points,
+    and each breakpoint family as (kind, div, shift, lo, hi), its members
+    ell / div + shift strictly within tol of (lo, hi).  Both layouts,
+    `_point_tuples` and `_point_arrays`, read it."""
     _check_margins(criterion)
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n!r}")
@@ -164,8 +179,9 @@ def _point_tuples(
     tol = DEDUP_REL_TOL * max(1.0, abs(a), abs(b))
 
     eff = effective_criterion(criterion, interval)
-    specials: list[_Point] = [
-        (a, CandidateKind.ENDPOINT_A, None, ()), (b, CandidateKind.ENDPOINT_B, None, ())]
+    # As floats, so a point's value has one type in both layouts.
+    specials: list[_Point] = [(float(a), CandidateKind.ENDPOINT_A, None, ()),
+                              (float(b), CandidateKind.ENDPOINT_B, None, ())]
     if isinstance(eff, Mixed):
         cx = eff.crossover
         specials.insert(1, (cx, CandidateKind.CROSSOVER, None, ()))  # a < cx < b
@@ -187,8 +203,115 @@ def _point_tuples(
         raise ValueError(
             f"the interval [{a!r}, {b!r}] is too wide for n = {n!r}: floats "
             "cannot tell its breakpoints apart")
+    return tol, specials, grids
+
+
+def _point_tuples(layout: _Layout) -> Iterator[_Point]:
+    """The points of `candidate_stream` as (value, kind, ell, extra_tags)
+    tuples, built lazily one at a time."""
+    tol, specials, grids = layout
     families = [_family(*grid, tol) for grid in grids]
     return _points(heapq.merge(specials, *families, key=itemgetter(0)), tol)
+
+
+def _point_arrays(layout: _Layout) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The points of `_point_tuples` in the same order, a chunk at a time,
+    as arrays (value, g_ell, h_ell): g_ell and h_ell hold the ell of the tag
+    that pins each window side in `_window`'s tag loop, or `_UNPINNED`.
+
+    A chunk builds each family over the range of ell whose members lie
+    within a rate span of _CHUNK / (sum of the divs) past the chunk's
+    start, so about _CHUNK points, and merges them with a stable sort, which
+    breaks ties in `heapq.merge`'s order.  Its last group may reach past the
+    span, so that group is held back and rebuilt at the start of the next
+    chunk.
+    """
+    tol, specials, grids = layout
+    top = specials[-1][0] + tol  # every point lies below b + tol
+    base = _CHUNK / sum(div for _, div, _, _, _ in grids)
+    cursors = [math.floor(div * (lo - shift)) - 1 for _, div, shift, lo, _ in grids]
+    start, width = specials[0][0], base
+    while True:
+        end = start + width
+        final = not end < top
+        inside = [p for p in specials if final or p[0] <= end]
+        values = [np.array([p[0] for p in inside], dtype=np.float64)]
+        ells = [np.zeros(len(inside), dtype=np.int64)]
+        priority = [_KIND_PRIORITY[p[1]] for p in inside]
+        counts = [1] * len(inside)
+        built = []
+        for cursor, (kind, div, shift, lo, hi) in zip(cursors, grids):
+            last = math.ceil(div * (hi - shift)) + 1
+            if not final:
+                last = min(last, math.floor(div * (end - shift)) + 1)
+            ell = np.arange(cursor, last + 1)
+            value = ell / div + shift
+            built.append(value)
+            # members rise with ell: the ones strictly within tol of
+            # (lo, hi), and up to the span's end, are one slice
+            first = value.searchsorted(lo - tol, "right")
+            stop = value.searchsorted(hi + tol, "left")
+            if not final:
+                stop = min(stop, value.searchsorted(end, "right"))
+            values.append(value[first:stop])
+            ells.append(ell[first:stop])
+            priority.append(_KIND_PRIORITY[kind])
+            counts.append(max(0, stop - first))
+        values = np.concatenate(values)
+        order = np.argsort(values, kind="stable")
+        values = values[order]
+        ells = np.concatenate(ells)[order]
+        priority = np.repeat(priority, counts)[order]
+        heads = np.flatnonzero(np.diff(values, prepend=-math.inf) > tol)
+        if final:
+            yield _merge_groups(values, priority, ells, heads)
+            return
+        if heads.size < 2:  # one group fills the span: widen it
+            width *= 2.0
+            continue
+        cut = heads[-1]
+        yield _merge_groups(values[:cut], priority[:cut], ells[:cut], heads[:-1])
+        start = values[cut]
+        cursors = [cursor + int(done.searchsorted(start))
+                   for cursor, done in zip(cursors, built)]
+        specials = [p for p in specials if p[0] >= start]
+        width = base
+
+
+# `_PIN_SIDE` by priority: -1 for the endpoints and the crossover.
+_SIDE = np.array([_PIN_SIDE.get(kind, -1) for kind in CandidateKind])
+
+
+def _merge_groups(
+    values: np.ndarray, priority: np.ndarray, ells: np.ndarray, heads: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_merge_group` over every group of a merged chunk, given the rows
+    where groups start.  A group keeps its (priority, value)-first member
+    and each window side takes its last pin in that order; a sliver keeps
+    both endpoints."""
+    side = _SIDE[priority]
+    if heads.size == values.size:  # no collisions
+        return (values, np.where(side == 0, ells, _UNPINNED),
+                np.where(side == 1, ells, _UNPINNED))
+    group = np.zeros(values.size, dtype=np.int64)
+    group[heads] = 1
+    # Within a group the rows are in merge order, so a stable sort on
+    # (group, priority) orders each by (priority, value) as `sorted` does.
+    order = np.argsort((np.cumsum(group) - 1) * len(_SIDE) + priority, kind="stable")
+    values, priority, ells, side = values[order], priority[order], ells[order], side[order]
+    rows = np.arange(values.size)
+    out = [values[heads]]
+    for pinned in (0, 1):
+        last = np.maximum.reduceat(np.where(side == pinned, rows, -1), heads)
+        out.append(np.where(last >= 0, ells[last], _UNPINNED))
+    if (priority[0] == _KIND_PRIORITY[CandidateKind.ENDPOINT_A]
+            and priority[1] == _KIND_PRIORITY[CandidateKind.ENDPOINT_B]
+            and (heads.size == 1 or heads[1] > 1)):
+        # Sliver interval: a and b, the first two members of a's group by
+        # priority, both stay, with the group's tags.
+        out = [np.insert(column, 1, extra)
+               for column, extra in zip(out, (values[1], out[1][0], out[2][0]))]
+    return tuple(out)
 
 
 def candidate_stream(
@@ -196,7 +319,7 @@ def candidate_stream(
 ) -> Iterator[CandidatePoint]:
     """The points of `candidate_set`, built one at a time in the same order.
     Bad arguments, a > b included, raise before the first point."""
-    return starmap(CandidatePoint, _point_tuples(criterion, n, interval))
+    return starmap(CandidatePoint, _point_tuples(_layout(criterion, n, interval)))
 
 
 def candidate_set(

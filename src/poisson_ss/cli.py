@@ -38,6 +38,7 @@ from .candidates import candidate_set, cardinality_bound
 from .coverage import coverage_at, coverage_at_point
 from .minimizer import min_coverage
 from .oracle import (
+    _MAX_GRID_POINTS,
     _check_trials,
     _grid,
     brute_force_coverage,
@@ -240,7 +241,7 @@ def _execute_coverage(ns: argparse.Namespace) -> tuple[dict, int]:
         rows = [coverage_at(criterion, ns.n, lam) for lam in _grid(interval, ns.grid)]
     else:
         rows = [coverage_at_point(criterion, ns.n, point)
-                for point in candidate_set(criterion, ns.n, interval)]
+                for point in _capped_candidate_set(criterion, ns.n, interval)]
     result = {
         "criterion": _criterion_obj(criterion),
         "interval": {"a": interval.a, "b": interval.b},
@@ -253,9 +254,22 @@ def _execute_coverage(ns: argparse.Namespace) -> tuple[dict, int]:
     return result, EXIT_OK
 
 
+def _capped_candidate_set(criterion, n: int, interval) -> tuple:
+    """`candidate_set` for a row command, refused before any point is built
+    when its `cardinality_bound` exceeds the ceiling a uniform grid has."""
+    bound = cardinality_bound(criterion, n, interval)
+    # an infinite bound is an infinite b, which candidate_set reports
+    if _MAX_GRID_POINTS < bound < math.inf:
+        raise ValidationError(
+            f"the candidate set may hold up to {bound:.0f} points, more than "
+            f"the {_MAX_GRID_POINTS} a row command lists; narrow [a, b] or "
+            "lower --n")
+    return candidate_set(criterion, n, interval)
+
+
 def _execute_candidates(ns: argparse.Namespace) -> tuple[dict, int]:
     criterion, interval, _ = _problem(ns)
-    points = candidate_set(criterion, ns.n, interval)
+    points = _capped_candidate_set(criterion, ns.n, interval)
     bound = cardinality_bound(criterion, ns.n, interval)
     bound_holds = len(points) < bound
     result = {

@@ -19,14 +19,17 @@ Coverage at lam is then the Poisson(n * lam) mass of the window.
 
 At a candidate breakpoint the side its tag names comes from the integer
 ell instead.  The whole rule, float and tagged sides, lives in `_window`,
-which every public function here and the scan go through; the scan passes
-plain fields and builds no objects.
+which every public function here and the scan's first candidates go
+through; the scan passes plain fields and builds no objects.  `_windows`
+is the same rule over arrays, for the scan's blocks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .kernel import interval_prob
 from .types import (
@@ -62,6 +65,16 @@ class AcceptanceBounds:
 
     g: int
     h: int
+
+
+# The side of the window each breakpoint family pins at its own members,
+# as in `_window`: 0 for g, 1 for h.
+_PIN_SIDE = {CandidateKind.ABS_PLUS: 0, CandidateKind.REL_LOWER: 0,
+             CandidateKind.ABS_MINUS: 1, CandidateKind.REL_UPPER: 1}
+
+# The ell of a side no tag pins, in the arrays `_windows` reads; far from
+# any ell a scan can reach (below 2**38 in size), so ell -+ 1 cannot wrap.
+_UNPINNED = -(2 ** 62)
 
 
 def _snap(x: float) -> float:
@@ -114,6 +127,45 @@ def _window(criterion: ErrorCriterion, n: int, lam: float, tags: tuple) -> tuple
     if h is None:
         h = math.ceil(_snap(upper)) - 1
     return g, h
+
+
+def _windows(
+    criterion: ErrorCriterion, n: int, lams: np.ndarray, g_ell: np.ndarray,
+    h_ell: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_window` over an array of rates, as int64 arrays g and h equal
+    element for element to its values.  ``g_ell`` and ``h_ell`` hold, per
+    rate, the ell of the last tag pinning that side (`_PIN_SIDE`), or
+    `_UNPINNED`.  A g pin is max(0, ell + 1) for both families: a
+    REL_LOWER member of a candidate set has ell >= 0.
+
+    The float rule takes the same operations in the same order; ``np.rint``
+    rounds half to even like ``round``.  A negative rate or a non-finite
+    product raises `_window`'s ValueError for the first such rate."""
+    if isinstance(criterion, Mixed):
+        absolute = lams <= criterion.crossover
+        eps = np.where(absolute, criterion.eps_a, criterion.eps_r)
+        lower = np.where(absolute, n * (lams - eps), n * lams * (1.0 - eps))
+        upper = np.where(absolute, n * (lams + eps), n * lams * (1.0 + eps))
+    elif isinstance(criterion, Absolute):
+        lower, upper = n * (lams - criterion.eps), n * (lams + criterion.eps)
+    else:
+        mu = n * lams
+        lower, upper = mu * (1.0 - criterion.eps), mu * (1.0 + criterion.eps)
+    bad = ~((lams >= 0.0) & np.isfinite(lower) & np.isfinite(upper))
+    if bad.any():
+        _window(criterion, n, float(lams[bad.argmax()]), ())  # raises
+    g = np.maximum(np.floor(_snaps(lower)) + 1.0, 0.0).astype(np.int64)
+    h = (np.ceil(_snaps(upper)) - 1.0).astype(np.int64)
+    g = np.where(g_ell != _UNPINNED, np.maximum(g_ell + 1, 0), g)
+    h = np.where(h_ell != _UNPINNED, h_ell - 1, h)
+    return g, h
+
+
+def _snaps(x: np.ndarray) -> np.ndarray:
+    """`_snap` over an array."""
+    r = np.rint(x)
+    return np.where(np.abs(x - r) <= SNAP_TOL * np.maximum(1.0, np.abs(x)), r, x)
 
 
 def _coverage(

@@ -5,19 +5,19 @@ yields the exact minimum over the whole continuum of rates; between
 consecutive candidates the coverage never dips below the smaller of the two
 adjacent candidate values.
 
-The scan reads candidates as plain tuples, keeps the best point as
-scalars and builds one `CoverageResult` on return.  The first _PREFIX
-candidates are evaluated one at a time with the scalar kernel: a failing n
-is usually decided there (a Relative search spends ~2.4 evaluations per
-n), and a numpy call would cost more than those few sums.  The rest come in
-blocks of _FIRST_BLOCK candidates, doubling up to _MAX_BLOCK, whose windows
-are resolved one by one and whose coverages come from one `interval_probs`
-call, bit for bit the scalar values.  So the scan returns what a
-point-by-point scan returns: ties go to the first minimum in a block and to
-the earlier block across blocks, and ``evaluations`` counts the candidates
-up to and including the witness.  A fail-fast stop inside a block has built
-and summed the rest of that block, so at most one block past the witness is
-built.
+The scan keeps the best point as scalars and builds one `CoverageResult`
+on return.  Its first _PREFIX candidates come from the lazy tuple stream
+and are evaluated one at a time with the scalar kernel: a failing n is
+usually decided there (a Relative search spends ~2.4 evaluations per n),
+and building arrays or calling numpy would cost more than those few sums.
+The rest come from the array layout, one chunk at a time, whose windows
+`_windows` resolves at once; the chunk is summed in blocks of _FIRST_BLOCK
+candidates, doubling up to _MAX_BLOCK, by one `interval_probs` call each,
+bit for bit the scalar values.  So the scan returns what a point-by-point
+scan returns: ties go to the first minimum in a block and to the earlier
+block across blocks, and ``evaluations`` counts the candidates up to and
+including the witness.  A fail-fast stop has built the chunk that holds
+its witness and nothing past it, so at most one chunk is held at a time.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from itertools import islice
 
 import numpy as np
 
-from .candidates import _point_tuples
-from .coverage import _coverage, _window
+from .candidates import _layout, _point_arrays, _point_tuples
+from .coverage import _coverage, _windows
 from .kernel import interval_probs
 from .types import CoverageResult, ErrorCriterion, ParamInterval
 
@@ -50,13 +50,13 @@ def scan_min_coverage(
     smaller rate.  When a fail-fast threshold is given the scan stops at the
     first candidate with coverage <= threshold; the returned result is then
     that witness rather than the global minimum, which is all a pass/fail
-    decision needs.  Candidates are streamed, so an early stop also stops
-    building them.
+    decision needs.  Candidates are built as they are scanned, a chunk at
+    a time past the first few, so an early stop also stops building them.
     """
-    points = _point_tuples(criterion, n, interval)
+    layout = _layout(criterion, n, interval)
     best_cov = None
     count = 0
-    for value, kind, ell, extra_tags in islice(points, _PREFIX):
+    for value, kind, ell, extra_tags in islice(_point_tuples(layout), _PREFIX):
         g, h, cov = _coverage(criterion, n, value, ((kind, ell),) + extra_tags)
         count += 1
         if best_cov is None or cov < best_cov:
@@ -64,28 +64,35 @@ def scan_min_coverage(
             # Only a new best can first reach the threshold.
             if fail_fast_threshold is not None and cov <= fail_fast_threshold:
                 return CoverageResult(lam=value, g=g, h=h, coverage=cov), count
+    if count < _PREFIX:
+        return CoverageResult(lam=best_lam, g=best_g, h=best_h, coverage=best_cov), count
 
-    size = _FIRST_BLOCK
-    while block := list(islice(points, size)):
-        lams = [point[0] for point in block]
-        windows = [_window(criterion, n, value, ((kind, ell),) + extra_tags)
-                   for value, kind, ell, extra_tags in block]
-        gs, hs = zip(*windows)
-        covs = interval_probs(gs, hs, n * np.array(lams))
-        if fail_fast_threshold is not None:
-            # Every earlier coverage is above the threshold, so the first
-            # one at or below it is a new best and the witness.
-            hits = np.flatnonzero(covs <= fail_fast_threshold)
-            if hits.size:
-                i = int(hits[0])
-                g, h = windows[i]
-                return (CoverageResult(lam=lams[i], g=g, h=h, coverage=float(covs[i])),
-                        count + i + 1)
-        count += len(block)
-        i = int(covs.argmin())
-        if covs[i] < best_cov:
-            best_lam, (best_g, best_h), best_cov = lams[i], windows[i], float(covs[i])
-        size = min(2 * size, _MAX_BLOCK)
+    size, skip = _FIRST_BLOCK, _PREFIX
+    for chunk in _point_arrays(layout):
+        lams, g_ell, h_ell = (column[skip:] for column in chunk)
+        skip = max(0, skip - chunk[0].size)
+        gs, hs = _windows(criterion, n, lams, g_ell, h_ell)
+        start = 0
+        while start < lams.size:
+            block = slice(start, start + size)
+            covs = interval_probs(gs[block], hs[block], n * lams[block])
+            if fail_fast_threshold is not None:
+                # Every earlier coverage is above the threshold, so the first
+                # one at or below it is a new best and the witness.
+                hits = np.flatnonzero(covs <= fail_fast_threshold)
+                if hits.size:
+                    i = int(hits[0])
+                    j = start + i
+                    return (CoverageResult(lam=float(lams[j]), g=int(gs[j]), h=int(hs[j]),
+                                           coverage=float(covs[i])), count + i + 1)
+            count += covs.size
+            i = int(covs.argmin())
+            if covs[i] < best_cov:
+                j = start + i
+                best_lam, best_g, best_h = float(lams[j]), int(gs[j]), int(hs[j])
+                best_cov = float(covs[i])
+            start += size
+            size = min(2 * size, _MAX_BLOCK)
     return CoverageResult(lam=best_lam, g=best_g, h=best_h, coverage=best_cov), count
 
 

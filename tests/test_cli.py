@@ -413,6 +413,45 @@ def test_batch_rejects_unknown_job_command(tmp_path, capsys):
     assert "error" in json.loads(out.strip())
 
 
+# At n = 10 000 on [0, 10 000] the candidate set has up to 2e8 points.
+HUGE_SET = {"criterion": "abs", "eps": 0.1, "a": 0, "b": 10000, "n": 10000}
+
+
+def _refuse_to_build(*args):
+    pytest.fail("the candidate set was built")
+
+
+@pytest.mark.parametrize("cmd", ["coverage", "candidates"])
+def test_row_commands_refuse_a_candidate_set_above_the_ceiling(capsys, monkeypatch, cmd):
+    monkeypatch.setattr(cli, "candidate_set", _refuse_to_build)
+    argv = [cmd] + [f"--{key}={value}" for key, value in HUGE_SET.items()]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "200000004 points" in err and "10000000" in err
+    # the ceiling itself is allowed: [0, 1] at n = 10 has a bound of 24
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 24)
+    small = [cmd, "--criterion", "abs", "--eps", "0.1", "--a", "0", "--b", "1"]
+    assert run(capsys, small + ["--n", "10"])[0] == 0
+    code, _, err = run(capsys, small + ["--n", "11"])
+    assert code == 1 and "up to 26 points, more than the 24" in err
+
+
+def test_batch_jobs_refuse_a_candidate_set_above_the_ceiling(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "candidate_set", _refuse_to_build)
+    config = tmp_path / "jobs.jsonl"
+    config.write_text("".join(json.dumps({"cmd": cmd, **HUGE_SET}) + "\n"
+                              for cmd in ("coverage", "candidates")), encoding="utf-8")
+    code, out, _ = run(capsys, ["--config", str(config)])
+    assert code == 1
+    results = [json.loads(line) for line in out.splitlines()]
+    assert len(results) == 2
+    for result in results:
+        assert result["code"] == 1
+        assert "10000000" in result["error"]
+
+
 def test_batch_rejects_malformed_json(tmp_path, capsys):
     config = tmp_path / "jobs.jsonl"
     config.write_text("not json\n", encoding="utf-8")

@@ -24,6 +24,7 @@ from poisson_ss import (
     coverage_at_point,
     interval_prob,
 )
+from poisson_ss.coverage import _UNPINNED, _windows
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from exact_reference import reference_coverage_at_point, reference_window  # noqa: E402
@@ -301,7 +302,14 @@ def _streams(draw):
 @given(_streams())
 def test_windows_match_the_independent_reference_bit_for_bit(config):
     crit, n, interval = config
-    for point in candidate_stream(crit, n, interval):
+    points = list(candidate_stream(crit, n, interval))
+    # the array rule with no side pinned is the float rule at every rate
+    lams = np.array([point.value for point in points])
+    unpinned = np.full(lams.size, _UNPINNED)
+    gs, hs = _windows(crit, n, lams, unpinned, unpinned)
+    assert list(zip(gs.tolist(), hs.tolist())) == [
+        tuple(reference_window(crit, n, point.value)) for point in points]
+    for point in points:
         lam = point.value
         g, h = reference_window(crit, n, lam)
         bounds = acceptance_bounds(crit, n, lam)

@@ -1,6 +1,8 @@
 """Worst-case coverage over an interval via the candidate set."""
 
 import sys
+from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,8 +20,9 @@ from poisson_ss import (
     min_coverage,
     scan_min_coverage,
 )
-from poisson_ss import candidates
-from poisson_ss.candidates import DEDUP_REL_TOL
+from poisson_ss import candidates, minimizer
+from poisson_ss.candidates import DEDUP_REL_TOL, _layout, _point_arrays, _point_tuples
+from poisson_ss.coverage import _window, _windows
 from poisson_ss.minimizer import _FIRST_BLOCK, _MAX_BLOCK, _PREFIX
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
@@ -210,10 +213,7 @@ def _coverages(crit, n, interval):
             for point in candidate_stream(crit, n, interval)]
 
 
-@settings(max_examples=200, deadline=None)
-@given(_scans())
-def test_scan_matches_the_per_point_reference_bit_for_bit(config):
-    crit, n, interval, threshold = config
+def _assert_scan_matches_reference(crit, n, interval, threshold):
     if threshold == "min":
         threshold = reference_scan(crit, n, interval)[0].coverage
     elif threshold == "first":
@@ -225,6 +225,109 @@ def test_scan_matches_the_per_point_reference_bit_for_bit(config):
     want, want_count = reference_scan(crit, n, interval, threshold)
     assert (got.lam.hex(), got.g, got.h, got.coverage.hex(), got_count) == (
         want.lam.hex(), want.g, want.h, want.coverage.hex(), want_count)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scans())
+def test_scan_matches_the_per_point_reference_bit_for_bit(config):
+    _assert_scan_matches_reference(*config)
+
+
+# Chunks of 7 and 64 points cut the scans above into many chunks, so
+# merge groups, blocks and fail-fast stops fall on every side of a cut.
+_SMALL_CHUNKS = st.sampled_from([7, 64])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scans(), _SMALL_CHUNKS)
+def test_scan_across_chunks_matches_the_per_point_reference(config, chunk):
+    with mock.patch.object(candidates, "_CHUNK", chunk):
+        _assert_scan_matches_reference(*config)
+
+
+def _array_rows(crit, n, interval):
+    """(value hex, g, h) of each point, from the array layout."""
+    rows = []
+    for values, g_ell, h_ell in _point_arrays(_layout(crit, n, interval)):
+        g, h = _windows(crit, n, values, g_ell, h_ell)
+        rows += zip([v.hex() for v in values.tolist()], g.tolist(), h.tolist())
+    return rows
+
+
+def _tuple_rows(crit, n, interval):
+    """The same rows from the lazy layout and the scalar window."""
+    return [(value.hex(), *_window(crit, n, value, ((kind, ell),) + extra_tags))
+            for value, kind, ell, extra_tags in _point_tuples(_layout(crit, n, interval))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scans(), _SMALL_CHUNKS | st.just(candidates._CHUNK))
+def test_array_layout_matches_the_lazy_stream_row_for_row(config, chunk):
+    crit, n, interval, _ = config
+    want = _tuple_rows(crit, n, interval)
+    with mock.patch.object(candidates, "_CHUNK", chunk):
+        assert _array_rows(crit, n, interval) == want
+
+
+def test_merge_group_straddling_a_chunk_cut():
+    # eps = 0.1 + tol / 4 puts each abs_minus point tol / 2 below an
+    # abs_plus point, one merge group; the first chunk, 7 / (2 n) wide,
+    # ends between the two members of the group at 0.5
+    n, tol, chunk = 100, DEDUP_REL_TOL, 7
+    crit = Absolute(0.1 + tol / 4)
+    interval = ParamInterval(0.5 - chunk / (2 * n), 0.9)
+    end = interval.a + chunk / (2 * n)
+    assert 60 / n - crit.eps < end < 40 / n + crit.eps
+    with mock.patch.object(candidates, "_CHUNK", chunk):
+        chunks = list(_point_arrays(_layout(crit, n, interval)))
+        # the group is held back whole and heads the second chunk
+        assert len(chunks) > 1
+        assert chunks[0][0][-1] < 0.5 - tol / 8 and chunks[1][0][0] > 0.5 - tol / 2
+        assert _array_rows(crit, n, interval) == _tuple_rows(crit, n, interval)
+        for threshold in (None, "min", ("row", 4), ("row", 5)):
+            _assert_scan_matches_reference(crit, n, interval, threshold)
+
+
+@pytest.mark.parametrize("chunk", [7, 64])
+def test_fail_fast_stop_on_a_chunk_edge_row(chunk):
+    # Absolute coverage falls as the rate grows, so many chunk edge rows are
+    # new minima; a threshold at the coverage of one must stop the scan on it.
+    crit, n, interval = Absolute(0.1), 400, ParamInterval(0.0, 1.6)
+    covs = _coverages(crit, n, interval)
+    with mock.patch.object(candidates, "_CHUNK", chunk):
+        sizes = [values.size for values, _, _ in _point_arrays(_layout(crit, n, interval))]
+        firsts = np.cumsum([0] + sizes[:-1])
+        edges = {"first": firsts, "last": firsts + sizes - 1}
+        for side, rows in edges.items():
+            rows = [int(r) for r in rows if r >= _PREFIX and covs[r] < min(covs[:r])]
+            assert len(rows) >= 3, side
+            for row in rows[:3]:
+                witness, count = scan_min_coverage(crit, n, interval, covs[row])
+                assert count == row + 1
+                assert (witness, count) == reference_scan(crit, n, interval, covs[row])
+
+
+def test_fail_fast_scan_past_the_prefix_builds_one_chunk(monkeypatch):
+    # [5, 1e6] holds about 2e6 candidates at n = 1; the first rows below the
+    # threshold lie past the scalar prefix, in the first block
+    crit, n, interval = Relative(0.1), 1, ParamInterval(5.0, 1e6)
+    head = list(islice(candidate_stream(crit, n, interval), _PREFIX + _FIRST_BLOCK))
+    covs = [reference_coverage_at_point(crit, n, point).coverage for point in head]
+    threshold = min(covs[_PREFIX:])
+    assert min(covs[:_PREFIX]) > threshold
+    built = []
+    arrays = minimizer._point_arrays
+
+    def counting_arrays(layout):
+        for chunk in arrays(layout):
+            built.append(chunk[0].size)
+            yield chunk
+
+    monkeypatch.setattr(minimizer, "_point_arrays", counting_arrays)
+    witness, count = scan_min_coverage(crit, n, interval, threshold)
+    assert _PREFIX < count <= _PREFIX + _FIRST_BLOCK
+    assert witness.coverage == threshold
+    assert len(built) == 1 and built[0] <= candidates._CHUNK + 16
 
 
 @pytest.mark.parametrize("row", _block_rows())
