@@ -49,6 +49,7 @@ from .types import (
     ParamInterval,
     Relative,
     _check_margins,
+    _check_sample_size,
     effective_criterion,
 )
 
@@ -90,6 +91,7 @@ class _Points(tuple):
 def cardinality_bound(criterion: ErrorCriterion, n: int, interval: ParamInterval) -> float:
     """Strict upper bound on the candidate count: 2 n (b - a) plus 4, or
     plus 7 when a crossover point can join the set."""
+    _check_sample_size(n)
     _check_order(interval)
     extra = 7.0 if isinstance(criterion, Mixed) else 4.0
     return 2.0 * n * interval.width + extra
@@ -165,8 +167,7 @@ def _layout(criterion: ErrorCriterion, n: int, interval: ParamInterval) -> _Layo
     ell / div + shift strictly within tol of (lo, hi).  Both layouts,
     `_point_tuples` and `_point_arrays`, read it."""
     _check_margins(criterion)
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n!r}")
+    _check_sample_size(n)
     if n % 1:
         raise ValueError(f"sample size must be an integer, got {n!r}")
     a, b = interval.a, interval.b

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .types import _check_sample_size
+
 TWO_LN2_MINUS_1 = 2.0 * math.log(2.0) - 1.0
 
 __all__ = ["TWO_LN2_MINUS_1", "TailBounds", "tail_bounds", "lambda_threshold"]
@@ -34,8 +36,7 @@ class TailBounds:
 
 def tail_bounds(n: int, lam: float, eps: float) -> TailBounds:
     """Closed-form exponential bounds on both relative tails."""
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n!r}")
+    _check_sample_size(n)
     if not (lam >= 0.0):
         raise ValueError(f"rate must be nonnegative, got {lam!r}")
     if not (0.0 < eps < 1.0):
@@ -60,8 +61,7 @@ def lambda_threshold(n: int, eps_r: float, delta: float) -> float:
     When eps_r is so small that the denominator underflows to 0, no finite
     rate is certified and the threshold is inf.
     """
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n!r}")
+    _check_sample_size(n)
     if not (0.0 < eps_r < 1.0):
         raise ValueError(f"margin must lie strictly inside (0, 1), got {eps_r!r}")
     if not (0.0 < delta < 1.0):

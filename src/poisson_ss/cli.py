@@ -3,7 +3,9 @@
 Subcommands:
 
 * ``size``        smallest sufficient n for a (criterion, interval, delta)
-* ``coverage``    coverage rows over the candidate set or a uniform grid
+* ``coverage``    coverage rows over the candidate set, summed in blocks
+                  by the scan's evaluator, or over a uniform grid, one
+                  rate at a time
 * ``candidates``  the candidate rates with their breakpoint provenance
 * ``verify``      cross-check the candidate-based answer against the
                   grid, brute-force, and Monte Carlo oracles
@@ -34,9 +36,9 @@ import math
 import sys
 import time
 
-from .candidates import candidate_set, cardinality_bound
-from .coverage import coverage_at, coverage_at_point
-from .minimizer import min_coverage
+from .candidates import _layout, _point_arrays, candidate_set, cardinality_bound
+from .coverage import coverage_at
+from .minimizer import _blocks, min_coverage
 from .oracle import (
     _MAX_GRID_POINTS,
     _check_trials,
@@ -238,39 +240,40 @@ def _execute_size(ns: argparse.Namespace) -> tuple[dict, int]:
 def _execute_coverage(ns: argparse.Namespace) -> tuple[dict, int]:
     criterion, interval, _ = _problem(ns)
     if ns.grid is not None:
-        rows = [coverage_at(criterion, ns.n, lam) for lam in _grid(interval, ns.grid)]
+        results = (coverage_at(criterion, ns.n, lam) for lam in _grid(interval, ns.grid))
+        rows = [(r.lam, r.g, r.h, r.coverage) for r in results]
     else:
-        rows = [coverage_at_point(criterion, ns.n, point)
-                for point in _capped_candidate_set(criterion, ns.n, interval)]
+        _row_bound(criterion, ns.n, interval)
+        blocks = _blocks(criterion, ns.n, _point_arrays(_layout(criterion, ns.n, interval)))
+        rows = [row for block in blocks for row in zip(*(column.tolist() for column in block))]
     result = {
         "criterion": _criterion_obj(criterion),
         "interval": {"a": interval.a, "b": interval.b},
         "n": ns.n,
-        "rows": [
-            {"lambda": r.lam, "g": r.g, "h": r.h, "coverage": r.coverage}
-            for r in rows
-        ],
+        "rows": [{"lambda": lam, "g": g, "h": h, "coverage": cov}
+                 for lam, g, h, cov in rows],
     }
     return result, EXIT_OK
 
 
-def _capped_candidate_set(criterion, n: int, interval) -> tuple:
-    """`candidate_set` for a row command, refused before any point is built
-    when its `cardinality_bound` exceeds the ceiling a uniform grid has."""
+def _row_bound(criterion, n: int, interval) -> float:
+    """`cardinality_bound` for a row command, refused when it exceeds the
+    ceiling a uniform grid has; a row command checks it before it builds
+    any point."""
     bound = cardinality_bound(criterion, n, interval)
-    # an infinite bound is an infinite b, which candidate_set reports
+    # an infinite bound is an infinite b, which the candidate layout reports
     if _MAX_GRID_POINTS < bound < math.inf:
         raise ValidationError(
             f"the candidate set may hold up to {bound:.0f} points, more than "
             f"the {_MAX_GRID_POINTS} a row command lists; narrow [a, b] or "
             "lower --n")
-    return candidate_set(criterion, n, interval)
+    return bound
 
 
 def _execute_candidates(ns: argparse.Namespace) -> tuple[dict, int]:
     criterion, interval, _ = _problem(ns)
-    points = _capped_candidate_set(criterion, ns.n, interval)
-    bound = cardinality_bound(criterion, ns.n, interval)
+    bound = _row_bound(criterion, ns.n, interval)
+    points = candidate_set(criterion, ns.n, interval)
     bound_holds = len(points) < bound
     result = {
         "criterion": _criterion_obj(criterion),

@@ -40,6 +40,7 @@ from .types import (
     ErrorCriterion,
     Mixed,
     _check_margins,
+    _check_sample_size,
 )
 
 # Products such as n * (lam - eps) are snapped to an integer when they land
@@ -97,8 +98,7 @@ def _window(criterion: ErrorCriterion, n: int, lam: float, tags: tuple) -> tuple
 
     Unpinned sides take the float rule above through `_snap`.  The caller
     has checked the criterion's margins."""
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n!r}")
+    _check_sample_size(n)
     if not (lam >= 0.0):
         raise ValueError(f"rate must be nonnegative, got {lam!r}")
     if isinstance(criterion, Mixed):

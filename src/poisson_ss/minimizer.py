@@ -10,18 +10,21 @@ on return.  Its first _PREFIX candidates come from the lazy tuple stream
 and are evaluated one at a time with the scalar kernel: a failing n is
 usually decided there (a Relative search spends ~2.4 evaluations per n),
 and building arrays or calling numpy would cost more than those few sums.
-The rest come from the array layout, one chunk at a time, whose windows
-`_windows` resolves at once; the chunk is summed in blocks of _FIRST_BLOCK
-candidates, doubling up to _MAX_BLOCK, by one `interval_probs` call each,
-bit for bit the scalar values.  So the scan returns what a point-by-point
-scan returns: ties go to the first minimum in a block and to the earlier
-block across blocks, and ``evaluations`` counts the candidates up to and
-including the witness.  A fail-fast stop has built the chunk that holds
-its witness and nothing past it, so at most one chunk is held at a time.
+The rest go through `_blocks`, the one candidate evaluator, which the
+``coverage`` command's rows read too: it takes the array layout one chunk
+at a time, resolves the chunk's windows at once with `_windows`, and sums
+it in blocks of _FIRST_BLOCK candidates, doubling up to _MAX_BLOCK, by one
+`interval_probs` call each, bit for bit the scalar values.  So the scan
+returns what a point-by-point scan returns: ties go to the first minimum
+in a block and to the earlier block across blocks, and ``evaluations``
+counts the candidates up to and including the witness.  A fail-fast stop
+has built the chunk that holds its witness and nothing past it, so at most
+one chunk is held at a time.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import islice
 
 import numpy as np
@@ -67,33 +70,41 @@ def scan_min_coverage(
     if count < _PREFIX:
         return CoverageResult(lam=best_lam, g=best_g, h=best_h, coverage=best_cov), count
 
-    size, skip = _FIRST_BLOCK, _PREFIX
-    for chunk in _point_arrays(layout):
+    for lams, gs, hs, covs in _blocks(criterion, n, _point_arrays(layout), _PREFIX):
+        if fail_fast_threshold is not None:
+            # Every earlier coverage is above the threshold, so the first
+            # one at or below it is a new best and the witness.
+            hits = np.flatnonzero(covs <= fail_fast_threshold)
+            if hits.size:
+                i = int(hits[0])
+                return (CoverageResult(lam=float(lams[i]), g=int(gs[i]), h=int(hs[i]),
+                                       coverage=float(covs[i])), count + i + 1)
+        count += covs.size
+        i = int(covs.argmin())
+        if covs[i] < best_cov:
+            best_lam, best_g, best_h = float(lams[i]), int(gs[i]), int(hs[i])
+            best_cov = float(covs[i])
+    return CoverageResult(lam=best_lam, g=best_g, h=best_h, coverage=best_cov), count
+
+
+def _blocks(
+    criterion: ErrorCriterion, n: int, chunks: Iterator[tuple[np.ndarray, ...]], skip: int = 0
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """(lams, g, h, coverage) arrays over the candidates of `_point_arrays`'
+    ``chunks`` past the first ``skip``, a block at a time in rate order; a
+    chunk is built only when its first block is asked for."""
+    size = _FIRST_BLOCK
+    for chunk in chunks:
         lams, g_ell, h_ell = (column[skip:] for column in chunk)
         skip = max(0, skip - chunk[0].size)
         gs, hs = _windows(criterion, n, lams, g_ell, h_ell)
         start = 0
         while start < lams.size:
             block = slice(start, start + size)
-            covs = interval_probs(gs[block], hs[block], n * lams[block])
-            if fail_fast_threshold is not None:
-                # Every earlier coverage is above the threshold, so the first
-                # one at or below it is a new best and the witness.
-                hits = np.flatnonzero(covs <= fail_fast_threshold)
-                if hits.size:
-                    i = int(hits[0])
-                    j = start + i
-                    return (CoverageResult(lam=float(lams[j]), g=int(gs[j]), h=int(hs[j]),
-                                           coverage=float(covs[i])), count + i + 1)
-            count += covs.size
-            i = int(covs.argmin())
-            if covs[i] < best_cov:
-                j = start + i
-                best_lam, best_g, best_h = float(lams[j]), int(gs[j]), int(hs[j])
-                best_cov = float(covs[i])
+            yield (lams[block], gs[block], hs[block],
+                   interval_probs(gs[block], hs[block], n * lams[block]))
             start += size
             size = min(2 * size, _MAX_BLOCK)
-    return CoverageResult(lam=best_lam, g=best_g, h=best_h, coverage=best_cov), count
 
 
 def min_coverage(

@@ -32,6 +32,7 @@ from .types import (
     Mixed,
     ParamInterval,
     Relative,
+    _check_sample_size,
 )
 
 # Monte Carlo trials are consumed in fixed-size chunks, each seeded from
@@ -128,8 +129,7 @@ def brute_force_coverage(
     default k_max, ceil(n lam + 40 sqrt(n lam + 1)), leaves a neglected tail
     far below 1e-12.
     """
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n!r}")
+    _check_sample_size(n)
     if not (lam >= 0.0):
         raise ValueError(f"rate must be nonnegative, got {lam!r}")
     mu = n * lam
@@ -159,8 +159,7 @@ def monte_carlo_coverage(
     come from the counter-based Philox generator keyed by (seed, chunk), so
     the same (seed, trials) always gives the same estimate.
     """
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n!r}")
+    _check_sample_size(n)
     if not (lam >= 0.0):
         raise ValueError(f"rate must be nonnegative, got {lam!r}")
     _check_trials(trials)

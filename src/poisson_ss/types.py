@@ -10,6 +10,7 @@ successful `validate` call may assume a well-formed configuration.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -167,6 +168,20 @@ class SampleSizePlan:
     worst_coverage: float
     evaluations: int
     truncated_b: float
+
+
+_LARGEST_FLOAT = sys.float_info.max
+
+
+def _check_sample_size(n: int) -> None:
+    """Raise ValueError unless 1 <= n <= the largest float: every window
+    and coverage step multiplies n into floats."""
+    if n < 1:
+        raise ValueError(f"sample size must be >= 1, got {n!r}")
+    if n > _LARGEST_FLOAT:
+        raise ValueError(
+            f"sample size must be an integer no larger than the largest float, "
+            f"{_LARGEST_FLOAT!r}")
 
 
 def _check_margins(criterion: ErrorCriterion) -> None:

@@ -1,26 +1,36 @@
 """Command-line behavior: output schemas, formats, exit codes, batch mode."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
 
 import poisson_ss
 from poisson_ss import (
     Absolute,
+    Mixed,
     ParamInterval,
     Relative,
     candidate_set,
+    candidate_stream,
     coverage_at,
     min_coverage,
     min_sample_size,
     ConfidenceSpec,
 )
-from poisson_ss import cli, search
+from poisson_ss import candidates, cli, search
 from poisson_ss.cli import main
+
+sys.path.insert(0, __file__.rsplit("/", 1)[0])
+from exact_reference import reference_coverage_at_point  # noqa: E402
+from test_minimizer import _SMALL_CHUNKS, _scans  # noqa: E402
 
 SIZE_ARGS = ["size", "--criterion", "abs", "--eps", "0.5",
              "--a", "0", "--b", "0.5", "--delta", "0.5"]
@@ -132,6 +142,38 @@ def test_coverage_json_format(capsys):
     result = json.loads(out)
     assert result["n"] == 2
     assert [row["lambda"] for row in result["rows"]] == [0.0, 0.25, 0.75, 1.0]
+
+
+def _criterion_argv(crit) -> list[str]:
+    if isinstance(crit, Mixed):
+        return ["--criterion", "mixed", "--eps-a", repr(crit.eps_a),
+                "--eps-r", repr(crit.eps_r)]
+    kind = "abs" if isinstance(crit, Absolute) else "rel"
+    return ["--criterion", kind, "--eps", repr(crit.eps)]
+
+
+def _listable(config) -> bool:
+    crit, _, interval, _ = config
+    return interval.a < interval.b and not (isinstance(crit, Relative) and interval.a == 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scans().filter(_listable), _SMALL_CHUNKS)
+def test_coverage_rows_match_the_per_point_reference(config, chunk):
+    # Small chunks put rows on every side of chunk cuts, held-back merge
+    # groups and block edges; each row must still be the reference's.
+    crit, n, interval, _ = config
+    argv = ["coverage", *_criterion_argv(crit), "--a", repr(interval.a),
+            "--b", repr(interval.b), "--n", str(n), "--format", "json"]
+    out = io.StringIO()
+    with mock.patch.object(candidates, "_CHUNK", chunk), contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    got = [(float(row["lambda"]).hex(), row["g"], row["h"], float(row["coverage"]).hex())
+           for row in json.loads(out.getvalue())["rows"]]
+    want = [(r.lam.hex(), r.g, r.h, r.coverage.hex())
+            for r in (reference_coverage_at_point(crit, n, point)
+                      for point in candidate_stream(crit, n, interval))]
+    assert got == want
 
 
 def test_candidates_json_listing(capsys):
@@ -283,6 +325,22 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
      "--n", "3", "--grid", "99999999999999"],               # grid above the ceiling
     ["verify", "--criterion", "abs", "--eps", "0.3", "--a", "0", "--b", "1",
      "--delta", "0.1", "--n", "3", "--trials", "99999999999999"],  # trials above it
+] + [
+    # a sample size above the largest float, and one just below it
+    argv + [flag, str(n)] for n in (10 ** 400, 10 ** 308) for argv, flag in (
+        (["candidates", "--criterion", "abs", "--eps", "0.1", "--a", "0", "--b", "1"],
+         "--n"),
+        (["coverage", "--criterion", "abs", "--eps", "0.1", "--a", "0", "--b", "1"],
+         "--n"),
+        (["coverage", "--criterion", "abs", "--eps", "0.1", "--a", "0", "--b", "1",
+          "--grid", "3"], "--n"),
+        (["verify", "--criterion", "abs", "--eps", "0.1", "--a", "0", "--b", "1",
+          "--delta", "0.1"], "--n"),
+        (["size", "--criterion", "abs", "--eps", "0.1", "--a", "0", "--b", "1",
+          "--delta", "0.1", "--max-n", str(n)], "--start-n"),
+        (["size", "--criterion", "rel", "--eps", "0.1", "--a", "0.5", "--b", "1",
+          "--delta", "0.1", "--max-n", str(n)], "--start-n"),
+    )
 ])
 def test_validation_failures_exit_1(capsys, argv):
     code = main(argv)
@@ -417,13 +475,18 @@ def test_batch_rejects_unknown_job_command(tmp_path, capsys):
 HUGE_SET = {"criterion": "abs", "eps": 0.1, "a": 0, "b": 10000, "n": 10000}
 
 
-def _refuse_to_build(*args):
-    pytest.fail("the candidate set was built")
+def _refuse_to_build(monkeypatch):
+    """Fail the test if a row command lays out or builds a candidate set."""
+    def refuse(*args):
+        pytest.fail("the candidate set was built")
+
+    for name in ("candidate_set", "_layout", "_point_arrays"):
+        monkeypatch.setattr(cli, name, refuse)
 
 
 @pytest.mark.parametrize("cmd", ["coverage", "candidates"])
 def test_row_commands_refuse_a_candidate_set_above_the_ceiling(capsys, monkeypatch, cmd):
-    monkeypatch.setattr(cli, "candidate_set", _refuse_to_build)
+    _refuse_to_build(monkeypatch)
     argv = [cmd] + [f"--{key}={value}" for key, value in HUGE_SET.items()]
     code, out, err = run(capsys, argv)
     assert code == 1
@@ -439,7 +502,7 @@ def test_row_commands_refuse_a_candidate_set_above_the_ceiling(capsys, monkeypat
 
 
 def test_batch_jobs_refuse_a_candidate_set_above_the_ceiling(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "candidate_set", _refuse_to_build)
+    _refuse_to_build(monkeypatch)
     config = tmp_path / "jobs.jsonl"
     config.write_text("".join(json.dumps({"cmd": cmd, **HUGE_SET}) + "\n"
                               for cmd in ("coverage", "candidates")), encoding="utf-8")

@@ -5,6 +5,8 @@ import math
 
 import pytest
 
+import poisson_ss
+
 from poisson_ss import (
     Absolute,
     CandidateKind,
@@ -152,3 +154,19 @@ def test_candidate_point_grid_tags_collects_all_memberships():
     merged = CandidatePoint(0.25, CandidateKind.ENDPOINT_B,
                             extra_tags=((CandidateKind.REL_LOWER, 3),))
     assert merged.grid_tags() == ((CandidateKind.REL_LOWER, 3),)
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: poisson_ss.cardinality_bound(Absolute(0.1), n, ParamInterval(0.0, 1.0)),
+    lambda n: poisson_ss.candidate_set(Absolute(0.1), n, ParamInterval(0.0, 1.0)),
+    lambda n: poisson_ss.coverage_at(Absolute(0.1), n, 0.5),
+    lambda n: poisson_ss.tail_bounds(n, 0.5, 0.1),
+    lambda n: poisson_ss.lambda_threshold(n, 0.1, 0.1),
+    lambda n: poisson_ss.brute_force_coverage(Absolute(0.1), n, 0.5),
+    lambda n: poisson_ss.monte_carlo_coverage(Absolute(0.1), n, 0.5, 10),
+])
+def test_every_sample_size_check_refuses_zero_and_a_size_above_the_largest_float(call):
+    with pytest.raises(ValueError, match=r"^sample size must be >= 1, got 0$"):
+        call(0)
+    with pytest.raises(ValueError, match="no larger than the largest float"):
+        call(10 ** 400)
