@@ -35,6 +35,14 @@ adding 0 is exact.  numpy's ``+ - * /`` and ``sqrt`` round correctly, like
 Python's, but its ``exp`` and ``log`` need not round like libm, so those go
 through ``math`` one element at a time.  Each internal batch holds at most
 _BATCH_CELLS steps x points, or one step when there are more points.
+
+`_floors` is a cheap lower bound on the interval mass, for skipping sums
+that cannot matter: one minus the geometric tail bounds
+``P(K <= k) <= pmf(k) mu / (mu - k)`` and
+``P(K >= k) <= pmf(k) (k + 1) / (k + 1 - mu)``, with ``pmf`` replaced by
+its deviance form without the ``stirlerr(k) > 0`` term, an upper bound.
+It runs on whole arrays with numpy's ``exp`` and ``log1p``, so it matches
+no other route bit for bit; it is within 1e-14 of a true lower bound.
 """
 
 from __future__ import annotations
@@ -322,12 +330,17 @@ def interval_probs(g, h, mu) -> np.ndarray:
         return _interval_probs(np.asarray(g), np.asarray(h), np.asarray(mu))
 
 
-def _interval_probs(g: np.ndarray, h: np.ndarray, mu: np.ndarray) -> np.ndarray:
+def _check(g: np.ndarray, h: np.ndarray, mu: np.ndarray) -> None:
+    """Raise `interval_prob`'s ValueError for the first element it rejects."""
     if mu.size and not (mu.min() >= 0.0 and mu.max() <= _MAX_MEAN
                         and np.isfinite(h - g).all()):
         bad = ~((mu >= 0.0) & (mu <= _MAX_MEAN) & np.isfinite(h - g))
         i = int(bad.argmax())
         interval_prob(g[i].item(), h[i].item(), mu[i].item())  # raises
+
+
+def _interval_probs(g: np.ndarray, h: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    _check(g, h, mu)
     lo = np.maximum(g, 0.0)
     hi = np.asarray(h, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
@@ -351,3 +364,32 @@ def _interval_probs(g: np.ndarray, h: np.ndarray, mu: np.ndarray) -> np.ndarray:
     res = total + comp
     out[live] = np.where(res < 0.0, 0.0, np.where(res > 1.0, 1.0, res))
     return out
+
+
+def _floors(g, h, mu) -> np.ndarray:
+    """A lower bound on ``interval_probs(g, h, mu)`` elementwise, within
+    1e-14 (see the module docstring): 1 minus the bounds on the two tails
+    outside [g, h], a tail bound being 1 where its formula does not apply,
+    and -inf where mu = 0.  Input that `interval_prob` rejects raises its
+    ValueError."""
+    g, h, mu = np.asarray(g), np.asarray(h), np.asarray(mu)
+    with np.errstate(all="ignore"):
+        _check(g, h, mu)
+        below = g - 1.0  # the lower tail is K <= below
+        t_lo = np.where(g <= 0.0, 0.0, np.where(
+            below < mu, _pmf_tops(below, mu) * mu / (mu - below), 1.0))
+        above = h + 1.0  # the upper tail is K >= above
+        t_hi = np.where((above >= 0.0) & (above + 1.0 > mu),
+                        _pmf_tops(above, mu) * (above + 1.0) / (above + 1.0 - mu), 1.0)
+        return np.where(mu == 0.0, -np.inf, 1.0 - t_lo - t_hi)
+
+
+def _pmf_tops(k: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """An upper bound on `pmf` elementwise for integer k >= 0 and mu > 0:
+    the deviance form without its ``stirlerr(k) > 0`` term, with
+    ``bd0(k, mu) = k log1p((k - mu) / mu) - (k - mu)`` in numpy.  Its error,
+    a few ulps of |k - mu|, stays far inside what the tail bounds give away
+    wherever the result is not negligible.  k = 0 gives exp(-mu) itself."""
+    d = k - mu
+    bd0 = k * np.log1p(d / mu) - d
+    return np.where(k == 0.0, np.exp(-mu), np.exp(-bd0) / np.sqrt(_TWO_PI * k))

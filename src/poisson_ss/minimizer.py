@@ -10,28 +10,46 @@ on return.  Its first _PREFIX candidates come from the lazy tuple stream
 and are evaluated one at a time with the scalar kernel: a failing n is
 usually decided there (a Relative search spends ~2.4 evaluations per n),
 and building arrays or calling numpy would cost more than those few sums.
-The rest go through `_blocks`, the one candidate evaluator, which the
-``coverage`` command's rows read too: it takes the array layout one chunk
-at a time, resolves the chunk's windows at once with `_windows`, and sums
-it in blocks of _FIRST_BLOCK candidates, doubling up to _MAX_BLOCK, by one
-`interval_probs` call each, bit for bit the scalar values.  So the scan
-returns what a point-by-point scan returns: ties go to the first minimum
-in a block and to the earlier block across blocks, and ``evaluations``
-counts the candidates up to and including the witness.  A fail-fast stop
-has built the chunk that holds its witness and nothing past it, so at most
-one chunk is held at a time.
+
+Past them the scan takes the array layout one chunk at a time, resolves
+the chunk's windows at once with `_windows` and gives every row a coverage
+floor, `kernel._floors`: one minus geometric bounds on the two Poisson
+tails outside the window.  The floor is within 1e-14 of a true lower bound
+on the coverage and the kernel within 1e-12 of the coverage, so a row whose
+floor is above some value by more than _MARGIN = 1e-9 has a kernel value
+above it.  Only the rows the floor cannot rule out are summed, by
+`interval_probs` in blocks of _FIRST_BLOCK rows, doubling up to
+_MAX_BLOCK, bit for bit the scalar values.  There are two passes:
+
+* the fail-fast pass, for a scan with a threshold, goes over each chunk
+  in rate order and sums the rows whose floor is within the margin of the
+  threshold, up to the first value at or below it: the first failing
+  candidate in rate order;
+* the minimum pass, for a full scan or a threshold scan that found no
+  failure, sums each chunk's other rows in ascending order of their floor
+  while the floor is within the margin of the least value summed so far.
+  A threshold scan rebuilds the chunks before the one it still holds, so
+  a failing n never pays for a minimum.
+
+So the scan returns what a point-by-point scan returns: ties go to the
+smallest rate, and ``evaluations`` counts the candidates in rate order up
+to and including the witness, whether a floor or a sum decided them.  A
+fail-fast stop has built the chunk that holds its witness and nothing past
+it, and at most one chunk is held at a time.  `_blocks` evaluates the
+``coverage`` command's rows, which need every value: it shares the chunk
+loop, `_chunk_windows`, and sums every row.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
-from .candidates import _layout, _point_arrays, _point_tuples
+from .candidates import _layout, _Layout, _point_arrays, _point_tuples
 from .coverage import _coverage, _windows
-from .kernel import interval_probs
+from .kernel import _floors, interval_probs
 from .types import CoverageResult, ErrorCriterion, ParamInterval
 
 __all__ = ["min_coverage", "scan_min_coverage"]
@@ -39,6 +57,10 @@ __all__ = ["min_coverage", "scan_min_coverage"]
 _PREFIX = 8
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 512
+# A row whose coverage floor is above a threshold by more than this has a
+# coverage above it: the floor is within 1e-14 of a true lower bound and
+# the kernel within 1e-12 of the exact mass.
+_MARGIN = 1e-9
 
 
 def scan_min_coverage(
@@ -55,6 +77,12 @@ def scan_min_coverage(
     that witness rather than the global minimum, which is all a pass/fail
     decision needs.  Candidates are built as they are scanned, a chunk at
     a time past the first few, so an early stop also stops building them.
+
+    Past the first few, a candidate's coverage is summed only where its
+    coverage floor cannot show that it is above the threshold, or above the
+    least coverage summed so far (see the module docstring).  The count
+    still covers every candidate up to and including the witness, or all of
+    them, whether its floor or its sum decided it.
     """
     layout = _layout(criterion, n, interval)
     best_cov = None
@@ -70,16 +98,47 @@ def scan_min_coverage(
     if count < _PREFIX:
         return CoverageResult(lam=best_lam, g=best_g, h=best_h, coverage=best_cov), count
 
-    for lams, gs, hs, covs in _blocks(criterion, n, _point_arrays(layout), _PREFIX):
-        if fail_fast_threshold is not None:
-            # Every earlier coverage is above the threshold, so the first
-            # one at or below it is a new best and the witness.
-            hits = np.flatnonzero(covs <= fail_fast_threshold)
-            if hits.size:
-                i = int(hits[0])
-                return (CoverageResult(lam=float(lams[i]), g=int(gs[i]), h=int(hs[i]),
-                                       coverage=float(covs[i])), count + i + 1)
-        count += covs.size
+    sizes = _block_sizes()
+    chunks = _floored_chunks(criterion, n, layout)
+    least = best_cov  # the least exact coverage summed so far
+    if fail_fast_threshold is not None:
+        # Every earlier coverage is above the threshold, and so is that of
+        # every row left out here, so the first summed row at or below it
+        # is a new best and the witness.
+        seen, built, last = count, 0, []
+        for chunk in chunks:
+            lams, gs, hs, mus, floors, covs = chunk
+            rows = np.flatnonzero(floors <= fail_fast_threshold + _MARGIN)
+            start = 0
+            while start < rows.size:
+                block = rows[start:start + next(sizes)]
+                start += block.size
+                covs[block] = interval_probs(gs[block], hs[block], mus[block])
+                hits = block[covs[block] <= fail_fast_threshold]
+                if hits.size:
+                    i = int(hits[0])
+                    return (CoverageResult(lam=float(lams[i]), g=int(gs[i]), h=int(hs[i]),
+                                           coverage=float(covs[i])), seen + i + 1)
+            least = min(least, covs.min())
+            seen += lams.size
+            built, last = built + 1, [chunk]
+        # No failure: the minimum pass rebuilds the chunks before the last,
+        # which it still holds.
+        chunks = chain(islice(_floored_chunks(criterion, n, layout), max(built - 1, 0)), last)
+
+    for lams, gs, hs, mus, floors, covs in chunks:
+        # A row left out here has a coverage above the least one summed, so
+        # it can be neither the chunk's minimum nor tie with it.
+        rows = np.flatnonzero(covs == np.inf)
+        rows = rows[floors[rows].argsort()]
+        start = 0
+        while start < rows.size and floors[rows[start]] <= least + _MARGIN:
+            block = rows[start:start + next(sizes)]
+            block = block[floors[block] <= least + _MARGIN]
+            start += block.size
+            covs[block] = interval_probs(gs[block], hs[block], mus[block])
+            least = min(least, covs[block].min())
+        count += lams.size
         i = int(covs.argmin())
         if covs[i] < best_cov:
             best_lam, best_g, best_h = float(lams[i]), int(gs[i]), int(hs[i])
@@ -87,24 +146,51 @@ def scan_min_coverage(
     return CoverageResult(lam=best_lam, g=best_g, h=best_h, coverage=best_cov), count
 
 
-def _blocks(
+def _floored_chunks(
+    criterion: ErrorCriterion, n: int, layout: _Layout
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """(lams, g, h, mus, floors, covs) arrays over the candidates of
+    ``layout`` past the scalar prefix, a chunk at a time in rate order:
+    means, coverage floors, and coverages that are inf until summed."""
+    for lams, gs, hs in _chunk_windows(criterion, n, _point_arrays(layout), _PREFIX):
+        mus = n * lams
+        yield lams, gs, hs, mus, _floors(gs, hs, mus), np.full(lams.size, np.inf)
+
+
+def _chunk_windows(
     criterion: ErrorCriterion, n: int, chunks: Iterator[tuple[np.ndarray, ...]], skip: int = 0
 ) -> Iterator[tuple[np.ndarray, ...]]:
-    """(lams, g, h, coverage) arrays over the candidates of `_point_arrays`'
-    ``chunks`` past the first ``skip``, a block at a time in rate order; a
-    chunk is built only when its first block is asked for."""
-    size = _FIRST_BLOCK
+    """(lams, g, h) arrays over the candidates of `_point_arrays`' ``chunks``
+    past the first ``skip``, a nonempty chunk at a time in rate order."""
     for chunk in chunks:
         lams, g_ell, h_ell = (column[skip:] for column in chunk)
         skip = max(0, skip - chunk[0].size)
-        gs, hs = _windows(criterion, n, lams, g_ell, h_ell)
+        if lams.size:
+            yield (lams, *_windows(criterion, n, lams, g_ell, h_ell))
+
+
+def _block_sizes() -> Iterator[int]:
+    """Rows per `interval_probs` call: _FIRST_BLOCK, doubling up to _MAX_BLOCK."""
+    size = _FIRST_BLOCK
+    while True:
+        yield size
+        size = min(2 * size, _MAX_BLOCK)
+
+
+def _blocks(
+    criterion: ErrorCriterion, n: int, chunks: Iterator[tuple[np.ndarray, ...]]
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """(lams, g, h, coverage) arrays over every candidate of `_point_arrays`'
+    ``chunks``, a block at a time in rate order; a chunk is built only when
+    its first block is asked for."""
+    sizes = _block_sizes()
+    for lams, gs, hs in _chunk_windows(criterion, n, chunks):
         start = 0
         while start < lams.size:
-            block = slice(start, start + size)
+            block = slice(start, start + next(sizes))
+            start = block.stop
             yield (lams[block], gs[block], hs[block],
                    interval_probs(gs[block], hs[block], n * lams[block]))
-            start += size
-            size = min(2 * size, _MAX_BLOCK)
 
 
 def min_coverage(

@@ -6,7 +6,10 @@ interval strictly exceeds 1 - delta.  Sufficiency is not monotone in n
 walks n upward from start_n and returns the first sufficient value.  Each
 n is decided by a candidate scan that stops at the first failing rate; at
 the returned n no rate fails, so that scan is complete and reports the
-minimum over the scanned rates.
+minimum over the scanned rates.  The scan sums a candidate's coverage only
+where a cheap floor on it cannot rule the candidate out (see `minimizer`);
+``evaluations`` counts the candidates it went through in rate order, summed
+or not, so it does not depend on how many sums were needed.
 
 For relative and mixed criteria the exponential tail bounds discharge all
 rates above `lambda_threshold`, so each decision only scans candidates in

@@ -134,12 +134,14 @@ _BAD_INTERVAL_CALLS = [args for fn, args in _BAD_KERNEL_CALLS if fn is interval_
 def test_batched_kernel_raises_the_scalar_error(args):
     with pytest.raises(ValueError) as want:
         interval_prob(*args)
-    # alone, and behind a good element so the first bad one is reported
+    # alone, and behind a good element so the first bad one is reported;
+    # the coverage floor checks its input the same way
     for g, h, mu in ([args[0]], [args[1]], [args[2]]), (
             [0, args[0], 1], [3, args[1], 2], [1.0, args[2], 1.0]):
-        with pytest.raises(ValueError) as got:
-            interval_probs(g, h, mu)
-        assert str(got.value) == str(want.value)
+        for fn in (interval_probs, kernel._floors):
+            with pytest.raises(ValueError) as got:
+                fn(g, h, mu)
+            assert str(got.value) == str(want.value)
 
 
 def test_kernel_accepts_the_mean_limit_itself():
@@ -226,6 +228,38 @@ def test_batched_kernel_matches_the_scalar_kernel_bit_for_bit(args, cells):
 
 def test_batched_kernel_takes_empty_arrays():
     assert interval_probs([], [], []).shape == (0,)
+
+
+@st.composite
+def _floor_args(draw):
+    """(g, h, mu) with either side of the window anywhere from deep in one
+    tail to deep in the other: negative g, empty windows, g above and h
+    below mu, zero, subnormal and tiny means up to 2**38."""
+    mu = draw(st.sampled_from([0.0, 5e-324, 1e-300, 1e-6, 2.0 ** 38])
+              | st.floats(1e-6, 60.0) | st.floats(60.0, 1e6)
+              | st.floats(1e6, 2.0 ** 38))
+    reach = int(12.0 * min(math.sqrt(mu), 200.0)) + 20
+    side = st.integers(-reach, reach) | st.integers(reach, 20 * reach)
+    g = math.floor(mu) + draw(side | side.map(lambda k: -k))
+    if draw(st.integers(0, 9)) == 0:
+        g = -draw(st.integers(1, 50))
+    h = math.floor(mu) + draw(side | side.map(lambda k: -k))
+    return g, h, mu
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_floor_args(), min_size=1, max_size=20))
+@example([(-5, 3, 0.0), (1, 0, 5e-324), (0, -1, 1e-6)])        # mu = 0, empty
+@example([(9160, 9538, 9348.0), (1, 10**6, 2.0 ** 38)])        # a scan row
+def test_floor_is_a_lower_bound_on_the_kernel(args):
+    g, h, mu = zip(*args)
+    floors = kernel._floors(g, h, mu)
+    # the batched kernel is interval_prob bit for bit (tested above)
+    probs = interval_probs(g, h, mu)
+    for floor, prob, row in zip(floors.tolist(), probs.tolist(), args):
+        assert floor <= prob + 1e-12, row
+        assert floor == -math.inf or row[2] > 0.0, row
+
 
 
 def test_interval_prob_monotone_in_upper_index():

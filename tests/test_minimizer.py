@@ -20,7 +20,7 @@ from poisson_ss import (
     min_coverage,
     scan_min_coverage,
 )
-from poisson_ss import candidates, minimizer
+from poisson_ss import candidates, kernel, minimizer
 from poisson_ss.candidates import DEDUP_REL_TOL, _layout, _point_arrays, _point_tuples
 from poisson_ss.coverage import _window, _windows
 from poisson_ss.minimizer import _FIRST_BLOCK, _MAX_BLOCK, _PREFIX
@@ -347,3 +347,40 @@ def test_fail_fast_stop_on_a_block_edge_row(row):
     assert witness.lam == full[q].value
     assert witness.coverage == covs[q]
     assert (witness, count) == reference_scan(crit, n, interval, covs[q])
+
+
+def test_fail_fast_scan_sums_only_rows_its_floors_cannot_decide(monkeypatch):
+    # n = 1900 fails first at position 9 350 of its 9 501 candidates on
+    # [0, 5], in the third chunk; the coverage floors prove most rows before
+    # it safe, and the chunks before the witness's need no minimum
+    crit, n, interval, threshold = Absolute(0.1), 1900, ParamInterval(0.0, 5.0), 0.95
+    summed = []
+    kernel_sum = minimizer.interval_probs
+
+    def counting_sum(g, h, mu):
+        summed.append(len(mu))
+        return kernel_sum(g, h, mu)
+
+    monkeypatch.setattr(minimizer, "interval_probs", counting_sum)
+    witness, count = scan_min_coverage(crit, n, interval, threshold)
+    assert count == 9350
+    assert sum(summed) < 0.15 * count
+    assert (witness, count) == reference_scan(crit, n, interval, threshold)
+
+
+def test_fail_fast_stop_on_a_row_whose_floor_rounds_above_its_coverage():
+    # Near coverage 1 a floor can round a few 1e-15 above the kernel's
+    # value; the margin must still send such a row to the kernel, or a
+    # threshold at its coverage would stop the scan later.
+    crit, n, interval = Absolute(0.1), 400, ParamInterval(0.0, 1.6)
+    covs = _coverages(crit, n, interval)
+    lams, gs, hs = (np.concatenate(column) for column in zip(
+        *minimizer._chunk_windows(crit, n, _point_arrays(_layout(crit, n, interval)))))
+    floors = kernel._floors(gs, hs, n * lams)
+    rows = [r for r in range(_PREFIX, len(covs))
+            if covs[r] < min(covs[:r]) and floors[r] > covs[r]]
+    assert rows
+    for row in rows:
+        witness, count = scan_min_coverage(crit, n, interval, covs[row])
+        assert count == row + 1
+        assert (witness, count) == reference_scan(crit, n, interval, covs[row])

@@ -207,6 +207,26 @@ def test_truncated_search_is_exact_on_the_whole_interval(
     delta=st.floats(0.1, 0.4),
 )
 def test_absolute_and_zero_based_mixed_searches_are_exact(mixed, eps, eps_r, b, delta):
+    _assert_zero_based_search_is_exact(mixed, eps, eps_r, b, delta)
+
+
+@pytest.mark.slow
+@settings(max_examples=40, deadline=None)
+@given(
+    mixed=st.booleans(),
+    eps=st.floats(0.1, 0.6),
+    eps_r=st.floats(0.1, 0.6),
+    b=st.floats(0.2, 3.0),
+    delta=st.floats(0.1, 0.4),
+)
+def test_absolute_and_zero_based_mixed_searches_are_exact_on_wider_draws(
+        mixed, eps, eps_r, b, delta):
+    # smaller margins and longer intervals: thousands of candidates per n,
+    # most of them decided by their coverage floors
+    _assert_zero_based_search_is_exact(mixed, eps, eps_r, b, delta)
+
+
+def _assert_zero_based_search_is_exact(mixed, eps, eps_r, b, delta):
     # the searches the truncated property above does not draw: n_min - 1
     # fails at a rate that brute force confirms, and n_min covers all of
     # [0, b] by the independent piecewise minimum
@@ -281,3 +301,15 @@ def test_large_plan_absolute_tenth():
     below = min_coverage(Absolute(0.1), 770, ParamInterval(0.0, 2.0))
     assert below.coverage == pytest.approx(0.9487716067238277, rel=1e-12)
     assert below.coverage <= 0.95
+
+
+@pytest.mark.slow
+def test_large_plan_absolute_tenth_to_five():
+    # 1 925 failing n, each scanned up from rate 0 to its witness
+    interval = ParamInterval(0.0, 5.0)
+    plan = min_sample_size(Absolute(0.1), interval, ConfidenceSpec(0.05))
+    assert plan.n_min == 1926
+    assert plan.worst_lambda == 5.0
+    assert plan.worst_coverage.hex() == "0x1.e6804fe0c20bcp-1"
+    assert plan.evaluations == 11_121_875
+    assert min_coverage(Absolute(0.1), 1925, interval).coverage <= 0.95
