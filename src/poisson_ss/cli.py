@@ -94,21 +94,31 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+_json_string = json.encoder.encode_basestring_ascii
+
+
 def _jsonify(obj) -> str:
     """Strict JSON text with all finite floats at 17 significant digits and
-    non-finite ones as null."""
+    non-finite ones as null.  Exact floats and ints, the bulk of ``coverage``
+    rows, are tested for first; strings are written as `json.dumps` writes
+    them."""
+    kind = type(obj)
+    if kind is float:
+        return format(obj, ".17g") if math.isfinite(obj) else "null"
+    if kind is int:
+        return int.__repr__(obj)
+    if isinstance(obj, str):
+        return _json_string(obj)
+    if isinstance(obj, dict):
+        return "{" + ", ".join(
+            f"{_json_string(str(k))}: {_jsonify(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(_jsonify, obj)) + "]"
+    # bool, None, int subclasses and float subclasses such as numpy's
     if isinstance(obj, bool) or obj is None or isinstance(obj, int):
         return json.dumps(obj)
     if isinstance(obj, float):
         return _fmt(obj) if math.isfinite(obj) else "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        items = ", ".join(
-            f"{json.dumps(str(k))}: {_jsonify(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_jsonify(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -38,12 +38,19 @@ fail-fast stop has built the chunk that holds its witness and nothing past
 it, and at most one chunk is held at a time.  `_blocks` evaluates the
 ``coverage`` command's rows, which need every value: it shares the chunk
 loop, `_chunk_windows`, and sums every row.
+
+`_first_fails` holds the fail-fast pass for any number of segments of
+rows, each gone through in rate order: every round sums the next block of
+each segment without a failure yet, all in one `interval_probs` call.  A
+chunk of the scan is one segment.  `_fail_ranks` makes one segment of each
+whole layout of a run of consecutive n, with no scalar prefix, and so
+decides a run of failing n for the fixed costs of one; see `search`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 
 import numpy as np
 
@@ -107,18 +114,12 @@ def scan_min_coverage(
         # is a new best and the witness.
         seen, built, last = count, 0, []
         for chunk in chunks:
-            lams, gs, hs, mus, floors, covs = chunk
-            rows = np.flatnonzero(floors <= fail_fast_threshold + _MARGIN)
-            start = 0
-            while start < rows.size:
-                block = rows[start:start + next(sizes)]
-                start += block.size
-                covs[block] = interval_probs(gs[block], hs[block], mus[block])
-                hits = block[covs[block] <= fail_fast_threshold]
-                if hits.size:
-                    i = int(hits[0])
-                    return (CoverageResult(lam=float(lams[i]), g=int(gs[i]), h=int(hs[i]),
-                                           coverage=float(covs[i])), seen + i + 1)
+            lams, gs, hs, _, _, covs = chunk
+            hit = _first_fails(chunk, [0, lams.size], fail_fast_threshold, sizes)
+            if hit:
+                i = hit[0]
+                return (CoverageResult(lam=float(lams[i]), g=int(gs[i]), h=int(hs[i]),
+                                       coverage=float(covs[i])), seen + i + 1)
             least = min(least, covs.min())
             seen += lams.size
             built, last = built + 1, [chunk]
@@ -153,8 +154,69 @@ def _floored_chunks(
     ``layout`` past the scalar prefix, a chunk at a time in rate order:
     means, coverage floors, and coverages that are inf until summed."""
     for lams, gs, hs in _chunk_windows(criterion, n, _point_arrays(layout), _PREFIX):
-        mus = n * lams
-        yield lams, gs, hs, mus, _floors(gs, hs, mus), np.full(lams.size, np.inf)
+        yield _floored(lams, gs, hs, n * lams)
+
+
+def _fail_ranks(
+    criterion: ErrorCriterion, layouts: list[tuple[int, _Layout]], threshold: float
+) -> list[int]:
+    """The count a fail-fast `scan_min_coverage` of each (n, layout) would
+    return, the rank in rate order of its first coverage at or below
+    ``threshold``, for the leading layouts that have such a coverage.
+
+    The whole array layout of every n goes into one floored chunk, one
+    segment per n, with no scalar prefix: the floors rule out the low rates."""
+    if not layouts:
+        return []
+    parts = [[(lams, gs, hs, n * lams)
+              for lams, gs, hs in _chunk_windows(criterion, n, _point_arrays(layout))]
+             for n, layout in layouts]
+    bounds = list(accumulate((sum(lams.size for lams, *_ in part) for part in parts),
+                             initial=0))
+    chunk = _floored(*map(np.concatenate, zip(*chain.from_iterable(parts))))
+    del parts  # the per-n arrays, before the sums' temporaries
+    hits = _first_fails(chunk, bounds, threshold, _block_sizes())
+    return [hit - start + 1 for hit, start in zip(hits, bounds)]
+
+
+def _floored(
+    lams: np.ndarray, gs: np.ndarray, hs: np.ndarray, mus: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The rows as a chunk of `_floored_chunks`."""
+    return lams, gs, hs, mus, _floors(gs, hs, mus), np.full(lams.size, np.inf)
+
+
+def _first_fails(
+    chunk: tuple[np.ndarray, ...], bounds: list[int], threshold: float, sizes: Iterator[int]
+) -> list[int]:
+    """Rows of the first coverage at or below ``threshold``, in rate order,
+    of the leading segments of a floored ``chunk`` that have one; segment k
+    is rows bounds[k] to bounds[k + 1].
+
+    Only rows whose floor is within _MARGIN of the threshold are summed,
+    into the chunk's coverages.  Each round sums the next ``next(sizes)``
+    of them in every segment without a failure yet, in one `interval_probs`
+    call.  The rounds stop once the first segment without a failure has no
+    rows left, since the segments past it no longer count."""
+    _, gs, hs, mus, floors, covs = chunk
+    rows = np.flatnonzero(floors <= threshold + _MARGIN)
+    pos, end = rows.searchsorted(bounds[:-1]), rows.searchsorted(bounds[1:])
+    hits = np.full(pos.size, -1)
+    lead = 0
+    while True:
+        while lead < hits.size and hits[lead] >= 0:
+            lead += 1
+        if lead == hits.size or pos[lead] == end[lead]:
+            return hits[:lead].tolist()
+        take = np.where(hits < 0, np.minimum(end - pos, next(sizes)), 0)
+        # segment k's next take[k] rows, segment after segment
+        block = rows[np.repeat(pos - take.cumsum() + take, take) + np.arange(take.sum())]
+        covs[block] = interval_probs(gs[block], hs[block], mus[block])
+        fails = np.flatnonzero(covs[block] <= threshold)
+        segment = np.repeat(np.arange(take.size), take)[fails]
+        first = np.flatnonzero(np.diff(segment, prepend=-1))
+        hits[segment[first]] = block[fails[first]]
+        pos += take
 
 
 def _chunk_windows(

@@ -20,6 +20,26 @@ An Absolute criterion has no tails to bound and scans all of [a, b].  The
 global worst case at the returned n, over all of [a, b], is
 `min_coverage(criterion, plan.n_min, interval)`.
 
+A failing n whose witness lies past the scan's few scalar candidates costs
+mostly fixed per-n overhead (building arrays, `interval_probs` calls), not
+sums.  So once an n's witness lies there, the search decides the following
+n in batched runs: it takes the next consecutive n, never above max_n,
+whose `cardinality_bound` over their scanned intervals sum to at most one
+chunk of the array layout, lays out each n's whole candidate set over
+[a, scan_b] as arrays, and runs the scan's fail-fast pass over all of them
+at once, one segment of rows per n (`minimizer._fail_ranks`).  Each n's
+decision there is the sequential one: its segment holds exactly its own
+candidates, and the pass stops it at its first coverage at or below
+1 - delta in rate order, so a failure found is the fail-fast scan's
+witness and its rank the scan's ``evaluations``.  The leading n that fail
+are decided by the run; the first n that does not goes through the
+sequential scan, which is then complete and gives the plan.  So do an n
+whose layout alone exceeds a chunk and one whose tail bound leaves only a.
+An error building an n's layout ends the run before that n, which goes
+through the sequential scan if the search gets there, so an error
+surfaces only at an n the sequential search reaches.  The n of a run past
+the answer are speculative: they cost work but never change the answer.
+
 For a relative criterion the count K = 0 is never inside the acceptance
 window, so the coverage at rate a is at most 1 - exp(-n a) and every
 sufficient n exceeds ln(1/delta) / a.  A budget max_n below that bound is
@@ -30,9 +50,10 @@ from __future__ import annotations
 
 import math
 
+from .candidates import _CHUNK, _layout, cardinality_bound
 from .chernoff import lambda_threshold
 from .coverage import coverage_at
-from .minimizer import scan_min_coverage
+from .minimizer import _PREFIX, _fail_ranks, scan_min_coverage
 from .types import (
     ConfidenceSpec,
     CoverageResult,
@@ -68,6 +89,17 @@ def _relative_eps(criterion: ErrorCriterion) -> float | None:
     return None
 
 
+def _scan_b(criterion: ErrorCriterion, interval: ParamInterval, delta: float, n: int) -> float:
+    """Upper end of the rates that decide n: the tail-bound threshold where
+    it falls below b."""
+    eps_r = _relative_eps(criterion)
+    if eps_r is not None:
+        threshold = lambda_threshold(n, eps_r, delta)
+        if threshold < interval.b:
+            return threshold
+    return interval.b
+
+
 def _decide(
     criterion: ErrorCriterion,
     interval: ParamInterval,
@@ -75,13 +107,8 @@ def _decide(
     n: int,
 ) -> tuple[bool, CoverageResult, int, float]:
     """Pass/fail at one n: (passed, witness, evaluations, scanned upper end)."""
-    a, b = interval.a, interval.b
-    scan_b = b
-    eps_r = _relative_eps(criterion)
-    if eps_r is not None:
-        threshold = lambda_threshold(n, eps_r, delta)
-        if threshold < b:
-            scan_b = threshold
+    a = interval.a
+    scan_b = _scan_b(criterion, interval, delta, n)
     if scan_b <= a:
         # The tail bounds certify every rate above a; only a itself is left.
         result = coverage_at(criterion, n, a)
@@ -89,6 +116,32 @@ def _decide(
     result, evals = scan_min_coverage(
         criterion, n, ParamInterval(a, scan_b), 1.0 - delta)
     return result.coverage > 1.0 - delta, result, evals, scan_b
+
+
+def _fail_run(
+    criterion: ErrorCriterion,
+    interval: ParamInterval,
+    delta: float,
+    start: int,
+    max_n: int,
+) -> tuple[list[int], int]:
+    """(evaluations of each n from ``start`` on that one batch shows
+    failing, number of n built for the batch); see the module docstring."""
+    a = interval.a
+    layouts, rows = [], 0.0
+    for n in range(start, max_n + 1):
+        try:
+            scan_b = _scan_b(criterion, interval, delta, n)
+            if scan_b <= a:
+                break
+            scanned = ParamInterval(a, scan_b)
+            rows += cardinality_bound(criterion, n, scanned)
+            if rows > _CHUNK:
+                break
+            layouts.append((n, _layout(criterion, n, scanned)))
+        except ValueError:
+            break
+    return _fail_ranks(criterion, layouts, 1.0 - delta), len(layouts)
 
 
 def min_sample_size(
@@ -125,8 +178,16 @@ def min_sample_size(
                 f"relative coverage at a = {interval.a!r} needs "
                 f"n > ln(1/delta) / a = {n_lower:.6g}")
 
-    evaluations = 0
-    for n in range(start_n, max_n + 1):
+    evaluations = evals = 0
+    n = start_n
+    while n <= max_n:
+        if evals > _PREFIX:
+            ranks, built = _fail_run(criterion, interval, delta, n, max_n)
+            evaluations += sum(ranks)
+            n += len(ranks)
+            if ranks and len(ranks) == built:
+                evals = ranks[-1]
+                continue
         passed, result, evals, scan_b = _decide(criterion, interval, delta, n)
         evaluations += evals
         if passed:
@@ -137,4 +198,5 @@ def min_sample_size(
                 evaluations=evaluations,
                 truncated_b=scan_b,
             )
+        n += 1
     raise MaxSampleSizeExceeded(max_n)

@@ -1,14 +1,17 @@
 """Command-line behavior: output schemas, formats, exit codes, batch mode."""
 
 import contextlib
+import enum
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -684,3 +687,28 @@ def test_floats_are_emitted_with_full_precision(capsys):
     want = min_coverage(Relative(0.5), 40, ParamInterval(0.5, 3.0))
     assert worst["coverage"] == want.coverage
     assert worst["lambda"] == want.lam
+
+
+class _Text(str):
+    pass
+
+
+class _Code(enum.IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize("value", [
+    0, -7, 10**30, True, None, "plain", 'non-ascii \u00e9, "quoted"\n', _Text("sub"),
+    _Code.ONE, [1, (2, "x"), []], {"k": {"inner": [None, False]}, 3: "int key", "": {}},
+])
+def test_json_text_without_floats_is_json_dumps(value):
+    assert cli._jsonify(value) == json.dumps(value)
+
+
+@pytest.mark.parametrize("value,text", [
+    (0.1, "0.10000000000000001"), (np.float64(0.1), "0.10000000000000001"),
+    (-0.0, "-0"), (5e-324, "4.9406564584124654e-324"), (math.inf, "null"),
+    (np.float64("nan"), "null"),
+])
+def test_json_text_of_floats(value, text):
+    assert cli._jsonify({"x": [value]}) == f'{{"x": [{text}]}}'

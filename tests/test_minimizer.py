@@ -1,7 +1,7 @@
 """Worst-case coverage over an interval via the candidate set."""
 
 import sys
-from itertools import islice
+from itertools import islice, repeat
 from unittest import mock
 
 import numpy as np
@@ -366,6 +366,39 @@ def test_fail_fast_scan_sums_only_rows_its_floors_cannot_decide(monkeypatch):
     assert count == 9350
     assert sum(summed) < 0.15 * count
     assert (witness, count) == reference_scan(crit, n, interval, threshold)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    cuts=st.lists(st.integers(1, 1_200), max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+    quantile=st.floats(0.0, 0.6),
+    size=st.sampled_from([1, 3, 64]),
+)
+def test_first_failures_of_segments_match_a_plain_search(cuts, seed, quantile, size):
+    # the fail-fast pass over segments of rows, in rounds of `size` rows a
+    # segment, against a plain search of each segment for its first
+    # failure, up to the first segment without one.  The rows of a layout
+    # are shuffled, so that failures are spread over every segment.
+    crit, n, interval = Absolute(0.1), 400, ParamInterval(0.0, 1.6)
+    lams, gs, hs = (np.concatenate(column) for column in zip(
+        *minimizer._chunk_windows(crit, n, _point_arrays(_layout(crit, n, interval)))))
+    order = np.random.default_rng(seed).permutation(lams.size)
+    lams, gs, hs = lams[order], gs[order], hs[order]
+    covs = kernel.interval_probs(gs, hs, n * lams)
+    threshold = float(np.quantile(covs, quantile, method="lower"))
+    bounds = sorted({0, lams.size, *(cut % lams.size for cut in cuts)})
+    chunk = minimizer._floored(lams, gs, hs, n * lams)
+    hits = minimizer._first_fails(chunk, bounds, threshold, repeat(size))
+    want = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        fails = np.flatnonzero(covs[lo:hi] <= threshold)
+        if not fails.size:
+            break
+        want.append(lo + int(fails[0]))
+    assert hits == want
+    summed = chunk[5] != np.inf
+    assert (chunk[5][summed] == covs[summed]).all()
 
 
 def test_fail_fast_stop_on_a_row_whose_floor_rounds_above_its_coverage():

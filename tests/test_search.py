@@ -4,11 +4,13 @@ import inspect
 import itertools
 import math
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import poisson_ss.minimizer
 import poisson_ss.search
 from poisson_ss import (
     Absolute,
@@ -24,6 +26,7 @@ from poisson_ss import (
     min_sample_size,
     scan_min_coverage,
 )
+from poisson_ss import candidates, search
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from exact_reference import exact_min_coverage  # noqa: E402
@@ -39,6 +42,12 @@ PINNED = [
      47, 1.5425531914893618, 0.9004319529309714, 2029, 3.0),
     (Relative(0.5), ParamInterval(0.2, 100.0), 0.2,
      41, 0.21138211382113822, 0.8313613050071041, 76, 0.5815317817369328),
+    # most failing n of these two are decided in batched runs
+    (Absolute(0.1), ParamInterval(0.0, 1.0), 0.1,
+     276, 1.0, float.fromhex("0x1.cdf82f4c6991cp-1"), 46_039, 1.0),
+    (Mixed(0.05, 0.1), ParamInterval(0.0, 2.0), 0.1,
+     561, float.fromhex("0x1.03b12e01938f5p-1"), float.fromhex("0x1.ce7159c28385cp-1"),
+     102_813, 1.382361940745919),
 ]
 
 
@@ -48,10 +57,10 @@ def test_pinned_plans(criterion, interval, delta, n_min, worst_lam, worst_cov,
                       evals, trunc_b):
     plan = min_sample_size(criterion, interval, ConfidenceSpec(delta))
     assert plan.n_min == n_min
-    assert plan.worst_lambda == pytest.approx(worst_lam, rel=1e-13)
-    assert plan.worst_coverage == pytest.approx(worst_cov, rel=1e-13)
+    assert plan.worst_lambda.hex() == worst_lam.hex()
+    assert plan.worst_coverage.hex() == worst_cov.hex()
     assert plan.evaluations == evals
-    assert plan.truncated_b == pytest.approx(trunc_b, rel=1e-13)
+    assert plan.truncated_b.hex() == trunc_b.hex()
     assert plan.worst_coverage > 1.0 - delta
 
 
@@ -121,6 +130,99 @@ def test_relative_lower_bound_tie_is_left_to_the_scan(monkeypatch):
                         ConfidenceSpec(delta), max_n=max_n)
     assert str(info.value) == f"no sufficient sample size found with n <= {max_n}"
     assert scanned == list(range(1, max_n + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["abs", "mixed", "rel"]),
+    eps=st.floats(0.08, 0.5),
+    eps_r=st.floats(0.08, 0.5),
+    a=st.just(0.0) | st.floats(0.1, 2.0),
+    width=st.floats(0.05, 2.0),
+    delta=st.floats(0.02, 0.4),
+    back=st.integers(0, 30),
+    length=st.integers(1, 30),
+    chunk=st.sampled_from([None, 64]),
+)
+def test_batched_run_decides_each_n_as_its_fail_fast_scan(
+        kind, eps, eps_r, a, width, delta, back, length, chunk):
+    # a run decides n only by a failure its own fail-fast scan also finds,
+    # at the same rank, and ends at the first n that scan finds passing.
+    # Runs start up to 30 below the answer, so most hold failing and
+    # passing n; 64-point chunks split each n's layout into several.
+    if kind == "abs":
+        criterion = Absolute(eps)
+    elif kind == "mixed":
+        criterion = Mixed(eps, eps_r)
+    else:
+        criterion, a = Relative(eps), max(a, 0.1)
+    interval = ParamInterval(a, a + width)
+    level = 1.0 - delta
+    start = max(1, min_sample_size(criterion, interval, ConfidenceSpec(delta)).n_min - back)
+    with mock.patch.object(candidates, "_CHUNK", chunk or candidates._CHUNK):
+        ranks, built = search._fail_run(criterion, interval, delta, start, start + length - 1)
+        assert len(ranks) <= built <= length
+        for n, rank in zip(range(start, start + built), ranks + [None]):
+            scanned = ParamInterval(a, search._scan_b(criterion, interval, delta, n))
+            witness, count = scan_min_coverage(criterion, n, scanned, level)
+            if rank is None:
+                assert witness.coverage > level
+            else:
+                assert witness.coverage <= level
+                assert count == rank
+
+
+# n_min 276; from n = 32 on, its failing n are decided in batched runs of
+# about 16
+_BATCHED = (Absolute(0.1), ParamInterval(0.0, 1.0), ConfidenceSpec(0.1))
+
+
+def _record_layouts(monkeypatch, fail=lambda n: False) -> list[int]:
+    """Record every n whose layout the search builds, for a batched run or
+    a sequential scan, and make building it raise where ``fail(n)``."""
+    seen = []
+    build = poisson_ss.minimizer._layout
+
+    def layout(criterion, n, interval):
+        seen.append(n)
+        if fail(n):
+            raise ValueError(f"injected at n = {n}")
+        return build(criterion, n, interval)
+
+    monkeypatch.setattr(poisson_ss.search, "_layout", layout, raising=False)
+    monkeypatch.setattr(poisson_ss.minimizer, "_layout", layout)
+    return seen
+
+
+def test_batched_runs_never_build_past_max_n(monkeypatch):
+    plan = min_sample_size(*_BATCHED)
+    seen = _record_layouts(monkeypatch)
+    assert min_sample_size(*_BATCHED, max_n=plan.n_min) == plan
+    assert max(seen) == plan.n_min
+
+
+@pytest.mark.parametrize("max_n", [250, 275])
+def test_budget_inside_a_batched_run_raises_as_before(monkeypatch, max_n):
+    seen = _record_layouts(monkeypatch)
+    with pytest.raises(MaxSampleSizeExceeded) as info:
+        min_sample_size(*_BATCHED, max_n=max_n)
+    assert str(info.value) == f"no sufficient sample size found with n <= {max_n}"
+    assert info.value.max_n == max_n
+    assert max(seen) == max_n
+
+
+def test_errors_building_n_past_the_answer_do_not_surface(monkeypatch):
+    plan = min_sample_size(*_BATCHED)
+    seen = _record_layouts(monkeypatch, fail=lambda n: n > plan.n_min)
+    assert min_sample_size(*_BATCHED) == plan
+    assert max(seen) > plan.n_min  # a run did reach past the answer
+
+
+@pytest.mark.parametrize("bad_n", [40, 250])
+def test_errors_building_n_below_the_answer_surface(monkeypatch, bad_n):
+    _record_layouts(monkeypatch, fail=lambda n: n == bad_n)
+    with pytest.raises(ValueError, match=f"^injected at n = {bad_n}$"):
+        min_sample_size(*_BATCHED)
 
 
 def test_start_n_floors_the_search():
@@ -298,6 +400,7 @@ def test_large_plan_absolute_tenth():
     assert plan.n_min == 771
     assert plan.worst_coverage == pytest.approx(0.9501116713140707, rel=1e-12)
     assert plan.worst_lambda == pytest.approx(1.999870298313878, rel=1e-12)
+    assert plan.evaluations == 710_968
     below = min_coverage(Absolute(0.1), 770, ParamInterval(0.0, 2.0))
     assert below.coverage == pytest.approx(0.9487716067238277, rel=1e-12)
     assert below.coverage <= 0.95
