@@ -274,7 +274,7 @@ def _row_bound(criterion, n: int, interval) -> float:
     # an infinite bound is an infinite b, which the candidate layout reports
     if _MAX_GRID_POINTS < bound < math.inf:
         raise ValidationError(
-            f"the candidate set may hold up to {bound:.0f} points, more than "
+            f"the candidate set may hold up to {bound:.15g} points, more than "
             f"the {_MAX_GRID_POINTS} a row command lists; narrow [a, b] or "
             "lower --n")
     return bound

@@ -142,16 +142,17 @@ def _windows(
     The float rule takes the same operations in the same order; ``np.rint``
     rounds half to even like ``round``.  A negative rate or a non-finite
     product raises `_window`'s ValueError for the first such rate."""
-    if isinstance(criterion, Mixed):
-        absolute = lams <= criterion.crossover
-        eps = np.where(absolute, criterion.eps_a, criterion.eps_r)
-        lower = np.where(absolute, n * (lams - eps), n * lams * (1.0 - eps))
-        upper = np.where(absolute, n * (lams + eps), n * lams * (1.0 + eps))
-    elif isinstance(criterion, Absolute):
-        lower, upper = n * (lams - criterion.eps), n * (lams + criterion.eps)
-    else:
-        mu = n * lams
-        lower, upper = mu * (1.0 - criterion.eps), mu * (1.0 + criterion.eps)
+    with np.errstate(over="ignore"):  # a product overflows to inf, as in floats
+        if isinstance(criterion, Mixed):
+            absolute = lams <= criterion.crossover
+            eps = np.where(absolute, criterion.eps_a, criterion.eps_r)
+            lower = np.where(absolute, n * (lams - eps), n * lams * (1.0 - eps))
+            upper = np.where(absolute, n * (lams + eps), n * lams * (1.0 + eps))
+        elif isinstance(criterion, Absolute):
+            lower, upper = n * (lams - criterion.eps), n * (lams + criterion.eps)
+        else:
+            mu = n * lams
+            lower, upper = mu * (1.0 - criterion.eps), mu * (1.0 + criterion.eps)
     bad = ~((lams >= 0.0) & np.isfinite(lower) & np.isfinite(upper))
     if bad.any():
         _window(criterion, n, float(lams[bad.argmax()]), ())  # raises

@@ -324,10 +324,34 @@ def interval_probs(g, h, mu) -> np.ndarray:
     `interval_prob` rejects raises its ValueError, for the first bad
     element.
     """
+    g, h, mu = np.asarray(g), np.asarray(h), np.asarray(mu)
     # Python floats overflow to inf silently (x / mu at a subnormal mean,
     # inf - inf in the count check); so do these arrays.
     with np.errstate(over="ignore", invalid="ignore"):
-        return _interval_probs(np.asarray(g), np.asarray(h), np.asarray(mu))
+        _check(g, h, mu)
+        lo = np.maximum(g, 0.0)
+        hi = np.asarray(h, dtype=np.float64)
+        mu = np.asarray(mu, dtype=np.float64)
+        live = (hi >= lo) & (mu != 0.0)
+        if live.all():
+            out = np.empty(mu.shape)
+            live = slice(None)
+        else:
+            out = np.zeros(mu.shape)
+            out[(mu == 0.0) & (lo == 0.0) & (hi >= 0.0)] = 1.0
+            live = np.flatnonzero(live)
+            lo, hi, mu = lo[live], hi[live], mu[live]
+
+        anchor = np.minimum(np.maximum(np.floor(mu), lo), hi)
+        mass = _pmfs(anchor, mu)
+        total, comp = mass.copy(), np.zeros_like(mass)
+        _extend(total, comp, mass, anchor, hi - anchor, mu, up=True)
+        _extend(total, comp, mass, anchor, anchor - lo, mu, up=False)
+        # An underflowing anchor, the largest in-range term, makes every term
+        # and so the result an exact 0.0.
+        res = total + comp
+        out[live] = np.where(res < 0.0, 0.0, np.where(res > 1.0, 1.0, res))
+        return out
 
 
 def _check(g: np.ndarray, h: np.ndarray, mu: np.ndarray) -> None:
@@ -337,33 +361,6 @@ def _check(g: np.ndarray, h: np.ndarray, mu: np.ndarray) -> None:
         bad = ~((mu >= 0.0) & (mu <= _MAX_MEAN) & np.isfinite(h - g))
         i = int(bad.argmax())
         interval_prob(g[i].item(), h[i].item(), mu[i].item())  # raises
-
-
-def _interval_probs(g: np.ndarray, h: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    _check(g, h, mu)
-    lo = np.maximum(g, 0.0)
-    hi = np.asarray(h, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    live = (hi >= lo) & (mu != 0.0)
-    if live.all():
-        out = np.empty(mu.shape)
-        live = slice(None)
-    else:
-        out = np.zeros(mu.shape)
-        out[(mu == 0.0) & (lo == 0.0) & (hi >= 0.0)] = 1.0
-        live = np.flatnonzero(live)
-        lo, hi, mu = lo[live], hi[live], mu[live]
-
-    anchor = np.minimum(np.maximum(np.floor(mu), lo), hi)
-    mass = _pmfs(anchor, mu)
-    total, comp = mass.copy(), np.zeros_like(mass)
-    _extend(total, comp, mass, anchor, hi - anchor, mu, up=True)
-    _extend(total, comp, mass, anchor, anchor - lo, mu, up=False)
-    # An underflowing anchor, the largest in-range term, makes every term
-    # and so the result an exact 0.0.
-    res = total + comp
-    out[live] = np.where(res < 0.0, 0.0, np.where(res > 1.0, 1.0, res))
-    return out
 
 
 def _floors(g, h, mu) -> np.ndarray:

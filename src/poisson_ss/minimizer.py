@@ -5,21 +5,24 @@ yields the exact minimum over the whole continuum of rates; between
 consecutive candidates the coverage never dips below the smaller of the two
 adjacent candidate values.
 
-The scan keeps the best point as scalars and builds one `CoverageResult`
-on return.  Its first _PREFIX candidates come from the lazy tuple stream
-and are evaluated one at a time with the scalar kernel: a failing n is
-usually decided there (a Relative search spends ~2.4 evaluations per n),
-and building arrays or calling numpy would cost more than those few sums.
+A scan with a threshold first probes its first _PREFIX candidates from
+the lazy tuple stream, one at a time with the scalar kernel, and returns
+the first one at or below the threshold: a failing n is usually decided
+there (a Relative search spends ~2.4 evaluations per n), and building
+arrays or calling numpy would cost more than those few sums.  The probe
+only looks for a failure; a full scan skips it.
 
-Past them the scan takes the array layout one chunk at a time, resolves
-the chunk's windows at once with `_windows` and gives every row a coverage
-floor, `kernel._floors`: one minus geometric bounds on the two Poisson
-tails outside the window.  The floor is within 1e-14 of a true lower bound
-on the coverage and the kernel within 1e-12 of the coverage, so a row whose
+Past a probe that found none, and for a full scan, the scan takes the
+array layout from its first row one chunk at a time, resolves the chunk's
+windows at once with `_windows` and gives every row a coverage floor,
+`kernel._floors`: one minus geometric bounds on the two Poisson tails
+outside the window.  The floor is within 1e-14 of a true lower bound on
+the coverage and the kernel within 1e-12 of the coverage, so a row whose
 floor is above some value by more than _MARGIN = 1e-9 has a kernel value
 above it.  Only the rows the floor cannot rule out are summed, by
-`interval_probs` in blocks of _FIRST_BLOCK rows, doubling up to
-_MAX_BLOCK, bit for bit the scalar values.  There are two passes:
+`interval_probs` in blocks of _BLOCK rows, bit for bit the scalar values;
+so a probed row read again has the value the probe saw, above the
+threshold.  There are two passes:
 
 * the fail-fast pass, for a scan with a threshold, goes over each chunk
   in rate order and sums the rows whose floor is within the margin of the
@@ -27,8 +30,9 @@ _MAX_BLOCK, bit for bit the scalar values.  There are two passes:
   candidate in rate order;
 * the minimum pass, for a full scan or a threshold scan that found no
   failure, sums each chunk's other rows in ascending order of their floor
-  while the floor is within the margin of the least value summed so far.
-  A threshold scan rebuilds the chunks before the one it still holds, so
+  while the floor is within the margin of the least value summed so far,
+  which starts at infinity: the first chunk's lowest floors set it.  A
+  threshold scan rebuilds the chunks before the one it still holds, so
   a failing n never pays for a minimum.
 
 So the scan returns what a point-by-point scan returns: ties go to the
@@ -43,7 +47,7 @@ loop, `_chunk_windows`, and sums every row.
 rows, each gone through in rate order: every round sums the next block of
 each segment without a failure yet, all in one `interval_probs` call.  A
 chunk of the scan is one segment.  `_fail_ranks` makes one segment of each
-whole layout of a run of consecutive n, with no scalar prefix, and so
+whole layout of a run of consecutive n, with no scalar probe, and so
 decides a run of failing n for the fixed costs of one; see `search`.
 """
 
@@ -62,8 +66,7 @@ from .types import CoverageResult, ErrorCriterion, ParamInterval
 __all__ = ["min_coverage", "scan_min_coverage"]
 
 _PREFIX = 8
-_FIRST_BLOCK = 64
-_MAX_BLOCK = 512
+_BLOCK = 64
 # A row whose coverage floor is above a threshold by more than this has a
 # coverage above it: the floor is within 1e-14 of a true lower bound and
 # the kernel within 1e-12 of the exact mass.
@@ -82,40 +85,34 @@ def scan_min_coverage(
     smaller rate.  When a fail-fast threshold is given the scan stops at the
     first candidate with coverage <= threshold; the returned result is then
     that witness rather than the global minimum, which is all a pass/fail
-    decision needs.  Candidates are built as they are scanned, a chunk at
-    a time past the first few, so an early stop also stops building them.
+    decision needs.  Such a scan first probes the first _PREFIX candidates
+    one at a time; past the probe, and for a full scan from the start,
+    candidates are built a chunk at a time, so an early stop also stops
+    building them.
 
-    Past the first few, a candidate's coverage is summed only where its
+    In the array path a candidate's coverage is summed only where its
     coverage floor cannot show that it is above the threshold, or above the
     least coverage summed so far (see the module docstring).  The count
     still covers every candidate up to and including the witness, or all of
     them, whether its floor or its sum decided it.
     """
     layout = _layout(criterion, n, interval)
-    best_cov = None
-    count = 0
-    for value, kind, ell, extra_tags in islice(_point_tuples(layout), _PREFIX):
-        g, h, cov = _coverage(criterion, n, value, ((kind, ell),) + extra_tags)
-        count += 1
-        if best_cov is None or cov < best_cov:
-            best_lam, best_g, best_h, best_cov = value, g, h, cov
-            # Only a new best can first reach the threshold.
-            if fail_fast_threshold is not None and cov <= fail_fast_threshold:
-                return CoverageResult(lam=value, g=g, h=h, coverage=cov), count
-    if count < _PREFIX:
-        return CoverageResult(lam=best_lam, g=best_g, h=best_h, coverage=best_cov), count
-
-    sizes = _block_sizes()
-    chunks = _floored_chunks(criterion, n, layout)
-    least = best_cov  # the least exact coverage summed so far
     if fail_fast_threshold is not None:
-        # Every earlier coverage is above the threshold, and so is that of
-        # every row left out here, so the first summed row at or below it
-        # is a new best and the witness.
-        seen, built, last = count, 0, []
+        probe = islice(_point_tuples(layout), _PREFIX)
+        for count, (value, kind, ell, extra_tags) in enumerate(probe, 1):
+            g, h, cov = _coverage(criterion, n, value, ((kind, ell),) + extra_tags)
+            if cov <= fail_fast_threshold:
+                return CoverageResult(lam=value, g=g, h=h, coverage=cov), count
+
+    chunks = _floored_chunks(criterion, n, layout)
+    least = np.inf  # the least exact coverage summed so far
+    if fail_fast_threshold is not None:
+        # The probed rows are above the threshold, so reading them again
+        # here finds no failure among them.
+        seen, built, last = 0, 0, []
         for chunk in chunks:
             lams, gs, hs, _, _, covs = chunk
-            hit = _first_fails(chunk, [0, lams.size], fail_fast_threshold, sizes)
+            hit = _first_fails(chunk, [0, lams.size], fail_fast_threshold)
             if hit:
                 i = hit[0]
                 return (CoverageResult(lam=float(lams[i]), g=int(gs[i]), h=int(hs[i]),
@@ -127,6 +124,7 @@ def scan_min_coverage(
         # which it still holds.
         chunks = chain(islice(_floored_chunks(criterion, n, layout), max(built - 1, 0)), last)
 
+    best, count = None, 0
     for lams, gs, hs, mus, floors, covs in chunks:
         # A row left out here has a coverage above the least one summed, so
         # it can be neither the chunk's minimum nor tie with it.
@@ -134,26 +132,26 @@ def scan_min_coverage(
         rows = rows[floors[rows].argsort()]
         start = 0
         while start < rows.size and floors[rows[start]] <= least + _MARGIN:
-            block = rows[start:start + next(sizes)]
+            block = rows[start:start + _BLOCK]
             block = block[floors[block] <= least + _MARGIN]
             start += block.size
             covs[block] = interval_probs(gs[block], hs[block], mus[block])
             least = min(least, covs[block].min())
         count += lams.size
         i = int(covs.argmin())
-        if covs[i] < best_cov:
-            best_lam, best_g, best_h = float(lams[i]), int(gs[i]), int(hs[i])
-            best_cov = float(covs[i])
-    return CoverageResult(lam=best_lam, g=best_g, h=best_h, coverage=best_cov), count
+        if best is None or covs[i] < best.coverage:
+            best = CoverageResult(lam=float(lams[i]), g=int(gs[i]), h=int(hs[i]),
+                                  coverage=float(covs[i]))
+    return best, count
 
 
 def _floored_chunks(
     criterion: ErrorCriterion, n: int, layout: _Layout
 ) -> Iterator[tuple[np.ndarray, ...]]:
     """(lams, g, h, mus, floors, covs) arrays over the candidates of
-    ``layout`` past the scalar prefix, a chunk at a time in rate order:
-    means, coverage floors, and coverages that are inf until summed."""
-    for lams, gs, hs in _chunk_windows(criterion, n, _point_arrays(layout), _PREFIX):
+    ``layout``, a chunk at a time in rate order: means, coverage floors,
+    and coverages that are inf until summed."""
+    for lams, gs, hs in _chunk_windows(criterion, n, _point_arrays(layout)):
         yield _floored(lams, gs, hs, n * lams)
 
 
@@ -165,7 +163,7 @@ def _fail_ranks(
     ``threshold``, for the leading layouts that have such a coverage.
 
     The whole array layout of every n goes into one floored chunk, one
-    segment per n, with no scalar prefix: the floors rule out the low rates."""
+    segment per n, with no scalar probe: the floors rule out the low rates."""
     if not layouts:
         return []
     parts = [[(lams, gs, hs, n * lams)
@@ -175,7 +173,7 @@ def _fail_ranks(
                              initial=0))
     chunk = _floored(*map(np.concatenate, zip(*chain.from_iterable(parts))))
     del parts  # the per-n arrays, before the sums' temporaries
-    hits = _first_fails(chunk, bounds, threshold, _block_sizes())
+    hits = _first_fails(chunk, bounds, threshold)
     return [hit - start + 1 for hit, start in zip(hits, bounds)]
 
 
@@ -186,17 +184,14 @@ def _floored(
     return lams, gs, hs, mus, _floors(gs, hs, mus), np.full(lams.size, np.inf)
 
 
-def _first_fails(
-    chunk: tuple[np.ndarray, ...], bounds: list[int], threshold: float, sizes: Iterator[int]
-) -> list[int]:
+def _first_fails(chunk: tuple[np.ndarray, ...], bounds: list[int], threshold: float) -> list[int]:
     """Rows of the first coverage at or below ``threshold``, in rate order,
     of the leading segments of a floored ``chunk`` that have one; segment k
     is rows bounds[k] to bounds[k + 1].
 
     Only rows whose floor is within _MARGIN of the threshold are summed,
-    into the chunk's coverages.  Each round sums the next ``next(sizes)``
-    of them in every segment without a failure yet, in one `interval_probs`
-    call.  The rounds stop once the first segment without a failure has no
+    into the chunk's coverages.  Each round sums the next _BLOCK of them
+    in every segment without a failure yet, in one `interval_probs` call.  The rounds stop once the first segment without a failure has no
     rows left, since the segments past it no longer count."""
     _, gs, hs, mus, floors, covs = chunk
     rows = np.flatnonzero(floors <= threshold + _MARGIN)
@@ -208,7 +203,7 @@ def _first_fails(
             lead += 1
         if lead == hits.size or pos[lead] == end[lead]:
             return hits[:lead].tolist()
-        take = np.where(hits < 0, np.minimum(end - pos, next(sizes)), 0)
+        take = np.where(hits < 0, np.minimum(end - pos, _BLOCK), 0)
         # segment k's next take[k] rows, segment after segment
         block = rows[np.repeat(pos - take.cumsum() + take, take) + np.arange(take.sum())]
         covs[block] = interval_probs(gs[block], hs[block], mus[block])
@@ -220,23 +215,12 @@ def _first_fails(
 
 
 def _chunk_windows(
-    criterion: ErrorCriterion, n: int, chunks: Iterator[tuple[np.ndarray, ...]], skip: int = 0
+    criterion: ErrorCriterion, n: int, chunks: Iterator[tuple[np.ndarray, ...]]
 ) -> Iterator[tuple[np.ndarray, ...]]:
-    """(lams, g, h) arrays over the candidates of `_point_arrays`' ``chunks``
-    past the first ``skip``, a nonempty chunk at a time in rate order."""
-    for chunk in chunks:
-        lams, g_ell, h_ell = (column[skip:] for column in chunk)
-        skip = max(0, skip - chunk[0].size)
-        if lams.size:
-            yield (lams, *_windows(criterion, n, lams, g_ell, h_ell))
-
-
-def _block_sizes() -> Iterator[int]:
-    """Rows per `interval_probs` call: _FIRST_BLOCK, doubling up to _MAX_BLOCK."""
-    size = _FIRST_BLOCK
-    while True:
-        yield size
-        size = min(2 * size, _MAX_BLOCK)
+    """(lams, g, h) arrays over the candidates of `_point_arrays`' ``chunks``,
+    a chunk at a time in rate order."""
+    for lams, g_ell, h_ell in chunks:
+        yield (lams, *_windows(criterion, n, lams, g_ell, h_ell))
 
 
 def _blocks(
@@ -245,12 +229,9 @@ def _blocks(
     """(lams, g, h, coverage) arrays over every candidate of `_point_arrays`'
     ``chunks``, a block at a time in rate order; a chunk is built only when
     its first block is asked for."""
-    sizes = _block_sizes()
     for lams, gs, hs in _chunk_windows(criterion, n, chunks):
-        start = 0
-        while start < lams.size:
-            block = slice(start, start + next(sizes))
-            start = block.stop
+        for start in range(0, lams.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
             yield (lams[block], gs[block], hs[block],
                    interval_probs(gs[block], hs[block], n * lams[block]))
 

@@ -20,7 +20,7 @@ An Absolute criterion has no tails to bound and scans all of [a, b].  The
 global worst case at the returned n, over all of [a, b], is
 `min_coverage(criterion, plan.n_min, interval)`.
 
-A failing n whose witness lies past the scan's few scalar candidates costs
+A failing n whose witness lies past the scan's scalar probe costs
 mostly fixed per-n overhead (building arrays, `interval_probs` calls), not
 sums.  So once an n's witness lies there, the search decides the following
 n in batched runs: it takes the next consecutive n, never above max_n,
@@ -40,10 +40,12 @@ through the sequential scan if the search gets there, so an error
 surfaces only at an n the sequential search reaches.  The n of a run past
 the answer are speculative: they cost work but never change the answer.
 
-For a relative criterion the count K = 0 is never inside the acceptance
-window, so the coverage at rate a is at most 1 - exp(-n a) and every
-sufficient n exceeds ln(1/delta) / a.  A budget max_n below that bound is
-reported before any scan.
+Where the relative margin governs, the count K = 0 is never inside the
+acceptance window.  So the coverage at r0, the least such rate of [a, b]
+(a, or for a mixed criterion the crossover where it lies above a), is at
+most 1 - exp(-n r0), and every sufficient n exceeds ln(1/delta) / r0; r0
+is a candidate, and the crossover's absolute window excludes K = 0 too.
+A budget max_n below that bound is reported before any scan.
 """
 
 from __future__ import annotations
@@ -170,13 +172,18 @@ def min_sample_size(
         raise ValueError(
             f"max_n must be >= start_n, got max_n={max_n!r} start_n={start_n!r}")
     delta = conf.delta
-    if isinstance(criterion, Relative):
-        n_lower = math.log(1.0 / delta) / interval.a
+    # r0 of the module docstring, if the relative margin governs anywhere
+    r0 = interval.a if isinstance(criterion, Relative) else None
+    if isinstance(criterion, Mixed) and criterion.crossover < interval.b:
+        r0 = max(interval.a, criterion.crossover)
+    if r0 is not None:
+        n_lower = math.log(1.0 / delta) / r0
         if max_n <= n_lower * (1.0 - _LOWER_BOUND_SLACK):
+            name = "a" if r0 == interval.a else "crossover"
             raise MaxSampleSizeExceeded(
                 max_n,
-                f"relative coverage at a = {interval.a!r} needs "
-                f"n > ln(1/delta) / a = {n_lower:.6g}")
+                f"relative coverage at {name} = {r0!r} needs "
+                f"n > ln(1/delta) / {name} = {n_lower:.6g}")
 
     evaluations = evals = 0
     n = start_n

@@ -37,6 +37,7 @@ from test_minimizer import _SMALL_CHUNKS, _scans  # noqa: E402
 
 SIZE_ARGS = ["size", "--criterion", "abs", "--eps", "0.5",
              "--a", "0", "--b", "0.5", "--delta", "0.5"]
+SIZE_JOB = {"criterion": "abs", "eps": 0.5, "a": 0, "b": 0.5, "delta": 0.5}
 
 
 def run(capsys, argv):
@@ -504,6 +505,16 @@ def test_row_commands_refuse_a_candidate_set_above_the_ceiling(capsys, monkeypat
     assert code == 1 and "up to 26 points, more than the 24" in err
 
 
+def test_row_bound_refusal_prints_a_readable_count(capsys):
+    # the bound is about 1e300: the message shows it in 15 significant
+    # digits, not as a 301-digit integer
+    code, out, err = run(capsys, ["coverage", "--criterion", "rel", "--eps", "0.1",
+                                  "--a", "1e300", "--b", "1.5e300", "--n", "1"])
+    assert code == 1
+    assert out == ""
+    assert "up to 1e+300 points" in err
+
+
 def test_batch_jobs_refuse_a_candidate_set_above_the_ceiling(tmp_path, capsys, monkeypatch):
     _refuse_to_build(monkeypatch)
     config = tmp_path / "jobs.jsonl"
@@ -516,6 +527,32 @@ def test_batch_jobs_refuse_a_candidate_set_above_the_ceiling(tmp_path, capsys, m
     for result in results:
         assert result["code"] == 1
         assert "10000000" in result["error"]
+
+
+def test_batch_job_that_is_not_an_object_exits_1(tmp_path, capsys):
+    config = tmp_path / "jobs.jsonl"
+    config.write_text("[1, 2]\n" + json.dumps({"cmd": "size", **SIZE_JOB}) + "\n",
+                      encoding="utf-8")
+    code, out, _ = run(capsys, ["--config", str(config)])
+    assert code == 1
+    bad, good = (json.loads(line) for line in out.splitlines())
+    assert bad == {"error": "job must be a JSON object, got [1, 2]", "code": 1}
+    assert good["n_min"] == 3
+
+
+def test_an_executor_bug_is_an_internal_error_exiting_3(tmp_path, capsys, monkeypatch):
+    def broken(ns):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._EXECUTORS, "size", broken)
+    assert cli._run(broken, None) == ({"error": "internal error: boom", "code": 3}, 3)
+    code, out, err = run(capsys, SIZE_ARGS)
+    assert (code, out, err) == (3, "", "error: internal error: boom\n")
+    config = tmp_path / "jobs.jsonl"
+    config.write_text(json.dumps({"cmd": "size", **SIZE_JOB}) + "\n", encoding="utf-8")
+    code, out, _ = run(capsys, ["--config", str(config)])
+    assert code == 3
+    assert json.loads(out) == {"error": "internal error: boom", "code": 3}
 
 
 def test_batch_rejects_malformed_json(tmp_path, capsys):

@@ -66,6 +66,20 @@ def test_acceptance_bounds_rejects_an_overflowing_window(criterion):
     assert isinstance(acceptance_bounds(criterion, 1, 1e307), AcceptanceBounds)
 
 
+@pytest.mark.parametrize("criterion", [Absolute(0.1), Relative(0.1), Mixed(0.1, 0.1)])
+@pytest.mark.parametrize("lams, message", [
+    ([0.5, -1.0, 1e308], "rate must be nonnegative, got -1.0"),
+    ([0.5, 1e308, -1.0], "acceptance window bound inf is not finite"),
+    ([0.5, 1e308, np.inf], "acceptance window bound inf is not finite"),
+])
+def test_windows_raise_the_scalar_message_for_the_first_bad_rate(criterion, lams, message):
+    # n * 1e308 overflows at n = 2 without a numpy warning, as a float does
+    lams = np.array(lams)
+    unpinned = np.full(lams.size, _UNPINNED)
+    with pytest.raises(ValueError, match=message):
+        _windows(criterion, 2, lams, unpinned, unpinned)
+
+
 def test_window_can_be_empty_for_tight_relative_margin():
     # n=1, lam=0.4, eps=0.2: g = floor(0.32)+1 = 1, h = ceil(0.48)-1 = 0
     b = acceptance_bounds(Relative(0.2), 1, 0.4)

@@ -1,7 +1,7 @@
 """Worst-case coverage over an interval via the candidate set."""
 
 import sys
-from itertools import islice, repeat
+from itertools import islice
 from unittest import mock
 
 import numpy as np
@@ -23,7 +23,7 @@ from poisson_ss import (
 from poisson_ss import candidates, kernel, minimizer
 from poisson_ss.candidates import DEDUP_REL_TOL, _layout, _point_arrays, _point_tuples
 from poisson_ss.coverage import _window, _windows
-from poisson_ss.minimizer import _FIRST_BLOCK, _MAX_BLOCK, _PREFIX
+from poisson_ss.minimizer import _BLOCK, _PREFIX
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from exact_reference import reference_coverage_at_point, reference_scan  # noqa: E402
@@ -167,19 +167,19 @@ def _tagged_a(draw, crit, n, width):
 
 
 def _block_rows() -> list[int]:
-    """0-based rows of the scan where the path changes: the last scalar row,
-    then the first, a middle and the last row of the first three blocks."""
-    rows, start, size = [_PREFIX - 1], _PREFIX, _FIRST_BLOCK
-    for _ in range(3):
-        rows += [start, start + size // 2, start + size - 1]
-        start, size = start + size, min(2 * size, _MAX_BLOCK)
+    """0-based rows of the scan where the path changes: the last probed row,
+    then the first, a middle and the last row of the first three blocks of
+    _BLOCK rows past the probe."""
+    rows = [_PREFIX - 1]
+    for start in range(_PREFIX, _PREFIX + 3 * _BLOCK, _BLOCK):
+        rows += [start, start + _BLOCK // 2, start + _BLOCK - 1]
     return rows
 
 
 @st.composite
 def _scans(draw):
     kind = draw(st.sampled_from(["abs", "rel", "mix", "cx"]))
-    # a large n crosses the scalar prefix into two or more blocks
+    # a large n crosses the scalar probe into two or more blocks
     n = draw(st.integers(1, 40) | st.integers(100, 400))
     if kind == "abs":
         crit = Absolute(draw(_margins))
@@ -249,6 +249,7 @@ def _array_rows(crit, n, interval):
     """(value hex, g, h) of each point, from the array layout."""
     rows = []
     for values, g_ell, h_ell in _point_arrays(_layout(crit, n, interval)):
+        assert values.size  # the scan takes each chunk's minimum
         g, h = _windows(crit, n, values, g_ell, h_ell)
         rows += zip([v.hex() for v in values.tolist()], g.tolist(), h.tolist())
     return rows
@@ -309,9 +310,9 @@ def test_fail_fast_stop_on_a_chunk_edge_row(chunk):
 
 def test_fail_fast_scan_past_the_prefix_builds_one_chunk(monkeypatch):
     # [5, 1e6] holds about 2e6 candidates at n = 1; the first rows below the
-    # threshold lie past the scalar prefix, in the first block
+    # threshold lie past the scalar probe, in the first block
     crit, n, interval = Relative(0.1), 1, ParamInterval(5.0, 1e6)
-    head = list(islice(candidate_stream(crit, n, interval), _PREFIX + _FIRST_BLOCK))
+    head = list(islice(candidate_stream(crit, n, interval), _PREFIX + _BLOCK))
     covs = [reference_coverage_at_point(crit, n, point).coverage for point in head]
     threshold = min(covs[_PREFIX:])
     assert min(covs[:_PREFIX]) > threshold
@@ -325,7 +326,7 @@ def test_fail_fast_scan_past_the_prefix_builds_one_chunk(monkeypatch):
 
     monkeypatch.setattr(minimizer, "_point_arrays", counting_arrays)
     witness, count = scan_min_coverage(crit, n, interval, threshold)
-    assert _PREFIX < count <= _PREFIX + _FIRST_BLOCK
+    assert _PREFIX < count <= _PREFIX + _BLOCK
     assert witness.coverage == threshold
     assert len(built) == 1 and built[0] <= candidates._CHUNK + 16
 
@@ -389,7 +390,8 @@ def test_first_failures_of_segments_match_a_plain_search(cuts, seed, quantile, s
     threshold = float(np.quantile(covs, quantile, method="lower"))
     bounds = sorted({0, lams.size, *(cut % lams.size for cut in cuts)})
     chunk = minimizer._floored(lams, gs, hs, n * lams)
-    hits = minimizer._first_fails(chunk, bounds, threshold, repeat(size))
+    with mock.patch.object(minimizer, "_BLOCK", size):
+        hits = minimizer._first_fails(chunk, bounds, threshold)
     want = []
     for lo, hi in zip(bounds, bounds[1:]):
         fails = np.flatnonzero(covs[lo:hi] <= threshold)

@@ -132,6 +132,44 @@ def test_relative_lower_bound_tie_is_left_to_the_scan(monkeypatch):
     assert scanned == list(range(1, max_n + 1))
 
 
+@pytest.mark.parametrize("criterion, interval, where", [
+    # the crossover 2e-300 lies inside [0, 1]: ln(2) / 2e-300 ~ 3.5e299
+    (Mixed(1e-300, 0.5), ParamInterval(0.0, 1.0), "crossover = 2e-300"),
+    # the crossover lies below a = 1e-300, so the relative margin governs at a
+    (Mixed(1e-301, 0.5), ParamInterval(1e-300, 1.0), "a = 1e-300"),
+])
+def test_tiny_mixed_relative_lower_bound_exhausts_the_budget_at_once(
+        monkeypatch, criterion, interval, where):
+    def evaluated(*args, **kwargs):
+        raise AssertionError("coverage was evaluated")
+    monkeypatch.setattr(poisson_ss.search, "scan_min_coverage", evaluated)
+    monkeypatch.setattr(poisson_ss.search, "_fail_ranks", evaluated)
+    monkeypatch.setattr(poisson_ss.search, "coverage_at", evaluated)
+    with pytest.raises(MaxSampleSizeExceeded) as info:
+        min_sample_size(criterion, interval, ConfidenceSpec(0.5))
+    assert info.value.max_n == 1_000_000
+    assert f"relative coverage at {where} needs" in str(info.value)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    eps_a=st.floats(0.1, 0.6),
+    eps_r=st.floats(0.1, 0.6),
+    a=st.just(0.0) | st.floats(0.05, 2.0),
+    width=st.floats(0.2, 2.0),
+    delta=st.floats(0.02, 0.4),
+)
+def test_mixed_answers_exceed_the_relative_lower_bound(eps_a, eps_r, a, width, delta):
+    # the bound the search checks max_n against before any scan: the
+    # coverage at r0, the least rate of [a, b] where the relative margin
+    # governs, is at most 1 - exp(-n r0)
+    criterion, interval = Mixed(eps_a, eps_r), ParamInterval(a, a + width)
+    assume(criterion.crossover < interval.b)
+    r0 = max(a, criterion.crossover)
+    plan = min_sample_size(criterion, interval, ConfidenceSpec(delta))
+    assert plan.n_min > math.log(1.0 / delta) / r0
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     kind=st.sampled_from(["abs", "mixed", "rel"]),
