@@ -12,43 +12,39 @@ there (a Relative search spends ~2.4 evaluations per n), and building
 arrays or calling numpy would cost more than those few sums.  The probe
 only looks for a failure; a full scan skips it.
 
-Past a probe that found none, and for a full scan, the scan takes the
-array layout from its first row one chunk at a time, resolves the chunk's
-windows at once with `_windows` and gives every row a coverage floor,
-`kernel._floors`: one minus geometric bounds on the two Poisson tails
-outside the window.  The floor is within 1e-14 of a true lower bound on
-the coverage and the kernel within 1e-12 of the coverage, so a row whose
-floor is above some value by more than _MARGIN = 1e-9 has a kernel value
-above it.  Only the rows the floor cannot rule out are summed, by
-`interval_probs` in blocks of _BLOCK rows, bit for bit the scalar values;
-so a probed row read again has the value the probe saw, above the
-threshold.  There are two passes:
+Past the probe the scan takes the array layout from its first row, one
+chunk at a time, resolves a chunk's windows at once with `_windows` and
+gives every row a coverage floor, `kernel._floors`: one minus geometric
+bounds on the two Poisson tails outside the window.  The floor is within
+1e-14 of a true lower bound on the coverage and the kernel within 1e-12
+of the coverage, so a row whose floor is above some value by more than
+_MARGIN = 1e-9 has a kernel value above it.  Only the rows the floor
+cannot rule out are summed, by `interval_probs` in blocks of _BLOCK rows,
+bit for bit the scalar values; so a probed row read again has the value
+the probe saw, above the threshold.  There are two passes:
 
-* the fail-fast pass, for a scan with a threshold, goes over each chunk
-  in rate order and sums the rows whose floor is within the margin of the
-  threshold, up to the first value at or below it: the first failing
-  candidate in rate order;
+* the fail-fast pass, `_fail_ranks`, is shared by a scan with a threshold
+  and a batched run of consecutive n (see `search`).  It goes over the
+  rows of each n in rate order and sums those whose floor is within the
+  margin of the threshold, up to the first value at or below it: the
+  first failing candidate in rate order.  Several n that each fit a chunk
+  share one floored chunk, one segment of rows per n, and `_first_fails`
+  sums the next block of every segment without a failure yet in one
+  `interval_probs` call; so a run decides its n for the fixed costs of
+  one.  A lone n goes a chunk at a time, its rank carried across chunks,
+  so a stop builds the chunk that holds its witness and nothing past it.
 * the minimum pass, for a full scan or a threshold scan that found no
-  failure, sums each chunk's other rows in ascending order of their floor
-  while the floor is within the margin of the least value summed so far,
-  which starts at infinity: the first chunk's lowest floors set it.  A
-  threshold scan rebuilds the chunks before the one it still holds, so
-  a failing n never pays for a minimum.
+  failure, builds the chunks afresh and sums each chunk's rows in
+  ascending order of their floor while the floor is within the margin of
+  the least value summed so far, which starts at infinity: the first
+  chunk's lowest floors set it.  A failing n never pays for it.
 
 So the scan returns what a point-by-point scan returns: ties go to the
 smallest rate, and ``evaluations`` counts the candidates in rate order up
 to and including the witness, whether a floor or a sum decided them.  A
-fail-fast stop has built the chunk that holds its witness and nothing past
-it, and at most one chunk is held at a time.  `_blocks` evaluates the
+scan holds at most one chunk at a time.  `_blocks` evaluates the
 ``coverage`` command's rows, which need every value: it shares the chunk
 loop, `_chunk_windows`, and sums every row.
-
-`_first_fails` holds the fail-fast pass for any number of segments of
-rows, each gone through in rate order: every round sums the next block of
-each segment without a failure yet, all in one `interval_probs` call.  A
-chunk of the scan is one segment.  `_fail_ranks` makes one segment of each
-whole layout of a run of consecutive n, with no scalar probe, and so
-decides a run of failing n for the fixed costs of one; see `search`.
 """
 
 from __future__ import annotations
@@ -86,9 +82,10 @@ def scan_min_coverage(
     first candidate with coverage <= threshold; the returned result is then
     that witness rather than the global minimum, which is all a pass/fail
     decision needs.  Such a scan first probes the first _PREFIX candidates
-    one at a time; past the probe, and for a full scan from the start,
-    candidates are built a chunk at a time, so an early stop also stops
-    building them.
+    one at a time, then runs the fail-fast pass, `_fail_ranks`, over its
+    whole layout.  A full scan, or a threshold scan without a failure, then
+    runs the minimum pass.  Both passes build candidates a chunk at a time,
+    so an early stop also stops building them.
 
     In the array path a candidate's coverage is summed only where its
     coverage floor cannot show that it is above the threshold, or above the
@@ -103,33 +100,18 @@ def scan_min_coverage(
             g, h, cov = _coverage(criterion, n, value, ((kind, ell),) + extra_tags)
             if cov <= fail_fast_threshold:
                 return CoverageResult(lam=value, g=g, h=h, coverage=cov), count
+        # The probed rows are above the threshold, so the array pass finds
+        # no failure among them.
+        hits = _fail_ranks(criterion, [(n, layout)], fail_fast_threshold)
+        if hits:
+            return hits[0]
 
-    chunks = _floored_chunks(criterion, n, layout)
-    least = np.inf  # the least exact coverage summed so far
-    if fail_fast_threshold is not None:
-        # The probed rows are above the threshold, so reading them again
-        # here finds no failure among them.
-        seen, built, last = 0, 0, []
-        for chunk in chunks:
-            lams, gs, hs, _, _, covs = chunk
-            hit = _first_fails(chunk, [0, lams.size], fail_fast_threshold)
-            if hit:
-                i = hit[0]
-                return (CoverageResult(lam=float(lams[i]), g=int(gs[i]), h=int(hs[i]),
-                                       coverage=float(covs[i])), seen + i + 1)
-            least = min(least, covs.min())
-            seen += lams.size
-            built, last = built + 1, [chunk]
-        # No failure: the minimum pass rebuilds the chunks before the last,
-        # which it still holds.
-        chunks = chain(islice(_floored_chunks(criterion, n, layout), max(built - 1, 0)), last)
-
-    best, count = None, 0
-    for lams, gs, hs, mus, floors, covs in chunks:
+    best, count, least = None, 0, np.inf  # least: the least coverage summed so far
+    for lams, gs, hs in _chunk_windows(criterion, n, _point_arrays(layout)):
+        _, _, _, mus, floors, covs = _floored(lams, gs, hs, n * lams)
         # A row left out here has a coverage above the least one summed, so
         # it can be neither the chunk's minimum nor tie with it.
-        rows = np.flatnonzero(covs == np.inf)
-        rows = rows[floors[rows].argsort()]
+        rows = floors.argsort()
         start = 0
         while start < rows.size and floors[rows[start]] <= least + _MARGIN:
             block = rows[start:start + _BLOCK]
@@ -145,42 +127,47 @@ def scan_min_coverage(
     return best, count
 
 
-def _floored_chunks(
-    criterion: ErrorCriterion, n: int, layout: _Layout
-) -> Iterator[tuple[np.ndarray, ...]]:
-    """(lams, g, h, mus, floors, covs) arrays over the candidates of
-    ``layout``, a chunk at a time in rate order: means, coverage floors,
-    and coverages that are inf until summed."""
-    for lams, gs, hs in _chunk_windows(criterion, n, _point_arrays(layout)):
-        yield _floored(lams, gs, hs, n * lams)
-
-
 def _fail_ranks(
     criterion: ErrorCriterion, layouts: list[tuple[int, _Layout]], threshold: float
-) -> list[int]:
-    """The count a fail-fast `scan_min_coverage` of each (n, layout) would
-    return, the rank in rate order of its first coverage at or below
-    ``threshold``, for the leading layouts that have such a coverage.
+) -> list[tuple[CoverageResult, int]]:
+    """The (witness, count) that a fail-fast `scan_min_coverage` of each
+    (n, layout) would return, its first coverage at or below ``threshold``
+    in rate order and that row's rank, for the leading layouts that have
+    such a coverage.
 
-    The whole array layout of every n goes into one floored chunk, one
-    segment per n, with no scalar probe: the floors rule out the low rates."""
-    if not layouts:
-        return []
-    parts = [[(lams, gs, hs, n * lams)
-              for lams, gs, hs in _chunk_windows(criterion, n, _point_arrays(layout))]
-             for n, layout in layouts]
-    bounds = list(accumulate((sum(lams.size for lams, *_ in part) for part in parts),
-                             initial=0))
-    chunk = _floored(*map(np.concatenate, zip(*chain.from_iterable(parts))))
-    del parts  # the per-n arrays, before the sums' temporaries
-    hits = _first_fails(chunk, bounds, threshold)
-    return [hit - start + 1 for hit, start in zip(hits, bounds)]
+    There is no scalar probe: the floors rule out the low rates.  Several
+    layouts go into one floored chunk, one segment of rows per n.  A lone
+    layout goes one `_point_arrays` chunk at a time, its rank carried
+    across chunks, so a stop builds nothing past its witness's chunk."""
+    def parts(n, layout):  # the rows of n with their means, a chunk at a time
+        return ((lams, gs, hs, n * lams)
+                for lams, gs, hs in _chunk_windows(criterion, n, _point_arrays(layout)))
+
+    if len(layouts) > 1:
+        passes = [[list(parts(n, layout)) for n, layout in layouts]]
+    else:
+        passes = ([[part]] for n, layout in layouts for part in parts(n, layout))
+    seen = 0
+    for segments in passes:
+        bounds = list(accumulate((sum(lams.size for lams, *_ in segment) for segment in segments),
+                                 initial=0))
+        chunk = _floored(*map(np.concatenate, zip(*chain.from_iterable(segments))))
+        segments.clear()  # the per-n arrays, before the sums' temporaries
+        lams, gs, hs, _, _, covs = chunk
+        hits = [(CoverageResult(lam=float(lams[i]), g=int(gs[i]), h=int(hs[i]),
+                                coverage=float(covs[i])), seen + i - start + 1)
+                for i, start in zip(_first_fails(chunk, bounds, threshold), bounds)]
+        if hits:
+            return hits
+        seen += lams.size
+    return []
 
 
 def _floored(
     lams: np.ndarray, gs: np.ndarray, hs: np.ndarray, mus: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """The rows as a chunk of `_floored_chunks`."""
+    """The rows as a floored chunk (lams, g, h, mus, floors, covs): their
+    coverage floors, and coverages that are inf until summed."""
     return lams, gs, hs, mus, _floors(gs, hs, mus), np.full(lams.size, np.inf)
 
 
@@ -191,8 +178,9 @@ def _first_fails(chunk: tuple[np.ndarray, ...], bounds: list[int], threshold: fl
 
     Only rows whose floor is within _MARGIN of the threshold are summed,
     into the chunk's coverages.  Each round sums the next _BLOCK of them
-    in every segment without a failure yet, in one `interval_probs` call.  The rounds stop once the first segment without a failure has no
-    rows left, since the segments past it no longer count."""
+    in every segment without a failure yet, in one `interval_probs` call.
+    The rounds stop once the first segment without a failure has no rows
+    left, since the segments past it no longer count."""
     _, gs, hs, mus, floors, covs = chunk
     rows = np.flatnonzero(floors <= threshold + _MARGIN)
     pos, end = rows.searchsorted(bounds[:-1]), rows.searchsorted(bounds[1:])

@@ -23,20 +23,21 @@ global worst case at the returned n, over all of [a, b], is
 A failing n whose witness lies past the scan's scalar probe costs
 mostly fixed per-n overhead (building arrays, `interval_probs` calls), not
 sums.  So once an n's witness lies there, the search decides the following
-n in batched runs: it takes the next consecutive n, never above max_n,
-whose `cardinality_bound` over their scanned intervals sum to at most one
-chunk of the array layout, lays out each n's whole candidate set over
-[a, scan_b] as arrays, and runs the scan's fail-fast pass over all of them
-at once, one segment of rows per n (`minimizer._fail_ranks`).  Each n's
-decision there is the sequential one: its segment holds exactly its own
-candidates, and the pass stops it at its first coverage at or below
-1 - delta in rate order, so a failure found is the fail-fast scan's
-witness and its rank the scan's ``evaluations``.  The leading n that fail
-are decided by the run; the first n that does not goes through the
-sequential scan, which is then complete and gives the plan.  So do an n
-whose layout alone exceeds a chunk and one whose tail bound leaves only a.
-An error building an n's layout ends the run before that n, which goes
-through the sequential scan if the search gets there, so an error
+n in batched runs with the scan's own fail-fast pass,
+`minimizer._fail_ranks`, and no probe.  A run takes the next consecutive
+n, never above max_n, whose `cardinality_bound` over their scanned
+intervals sum to at most one chunk of the array layout, and decides them
+in one pass over their candidates on [a, scan_b], one segment of rows per
+n; a first n whose layout alone exceeds a chunk is a run of one, gone
+through a chunk at a time.  Each n's decision there is the sequential
+one: its segment holds exactly its own candidates, and the pass stops it
+at its first coverage at or below 1 - delta in rate order, so a failure
+found is the fail-fast scan's witness and its rank the scan's
+``evaluations``.  The leading n that fail are decided by the run; the
+first n that does not goes through the sequential scan, which is then
+complete and gives the plan.  So does an n whose tail bound leaves only
+a.  An error building an n's layout ends the run before that n, which
+goes through the sequential scan if the search gets there, so an error
 surfaces only at an n the sequential search reaches.  The n of a run past
 the answer are speculative: they cost work but never change the answer.
 
@@ -51,6 +52,7 @@ A budget max_n below that bound is reported before any scan.
 from __future__ import annotations
 
 import math
+import numbers
 
 from .candidates import _CHUNK, _layout, cardinality_bound
 from .chernoff import lambda_threshold
@@ -126,9 +128,10 @@ def _fail_run(
     delta: float,
     start: int,
     max_n: int,
-) -> tuple[list[int], int]:
-    """(evaluations of each n from ``start`` on that one batch shows
-    failing, number of n built for the batch); see the module docstring."""
+) -> tuple[list[tuple[CoverageResult, int]], int]:
+    """((witness, evaluations) of each n from ``start`` on that one batch
+    shows failing, number of n built for the batch); see the module
+    docstring."""
     a = interval.a
     layouts, rows = [], 0.0
     for n in range(start, max_n + 1):
@@ -138,7 +141,7 @@ def _fail_run(
                 break
             scanned = ParamInterval(a, scan_b)
             rows += cardinality_bound(criterion, n, scanned)
-            if rows > _CHUNK:
+            if rows > _CHUNK and layouts:
                 break
             layouts.append((n, _layout(criterion, n, scanned)))
         except ValueError:
@@ -161,11 +164,16 @@ def min_sample_size(
     and the total number of coverage evaluations spent by the search.
 
     Raises MaxSampleSizeExceeded when every n up to max_n fails, and
-    ValueError when start_n < 1 or max_n < start_n.  Note the search begins at
-    start_n = 1 by default; set start_n=2 to reproduce conventions that
-    treat a single observation as no estimate at all.
+    ValueError when start_n or max_n is not an integer (a bool is not),
+    start_n < 1 or max_n < start_n.  Note the search begins at start_n = 1
+    by default; set start_n=2 to reproduce conventions that treat a single
+    observation as no estimate at all.
     """
     validate(criterion, interval, conf)
+    for name, value in (("start_n", start_n), ("max_n", max_n)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    start_n, max_n = int(start_n), int(max_n)
     if start_n < 1:
         raise ValueError(f"start_n must be >= 1, got {start_n!r}")
     if max_n < start_n:
@@ -189,11 +197,11 @@ def min_sample_size(
     n = start_n
     while n <= max_n:
         if evals > _PREFIX:
-            ranks, built = _fail_run(criterion, interval, delta, n, max_n)
-            evaluations += sum(ranks)
-            n += len(ranks)
-            if ranks and len(ranks) == built:
-                evals = ranks[-1]
+            hits, built = _fail_run(criterion, interval, delta, n, max_n)
+            evaluations += sum(count for _, count in hits)
+            n += len(hits)
+            if hits and len(hits) == built:
+                evals = hits[-1][1]
                 continue
         passed, result, evals, scan_b = _decide(criterion, interval, delta, n)
         evaluations += evals

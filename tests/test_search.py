@@ -6,6 +6,7 @@ import math
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -181,13 +182,16 @@ def test_mixed_answers_exceed_the_relative_lower_bound(eps_a, eps_r, a, width, d
     back=st.integers(0, 30),
     length=st.integers(1, 30),
     chunk=st.sampled_from([None, 64]),
+    run_rows=st.sampled_from([None, 64]),
 )
 def test_batched_run_decides_each_n_as_its_fail_fast_scan(
-        kind, eps, eps_r, a, width, delta, back, length, chunk):
+        kind, eps, eps_r, a, width, delta, back, length, chunk, run_rows):
     # a run decides n only by a failure its own fail-fast scan also finds,
-    # at the same rank, and ends at the first n that scan finds passing.
-    # Runs start up to 30 below the answer, so most hold failing and
-    # passing n; 64-point chunks split each n's layout into several.
+    # at the same rank and with the same witness, and ends at the first n
+    # that scan finds passing.  Runs start up to 30 below the answer, so
+    # most hold failing and passing n; 64-point chunks split each n's
+    # layout into several, and with a 64-row run budget a first layout
+    # above it is a run of one.
     if kind == "abs":
         criterion = Absolute(eps)
     elif kind == "mixed":
@@ -197,17 +201,49 @@ def test_batched_run_decides_each_n_as_its_fail_fast_scan(
     interval = ParamInterval(a, a + width)
     level = 1.0 - delta
     start = max(1, min_sample_size(criterion, interval, ConfidenceSpec(delta)).n_min - back)
-    with mock.patch.object(candidates, "_CHUNK", chunk or candidates._CHUNK):
-        ranks, built = search._fail_run(criterion, interval, delta, start, start + length - 1)
-        assert len(ranks) <= built <= length
-        for n, rank in zip(range(start, start + built), ranks + [None]):
+    with (mock.patch.object(candidates, "_CHUNK", chunk or candidates._CHUNK),
+          mock.patch.object(search, "_CHUNK", run_rows or search._CHUNK)):
+        hits, built = search._fail_run(criterion, interval, delta, start, start + length - 1)
+        assert len(hits) <= built <= length
+        if search._scan_b(criterion, interval, delta, start) > a:
+            assert built >= 1
+        for n, hit in zip(range(start, start + built), hits + [None]):
             scanned = ParamInterval(a, search._scan_b(criterion, interval, delta, n))
             witness, count = scan_min_coverage(criterion, n, scanned, level)
-            if rank is None:
+            if hit is None:
                 assert witness.coverage > level
             else:
                 assert witness.coverage <= level
-                assert count == rank
+                assert hit[1] == count
+                assert _bits(hit[0]) == _bits(witness)
+
+
+def _bits(result):
+    return result.lam.hex(), result.g, result.h, result.coverage.hex()
+
+
+def test_run_of_one_builds_only_the_chunk_of_its_witness(monkeypatch):
+    # n = 200 has 405 candidates on [0, 1], more than a 64-point chunk, so
+    # its run holds it alone; it fails near rate 0.03, in the first chunk
+    criterion, interval, delta, n = Absolute(0.02), ParamInterval(0.0, 1.0), 0.1, 200
+    monkeypatch.setattr(candidates, "_CHUNK", 64)
+    monkeypatch.setattr(search, "_CHUNK", 64)
+    assert len(list(poisson_ss.minimizer._point_arrays(
+        candidates._layout(criterion, n, interval)))) > 1
+    built = []
+    arrays = poisson_ss.minimizer._point_arrays
+
+    def counting_arrays(layout):
+        for chunk in arrays(layout):
+            built.append(chunk[0].size)
+            yield chunk
+
+    monkeypatch.setattr(poisson_ss.minimizer, "_point_arrays", counting_arrays)
+    (hit,), runs = search._fail_run(criterion, interval, delta, n, n + 10)
+    assert runs == 1 and len(built) == 1
+    assert hit[1] <= built[0]
+    witness, count = scan_min_coverage(criterion, n, interval, 1.0 - delta)
+    assert (_bits(hit[0]), hit[1]) == (_bits(witness), count)
 
 
 # n_min 276; from n = 32 on, its failing n are decided in batched runs of
@@ -276,14 +312,30 @@ def test_generous_risk_level_accepts_tiny_n():
     assert plan.worst_coverage == pytest.approx(0.258427543033159, rel=1e-12)
 
 
-def test_option_validation():
+def test_option_validation(monkeypatch):
     crit = Absolute(0.5)
     iv = ParamInterval(0.0, 0.5)
     conf = ConfidenceSpec(0.5)
+    plan = min_sample_size(crit, iv, conf, start_n=2, max_n=300)
+    assert min_sample_size(crit, iv, conf, start_n=np.int64(2), max_n=np.int32(300)) == plan
+    assert type(min_sample_size(crit, iv, conf, start_n=np.int64(2)).n_min) is int
     with pytest.raises(ValueError):
         min_sample_size(crit, iv, conf, start_n=0)
     with pytest.raises(ValueError):
         min_sample_size(crit, iv, conf, start_n=10, max_n=9)
+
+    # a budget that is not an integer is refused before any scan
+    def evaluated(*args, **kwargs):
+        raise AssertionError("coverage was evaluated")
+    monkeypatch.setattr(poisson_ss.search, "scan_min_coverage", evaluated)
+    monkeypatch.setattr(poisson_ss.search, "_fail_ranks", evaluated)
+    monkeypatch.setattr(poisson_ss.search, "coverage_at", evaluated)
+    for option, value in [("max_n", math.inf), ("max_n", 300.0), ("start_n", 2.0),
+                          ("max_n", True), ("start_n", True), ("max_n", np.float64(300.0)),
+                          ("start_n", "2")]:
+        with pytest.raises(ValueError, match=f"^{option} must be an integer, got "):
+            min_sample_size(Absolute(0.1), ParamInterval(0.0, 1.0), ConfidenceSpec(0.1),
+                            **{option: value})
 
 
 def test_configuration_validation_precedes_search():
