@@ -3,9 +3,8 @@
 Subcommands:
 
 * ``size``        smallest sufficient n for a (criterion, interval, delta)
-* ``coverage``    coverage rows over the candidate set, summed in blocks
-                  by the scan's evaluator, or over a uniform grid, one
-                  rate at a time
+* ``coverage``    coverage rows over the candidate set or a uniform grid,
+                  summed a chunk at a time by the scan's array path
 * ``candidates``  the candidate rates with their breakpoint provenance
 * ``verify``      cross-check the candidate-based answer against the
                   grid, brute-force, and Monte Carlo oracles
@@ -37,12 +36,12 @@ import sys
 import time
 
 from .candidates import _layout, _point_arrays, candidate_set, cardinality_bound
-from .coverage import coverage_at
 from .minimizer import _blocks, min_coverage
 from .oracle import (
     _MAX_GRID_POINTS,
+    _check_points,
     _check_trials,
-    _grid,
+    _grid_rows,
     brute_force_coverage,
     grid_min_coverage,
     monte_carlo_coverage,
@@ -250,12 +249,11 @@ def _execute_size(ns: argparse.Namespace) -> tuple[dict, int]:
 def _execute_coverage(ns: argparse.Namespace) -> tuple[dict, int]:
     criterion, interval, _ = _problem(ns)
     if ns.grid is not None:
-        results = (coverage_at(criterion, ns.n, lam) for lam in _grid(interval, ns.grid))
-        rows = [(r.lam, r.g, r.h, r.coverage) for r in results]
+        blocks = _grid_rows(criterion, ns.n, interval, ns.grid)
     else:
         _row_bound(criterion, ns.n, interval)
         blocks = _blocks(criterion, ns.n, _point_arrays(_layout(criterion, ns.n, interval)))
-        rows = [row for block in blocks for row in zip(*(column.tolist() for column in block))]
+    rows = [row for block in blocks for row in zip(*(column.tolist() for column in block))]
     result = {
         "criterion": _criterion_obj(criterion),
         "interval": {"a": interval.a, "b": interval.b},
@@ -310,7 +308,7 @@ def _check(name: str, discrepancy: float, tolerance: float) -> dict:
 def _execute_verify(ns: argparse.Namespace) -> tuple[dict, int]:
     criterion, interval, conf = _problem(ns)
     _check_trials(ns.trials)  # bad sizes fail before any search
-    _grid(interval, ns.grid_points)
+    _check_points(ns.grid_points)
     if ns.seed < 0:
         raise ValidationError(f"--seed must be >= 0, got {ns.seed}")
     n = ns.n

@@ -21,7 +21,7 @@ At a candidate breakpoint the side its tag names comes from the integer
 ell instead.  The whole rule, float and tagged sides, lives in `_window`,
 which every public function here and the scan's first candidates go
 through; the scan passes plain fields and builds no objects.  `_windows`
-is the same rule over arrays, for the scan's blocks.
+is the same rule over arrays, for the scan's chunks and the grid oracle.
 """
 
 from __future__ import annotations
@@ -130,14 +130,14 @@ def _window(criterion: ErrorCriterion, n: int, lam: float, tags: tuple) -> tuple
 
 
 def _windows(
-    criterion: ErrorCriterion, n: int, lams: np.ndarray, g_ell: np.ndarray,
-    h_ell: np.ndarray,
+    criterion: ErrorCriterion, n: int, lams: np.ndarray, g_ell=_UNPINNED, h_ell=_UNPINNED,
 ) -> tuple[np.ndarray, np.ndarray]:
     """`_window` over an array of rates, as int64 arrays g and h equal
     element for element to its values.  ``g_ell`` and ``h_ell`` hold, per
     rate, the ell of the last tag pinning that side (`_PIN_SIDE`), or
-    `_UNPINNED`.  A g pin is max(0, ell + 1) for both families: a
-    REL_LOWER member of a candidate set has ell >= 0.
+    `_UNPINNED`, which the defaults give every rate.  A g pin is
+    max(0, ell + 1) for both families: a REL_LOWER member of a candidate set
+    has ell >= 0.
 
     The float rule takes the same operations in the same order; ``np.rint``
     rounds half to even like ``round``.  A negative rate or a non-finite

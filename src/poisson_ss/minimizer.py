@@ -44,7 +44,9 @@ smallest rate, and ``evaluations`` counts the candidates in rate order up
 to and including the witness, whether a floor or a sum decided them.  A
 scan holds at most one chunk at a time.  `_blocks` evaluates the
 ``coverage`` command's rows, which need every value: it shares the chunk
-loop, `_chunk_windows`, and sums every row.
+loop, `_chunk_windows`, and sums each whole chunk in one `interval_probs`
+call, wide enough for the kernel's step-by-step sweep, where the scan's
+pruned blocks of _BLOCK rows take its batched one.
 """
 
 from __future__ import annotations
@@ -215,13 +217,10 @@ def _blocks(
     criterion: ErrorCriterion, n: int, chunks: Iterator[tuple[np.ndarray, ...]]
 ) -> Iterator[tuple[np.ndarray, ...]]:
     """(lams, g, h, coverage) arrays over every candidate of `_point_arrays`'
-    ``chunks``, a block at a time in rate order; a chunk is built only when
-    its first block is asked for."""
+    ``chunks``, a chunk at a time in rate order, each chunk summed in one
+    `interval_probs` call; a chunk is built only when it is asked for."""
     for lams, gs, hs in _chunk_windows(criterion, n, chunks):
-        for start in range(0, lams.size, _BLOCK):
-            block = slice(start, start + _BLOCK)
-            yield (lams[block], gs[block], hs[block],
-                   interval_probs(gs[block], hs[block], n * lams[block]))
+        yield lams, gs, hs, interval_probs(gs, hs, n * lams)
 
 
 def min_coverage(

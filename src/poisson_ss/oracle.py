@@ -10,21 +10,24 @@ Three deliberately different routes to the same quantities:
 * `monte_carlo_coverage` simulates the experiment with a counter-based
   generator, so a third estimate comes from actual sampling.
 
-The grid route evaluates each rate with `coverage_at`, so it shares the
-acceptance-window code with the main path and checks only the reduction to
-candidates; brute force and Monte Carlo share nothing with the window code.
+The grid route, `_grid_rows`, is shared with ``coverage --grid``.  It
+evaluates the rates a chunk at a time through the scan's array path:
+`_windows` with no side pinned, then `interval_probs`, so each row equals
+`coverage_at` at its rate bit for bit.  It shares the acceptance-window code
+with the main path and checks only the reduction to candidates; brute force
+and Monte Carlo share nothing with the window code.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from itertools import chain
 
 import numpy as np
 
-from .coverage import coverage_at
-from .kernel import pmf
+from .candidates import _CHUNK
+from .coverage import _windows, coverage_at
+from .kernel import _MAX_MEAN, interval_probs, pmf
 from .types import (
     Absolute,
     CoverageResult,
@@ -32,6 +35,7 @@ from .types import (
     Mixed,
     ParamInterval,
     Relative,
+    _check_margins,
     _check_sample_size,
 )
 
@@ -74,13 +78,39 @@ def _check_trials(trials: int) -> None:
         raise ValueError(f"trials must be 1 to {_MAX_TRIALS}, got {trials!r}")
 
 
-def _grid(interval: ParamInterval, points: int) -> Iterator[float]:
-    """``points`` evenly spaced rates from a to b, made one at a time:
-    a + i * step for i < points - 1, then b, as np.linspace makes them."""
+def _check_points(points: int) -> None:
     if not (2 <= points <= _MAX_GRID_POINTS):
         raise ValueError(f"grid needs 2 to {_MAX_GRID_POINTS} points, got {points!r}")
+
+
+def _grid_rows(
+    criterion: ErrorCriterion, n: int, interval: ParamInterval, points: int
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """(lams, g, h, coverage) arrays over ``points`` evenly spaced rates from
+    a to b, at most _CHUNK rates at a time: a + i * step for i < points - 1,
+    then b, as np.linspace makes them.  Each row is `coverage_at` at its rate
+    bit for bit.
+
+    The array windows are exact while every window bound is below 2**53,
+    which a mean up to 2**38 with n below 2**52 ensures.  A chunk with a rate
+    outside that goes through `coverage_at` rate by rate, so a rate the
+    scalar route refuses raises its ValueError, for the first such rate."""
+    _check_points(points)
+    _check_margins(criterion)
+    _check_sample_size(n)
     a, step = interval.a, interval.width / (points - 1)
-    return chain((a + i * step for i in range(points - 1)), (interval.b,))
+    for start in range(0, points, _CHUNK):
+        i = np.arange(start, min(start + _CHUNK, points))
+        with np.errstate(all="ignore"):  # inf and NaN rates, as in floats
+            lams = np.where(i < points - 1, a + i * step, interval.b)
+            mus = n * lams
+        if n < 2 ** 52 and ((lams >= 0.0) & (mus <= _MAX_MEAN)).all():
+            gs, hs = _windows(criterion, n, lams)
+            yield lams, gs, hs, interval_probs(gs, hs, mus)
+        else:
+            rows = [(r.lam, r.g, r.h, r.coverage)
+                    for r in (coverage_at(criterion, n, lam) for lam in lams.tolist())]
+            yield tuple(np.array(column, dtype=object) for column in zip(*rows))
 
 
 def grid_min_coverage(
@@ -96,10 +126,11 @@ def grid_min_coverage(
     the smaller rate.
     """
     best: CoverageResult | None = None
-    for lam in _grid(interval, points):
-        result = coverage_at(criterion, n, lam)
-        if best is None or result.coverage < best.coverage:
-            best = result
+    for lams, gs, hs, covs in _grid_rows(criterion, n, interval, points):
+        i = int(covs.argmin())
+        if best is None or covs[i] < best.coverage:
+            best = CoverageResult(lam=float(lams[i]), g=int(gs[i]), h=int(hs[i]),
+                                  coverage=float(covs[i]))
     assert best is not None
     return best
 

@@ -28,12 +28,13 @@ from poisson_ss import (
     min_sample_size,
     ConfidenceSpec,
 )
-from poisson_ss import candidates, cli, search
+from poisson_ss import candidates, cli, kernel, oracle, search
 from poisson_ss.cli import main
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from exact_reference import reference_coverage_at_point  # noqa: E402
 from test_minimizer import _SMALL_CHUNKS, _scans  # noqa: E402
+from test_oracle import _GRID_CHUNKS, grid_reference, grids  # noqa: E402
 
 SIZE_ARGS = ["size", "--criterion", "abs", "--eps", "0.5",
              "--a", "0", "--b", "0.5", "--delta", "0.5"]
@@ -161,22 +162,42 @@ def _listable(config) -> bool:
     return interval.a < interval.b and not (isinstance(crit, Relative) and interval.a == 0.0)
 
 
+def _coverage_rows(argv) -> list[tuple]:
+    """The rows of a ``coverage --format json`` command, floats as hex."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv + ["--format", "json"]) == 0
+    return [(float(row["lambda"]).hex(), row["g"], row["h"], float(row["coverage"]).hex())
+            for row in json.loads(out.getvalue())["rows"]]
+
+
 @settings(max_examples=200, deadline=None)
 @given(_scans().filter(_listable), _SMALL_CHUNKS)
 def test_coverage_rows_match_the_per_point_reference(config, chunk):
-    # Small chunks put rows on every side of chunk cuts, held-back merge
-    # groups and block edges; each row must still be the reference's.
+    # Small chunks put rows on every side of chunk cuts and held-back merge
+    # groups, and a small kernel width sends most of them through the
+    # step-by-step sweep; each row must still be the reference's.
     crit, n, interval, _ = config
     argv = ["coverage", *_criterion_argv(crit), "--a", repr(interval.a),
-            "--b", repr(interval.b), "--n", str(n), "--format", "json"]
-    out = io.StringIO()
-    with mock.patch.object(candidates, "_CHUNK", chunk), contextlib.redirect_stdout(out):
-        assert main(argv) == 0
-    got = [(float(row["lambda"]).hex(), row["g"], row["h"], float(row["coverage"]).hex())
-           for row in json.loads(out.getvalue())["rows"]]
+            "--b", repr(interval.b), "--n", str(n)]
+    with mock.patch.object(candidates, "_CHUNK", chunk), mock.patch.object(kernel, "_WIDE", 5):
+        got = _coverage_rows(argv)
     want = [(r.lam.hex(), r.g, r.h, r.coverage.hex())
             for r in (reference_coverage_at_point(crit, n, point)
                       for point in candidate_stream(crit, n, interval))]
+    assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(grids(), _GRID_CHUNKS)
+def test_coverage_grid_rows_match_the_per_rate_reference(config, chunk):
+    crit, n, interval, points = config
+    argv = ["coverage", *_criterion_argv(crit), "--a", repr(interval.a),
+            "--b", repr(interval.b), "--n", str(n), "--grid", str(points)]
+    with mock.patch.object(oracle, "_CHUNK", chunk):
+        got = _coverage_rows(argv)
+    want = [(r.lam.hex(), r.g, r.h, r.coverage.hex())
+            for r in grid_reference(crit, n, interval, points)]
     assert got == want
 
 

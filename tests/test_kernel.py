@@ -217,12 +217,41 @@ def _kernel_args(draw):
 @example([(4, 3, 2.5), (-9, -2, 1.0), (0, 40, 1e-9)], 8192)   # empty and tiny
 @example([(3000, 3100, 50.0), (0, 3, 1e10)], 1)              # anchor underflows
 @example([(0, 2000, 4.5), (0, 2000, 1500.0)], 64)            # cutoff up, down
+@example([(5, 7, 6.0), (0, 3000, 2000.0), (0, 3000, 2000.0)], 8192)  # k / mu < 0
 def test_batched_kernel_matches_the_scalar_kernel_bit_for_bit(args, cells):
     g, h, mu = zip(*args)
-    # small batch sizes split the steps into many batches
-    with mock.patch.object(kernel, "_BATCH_CELLS", cells):
+    want = _scalar_hex(g, h, mu)
+    # small batch sizes split the steps into many batches; a width of 1
+    # sends every call through the step-by-step sweep, and an unreachable
+    # one none
+    for wide in (1, 10 ** 9):
+        with mock.patch.object(kernel, "_BATCH_CELLS", cells), \
+                mock.patch.object(kernel, "_WIDE", wide):
+            got = interval_probs(g, h, mu)
+        assert got.dtype == np.float64
+        assert [v.hex() for v in got.tolist()] == want
+
+
+# Rows for wide calls: cutoffs up and down, anchors that underflow, mu = 0
+# and empty ranges, and ranges that end on every step from 0 to 300 around
+# a mode of 1000.
+_WIDE_ROWS = ([(0, 2000, 4.5), (0, 2000, 1500.0), (3000, 3100, 50.0), (0, 3, 1e10),
+               (-5, 3, 0.0), (2, 9, 0.0), (4, 3, 2.5), (-9, -2, 1.0)]
+              + [(1000 - d, 1000 + d // 2, 1000.0) for d in range(301)])
+
+
+@pytest.mark.parametrize("long_rows", [0, 1, 2000])
+def test_wide_kernel_calls_match_the_scalar_kernel_bit_for_bit(long_rows):
+    # Cutoffs 9 sigma from a mode of 2000 stop the long rows after ~400
+    # steps each way.  With 2000 of them the short rows stay among the
+    # points still going after they stop, so their k / mu turns negative
+    # and only a ratio of 0 keeps their terms at exact zeros.
+    rows = _WIDE_ROWS + [(0, 3000, 2000.0)] * long_rows
+    rows *= -(-kernel._WIDE // len(rows))  # a call of at least _WIDE points
+    g, h, mu = zip(*rows)
+    with mock.patch.object(kernel, "_sweep", wraps=kernel._sweep) as sweep:
         got = interval_probs(g, h, mu)
-    assert got.dtype == np.float64
+    assert sweep.call_count == 2  # upward and downward
     assert [v.hex() for v in got.tolist()] == _scalar_hex(g, h, mu)
 
 

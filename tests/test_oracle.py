@@ -1,9 +1,12 @@
 """Grid, brute-force, and Monte Carlo cross-check routes."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisson_ss import (
     Absolute,
@@ -13,8 +16,10 @@ from poisson_ss import (
     brute_force_coverage,
     coverage_at,
     grid_min_coverage,
+    kernel,
     min_coverage,
     monte_carlo_coverage,
+    oracle,
 )
 from poisson_ss.oracle import _MAX_TRIALS, EDGE_TOL, MC_CHUNK
 
@@ -32,6 +37,116 @@ def test_two_point_grid_is_the_endpoint_minimum():
 def test_grid_needs_two_points():
     with pytest.raises(ValueError):
         grid_min_coverage(Absolute(0.2), 5, ParamInterval(0.0, 1.0), points=1)
+
+
+def grid_reference(crit, n, interval, points):
+    """The grid's rows rate by rate through `coverage_at`: a + i * step for
+    i < points - 1, then b."""
+    step = interval.width / (points - 1)
+    rates = [interval.a + i * step for i in range(points - 1)] + [interval.b]
+    return [coverage_at(crit, n, lam) for lam in rates]
+
+
+def _hex_rows(rows):
+    return [(float(lam).hex(), g, h, cov.hex()) for lam, g, h, cov in rows]
+
+
+def _outcome(fn):
+    """fn()'s value, or the message of the ValueError it raises."""
+    try:
+        return fn()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_grid_matches_reference(crit, n, interval, points):
+    """`_grid_rows` and `grid_min_coverage` against `grid_reference`: the
+    same rows bit for bit, the first least coverage, or the same error."""
+    def reference():
+        rows = grid_reference(crit, n, interval, points)
+        least = min(rows, key=lambda r: r.coverage)  # the first of a tie
+        return _hex_rows((r.lam, r.g, r.h, r.coverage) for r in rows), least
+
+    def got():
+        rows = [row for block in oracle._grid_rows(crit, n, interval, points)
+                for row in zip(*(column.tolist() for column in block))]
+        return _hex_rows(rows), grid_min_coverage(crit, n, interval, points)
+
+    want, result = _outcome(reference), _outcome(got)
+    if isinstance(want, str):
+        assert result == want
+        return
+    assert result[0] == want[0]
+    least, best = want[1], result[1]
+    assert type(best.lam) is float
+    assert (best.lam.hex(), best.g, best.h, best.coverage.hex()) == (
+        float(least.lam).hex(), least.g, least.h, least.coverage.hex())
+
+
+@st.composite
+def grids(draw):
+    """(criterion, n, interval, points) with a < b, and a > 0 under a
+    relative margin, as the command line accepts them."""
+    margin = st.sampled_from([0.1, 0.25, 0.5]) | st.floats(0.05, 0.9)
+    crit = draw(st.sampled_from([Absolute, Relative, Mixed]))
+    crit = crit(draw(margin), draw(margin)) if crit is Mixed else crit(draw(margin))
+    n = draw(st.integers(1, 50) | st.integers(50, 3000))
+    a = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 3.0))
+    if isinstance(crit, Relative):
+        a = max(a, 0.01)
+    b = a + draw(st.sampled_from([1e-9, 0.5, 1.0]) | st.floats(1e-6, 3.0))
+    return crit, n, ParamInterval(a, b), draw(st.integers(2, 300))
+
+
+# Chunks of 1, 7 and 64 rates cut most grids above; 768 leaves them whole.
+_GRID_CHUNKS = st.sampled_from([1, 7, 64, 768])
+
+
+@settings(max_examples=150, deadline=None)
+@given(grids(), _GRID_CHUNKS, st.sampled_from([1, kernel._WIDE]))
+def test_grid_rows_match_the_per_rate_reference(config, chunk, wide):
+    # a width of 1 sends every chunk through the kernel's step-by-step sweep
+    with mock.patch.object(oracle, "_CHUNK", chunk), mock.patch.object(kernel, "_WIDE", wide):
+        _assert_grid_matches_reference(*config)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4, 8192])
+def test_grid_ties_go_to_the_smaller_rate(chunk):
+    # Absolute(0.5), n = 1: the windows at 0.5 and 1.5 are empty, so the
+    # rates 0, 0.5, 1, 1.5, 2 have coverage 1, 0, pmf(1, 1), 0, > 0
+    crit, interval = Absolute(0.5), ParamInterval(0.0, 2.0)
+    with mock.patch.object(oracle, "_CHUNK", chunk):
+        best = grid_min_coverage(crit, 1, interval, 5)
+        _assert_grid_matches_reference(crit, 1, interval, 5)
+    assert (best.lam, best.coverage) == (0.5, 0.0)
+
+
+def test_grid_rate_is_a_float_for_integer_bounds():
+    best = grid_min_coverage(Absolute(0.1), 276, ParamInterval(0, 1))
+    assert type(best.lam) is float and best.lam == 1.0
+    assert best == min_coverage(Absolute(0.1), 276, ParamInterval(0, 1))
+
+
+@pytest.mark.parametrize("crit, n, interval, points", [
+    (Absolute(0.1), 1, ParamInterval(0.0, 1e300), 2),          # mean above 2**38
+    (Relative(0.3), 1, ParamInterval(1e-300, 1e300), 2),
+    (Absolute(0.1), 2, ParamInterval(0.0, 1e308), 3),           # window bound is inf
+    (Absolute(0.1), 2, ParamInterval(1e308, 1.7e308), 2),
+    (Absolute(0.1), 10 ** 21, ParamInterval(0.0, 1.0), 3),      # mean 5e20 at 0.5
+    (Absolute(0.1), 5, ParamInterval(0.0, math.inf), 3),        # NaN rate 0 * inf
+    (Mixed(0.1, 0.2), 3, ParamInterval(-1.0, 1.0), 3),          # negative rate
+    (Absolute(0.1), 10 ** 21, ParamInterval(0.0, 1e-300), 5),   # h above int64
+    (Absolute(0.1), 2 ** 60, ParamInterval(0.0, 1e-10), 3),     # h above 2**53
+    (Absolute(0.1), 2 ** 52 - 1, ParamInterval(0.0, 1e-10), 3),
+    (Absolute(1.5), 10, ParamInterval(0.0, 1.0), 3),            # bad margin
+    (Absolute(0.1), 0, ParamInterval(0.0, 1.0), 3),             # bad sample size
+])
+@pytest.mark.parametrize("chunk", [1, 8192])
+def test_grid_refuses_what_the_per_rate_route_refuses(crit, n, interval, points, chunk):
+    # Under -W error: no rate reaches an int64 cast or a kernel sum that
+    # `coverage_at` would refuse, and the first refused rate sets the error.
+    with mock.patch.object(oracle, "_CHUNK", chunk):
+        _assert_grid_matches_reference(crit, n, interval, points)
 
 
 def test_grid_never_beats_candidate_minimum():
