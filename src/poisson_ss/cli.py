@@ -13,15 +13,20 @@ A batch mode (``--config FILE``) runs one JSON job per line, one after
 another, and prints each job's JSON result line as soon as the job ends.
 A job's keys are the long flags of its subcommand in underscore form;
 any other key fails that job with a validation error.  A job goes through
-the same argument parser as a command line, and a job the parser rejects
-gets a line whose error is the parser's reason (``poisson-ss size: the
-following arguments are required: --delta``).  JSON true and false switch
-an on/off flag (``check_bound``); any other flag takes its value as
-written, so true or false there is rejected with a reason.  Machine output
-serializes every float with 17 significant digits so values round-trip
-exactly, and is strict JSON: a non-finite float (the upper bound b = inf
-that ``size`` accepts for a relative or mixed margin, whose tail bound
-makes the scan finite) is written as null.
+the same argument parser as a command line, built once for the whole
+batch, and a job the parser rejects gets a line whose error is the
+parser's reason (``poisson-ss size: the following arguments are required:
+--delta``).  JSON true and false switch an on/off flag (``check_bound``);
+any other flag takes its value as written, so true or false there is
+rejected with a reason.  Machine output serializes every float with 17
+significant digits so values round-trip exactly, and is strict JSON: a
+non-finite float (the upper bound b = inf that ``size`` accepts for a
+relative or mixed margin, whose tail bound makes the scan finite) is
+written as null.  The rows of ``coverage`` and
+``candidates`` are kept as tuples and written with one ``%`` template per
+row and format, byte for byte what formatting each value apart gives; a
+row float that is inf or NaN, found from its block's arrays, is null in
+JSON too.
 
 Exit codes: 0 success, 1 validation error, 2 budget exceeded, 3 internal
 verification failure.  No other value is ever returned.
@@ -32,8 +37,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
+
+import numpy as np
 
 from .candidates import _layout, _point_arrays, candidate_set, cardinality_bound
 from .minimizer import _blocks, min_coverage
@@ -95,17 +103,55 @@ def _fmt(x: float) -> str:
 
 _json_string = json.encoder.encode_basestring_ascii
 
+# One template per row and format; "%.17g" writes a finite float as _fmt
+# does, and "%d" writes an int as its repr.
+_COVERAGE_JSON = '{"lambda": %.17g, "g": %d, "h": %d, "coverage": %.17g}'
+_COVERAGE_CSV = "%.17g,%d,%d,%.17g\n"
+_CANDIDATE_JSON = '{"lambda": %.17g, "kind": %s, "ell": %s, "extra_tags": %s}'
+_CANDIDATE_TEXT = "%.17g  %s%s%s\n"
+# "%.17g" of inf, -inf or NaN, where a row template writes a float value
+_NON_FINITE = re.compile(r"(?<=: )(?:-?inf|nan)(?=[,}])")
+
+
+class _Rows(list):
+    """A result's row tuples, which `_jsonify` writes as one ``to_json(row)``
+    text per row.  ``finite`` is false when a float in them is inf or NaN:
+    the row text then holds that float's "%.17g" text, which `_jsonify`
+    replaces by null."""
+
+    finite = True
+
+    def __init__(self, to_json) -> None:
+        super().__init__()
+        self.to_json = to_json
+
+
+def _candidate_json(row: tuple) -> str:
+    lam, kind, ell, extra_tags = row
+    return _CANDIDATE_JSON % (lam, _json_string(kind), "null" if ell is None else ell,
+                              _jsonify(extra_tags))
+
+
+def _candidate_text(row: tuple) -> str:
+    lam, kind, ell, extra_tags = row
+    return _CANDIDATE_TEXT % (lam, kind, "" if ell is None else f"  ell={ell}",
+                              "".join(f"  (+{kind2} ell={ell2})" for kind2, ell2 in extra_tags))
+
 
 def _jsonify(obj) -> str:
     """Strict JSON text with all finite floats at 17 significant digits and
-    non-finite ones as null.  Exact floats and ints, the bulk of ``coverage``
-    rows, are tested for first; strings are written as `json.dumps` writes
-    them."""
+    non-finite ones as null.  Exact floats and ints are tested for first,
+    then `_Rows`, the bulk of ``coverage`` and ``candidates`` output, whose
+    rows are written one template each; strings are written as `json.dumps`
+    writes them."""
     kind = type(obj)
     if kind is float:
         return format(obj, ".17g") if math.isfinite(obj) else "null"
     if kind is int:
         return int.__repr__(obj)
+    if kind is _Rows:
+        text = "[" + ", ".join(map(obj.to_json, obj)) + "]"
+        return text if obj.finite else _NON_FINITE.sub("null", text)
     if isinstance(obj, str):
         return _json_string(obj)
     if isinstance(obj, dict):
@@ -253,13 +299,17 @@ def _execute_coverage(ns: argparse.Namespace) -> tuple[dict, int]:
     else:
         _row_bound(criterion, ns.n, interval)
         blocks = _blocks(criterion, ns.n, _point_arrays(_layout(criterion, ns.n, interval)))
-    rows = [row for block in blocks for row in zip(*(column.tolist() for column in block))]
+    rows = _Rows(_COVERAGE_JSON.__mod__)
+    for lams, gs, hs, covs in blocks:
+        # dtype=float also reads the Python floats of an object-dtype block
+        # (oracle._grid_rows' per-rate chunk)
+        rows.finite &= bool(np.isfinite(np.asarray((lams, covs), dtype=float)).all())
+        rows.extend(zip(lams.tolist(), gs.tolist(), hs.tolist(), covs.tolist()))
     result = {
         "criterion": _criterion_obj(criterion),
         "interval": {"a": interval.a, "b": interval.b},
         "n": ns.n,
-        "rows": [{"lambda": lam, "g": g, "h": h, "coverage": cov}
-                 for lam, g, h, cov in rows],
+        "rows": rows,
     }
     return result, EXIT_OK
 
@@ -283,6 +333,11 @@ def _execute_candidates(ns: argparse.Namespace) -> tuple[dict, int]:
     bound = _row_bound(criterion, ns.n, interval)
     points = candidate_set(criterion, ns.n, interval)
     bound_holds = len(points) < bound
+    # every rate lies in the finite [a, b], so the rows stay finite
+    rows = _Rows(_candidate_json)
+    rows.extend((p.value, p.kind.value, p.ell,
+                 tuple((kind.value, ell) for kind, ell in p.extra_tags))
+                for p in points)
     result = {
         "criterion": _criterion_obj(criterion),
         "interval": {"a": interval.a, "b": interval.b},
@@ -290,12 +345,7 @@ def _execute_candidates(ns: argparse.Namespace) -> tuple[dict, int]:
         "count": len(points),
         "bound": bound,
         "bound_holds": bound_holds,
-        "points": [{
-            "lambda": p.value,
-            "kind": p.kind.value,
-            "ell": p.ell,
-            "extra_tags": [[kind.value, ell] for kind, ell in p.extra_tags],
-        } for p in points],
+        "points": rows,
     }
     return result, EXIT_VERIFY if ns.check_bound and not bound_holds else EXIT_OK
 
@@ -365,18 +415,11 @@ def _render_size(result: dict, out) -> None:
 
 
 def _render_coverage(result: dict, out) -> None:
-    print("lambda,g,h,coverage", file=out)
-    for row in result["rows"]:
-        print(f"{_fmt(row['lambda'])},{row['g']},{row['h']},"
-              f"{_fmt(row['coverage'])}", file=out)
+    out.write("lambda,g,h,coverage\n" + "".join(map(_COVERAGE_CSV.__mod__, result["rows"])))
 
 
 def _render_candidates(result: dict, out) -> None:
-    for p in result["points"]:
-        ell = "" if p["ell"] is None else f"  ell={p['ell']}"
-        extras = "".join(
-            f"  (+{kind} ell={ell2})" for kind, ell2 in p["extra_tags"])
-        print(f"{_fmt(p['lambda'])}  {p['kind']}{ell}{extras}", file=out)
+    out.write("".join(map(_candidate_text, result["points"])))
     verdict = "holds" if result["bound_holds"] else "VIOLATED"
     print(f"count: {result['count']}  bound: {_fmt(result['bound'])} "
           f"({verdict})", file=out)
@@ -451,15 +494,16 @@ def _job_to_argv(job: dict, parser: argparse.ArgumentParser) -> list[str]:
     return argv
 
 
-def _run_job(job) -> tuple[dict, int]:
+def _run_job(job, parser: argparse.ArgumentParser) -> tuple[dict, int]:
     if not isinstance(job, dict):
         raise ValidationError(f"job must be a JSON object, got {job!r}")
-    parser = build_parser()
     ns = parser.parse_args(_job_to_argv(job, parser))
     return _EXECUTORS[ns.command](ns)
 
 
-def _run_batch(path: str, out) -> int:
+def _run_batch(path: str, out, parser: argparse.ArgumentParser) -> int:
+    """Runs every job of the file at ``path`` through ``parser``, which a
+    parse leaves as it was, so one parser serves the whole batch."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh]
@@ -479,7 +523,7 @@ def _run_batch(path: str, out) -> int:
 
     status = EXIT_OK
     for job in jobs:
-        result, code = _run(_run_job, job)
+        result, code = _run(_run_job, job, parser)
         print(_jsonify(result), file=out, flush=True)
         status = max(status, code)
     return status
@@ -495,7 +539,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{exc.usage}error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     if ns.config is not None:
-        return _run_batch(ns.config, sys.stdout)
+        return _run_batch(ns.config, sys.stdout, parser)
     result, code = _run(_EXECUTORS[ns.command], ns)
     if "error" in result:
         print(f"error: {result['error']}", file=sys.stderr)

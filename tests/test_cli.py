@@ -29,7 +29,9 @@ from poisson_ss import (
     ConfidenceSpec,
 )
 from poisson_ss import candidates, cli, kernel, oracle, search
+from poisson_ss.candidates import _layout, _point_arrays, cardinality_bound
 from poisson_ss.cli import main
+from poisson_ss.minimizer import _blocks
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from exact_reference import reference_coverage_at_point  # noqa: E402
@@ -199,6 +201,117 @@ def test_coverage_grid_rows_match_the_per_rate_reference(config, chunk):
     want = [(r.lam.hex(), r.g, r.h, r.coverage.hex())
             for r in grid_reference(crit, n, interval, points)]
     assert got == want
+
+
+def _stdout(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+def _head(crit, n, interval) -> dict:
+    return {"criterion": cli._criterion_obj(crit),
+            "interval": {"a": interval.a, "b": interval.b}, "n": n}
+
+
+def _coverage_reference(head, blocks) -> tuple[str, str]:
+    """The JSON and CSV a ``coverage`` command writes for ``blocks``, as
+    per-row dicts through `_jsonify` and as one `_fmt` line per row."""
+    rows = [row for block in blocks for row in zip(*(column.tolist() for column in block))]
+    dicts = [{"lambda": lam, "g": g, "h": h, "coverage": cov} for lam, g, h, cov in rows]
+    csv = "".join(f"{cli._fmt(lam)},{g},{h},{cli._fmt(cov)}\n" for lam, g, h, cov in rows)
+    return cli._jsonify({**head, "rows": dicts}) + "\n", "lambda,g,h,coverage\n" + csv
+
+
+def _candidates_reference(crit, n, interval) -> tuple[str, str]:
+    """The JSON and text a ``candidates`` command writes, from a dict per
+    point through `_jsonify` and one `_fmt` line per point."""
+    points = candidate_set(crit, n, interval)
+    bound = cardinality_bound(crit, n, interval)
+    result = {**_head(crit, n, interval), "count": len(points), "bound": bound,
+              "bound_holds": len(points) < bound,
+              "points": [{"lambda": p.value, "kind": p.kind.value, "ell": p.ell,
+                          "extra_tags": [[kind.value, ell] for kind, ell in p.extra_tags]}
+                         for p in points]}
+    text = "".join(
+        f"{cli._fmt(p.value)}  {p.kind.value}{'' if p.ell is None else f'  ell={p.ell}'}"
+        + "".join(f"  (+{kind.value} ell={ell})" for kind, ell in p.extra_tags) + "\n"
+        for p in points)
+    text += f"count: {len(points)}  bound: {cli._fmt(bound)} (holds)\n"
+    return cli._jsonify(result) + "\n", text
+
+
+def _argv(cmd, crit, n, interval) -> list[str]:
+    return [cmd, *_criterion_argv(crit), "--a", repr(interval.a), "--b", repr(interval.b),
+            "--n", str(n)]
+
+
+def _assert_grid_output_matches_the_per_row_writer(crit, n, interval, points) -> None:
+    argv = _argv("coverage", crit, n, interval) + ["--grid", str(points)]
+    want_json, want_csv = _coverage_reference(
+        _head(crit, n, interval), oracle._grid_rows(crit, n, interval, points))
+    assert _stdout(argv + ["--format", "json"]) == want_json
+    assert _stdout(argv) == want_csv
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scans().filter(_listable), _SMALL_CHUNKS, grids(), _GRID_CHUNKS)
+def test_row_output_matches_the_per_row_writer(config, chunk, grid, grid_chunk):
+    # Rows are written one template each; the text must be what a dict per
+    # row through _jsonify, or one _fmt line per row, gives.
+    crit, n, interval, _ = config
+    argv = _argv("coverage", crit, n, interval)
+    with mock.patch.object(candidates, "_CHUNK", chunk):
+        want_json, want_csv = _coverage_reference(
+            _head(crit, n, interval),
+            _blocks(crit, n, _point_arrays(_layout(crit, n, interval))))
+        assert _stdout(argv + ["--format", "json"]) == want_json
+        assert _stdout(argv) == want_csv
+        want_json, want_text = _candidates_reference(crit, n, interval)
+        argv[0] = "candidates"
+        assert _stdout(argv) == want_json
+        assert _stdout(argv + ["--format", "text"]) == want_text
+    with mock.patch.object(oracle, "_CHUNK", grid_chunk):
+        _assert_grid_output_matches_the_per_row_writer(*grid)
+
+
+@pytest.mark.parametrize("config", [
+    (Relative(0.01), 2**53 + 1, ParamInterval(1e-12, 2e-12), 20),
+    (Absolute(1e-25), 10**21, ParamInterval(0.0, 1e-20), 50),
+    (Mixed(1e-17, 0.1), 2**52, ParamInterval(1e-13, 3e-13), 9),
+])
+def test_grid_output_of_the_per_rate_chunk_matches_the_per_row_writer(config):
+    # n >= 2**52 sends each chunk through coverage_at rate by rate, whose
+    # object-dtype columns carry Python ints and floats
+    assert all(column.dtype == object
+               for block in oracle._grid_rows(*config) for column in block)
+    _assert_grid_output_matches_the_per_row_writer(*config)
+
+
+def _non_finite_blocks(*args):
+    yield (np.array([0.0, math.inf]), np.array([0, 1]), np.array([0, 2]),
+           np.array([1.0, math.nan]))
+    yield (np.array([0.5, 1.0]), np.array([1, 2]), np.array([1, 3]),
+           np.array([-math.inf, 0.25]))
+    yield tuple(np.array(column, dtype=object)
+                for column in ([2.0, math.nan], [3, 10**20], [4, 10**20], [0.5, math.inf]))
+
+
+@pytest.mark.parametrize("route, extra", [("_blocks", []), ("_grid_rows", ["--grid", "4"])])
+def test_non_finite_row_values_are_null_in_json_and_fmt_text_in_csv(route, extra):
+    crit, n, interval = Absolute(0.25), 2, ParamInterval(0.0, 1.0)
+    argv = _argv("coverage", crit, n, interval) + extra
+    want_json, want_csv = _coverage_reference(_head(crit, n, interval), _non_finite_blocks())
+    with mock.patch.object(cli, route, _non_finite_blocks):
+        got_json = _stdout(argv + ["--format", "json"])
+        got_csv = _stdout(argv)
+    assert got_json == want_json
+    rows = json.loads(got_json, parse_constant=_reject_constant)["rows"]
+    assert [(row["lambda"], row["coverage"]) for row in rows] == [
+        (0.0, 1.0), (None, None), (0.5, None), (1.0, 0.25), (2.0, 0.5), (None, None)]
+    assert got_csv == want_csv
+    assert got_csv.splitlines()[1:3] == ["0,0,0,1", "inf,1,2,nan"]
 
 
 def test_candidates_json_listing(capsys):
@@ -659,6 +772,28 @@ def test_batch_rejections_carry_the_parsers_reason(tmp_path, capsys):
         assert reason in line["error"]
         assert "usage:" not in line["error"]
     assert "usage:" not in err
+
+
+def test_batch_parses_every_job_with_one_parser(tmp_path, capsys, monkeypatch):
+    built, build_parser = [], cli.build_parser
+
+    def counted():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    good = {"cmd": "candidates", "criterion": "abs", "eps": 0.25, "a": 0, "b": 1, "n": 2}
+    jobs = [good, {**good, "n": 2.0}, good]
+    config = tmp_path / "jobs.jsonl"
+    config.write_text("".join(json.dumps(job) + "\n" for job in jobs), encoding="utf-8")
+    code, out, _ = run(capsys, ["--config", str(config)])
+    assert code == 1
+    first, rejected, third = out.splitlines()
+    assert first == third
+    assert json.loads(first)["count"] == 4
+    assert json.loads(rejected) == {
+        "error": "poisson-ss candidates: argument --n: invalid int value: '2.0'", "code": 1}
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("key, value, flag", [
