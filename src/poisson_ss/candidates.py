@@ -21,10 +21,13 @@ family is a progression ell / div + shift over an integer range of ell, and
 the crossover once; two layouts read them.  `_point_tuples` is lazy: a
 k-way merge of one generator per family yields plain tuples one at a time,
 so a scan that stops at one of its first candidates builds only those.
-`_point_arrays` builds the same points as numpy arrays from slices of the
-ell ranges, one chunk of about _CHUNK points at a time, so a scan past its
-first few candidates never holds more than a chunk.  `candidate_stream`
-makes CandidatePoints from the lazy layout.
+One array builder, `_point_rows`, builds the same points as numpy arrays
+from slices of the ell ranges, for one layout or several at once.  Its two
+uses: `_point_arrays` takes one layout a chunk of about _CHUNK points at a
+time, so a scan past its first few candidates never holds more than a
+chunk, and a batched run of consecutive n (see `search`) takes every n's
+whole layout in one call, one piece per n.  `candidate_stream` makes
+CandidatePoints from the lazy layout.
 """
 
 from __future__ import annotations
@@ -217,66 +220,92 @@ def _point_tuples(layout: _Layout) -> Iterator[_Point]:
 
 def _point_arrays(layout: _Layout) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The points of `_point_tuples` in the same order, a chunk at a time,
-    as arrays (value, g_ell, h_ell): g_ell and h_ell hold the ell of the tag
-    that pins each window side in `_window`'s tag loop, or `_UNPINNED`.
+    as the arrays (value, g_ell, h_ell) of `_point_rows`.
 
-    A chunk builds each family over the range of ell whose members lie
-    within a rate span of _CHUNK / (sum of the divs) past the chunk's
-    start, so about _CHUNK points, and merges them with a stable sort, which
-    breaks ties in `heapq.merge`'s order.  Its last group may reach past the
-    span, so that group is held back and rebuilt at the start of the next
-    chunk.
+    A chunk takes the points from the start of its first group up to
+    _CHUNK / (sum of the divs) past it, so about _CHUNK points.  Its last
+    group may reach past that end, so the group is held back and starts
+    the next chunk; a span that holds one group is widened instead.  A
+    sliver's two rows never end a chunk early: a span is wider than 2 tol.
     """
     tol, specials, grids = layout
     top = specials[-1][0] + tol  # every point lies below b + tol
     base = _CHUNK / sum(div for _, div, _, _, _ in grids)
-    cursors = [math.floor(div * (lo - shift)) - 1 for _, div, shift, lo, _ in grids]
-    start, width = specials[0][0], base
+    start, low, width = -math.inf, specials[0][0], base
     while True:
-        end = start + width
-        final = not end < top
-        inside = [p for p in specials if final or p[0] <= end]
-        values = [np.array([p[0] for p in inside], dtype=np.float64)]
-        ells = [np.zeros(len(inside), dtype=np.int64)]
-        priority = [_KIND_PRIORITY[p[1]] for p in inside]
-        counts = [1] * len(inside)
-        built = []
-        for cursor, (kind, div, shift, lo, hi) in zip(cursors, grids):
-            last = math.ceil(div * (hi - shift)) + 1
-            if not final:
-                last = min(last, math.floor(div * (end - shift)) + 1)
-            ell = np.arange(cursor, last + 1)
-            value = ell / div + shift
-            built.append(value)
-            # members rise with ell: the ones strictly within tol of
-            # (lo, hi), and up to the span's end, are one slice
-            first = value.searchsorted(lo - tol, "right")
-            stop = value.searchsorted(hi + tol, "left")
-            if not final:
-                stop = min(stop, value.searchsorted(end, "right"))
-            values.append(value[first:stop])
-            ells.append(ell[first:stop])
-            priority.append(_KIND_PRIORITY[kind])
-            counts.append(max(0, stop - first))
-        values = np.concatenate(values)
-        order = np.argsort(values, kind="stable")
-        values = values[order]
-        ells = np.concatenate(ells)[order]
-        priority = np.repeat(priority, counts)[order]
-        heads = np.flatnonzero(np.diff(values, prepend=-math.inf) > tol)
-        if final:
-            yield _merge_groups(values, priority, ells, heads)
+        end = low + width
+        if not end < top:
+            yield _point_rows([(layout, start, math.inf)])[:3]
             return
-        if heads.size < 2:  # one group fills the span: widen it
+        values, g_ell, h_ell, _, last_group = _point_rows([(layout, start, end)])
+        if values.size > 1:  # the last group is held back
+            yield values[:-1], g_ell[:-1], h_ell[:-1]
+            start = low = last_group
+            width = base
+        else:  # one group fills the span
             width *= 2.0
-            continue
-        cut = heads[-1]
-        yield _merge_groups(values[:cut], priority[:cut], ells[:cut], heads[:-1])
-        start = values[cut]
-        cursors = [cursor + int(done.searchsorted(start))
-                   for cursor, done in zip(cursors, built)]
-        specials = [p for p in specials if p[0] >= start]
-        width = base
+
+
+# A piece of `_point_rows`: a layout and the span of rates [start, end] it
+# takes points from; -inf and inf take the whole layout.
+_Piece = tuple[_Layout, float, float]
+
+
+def _point_rows(
+    pieces: list[_Piece],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float | None]:
+    """The points of several pieces as arrays (value, g_ell, h_ell), piece
+    after piece, each piece's in the order of `_point_tuples`: g_ell and
+    h_ell hold the ell of the tag that pins each window side in `_window`'s
+    tag loop, or `_UNPINNED`.  Also each piece's number of points, and the
+    least value of the last group (None without points).
+
+    A piece takes its layout's endpoints, crossover and family members in
+    [start, end].  The members of every family of every piece come from
+    one ragged range of ell, and all rows go through one stable sort on
+    (piece, value), which breaks ties in `heapq.merge`'s order, and one
+    grouping, whose groups never cross from one piece to the next.
+    """
+    spans, tols = [], []  # (first ell, count, div, shift, low, high, priority, piece)
+    for s, ((tol, points, grids), start, end) in enumerate(pieces):
+        tols.append(tol)
+        # an endpoint or the crossover is a range of one ell, 0 / -1.0 + value:
+        # exactly its value, -0.0 included
+        spans += [(0, 1, -1.0, value, -math.inf, math.inf, _KIND_PRIORITY[kind], s)
+                  for value, kind, _, _ in points if start <= value <= end]
+        # value >= start and value <= end as strict bounds, like the tol ones
+        low, high = math.nextafter(start, -math.inf), math.nextafter(end, math.inf)
+        for kind, div, shift, lo, hi in grids:
+            first = math.floor(div * (max(lo, start) - shift)) - 1
+            last = math.ceil(div * (hi - shift)) + 1
+            if end < math.inf:
+                last = min(last, math.floor(div * (end - shift)) + 1)
+            spans.append((first, max(0, last - first + 1), div, shift,
+                          max(lo - tol, low), min(hi + tol, high), _KIND_PRIORITY[kind], s))
+    first, count, div, shift, low, high, priority, seg = map(np.array, zip(*spans))
+    span = np.repeat(np.arange(count.size), count)
+    ells = np.arange(span.size) + (first - count.cumsum() + count)[span]
+    values = ells / div[span] + shift[span]
+    # the members strictly within tol of (lo, hi) and in [start, end]
+    keep = (values > low[span]) & (values < high[span])
+    values, ells, span = values[keep], ells[keep], span[keep]
+    key, tol = values, tols[0]
+    if len(pieces) > 1:
+        key = np.empty(values.size, dtype=np.complex128)  # sorts on (real, imag)
+        key.real, key.imag = seg[span], values
+    order = np.argsort(key, kind="stable")
+    values, ells, span = values[order], ells[order], span[order]
+    priority, seg = priority[span], seg[span]
+    gap = np.empty(values.size)
+    gap[:1], gap[1:] = math.inf, values[1:] - values[:-1]
+    if len(pieces) > 1:
+        starts = seg.searchsorted(np.arange(1, len(pieces)))
+        gap[starts[starts < gap.size]] = math.inf  # a group never crosses pieces
+        tol = np.array(tols)[seg]
+    heads = np.flatnonzero(gap > tol)
+    last_group = float(values[heads[-1]]) if heads.size else None
+    values, g_ell, h_ell, seg = _merge_groups(values, priority, ells, seg, heads)
+    return values, g_ell, h_ell, np.bincount(seg, minlength=len(pieces)), last_group
 
 
 # `_PIN_SIDE` by priority: -1 for the endpoints and the crossover.
@@ -284,34 +313,44 @@ _SIDE = np.array([_PIN_SIDE.get(kind, -1) for kind in CandidateKind])
 
 
 def _merge_groups(
-    values: np.ndarray, priority: np.ndarray, ells: np.ndarray, heads: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_merge_group` over every group of a merged chunk, given the rows
-    where groups start.  A group keeps its (priority, value)-first member
-    and each window side takes its last pin in that order; a sliver keeps
-    both endpoints."""
+    values: np.ndarray, priority: np.ndarray, ells: np.ndarray, seg: np.ndarray,
+    heads: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """`_merge_group` over every group of merged rows, given the rows where
+    groups start, as (value, g_ell, h_ell, seg) per point.  A group keeps
+    the value of its member of least priority, and each window side the
+    pin of its pinning member of greatest priority; a sliver keeps both
+    endpoints.
+
+    The members of a group have distinct kinds: `_layout` keeps a family's
+    members more than 8 tol apart, and a group of one member per kind spans
+    at most 6 tol.  So the groups of two or more are columns of a table of
+    rows by kind."""
     side = _SIDE[priority]
     if heads.size == values.size:  # no collisions
         return (values, np.where(side == 0, ells, _UNPINNED),
-                np.where(side == 1, ells, _UNPINNED))
-    group = np.zeros(values.size, dtype=np.int64)
-    group[heads] = 1
-    # Within a group the rows are in merge order, so a stable sort on
-    # (group, priority) orders each by (priority, value) as `sorted` does.
-    order = np.argsort((np.cumsum(group) - 1) * len(_SIDE) + priority, kind="stable")
-    values, priority, ells, side = values[order], priority[order], ells[order], side[order]
-    rows = np.arange(values.size)
-    out = [values[heads]]
+                np.where(side == 1, ells, _UNPINNED), seg)
+    side, pins = side[heads], ells[heads]
+    out = [values[heads], np.where(side == 0, pins, _UNPINNED),
+           np.where(side == 1, pins, _UNPINNED), seg[heads]]
+    size = np.empty_like(heads)
+    size[:-1], size[-1] = heads[1:] - heads[:-1], values.size - heads[-1]
+    groups = np.flatnonzero(size > 1)
+    member = np.full((len(_SIDE), groups.size), -1)  # row of each kind, or -1
+    rows = np.flatnonzero(np.repeat(size > 1, size))
+    member[priority[rows], np.repeat(np.arange(groups.size), size[groups])] = rows
+    out[0][groups] = values[member[(member >= 0).argmax(axis=0), np.arange(groups.size)]]
     for pinned in (0, 1):
-        last = np.maximum.reduceat(np.where(side == pinned, rows, -1), heads)
-        out.append(np.where(last >= 0, ells[last], _UNPINNED))
-    if (priority[0] == _KIND_PRIORITY[CandidateKind.ENDPOINT_A]
-            and priority[1] == _KIND_PRIORITY[CandidateKind.ENDPOINT_B]
-            and (heads.size == 1 or heads[1] > 1)):
-        # Sliver interval: a and b, the first two members of a's group by
-        # priority, both stay, with the group's tags.
-        out = [np.insert(column, 1, extra)
-               for column, extra in zip(out, (values[1], out[1][0], out[2][0]))]
+        low, high = member[_SIDE == pinned]  # the two families that pin this side
+        pin = np.where(high >= 0, high, low)
+        out[1 + pinned][groups] = np.where(pin >= 0, ells[pin], _UNPINNED)
+    # Sliver interval: a and b in one group both stay, with the group's tags.
+    a, b = member[:2]  # the endpoints come first by priority
+    sliver = np.flatnonzero((a >= 0) & (b >= 0))
+    if sliver.size:
+        at = groups[sliver]
+        extras = (values[b[sliver]], *(column[at] for column in out[1:]))
+        out = [np.insert(column, at + 1, extra) for column, extra in zip(out, extras)]
     return tuple(out)
 
 

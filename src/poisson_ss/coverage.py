@@ -21,7 +21,8 @@ At a candidate breakpoint the side its tag names comes from the integer
 ell instead.  The whole rule, float and tagged sides, lives in `_window`,
 which every public function here and the scan's first candidates go
 through; the scan passes plain fields and builds no objects.  `_windows`
-is the same rule over arrays, for the scan's chunks and the grid oracle.
+is the same rule over arrays, for the scan's chunks, the grid oracle and
+a batched run's rows of several n, one n per row.
 """
 
 from __future__ import annotations
@@ -130,18 +131,21 @@ def _window(criterion: ErrorCriterion, n: int, lam: float, tags: tuple) -> tuple
 
 
 def _windows(
-    criterion: ErrorCriterion, n: int, lams: np.ndarray, g_ell=_UNPINNED, h_ell=_UNPINNED,
+    criterion: ErrorCriterion, n: int | np.ndarray, lams: np.ndarray,
+    g_ell=_UNPINNED, h_ell=_UNPINNED,
 ) -> tuple[np.ndarray, np.ndarray]:
     """`_window` over an array of rates, as int64 arrays g and h equal
-    element for element to its values.  ``g_ell`` and ``h_ell`` hold, per
-    rate, the ell of the last tag pinning that side (`_PIN_SIDE`), or
+    element for element to its values.  ``n`` is one sample size for every
+    rate or an int64 array of one per rate.  ``g_ell`` and ``h_ell`` hold,
+    per rate, the ell of the last tag pinning that side (`_PIN_SIDE`), or
     `_UNPINNED`, which the defaults give every rate.  A g pin is
     max(0, ell + 1) for both families: a REL_LOWER member of a candidate set
     has ell >= 0.
 
     The float rule takes the same operations in the same order; ``np.rint``
     rounds half to even like ``round``.  A negative rate or a non-finite
-    product raises `_window`'s ValueError for the first such rate."""
+    product raises `_window`'s ValueError for the first such rate and its
+    own n."""
     with np.errstate(over="ignore"):  # a product overflows to inf, as in floats
         if isinstance(criterion, Mixed):
             absolute = lams <= criterion.crossover
@@ -155,7 +159,8 @@ def _windows(
             lower, upper = mu * (1.0 - criterion.eps), mu * (1.0 + criterion.eps)
     bad = ~((lams >= 0.0) & np.isfinite(lower) & np.isfinite(upper))
     if bad.any():
-        _window(criterion, n, float(lams[bad.argmax()]), ())  # raises
+        i = bad.argmax()
+        _window(criterion, int(n[i]) if np.ndim(n) else n, float(lams[i]), ())  # raises
     g = np.maximum(np.floor(_snaps(lower)) + 1.0, 0.0).astype(np.int64)
     h = (np.ceil(_snaps(upper)) - 1.0).astype(np.int64)
     g = np.where(g_ell != _UNPINNED, np.maximum(g_ell + 1, 0), g)

@@ -27,12 +27,15 @@ the probe saw, above the threshold.  There are two passes:
   and a batched run of consecutive n (see `search`).  It goes over the
   rows of each n in rate order and sums those whose floor is within the
   margin of the threshold, up to the first value at or below it: the
-  first failing candidate in rate order.  Several n that each fit a chunk
-  share one floored chunk, one segment of rows per n, and `_first_fails`
-  sums the next block of every segment without a failure yet in one
-  `interval_probs` call; so a run decides its n for the fixed costs of
-  one.  A lone n goes a chunk at a time, its rank carried across chunks,
-  so a stop builds the chunk that holds its witness and nothing past it.
+  first failing candidate in rate order.  Several n that fit a chunk
+  together share one floored chunk, one segment of rows per n: one
+  `_point_rows` call builds every n's rows, one `_windows` call resolves
+  their windows with each row's own n, and one `_floors` call floors them.
+  `_first_fails` then sums the next block of every segment without a
+  failure yet in one `interval_probs` call; so a run decides its n for the
+  fixed costs of one.  A lone n goes a chunk at a time, its rank carried
+  across chunks, so a stop builds the chunk that holds its witness and
+  nothing past it.
 * the minimum pass, for a full scan or a threshold scan that found no
   failure, builds the chunks afresh and sums each chunk's rows in
   ascending order of their floor while the floor is within the margin of
@@ -51,12 +54,13 @@ pruned blocks of _BLOCK rows take its batched one.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 
 import numpy as np
 
-from .candidates import _layout, _Layout, _point_arrays, _point_tuples
+from .candidates import _layout, _Layout, _point_arrays, _point_rows, _point_tuples
 from .coverage import _coverage, _windows
 from .kernel import _floors, interval_probs
 from .types import CoverageResult, ErrorCriterion, ParamInterval
@@ -138,23 +142,24 @@ def _fail_ranks(
     such a coverage.
 
     There is no scalar probe: the floors rule out the low rates.  Several
-    layouts go into one floored chunk, one segment of rows per n.  A lone
-    layout goes one `_point_arrays` chunk at a time, its rank carried
-    across chunks, so a stop builds nothing past its witness's chunk."""
-    def parts(n, layout):  # the rows of n with their means, a chunk at a time
-        return ((lams, gs, hs, n * lams)
-                for lams, gs, hs in _chunk_windows(criterion, n, _point_arrays(layout)))
-
+    layouts go into one floored chunk, one segment of rows per n, built by
+    one `_point_rows` call over their whole layouts and given windows and
+    means with one n per row.  A lone layout goes one `_point_arrays` chunk
+    at a time, its rank carried across chunks, so a stop builds nothing
+    past its witness's chunk."""
     if len(layouts) > 1:
-        passes = [[list(parts(n, layout)) for n, layout in layouts]]
+        lams, g_ell, h_ell, sizes, _ = _point_rows(
+            [(layout, -math.inf, math.inf) for _, layout in layouts])
+        ns = np.repeat([n for n, _ in layouts], sizes)
+        passes = [(lams, *_windows(criterion, ns, lams, g_ell, h_ell), ns * lams, sizes.tolist())]
     else:
-        passes = ([[part]] for n, layout in layouts for part in parts(n, layout))
+        passes = ((lams, gs, hs, n * lams, [lams.size])
+                  for n, layout in layouts
+                  for lams, gs, hs in _chunk_windows(criterion, n, _point_arrays(layout)))
     seen = 0
-    for segments in passes:
-        bounds = list(accumulate((sum(lams.size for lams, *_ in segment) for segment in segments),
-                                 initial=0))
-        chunk = _floored(*map(np.concatenate, zip(*chain.from_iterable(segments))))
-        segments.clear()  # the per-n arrays, before the sums' temporaries
+    for *rows, sizes in passes:
+        chunk = _floored(*rows)
+        bounds = list(accumulate(sizes, initial=0))
         lams, gs, hs, _, _, covs = chunk
         hits = [(CoverageResult(lam=float(lams[i]), g=int(gs[i]), h=int(hs[i]),
                                 coverage=float(covs[i])), seen + i - start + 1)

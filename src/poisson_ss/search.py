@@ -28,18 +28,23 @@ n in batched runs with the scan's own fail-fast pass,
 n, never above max_n, whose `cardinality_bound` over their scanned
 intervals sum to at most one chunk of the array layout, and decides them
 in one pass over their candidates on [a, scan_b], one segment of rows per
-n; a first n whose layout alone exceeds a chunk is a run of one, gone
-through a chunk at a time.  Each n's decision there is the sequential
-one: its segment holds exactly its own candidates, and the pass stops it
-at its first coverage at or below 1 - delta in rate order, so a failure
-found is the fail-fast scan's witness and its rank the scan's
-``evaluations``.  The leading n that fail are decided by the run; the
-first n that does not goes through the sequential scan, which is then
-complete and gives the plan.  So does an n whose tail bound leaves only
-a.  An error building an n's layout ends the run before that n, which
-goes through the sequential scan if the search gets there, so an error
-surfaces only at an n the sequential search reaches.  The n of a run past
-the answer are speculative: they cost work but never change the answer.
+n.  The run builds every n's candidates, windows, means and coverage
+floors with one set of array calls, not one per n; a first n whose layout
+alone exceeds a chunk is a run of one, gone through a chunk at a time.
+Each n's decision there is the sequential one: its segment holds exactly
+its own candidates, and the pass stops it at its first coverage at or
+below 1 - delta in rate order, so a failure found is the fail-fast scan's
+witness and its rank the scan's ``evaluations``.  The leading n that fail
+are decided by the run.  The first n that does not fail there passes: the
+run summed every row of it whose floor is within the margin of the
+threshold, and none failed.  So it gets one full scan, with no threshold,
+which gives the plan; its fail-fast pass would only repeat the run's.  An
+n that no run reached goes through the sequential threshold scan, and so
+does an n whose tail bound leaves only a.  An error building an n's
+layout ends the run before that n, which goes through the sequential scan
+if the search gets there, so an error surfaces only at an n the
+sequential search reaches.  The n of a run past the answer are
+speculative: they cost work but never change the answer.
 
 Where the relative margin governs, the count K = 0 is never inside the
 acceptance window.  So the coverage at r0, the least such rate of [a, b]
@@ -109,8 +114,11 @@ def _decide(
     interval: ParamInterval,
     delta: float,
     n: int,
+    seen_passing: bool = False,
 ) -> tuple[bool, CoverageResult, int, float]:
-    """Pass/fail at one n: (passed, witness, evaluations, scanned upper end)."""
+    """Pass/fail at one n: (passed, witness, evaluations, scanned upper end).
+    An n that a batched run ``seen_passing`` gets one full scan: its
+    fail-fast pass is the run's, so a threshold would only repeat it."""
     a = interval.a
     scan_b = _scan_b(criterion, interval, delta, n)
     if scan_b <= a:
@@ -118,7 +126,7 @@ def _decide(
         result = coverage_at(criterion, n, a)
         return result.coverage > 1.0 - delta, result, 1, a
     result, evals = scan_min_coverage(
-        criterion, n, ParamInterval(a, scan_b), 1.0 - delta)
+        criterion, n, ParamInterval(a, scan_b), None if seen_passing else 1.0 - delta)
     return result.coverage > 1.0 - delta, result, evals, scan_b
 
 
@@ -196,6 +204,7 @@ def min_sample_size(
     evaluations = evals = 0
     n = start_n
     while n <= max_n:
+        seen_passing = False
         if evals > _PREFIX:
             hits, built = _fail_run(criterion, interval, delta, n, max_n)
             evaluations += sum(count for _, count in hits)
@@ -203,7 +212,8 @@ def min_sample_size(
             if hits and len(hits) == built:
                 evals = hits[-1][1]
                 continue
-        passed, result, evals, scan_b = _decide(criterion, interval, delta, n)
+            seen_passing = built > len(hits)
+        passed, result, evals, scan_b = _decide(criterion, interval, delta, n, seen_passing)
         evaluations += evals
         if passed:
             return SampleSizePlan(

@@ -80,6 +80,16 @@ def test_windows_raise_the_scalar_message_for_the_first_bad_rate(criterion, lams
         _windows(criterion, 2, lams, unpinned, unpinned)
 
 
+@pytest.mark.parametrize("criterion", [Absolute(0.1), Relative(0.1), Mixed(0.1, 0.1)])
+def test_windows_raise_for_the_first_bad_rate_with_its_own_n(criterion):
+    # n * 1e308 overflows at n = 2 only, so only the second row is bad,
+    # and the scalar rule raises for it only with its own n
+    lams = np.array([1e308, 1e308])
+    unpinned = np.full(lams.size, _UNPINNED)
+    with pytest.raises(ValueError, match="acceptance window bound inf is not finite"):
+        _windows(criterion, np.array([1, 2]), lams, unpinned, unpinned)
+
+
 def test_window_can_be_empty_for_tight_relative_margin():
     # n=1, lam=0.4, eps=0.2: g = floor(0.32)+1 = 1, h = ceil(0.48)-1 = 0
     b = acceptance_bounds(Relative(0.2), 1, 0.4)
@@ -335,3 +345,25 @@ def test_windows_match_the_independent_reference_bit_for_bit(config):
         want = reference_coverage_at_point(crit, n, point)
         assert (tagged.g, tagged.h, tagged.coverage.hex()) == (
             want.g, want.h, want.coverage.hex()), point
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["abs", "rel", "mix"]),
+    eps=st.tuples(_margins, _margins),
+    rows=st.lists(st.tuples(
+        st.integers(1, 40) | st.integers(1, 10**6),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 5.0),
+        st.none() | st.integers(-2, 10**6),
+        st.none() | st.integers(-2, 10**6)), min_size=1, max_size=40),
+)
+def test_windows_with_one_n_per_row_match_one_call_per_row(kind, eps, rows):
+    # the window rule with an array of n, one per rate, against one scalar-n
+    # call per rate, with and without pinned sides
+    crit = {"abs": Absolute(eps[0]), "rel": Relative(eps[0]), "mix": Mixed(*eps)}[kind]
+    ns, lams, g_ell, h_ell = (np.array([_UNPINNED if v is None else v for v in column])
+                              for column in zip(*rows))
+    gs, hs = _windows(crit, ns, lams, g_ell, h_ell)
+    for i, n in enumerate(ns.tolist()):
+        g, h = _windows(crit, n, lams[i:i + 1], g_ell[i:i + 1], h_ell[i:i + 1])
+        assert (gs[i], hs[i]) == (g[0], h[0]), rows[i]

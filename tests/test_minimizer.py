@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from poisson_ss import (
@@ -20,7 +20,7 @@ from poisson_ss import (
     min_coverage,
     scan_min_coverage,
 )
-from poisson_ss import candidates, kernel, minimizer
+from poisson_ss import candidates, kernel, minimizer, search
 from poisson_ss.candidates import DEDUP_REL_TOL, _layout, _point_arrays, _point_tuples
 from poisson_ss.coverage import _window, _windows
 from poisson_ss.minimizer import _BLOCK, _PREFIX
@@ -268,6 +268,85 @@ def test_array_layout_matches_the_lazy_stream_row_for_row(config, chunk):
     want = _tuple_rows(crit, n, interval)
     with mock.patch.object(candidates, "_CHUNK", chunk):
         assert _array_rows(crit, n, interval) == want
+
+
+@st.composite
+def _runs(draw):
+    """A criterion and the (n, interval) of each n of a run of consecutive
+    n on [a, b_n].  Relative runs truncate b_n per n as the search does;
+    Absolute runs may give each n its own b_n, so merge tolerances differ,
+    and put a within 0.9 tolerances of one n's breakpoint; Mixed runs hold
+    the crossover.  A margin of 0.5 merges every breakpoint (2 n eps is an
+    integer), and up to two n may be slivers."""
+    kind = draw(st.sampled_from(["abs", "rel", "mix"]))
+    eps = 0.5 if draw(st.booleans()) else draw(_margins)
+    start, k = draw(st.integers(1, 300)), draw(st.integers(2, 6))
+    if kind == "abs":
+        crit = Absolute(eps)
+        widths = [min(draw(st.sampled_from([0.05, 0.5, 1.0, 2.0]) | st.floats(0.05, 2.0)),
+                      600.0 / (start + k)) for _ in range(k)]
+        if draw(st.booleans()):
+            widths = [widths[0]] * k
+        if draw(st.booleans()):
+            s = draw(st.integers(0, k - 1))
+            a = draw(_tagged_a(crit, start + s, widths[s]))
+        else:
+            a = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 2.0))
+        bs = [a + width for width in widths]
+    elif kind == "rel":
+        crit, delta = Relative(eps), draw(st.floats(0.02, 0.4))
+        a = draw(st.floats(0.2, 2.0))
+        wide = ParamInterval(a, a + min(draw(st.floats(0.05, 50.0)), 600.0 / (start + k)))
+        bs = [search._scan_b(crit, wide, delta, n) for n in range(start, start + k)]
+        assume(min(bs) > a)
+    else:
+        crit = Mixed(eps, draw(_margins))
+        a = crit.crossover * draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.9))
+        b = crit.crossover * draw(st.floats(1.1, 3.0))
+        assume(b - a <= 600.0 / (start + k))
+        bs = [b] * k
+    for s in draw(st.sets(st.integers(0, k - 1), max_size=2)):
+        bs[s] = a + 0.5 * DEDUP_REL_TOL * max(1.0, a)
+    return crit, [(n, ParamInterval(a, b)) for n, b in zip(range(start, start + k), bs)]
+
+
+# a lies 0.9 tolerances of n = 101's [a, a + 2] below one of its
+# breakpoints, more than the tolerance of n = 100's [a, a + 0.5]
+_A = 50 / 101 + 0.1 - 0.9 * DEDUP_REL_TOL * (50 / 101 + 2.1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_runs(), _SMALL_CHUNKS | st.just(candidates._CHUNK))
+@example((Absolute(0.1), [(100, ParamInterval(_A, _A + 0.5)), (101, ParamInterval(_A, _A + 2.0))]),
+         candidates._CHUNK)
+def test_run_build_matches_per_n_builds_row_for_row(run, chunk):
+    # one `_point_rows` call over every n's whole layout, then one
+    # `_windows` call with one n per row, against each n built alone a
+    # chunk at a time (several chunks with `chunk` points) and windowed
+    # with its own n
+    crit, ns = run
+    layouts = [_layout(crit, n, interval) for n, interval in ns]
+    lams, g_ell, h_ell, sizes, _ = candidates._point_rows(
+        [(layout, -np.inf, np.inf) for layout in layouts])
+    gs, hs = _windows(crit, np.repeat([n for n, _ in ns], sizes), lams, g_ell, h_ell)
+    rows = list(zip([v.hex() for v in lams.tolist()], gs.tolist(), hs.tolist()))
+    with mock.patch.object(candidates, "_CHUNK", chunk):
+        want = [_array_rows(crit, n, interval) for n, interval in ns]
+    assert sizes.tolist() == [len(rows_of_n) for rows_of_n in want]
+    assert rows == [row for rows_of_n in want for row in rows_of_n]
+
+
+@pytest.mark.parametrize("crit", [Absolute(0.5), Relative(0.5), Mixed(0.5, 0.5)])
+def test_array_layout_keeps_a_negative_zero_endpoint(crit):
+    # a = -0.0 is a float the interval may hold; its point keeps the sign
+    for b in (-0.0, 0.0, 0.5):
+        interval = ParamInterval(-0.0, b)
+        assert _array_rows(crit, 3, interval) == _tuple_rows(crit, 3, interval)
+        if b == 0.0:  # a tie at one rate goes to the first point, a
+            assert min_coverage(crit, 3, interval).lam.hex() == "-0x0.0p+0"
+    run = candidates._point_rows([(_layout(crit, n, ParamInterval(-0.0, 0.5)), -np.inf, np.inf)
+                                  for n in (3, 4)])
+    assert [v.hex() for v in run[0][run[0] == 0.0].tolist()] == ["-0x0.0p+0"] * 2
 
 
 def test_merge_group_straddling_a_chunk_cut():

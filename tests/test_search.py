@@ -251,6 +251,45 @@ def test_run_of_one_builds_only_the_chunk_of_its_witness(monkeypatch):
 _BATCHED = (Absolute(0.1), ParamInterval(0.0, 1.0), ConfidenceSpec(0.1))
 
 
+def test_run_of_several_n_builds_and_windows_them_in_one_call_each(monkeypatch):
+    calls = {"_point_rows": 0, "_windows": 0, "_point_arrays": 0}
+
+    def counting(name):
+        real = getattr(poisson_ss.minimizer, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(poisson_ss.minimizer, name, counting(name))
+    criterion, interval, conf = _BATCHED
+    hits, built = search._fail_run(criterion, interval, conf.delta, 250, 400)
+    assert built >= 2 and len(hits) >= 2
+    assert calls == {"_point_rows": 1, "_windows": 1, "_point_arrays": 0}
+
+
+def test_a_passing_n_a_run_saw_gets_one_full_scan(monkeypatch):
+    # the run that reaches n_min sees it pass; the search then scans it once,
+    # with no threshold, and the plan is unchanged, evaluations included
+    scans = []
+    scan = poisson_ss.search.scan_min_coverage
+
+    def recording(criterion, n, interval, threshold=None):
+        scans.append((n, threshold))
+        return scan(criterion, n, interval, threshold)
+
+    monkeypatch.setattr(poisson_ss.search, "scan_min_coverage", recording)
+    plan = min_sample_size(*_BATCHED)
+    (_, _, _, n_min, worst_lam, worst_cov, evals, trunc_b), = (
+        row for row in PINNED if row[:3] == (_BATCHED[0], _BATCHED[1], _BATCHED[2].delta))
+    assert (plan.n_min, plan.worst_lambda.hex(), plan.worst_coverage.hex(),
+            plan.evaluations, plan.truncated_b) == (
+        n_min, worst_lam.hex(), worst_cov.hex(), evals, trunc_b)
+    assert [scan for scan in scans if scan[0] == n_min] == [(n_min, None)]
+
+
 def _record_layouts(monkeypatch, fail=lambda n: False) -> list[int]:
     """Record every n whose layout the search builds, for a batched run or
     a sequential scan, and make building it raise where ``fail(n)``."""
