@@ -9,8 +9,8 @@ A scan with a threshold first probes its first _PREFIX candidates from
 the lazy tuple stream, one at a time with the scalar kernel, and returns
 the first one at or below the threshold: a failing n is usually decided
 there (a Relative search spends ~2.4 evaluations per n), and building
-arrays or calling numpy would cost more than those few sums.  The probe
-only looks for a failure; a full scan skips it.
+arrays or calling numpy would cost more than those few sums.  The probe,
+`_probe`, only looks for a failure; a full scan skips it.
 
 Past the probe the scan takes the array layout from its first row, one
 chunk at a time, resolves a chunk's windows at once with `_windows` and
@@ -21,41 +21,43 @@ of the coverage, so a row whose floor is above some value by more than
 _MARGIN = 1e-9 has a kernel value above it.  Only the rows the floor
 cannot rule out are summed, by `interval_probs` in blocks of _BLOCK rows,
 bit for bit the scalar values; so a probed row read again has the value
-the probe saw, above the threshold.  There are two passes:
+the probe saw, above the threshold.
 
-* the fail-fast pass, `_fail_ranks`, is shared by a scan with a threshold
-  and a batched run of consecutive n (see `search`).  It goes over the
-  rows of each n in rate order and sums those whose floor is within the
-  margin of the threshold, up to the first value at or below it: the
-  first failing candidate in rate order.  Several n that fit a chunk
-  together share one floored chunk, one segment of rows per n: one
-  `_point_rows` call builds every n's rows, one `_windows` call resolves
-  their windows with each row's own n, and one `_floors` call floors them.
-  `_first_fails` then sums the next block of every segment without a
-  failure yet in one `interval_probs` call; so a run decides its n for the
-  fixed costs of one.  A lone n goes a chunk at a time, its rank carried
-  across chunks, so a stop builds the chunk that holds its witness and
-  nothing past it.
-* the minimum pass, for a full scan or a threshold scan that found no
-  failure, builds the chunks afresh and sums each chunk's rows in
-  ascending order of their floor while the floor is within the margin of
-  the least value summed so far, which starts at infinity: the first
-  chunk's lowest floors set it.  A failing n never pays for it.
+One pass, `_decide`, settles an n, for a scan with a threshold and for a
+batched run of consecutive n (see `search`).  It goes over the rows of
+each n in rate order and sums those whose floor is within the margin of
+the threshold, up to the first value at or below it: the first failing
+candidate in rate order.  Several n that fit a chunk together share one
+floored chunk, one segment of rows per n: one `_point_rows` call builds
+every n's rows, one `_windows` call resolves their windows with each row's
+own n, and one `_floors` call floors them.  `_first_fails` then sums the
+next block of every segment without a failure yet in one `interval_probs`
+call; so a run decides its n for the fixed costs of one.  A lone n goes a
+chunk at a time, its rank carried across chunks, so a stop builds the
+chunk that holds its witness and nothing past it.
+
+The first n without a failure passes, and `_minimum` gives its minimum:
+it sums the rows not summed yet in ascending order of their floor while
+the floor is within the margin of the least value summed so far.  It
+reads the rows the fail-fast pass floored, the n's segment of a run's
+chunk or a lone n's one chunk; an n of several chunks builds them again.
+A full scan builds each chunk once.  A row left out has a coverage above
+a summed value, so the minimum and its ties do not change.
 
 So the scan returns what a point-by-point scan returns: ties go to the
 smallest rate, and ``evaluations`` counts the candidates in rate order up
 to and including the witness, whether a floor or a sum decided them.  A
 scan holds at most one chunk at a time.  `_blocks` evaluates the
-``coverage`` command's rows, which need every value: it shares the chunk
-loop, `_chunk_windows`, and sums each whole chunk in one `interval_probs`
-call, wide enough for the kernel's step-by-step sweep, where the scan's
-pruned blocks of _BLOCK rows take its batched one.
+``coverage`` command's rows, which need every value: it sums each whole
+chunk in one `interval_probs` call, with no floors, wide enough for the
+kernel's step-by-step sweep, where the scan's pruned blocks of _BLOCK
+rows take its batched one.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import accumulate, islice
 
 import numpy as np
@@ -74,6 +76,9 @@ _BLOCK = 64
 # the kernel within 1e-12 of the exact mass.
 _MARGIN = 1e-9
 
+_Hit = tuple[CoverageResult, int]
+_Chunk = tuple[np.ndarray, ...]
+
 
 def scan_min_coverage(
     criterion: ErrorCriterion,
@@ -87,11 +92,11 @@ def scan_min_coverage(
     smaller rate.  When a fail-fast threshold is given the scan stops at the
     first candidate with coverage <= threshold; the returned result is then
     that witness rather than the global minimum, which is all a pass/fail
-    decision needs.  Such a scan first probes the first _PREFIX candidates
-    one at a time, then runs the fail-fast pass, `_fail_ranks`, over its
-    whole layout.  A full scan, or a threshold scan without a failure, then
-    runs the minimum pass.  Both passes build candidates a chunk at a time,
-    so an early stop also stops building them.
+    decision needs.  Such a scan probes its first _PREFIX candidates,
+    `_probe`, then settles the rest in one pass, `_decide`, which gives the
+    witness or, without one, the minimum.  A full scan only takes the
+    minimum, `_minimum`.  Candidates are built a chunk at a time, so an
+    early stop also stops building them.
 
     In the array path a candidate's coverage is summed only where its
     coverage floor cannot show that it is above the threshold, or above the
@@ -100,24 +105,68 @@ def scan_min_coverage(
     them, whether its floor or its sum decided it.
     """
     layout = _layout(criterion, n, interval)
-    if fail_fast_threshold is not None:
-        probe = islice(_point_tuples(layout), _PREFIX)
-        for count, (value, kind, ell, extra_tags) in enumerate(probe, 1):
-            g, h, cov = _coverage(criterion, n, value, ((kind, ell),) + extra_tags)
-            if cov <= fail_fast_threshold:
-                return CoverageResult(lam=value, g=g, h=h, coverage=cov), count
-        # The probed rows are above the threshold, so the array pass finds
-        # no failure among them.
-        hits = _fail_ranks(criterion, [(n, layout)], fail_fast_threshold)
-        if hits:
-            return hits[0]
+    if fail_fast_threshold is None:
+        return _minimum(_chunks(criterion, n, layout))
+    if hit := _probe(criterion, n, layout, fail_fast_threshold):
+        return hit
+    hits, passed = _decide(criterion, [(n, layout)], fail_fast_threshold)
+    return hits[0] if hits else passed
 
-    best, count, least = None, 0, np.inf  # least: the least coverage summed so far
-    for lams, gs, hs in _chunk_windows(criterion, n, _point_arrays(layout)):
-        _, _, _, mus, floors, covs = _floored(lams, gs, hs, n * lams)
-        # A row left out here has a coverage above the least one summed, so
-        # it can be neither the chunk's minimum nor tie with it.
-        rows = floors.argsort()
+
+def _probe(criterion: ErrorCriterion, n: int, layout: _Layout, threshold: float) -> _Hit | None:
+    """(witness, rank) of the first of the first _PREFIX candidates with a
+    coverage at or below ``threshold``, or None: the lazy tuple stream and
+    the scalar kernel, one candidate at a time."""
+    probe = islice(_point_tuples(layout), _PREFIX)
+    for count, (value, kind, ell, extra_tags) in enumerate(probe, 1):
+        g, h, cov = _coverage(criterion, n, value, ((kind, ell),) + extra_tags)
+        if cov <= threshold:
+            return CoverageResult(lam=value, g=g, h=h, coverage=cov), count
+    return None
+
+
+def _decide(
+    criterion: ErrorCriterion, layouts: list[tuple[int, _Layout]], threshold: float
+) -> tuple[list[_Hit], _Hit | None]:
+    """(hits, passed) of consecutive (n, layout), with no scalar probe:
+    hits are the (witness, count) that a fail-fast `scan_min_coverage` of
+    each leading layout with a coverage at or below ``threshold`` would
+    return, and passed is the (minimum, count) of the first layout without
+    one, or None when every layout has one (see the module docstring)."""
+    if len(layouts) > 1:
+        lams, g_ell, h_ell, sizes, _ = _point_rows(
+            [(layout, -math.inf, math.inf) for _, layout in layouts])
+        ns = np.repeat([n for n, _ in layouts], sizes)
+        passes = [(_floored(criterion, ns, lams, g_ell, h_ell), sizes.tolist())]
+    else:
+        passes = ((chunk, [chunk[0].size]) for chunk in _chunks(criterion, *layouts[0]))
+    seen, least = 0, math.inf  # least: the least coverage summed so far
+    for built, (chunk, sizes) in enumerate(passes, 1):
+        lams, gs, hs, _, _, covs = chunk
+        bounds = list(accumulate(sizes, initial=0))
+        hits = [(CoverageResult(lam=float(lams[i]), g=int(gs[i]), h=int(hs[i]),
+                                coverage=float(covs[i])), seen + i - start + 1)
+                for i, start in zip(_first_fails(chunk, bounds, threshold), bounds)]
+        if len(hits) == len(sizes):
+            return hits, None
+        if hits:  # a run, whose segment past its hits passes
+            break
+        seen += lams.size
+        least = min(least, covs.min())
+    if built > 1:
+        return [], _minimum(_chunks(criterion, *layouts[0]), least)
+    segment = slice(bounds[len(hits)], bounds[len(hits) + 1])
+    return hits, _minimum([tuple(column[segment] for column in chunk)])
+
+
+def _minimum(chunks: Iterable[_Chunk], least: float = math.inf) -> _Hit:
+    """(minimum, count) over the floored ``chunks`` of one layout, ties to
+    the smaller rate, from ``least``, the least coverage summed so far."""
+    best, count = None, 0
+    for lams, gs, hs, mus, floors, covs in chunks:
+        least = min(least, covs.min())
+        rows = np.flatnonzero(covs == np.inf)  # the rows not summed yet
+        rows = rows[floors[rows].argsort()]
         start = 0
         while start < rows.size and floors[rows[start]] <= least + _MARGIN:
             block = rows[start:start + _BLOCK]
@@ -133,52 +182,23 @@ def scan_min_coverage(
     return best, count
 
 
-def _fail_ranks(
-    criterion: ErrorCriterion, layouts: list[tuple[int, _Layout]], threshold: float
-) -> list[tuple[CoverageResult, int]]:
-    """The (witness, count) that a fail-fast `scan_min_coverage` of each
-    (n, layout) would return, its first coverage at or below ``threshold``
-    in rate order and that row's rank, for the leading layouts that have
-    such a coverage.
-
-    There is no scalar probe: the floors rule out the low rates.  Several
-    layouts go into one floored chunk, one segment of rows per n, built by
-    one `_point_rows` call over their whole layouts and given windows and
-    means with one n per row.  A lone layout goes one `_point_arrays` chunk
-    at a time, its rank carried across chunks, so a stop builds nothing
-    past its witness's chunk."""
-    if len(layouts) > 1:
-        lams, g_ell, h_ell, sizes, _ = _point_rows(
-            [(layout, -math.inf, math.inf) for _, layout in layouts])
-        ns = np.repeat([n for n, _ in layouts], sizes)
-        passes = [(lams, *_windows(criterion, ns, lams, g_ell, h_ell), ns * lams, sizes.tolist())]
-    else:
-        passes = ((lams, gs, hs, n * lams, [lams.size])
-                  for n, layout in layouts
-                  for lams, gs, hs in _chunk_windows(criterion, n, _point_arrays(layout)))
-    seen = 0
-    for *rows, sizes in passes:
-        chunk = _floored(*rows)
-        bounds = list(accumulate(sizes, initial=0))
-        lams, gs, hs, _, _, covs = chunk
-        hits = [(CoverageResult(lam=float(lams[i]), g=int(gs[i]), h=int(hs[i]),
-                                coverage=float(covs[i])), seen + i - start + 1)
-                for i, start in zip(_first_fails(chunk, bounds, threshold), bounds)]
-        if hits:
-            return hits
-        seen += lams.size
-    return []
+def _chunks(criterion: ErrorCriterion, n: int, layout: _Layout) -> Iterator[_Chunk]:
+    """The floored chunks of the layout's `_point_arrays`, in rate order."""
+    return (_floored(criterion, n, *rows) for rows in _point_arrays(layout))
 
 
 def _floored(
-    lams: np.ndarray, gs: np.ndarray, hs: np.ndarray, mus: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """The rows as a floored chunk (lams, g, h, mus, floors, covs): their
-    coverage floors, and coverages that are inf until summed."""
+    criterion: ErrorCriterion, ns: int | np.ndarray, lams: np.ndarray, g_ell: np.ndarray,
+    h_ell: np.ndarray,
+) -> _Chunk:
+    """The rows (value, g_ell, h_ell) as a floored chunk (lams, g, h, mus,
+    floors, covs) for ``ns``, one n or one per row; covs are inf until summed."""
+    gs, hs = _windows(criterion, ns, lams, g_ell, h_ell)
+    mus = ns * lams
     return lams, gs, hs, mus, _floors(gs, hs, mus), np.full(lams.size, np.inf)
 
 
-def _first_fails(chunk: tuple[np.ndarray, ...], bounds: list[int], threshold: float) -> list[int]:
+def _first_fails(chunk: _Chunk, bounds: list[int], threshold: float) -> list[int]:
     """Rows of the first coverage at or below ``threshold``, in rate order,
     of the leading segments of a floored ``chunk`` that have one; segment k
     is rows bounds[k] to bounds[k + 1].
@@ -209,22 +229,12 @@ def _first_fails(chunk: tuple[np.ndarray, ...], bounds: list[int], threshold: fl
         pos += take
 
 
-def _chunk_windows(
-    criterion: ErrorCriterion, n: int, chunks: Iterator[tuple[np.ndarray, ...]]
-) -> Iterator[tuple[np.ndarray, ...]]:
-    """(lams, g, h) arrays over the candidates of `_point_arrays`' ``chunks``,
-    a chunk at a time in rate order."""
-    for lams, g_ell, h_ell in chunks:
-        yield (lams, *_windows(criterion, n, lams, g_ell, h_ell))
-
-
-def _blocks(
-    criterion: ErrorCriterion, n: int, chunks: Iterator[tuple[np.ndarray, ...]]
-) -> Iterator[tuple[np.ndarray, ...]]:
+def _blocks(criterion: ErrorCriterion, n: int, chunks: Iterator[_Chunk]) -> Iterator[_Chunk]:
     """(lams, g, h, coverage) arrays over every candidate of `_point_arrays`'
     ``chunks``, a chunk at a time in rate order, each chunk summed in one
     `interval_probs` call; a chunk is built only when it is asked for."""
-    for lams, gs, hs in _chunk_windows(criterion, n, chunks):
+    for lams, g_ell, h_ell in chunks:
+        gs, hs = _windows(criterion, n, lams, g_ell, h_ell)
         yield lams, gs, hs, interval_probs(gs, hs, n * lams)
 
 

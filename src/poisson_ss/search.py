@@ -20,31 +20,28 @@ An Absolute criterion has no tails to bound and scans all of [a, b].  The
 global worst case at the returned n, over all of [a, b], is
 `min_coverage(criterion, plan.n_min, interval)`.
 
-A failing n whose witness lies past the scan's scalar probe costs
-mostly fixed per-n overhead (building arrays, `interval_probs` calls), not
-sums.  So once an n's witness lies there, the search decides the following
-n in batched runs with the scan's own fail-fast pass,
-`minimizer._fail_ranks`, and no probe.  A run takes the next consecutive
-n, never above max_n, whose `cardinality_bound` over their scanned
-intervals sum to at most one chunk of the array layout, and decides them
-in one pass over their candidates on [a, scan_b], one segment of rows per
-n.  The run builds every n's candidates, windows, means and coverage
-floors with one set of array calls, not one per n; a first n whose layout
-alone exceeds a chunk is a run of one, gone through a chunk at a time.
-Each n's decision there is the sequential one: its segment holds exactly
-its own candidates, and the pass stops it at its first coverage at or
-below 1 - delta in rate order, so a failure found is the fail-fast scan's
-witness and its rank the scan's ``evaluations``.  The leading n that fail
-are decided by the run.  The first n that does not fail there passes: the
-run summed every row of it whose floor is within the margin of the
-threshold, and none failed.  So it gets one full scan, with no threshold,
-which gives the plan; its fail-fast pass would only repeat the run's.  An
-n that no run reached goes through the sequential threshold scan, and so
-does an n whose tail bound leaves only a.  An error building an n's
-layout ends the run before that n, which goes through the sequential scan
-if the search gets there, so an error surfaces only at an n the
-sequential search reaches.  The n of a run past the answer are
-speculative: they cost work but never change the answer.
+Each n is decided by the scan's own pass, `minimizer._decide`: it finds
+the n's first coverage at or below 1 - delta in rate order, the witness
+and count a fail-fast scan reports, or, without one, the minimum, which
+gives the plan.  Where the n before was decided within the scan's scalar
+probe, the search probes n first, `minimizer._probe`, and a miss sends n
+through the pass alone.  A failing n whose witness lies past the probe
+costs mostly fixed per-n overhead (building arrays, `interval_probs`
+calls), not sums.  So after such an n the search skips the probe and
+decides the following n in a batched run: n and the next consecutive n,
+never above max_n, whose `cardinality_bound` over their scanned
+intervals sum to at most one chunk of the array layout (`_fail_run`
+packs them), in one pass over their candidates on [a, scan_b], one
+segment of rows per n.  The run builds every n's candidates, windows,
+means and coverage floors with one set of array calls, not one per n; an
+n whose layout alone exceeds a chunk is a run of one, gone through a
+chunk at a time.  The leading n that fail are decided by the run.  The
+first n that does not fail passes, and its minimum reads its segment of
+the run's rows.  An n whose tail bound leaves only a is decided by the
+coverage at a.  An error building a later n's layout ends the run before
+that n, so an error surfaces only at an n the search would decide on its
+own.  The n of a run past the answer are speculative: they cost work but
+never change the answer.
 
 Where the relative margin governs, the count K = 0 is never inside the
 acceptance window.  So the coverage at r0, the least such rate of [a, b]
@@ -59,13 +56,12 @@ from __future__ import annotations
 import math
 import numbers
 
-from .candidates import _CHUNK, _layout, cardinality_bound
+from .candidates import _CHUNK, _layout, _Layout, cardinality_bound
 from .chernoff import lambda_threshold
 from .coverage import coverage_at
-from .minimizer import _PREFIX, _fail_ranks, scan_min_coverage
+from .minimizer import _PREFIX, _decide, _probe
 from .types import (
     ConfidenceSpec,
-    CoverageResult,
     ErrorCriterion,
     Mixed,
     ParamInterval,
@@ -109,52 +105,27 @@ def _scan_b(criterion: ErrorCriterion, interval: ParamInterval, delta: float, n:
     return interval.b
 
 
-def _decide(
-    criterion: ErrorCriterion,
-    interval: ParamInterval,
-    delta: float,
-    n: int,
-    seen_passing: bool = False,
-) -> tuple[bool, CoverageResult, int, float]:
-    """Pass/fail at one n: (passed, witness, evaluations, scanned upper end).
-    An n that a batched run ``seen_passing`` gets one full scan: its
-    fail-fast pass is the run's, so a threshold would only repeat it."""
+def _fail_run(
+    criterion: ErrorCriterion, interval: ParamInterval, delta: float, n: int, max_n: int
+) -> list[tuple[int, _Layout]]:
+    """(m, layout) of the n after ``n`` that a batched run decides with it;
+    see the module docstring."""
     a = interval.a
     scan_b = _scan_b(criterion, interval, delta, n)
-    if scan_b <= a:
-        # The tail bounds certify every rate above a; only a itself is left.
-        result = coverage_at(criterion, n, a)
-        return result.coverage > 1.0 - delta, result, 1, a
-    result, evals = scan_min_coverage(
-        criterion, n, ParamInterval(a, scan_b), None if seen_passing else 1.0 - delta)
-    return result.coverage > 1.0 - delta, result, evals, scan_b
-
-
-def _fail_run(
-    criterion: ErrorCriterion,
-    interval: ParamInterval,
-    delta: float,
-    start: int,
-    max_n: int,
-) -> tuple[list[tuple[CoverageResult, int]], int]:
-    """((witness, evaluations) of each n from ``start`` on that one batch
-    shows failing, number of n built for the batch); see the module
-    docstring."""
-    a = interval.a
-    layouts, rows = [], 0.0
-    for n in range(start, max_n + 1):
+    layouts, rows = [], cardinality_bound(criterion, n, ParamInterval(a, scan_b))
+    for m in range(n + 1, max_n + 1):
         try:
-            scan_b = _scan_b(criterion, interval, delta, n)
+            scan_b = _scan_b(criterion, interval, delta, m)
             if scan_b <= a:
                 break
             scanned = ParamInterval(a, scan_b)
-            rows += cardinality_bound(criterion, n, scanned)
-            if rows > _CHUNK and layouts:
+            rows += cardinality_bound(criterion, m, scanned)
+            if rows > _CHUNK:
                 break
-            layouts.append((n, _layout(criterion, n, scanned)))
+            layouts.append((m, _layout(criterion, m, scanned)))
         except ValueError:
             break
-    return _fail_ranks(criterion, layouts, 1.0 - delta), len(layouts)
+    return layouts
 
 
 def min_sample_size(
@@ -201,27 +172,35 @@ def min_sample_size(
                 f"relative coverage at {name} = {r0!r} needs "
                 f"n > ln(1/delta) / {name} = {n_lower:.6g}")
 
-    evaluations = evals = 0
+    level, a = 1.0 - delta, interval.a
+    evaluations = rank = 0
     n = start_n
     while n <= max_n:
-        seen_passing = False
-        if evals > _PREFIX:
-            hits, built = _fail_run(criterion, interval, delta, n, max_n)
-            evaluations += sum(count for _, count in hits)
-            n += len(hits)
-            if hits and len(hits) == built:
-                evals = hits[-1][1]
-                continue
-            seen_passing = built > len(hits)
-        passed, result, evals, scan_b = _decide(criterion, interval, delta, n, seen_passing)
-        evaluations += evals
+        scan_b = _scan_b(criterion, interval, delta, n)
+        if scan_b <= a:
+            # The tail bounds certify every rate above a; only a itself is left.
+            result = coverage_at(criterion, n, a)
+            hits, passed = ([(result, 1)], None) if result.coverage <= level else ([], (result, 1))
+        else:
+            layout = _layout(criterion, n, ParamInterval(a, scan_b))
+            if rank > _PREFIX:
+                run = [(n, layout), *_fail_run(criterion, interval, delta, n, max_n)]
+                hits, passed = _decide(criterion, run, level)
+            elif hit := _probe(criterion, n, layout, level):
+                hits, passed = [hit], None
+            else:
+                hits, passed = _decide(criterion, [(n, layout)], level)
+        evaluations += sum(count for _, count in hits)
+        n += len(hits)
         if passed:
+            result, count = passed
             return SampleSizePlan(
                 n_min=n,
                 worst_lambda=result.lam,
                 worst_coverage=result.coverage,
-                evaluations=evaluations,
-                truncated_b=scan_b,
+                evaluations=evaluations + count,
+                # a where the tail bounds leave only a
+                truncated_b=max(a, _scan_b(criterion, interval, delta, n)),
             )
-        n += 1
+        rank = hits[-1][1]
     raise MaxSampleSizeExceeded(max_n)

@@ -85,8 +85,8 @@ def test_size_budget_exhaustion_exits_2(capsys):
 def test_size_tiny_relative_lower_bound_exits_2_at_once(capsys, monkeypatch):
     def evaluated(*args, **kwargs):
         raise AssertionError("coverage was evaluated")
-    monkeypatch.setattr(search, "scan_min_coverage", evaluated)
-    monkeypatch.setattr(search, "coverage_at", evaluated)
+    for name in ("_probe", "_decide", "coverage_at"):
+        monkeypatch.setattr(search, name, evaluated)
     code, out, err = run(capsys, [
         "size", "--criterion", "rel", "--eps", "0.1", "--a", "1e-300",
         "--b", "1", "--delta", "0.05"])

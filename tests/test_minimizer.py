@@ -461,14 +461,14 @@ def test_first_failures_of_segments_match_a_plain_search(cuts, seed, quantile, s
     # failure, up to the first segment without one.  The rows of a layout
     # are shuffled, so that failures are spread over every segment.
     crit, n, interval = Absolute(0.1), 400, ParamInterval(0.0, 1.6)
-    lams, gs, hs = (np.concatenate(column) for column in zip(
-        *minimizer._chunk_windows(crit, n, _point_arrays(_layout(crit, n, interval)))))
-    order = np.random.default_rng(seed).permutation(lams.size)
-    lams, gs, hs = lams[order], gs[order], hs[order]
-    covs = kernel.interval_probs(gs, hs, n * lams)
+    columns = [np.concatenate(column) for column in zip(
+        *minimizer._chunks(crit, n, _layout(crit, n, interval)))]
+    order = np.random.default_rng(seed).permutation(columns[0].size)
+    chunk = tuple(column[order] for column in columns)
+    lams, gs, hs, mus = chunk[:4]
+    covs = kernel.interval_probs(gs, hs, mus)
     threshold = float(np.quantile(covs, quantile, method="lower"))
     bounds = sorted({0, lams.size, *(cut % lams.size for cut in cuts)})
-    chunk = minimizer._floored(lams, gs, hs, n * lams)
     with mock.patch.object(minimizer, "_BLOCK", size):
         hits = minimizer._first_fails(chunk, bounds, threshold)
     want = []
@@ -488,9 +488,8 @@ def test_fail_fast_stop_on_a_row_whose_floor_rounds_above_its_coverage():
     # threshold at its coverage would stop the scan later.
     crit, n, interval = Absolute(0.1), 400, ParamInterval(0.0, 1.6)
     covs = _coverages(crit, n, interval)
-    lams, gs, hs = (np.concatenate(column) for column in zip(
-        *minimizer._chunk_windows(crit, n, _point_arrays(_layout(crit, n, interval)))))
-    floors = kernel._floors(gs, hs, n * lams)
+    _, _, _, _, floors, _ = (np.concatenate(column) for column in zip(
+        *minimizer._chunks(crit, n, _layout(crit, n, interval))))
     rows = [r for r in range(_PREFIX, len(covs))
             if covs[r] < min(covs[:r]) and floors[r] > covs[r]]
     assert rows

@@ -27,7 +27,7 @@ from poisson_ss import (
     min_sample_size,
     scan_min_coverage,
 )
-from poisson_ss import candidates, search
+from poisson_ss import candidates, kernel, minimizer, search
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from exact_reference import exact_min_coverage  # noqa: E402
@@ -98,14 +98,19 @@ def test_budget_exhaustion_raises_with_context():
     assert "20" in str(info.value)
 
 
+def _forbid_coverage(monkeypatch):
+    """Make every route by which the search decides an n raise."""
+    def evaluated(*args, **kwargs):
+        raise AssertionError("coverage was evaluated")
+    for name in ("_probe", "_decide", "coverage_at"):
+        monkeypatch.setattr(poisson_ss.search, name, evaluated)
+
+
 @pytest.mark.parametrize("max_n", [20_000, 1_000_000])
 def test_tiny_relative_lower_bound_exhausts_the_budget_at_once(monkeypatch, max_n):
     # coverage at a is at most 1 - exp(-n a), so every passing n exceeds
     # ln(1/delta) / a ~ 3e300
-    def evaluated(*args, **kwargs):
-        raise AssertionError("coverage was evaluated")
-    monkeypatch.setattr(poisson_ss.search, "scan_min_coverage", evaluated)
-    monkeypatch.setattr(poisson_ss.search, "coverage_at", evaluated)
+    _forbid_coverage(monkeypatch)
     with pytest.raises(MaxSampleSizeExceeded) as info:
         min_sample_size(Relative(0.1), ParamInterval(1e-300, 1.0),
                         ConfidenceSpec(0.05), max_n=max_n)
@@ -116,21 +121,25 @@ def test_tiny_relative_lower_bound_exhausts_the_budget_at_once(monkeypatch, max_
 def test_relative_lower_bound_tie_is_left_to_the_scan(monkeypatch):
     # max_n * a equals ln(1/delta) up to rounding: the bound must not raise,
     # the scan decides (and here every n <= max_n fails)
-    scanned = []
-    real_scan = poisson_ss.search.scan_min_coverage
+    scanned = set()
 
-    def scan(*args):
-        scanned.append(args[1])
-        return real_scan(*args)
+    def recording(name, ns):
+        real = getattr(poisson_ss.search, name)
 
-    monkeypatch.setattr(poisson_ss.search, "scan_min_coverage", scan)
+        def wrapper(*args):
+            scanned.update(ns(*args))
+            return real(*args)
+        monkeypatch.setattr(poisson_ss.search, name, wrapper)
+
+    recording("_probe", lambda criterion, n, *_: [n])
+    recording("_decide", lambda criterion, layouts, *_: [n for n, _ in layouts])
     max_n, delta = 10, 0.1
     a = math.log(1.0 / delta) / max_n
     with pytest.raises(MaxSampleSizeExceeded) as info:
         min_sample_size(Relative(0.5), ParamInterval(a, 1.0),
                         ConfidenceSpec(delta), max_n=max_n)
     assert str(info.value) == f"no sufficient sample size found with n <= {max_n}"
-    assert scanned == list(range(1, max_n + 1))
+    assert scanned == set(range(1, max_n + 1))
 
 
 @pytest.mark.parametrize("criterion, interval, where", [
@@ -141,11 +150,7 @@ def test_relative_lower_bound_tie_is_left_to_the_scan(monkeypatch):
 ])
 def test_tiny_mixed_relative_lower_bound_exhausts_the_budget_at_once(
         monkeypatch, criterion, interval, where):
-    def evaluated(*args, **kwargs):
-        raise AssertionError("coverage was evaluated")
-    monkeypatch.setattr(poisson_ss.search, "scan_min_coverage", evaluated)
-    monkeypatch.setattr(poisson_ss.search, "_fail_ranks", evaluated)
-    monkeypatch.setattr(poisson_ss.search, "coverage_at", evaluated)
+    _forbid_coverage(monkeypatch)
     with pytest.raises(MaxSampleSizeExceeded) as info:
         min_sample_size(criterion, interval, ConfidenceSpec(0.5))
     assert info.value.max_n == 1_000_000
@@ -171,8 +176,26 @@ def test_mixed_answers_exceed_the_relative_lower_bound(eps_a, eps_r, a, width, d
     assert plan.n_min > math.log(1.0 / delta) / r0
 
 
-@settings(max_examples=40, deadline=None)
-@given(
+def _draw_criterion(kind, eps, eps_r, a, width):
+    if kind == "abs":
+        criterion = Absolute(eps)
+    elif kind == "mixed":
+        criterion = Mixed(eps, eps_r)
+    else:
+        criterion, a = Relative(eps), max(a, 0.1)
+    return criterion, ParamInterval(a, a + width)
+
+
+def _run(criterion, interval, delta, start, max_n):
+    """The batched run the search decides from ``start`` when the n before
+    it was decided past the probe: (layouts, hits, passed)."""
+    scanned = ParamInterval(interval.a, search._scan_b(criterion, interval, delta, start))
+    layouts = [(start, candidates._layout(criterion, start, scanned))]
+    layouts += search._fail_run(criterion, interval, delta, start, max_n)
+    return (layouts, *minimizer._decide(criterion, layouts, 1.0 - delta))
+
+
+_DRAWS = dict(
     kind=st.sampled_from(["abs", "mixed", "rel"]),
     eps=st.floats(0.08, 0.5),
     eps_r=st.floats(0.08, 0.5),
@@ -182,8 +205,11 @@ def test_mixed_answers_exceed_the_relative_lower_bound(eps_a, eps_r, a, width, d
     back=st.integers(0, 30),
     length=st.integers(1, 30),
     chunk=st.sampled_from([None, 64]),
-    run_rows=st.sampled_from([None, 64]),
 )
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_DRAWS, run_rows=st.sampled_from([None, 64]))
 def test_batched_run_decides_each_n_as_its_fail_fast_scan(
         kind, eps, eps_r, a, width, delta, back, length, chunk, run_rows):
     # a run decides n only by a failure its own fail-fast scan also finds,
@@ -192,23 +218,17 @@ def test_batched_run_decides_each_n_as_its_fail_fast_scan(
     # most hold failing and passing n; 64-point chunks split each n's
     # layout into several, and with a 64-row run budget a first layout
     # above it is a run of one.
-    if kind == "abs":
-        criterion = Absolute(eps)
-    elif kind == "mixed":
-        criterion = Mixed(eps, eps_r)
-    else:
-        criterion, a = Relative(eps), max(a, 0.1)
-    interval = ParamInterval(a, a + width)
+    criterion, interval = _draw_criterion(kind, eps, eps_r, a, width)
     level = 1.0 - delta
     start = max(1, min_sample_size(criterion, interval, ConfidenceSpec(delta)).n_min - back)
+    assume(search._scan_b(criterion, interval, delta, start) > interval.a)
     with (mock.patch.object(candidates, "_CHUNK", chunk or candidates._CHUNK),
           mock.patch.object(search, "_CHUNK", run_rows or search._CHUNK)):
-        hits, built = search._fail_run(criterion, interval, delta, start, start + length - 1)
-        assert len(hits) <= built <= length
-        if search._scan_b(criterion, interval, delta, start) > a:
-            assert built >= 1
-        for n, hit in zip(range(start, start + built), hits + [None]):
-            scanned = ParamInterval(a, search._scan_b(criterion, interval, delta, n))
+        layouts, hits, passed = _run(criterion, interval, delta, start, start + length - 1)
+        assert len(hits) <= len(layouts) <= length
+        assert (passed is None) == (len(hits) == len(layouts))
+        for (n, _), hit in zip(layouts, hits + [None]):
+            scanned = ParamInterval(interval.a, search._scan_b(criterion, interval, delta, n))
             witness, count = scan_min_coverage(criterion, n, scanned, level)
             if hit is None:
                 assert witness.coverage > level
@@ -216,6 +236,34 @@ def test_batched_run_decides_each_n_as_its_fail_fast_scan(
                 assert witness.coverage <= level
                 assert hit[1] == count
                 assert _bits(hit[0]) == _bits(witness)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_DRAWS, gap=st.floats(0.0, 0.5))
+def test_a_passing_decision_gives_the_full_scan_minimum(
+        kind, eps, eps_r, a, width, delta, back, length, chunk, gap):
+    # the minimum pass that reads the fail-fast pass's rows gives what a
+    # full scan gives, bit for bit and with the same count: for a lone
+    # layout whose threshold lies below its minimum (64-point chunks make
+    # most layouts several chunks, which are built again), and for the
+    # passing segment of a run
+    criterion, interval = _draw_criterion(kind, eps, eps_r, a, width)
+    start = max(1, min_sample_size(criterion, interval, ConfidenceSpec(delta)).n_min - back)
+    assume(search._scan_b(criterion, interval, delta, start) > interval.a)
+    with mock.patch.object(candidates, "_CHUNK", chunk or candidates._CHUNK):
+        scanned = ParamInterval(interval.a, search._scan_b(criterion, interval, delta, start))
+        full, count = scan_min_coverage(criterion, start, scanned)
+        threshold = math.nextafter(full.coverage - gap, -math.inf)
+        witness, evals = scan_min_coverage(criterion, start, scanned, threshold)
+        assert (_bits(witness), evals) == (_bits(full), count)
+
+        layouts, hits, passed = _run(criterion, interval, delta, start, start + length - 1)
+        if passed is not None:
+            n = start + len(hits)
+            scanned = ParamInterval(interval.a, search._scan_b(criterion, interval, delta, n))
+            full, count = scan_min_coverage(criterion, n, scanned)
+            assert _bits(full) == _bits(min_coverage(criterion, n, scanned))
+            assert (_bits(passed[0]), passed[1]) == (_bits(full), count)
 
 
 def _bits(result):
@@ -228,19 +276,19 @@ def test_run_of_one_builds_only_the_chunk_of_its_witness(monkeypatch):
     criterion, interval, delta, n = Absolute(0.02), ParamInterval(0.0, 1.0), 0.1, 200
     monkeypatch.setattr(candidates, "_CHUNK", 64)
     monkeypatch.setattr(search, "_CHUNK", 64)
-    assert len(list(poisson_ss.minimizer._point_arrays(
+    assert len(list(minimizer._point_arrays(
         candidates._layout(criterion, n, interval)))) > 1
     built = []
-    arrays = poisson_ss.minimizer._point_arrays
+    arrays = minimizer._point_arrays
 
     def counting_arrays(layout):
         for chunk in arrays(layout):
             built.append(chunk[0].size)
             yield chunk
 
-    monkeypatch.setattr(poisson_ss.minimizer, "_point_arrays", counting_arrays)
-    (hit,), runs = search._fail_run(criterion, interval, delta, n, n + 10)
-    assert runs == 1 and len(built) == 1
+    monkeypatch.setattr(minimizer, "_point_arrays", counting_arrays)
+    layouts, (hit,), passed = _run(criterion, interval, delta, n, n + 10)
+    assert len(layouts) == 1 and passed is None and len(built) == 1
     assert hit[1] <= built[0]
     witness, count = scan_min_coverage(criterion, n, interval, 1.0 - delta)
     assert (_bits(hit[0]), hit[1]) == (_bits(witness), count)
@@ -255,7 +303,7 @@ def test_run_of_several_n_builds_and_windows_them_in_one_call_each(monkeypatch):
     calls = {"_point_rows": 0, "_windows": 0, "_point_arrays": 0}
 
     def counting(name):
-        real = getattr(poisson_ss.minimizer, name)
+        real = getattr(minimizer, name)
 
         def wrapper(*args):
             calls[name] += 1
@@ -263,31 +311,65 @@ def test_run_of_several_n_builds_and_windows_them_in_one_call_each(monkeypatch):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(poisson_ss.minimizer, name, counting(name))
+        monkeypatch.setattr(minimizer, name, counting(name))
     criterion, interval, conf = _BATCHED
-    hits, built = search._fail_run(criterion, interval, conf.delta, 250, 400)
-    assert built >= 2 and len(hits) >= 2
+    layouts, hits, _ = _run(criterion, interval, conf.delta, 250, 400)
+    assert len(layouts) >= 2 and len(hits) >= 2
     assert calls == {"_point_rows": 1, "_windows": 1, "_point_arrays": 0}
 
 
-def test_a_passing_n_a_run_saw_gets_one_full_scan(monkeypatch):
-    # the run that reaches n_min sees it pass; the search then scans it once,
-    # with no threshold, and the plan is unchanged, evaluations included
-    scans = []
-    scan = poisson_ss.search.scan_min_coverage
+def _count_builds(monkeypatch, n_min):
+    """Count the `_point_rows` calls, with their numbers of pieces, and the
+    `_floors` calls made from the moment n_min's layout is first built:
+    the work that decides n_min, with the other n of its run."""
+    calls = {"pieces": [], "_floors": 0}
+    built = []
+    layout, rows, floors = candidates._layout, candidates._point_rows, kernel._floors
 
-    def recording(criterion, n, interval, threshold=None):
-        scans.append((n, threshold))
-        return scan(criterion, n, interval, threshold)
+    def recording_layout(criterion, n, interval):
+        if n == n_min:
+            built.append(n)
+        return layout(criterion, n, interval)
 
-    monkeypatch.setattr(poisson_ss.search, "scan_min_coverage", recording)
-    plan = min_sample_size(*_BATCHED)
-    (_, _, _, n_min, worst_lam, worst_cov, evals, trunc_b), = (
-        row for row in PINNED if row[:3] == (_BATCHED[0], _BATCHED[1], _BATCHED[2].delta))
-    assert (plan.n_min, plan.worst_lambda.hex(), plan.worst_coverage.hex(),
-            plan.evaluations, plan.truncated_b) == (
-        n_min, worst_lam.hex(), worst_cov.hex(), evals, trunc_b)
-    assert [scan for scan in scans if scan[0] == n_min] == [(n_min, None)]
+    def counting_rows(pieces):
+        if built:
+            calls["pieces"].append(len(pieces))
+        return rows(pieces)
+
+    def counting_floors(*args):
+        calls["_floors"] += bool(built)
+        return floors(*args)
+
+    for module in (search, minimizer):
+        monkeypatch.setattr(module, "_layout", recording_layout)
+    for module in (candidates, minimizer):
+        monkeypatch.setattr(module, "_point_rows", counting_rows)
+    monkeypatch.setattr(minimizer, "_floors", counting_floors)
+    return calls
+
+
+@pytest.mark.parametrize("criterion, interval, delta, run", [
+    # decided passing by the batched run that reaches it
+    (_BATCHED[0], _BATCHED[1], _BATCHED[2].delta, True),
+    # its probe misses, and it is decided alone
+    (Relative(0.15), ParamInterval(0.5, 2.0), 0.1, False),
+])
+def test_a_passing_n_is_built_and_floored_once(monkeypatch, criterion, interval, delta, run):
+    # the minimum pass reads the rows the fail-fast pass floored, so the
+    # plan, evaluations included, costs n_min one build
+    plan = min_sample_size(criterion, interval, ConfidenceSpec(delta))
+    calls = _count_builds(monkeypatch, plan.n_min)
+    assert min_sample_size(criterion, interval, ConfidenceSpec(delta)) == plan
+    assert len(calls["pieces"]) == calls["_floors"] == 1
+    assert (calls["pieces"][0] > 1) == run
+
+
+def test_a_passing_threshold_scan_is_built_and_floored_once(monkeypatch):
+    criterion, interval, conf = _BATCHED
+    full = scan_min_coverage(criterion, 276, interval)
+    calls = _count_builds(monkeypatch, 276)
+    assert scan_min_coverage(criterion, 276, interval, 1.0 - conf.delta) == full
+    assert calls == {"pieces": [1], "_floors": 1}
 
 
 def _record_layouts(monkeypatch, fail=lambda n: False) -> list[int]:
@@ -364,11 +446,7 @@ def test_option_validation(monkeypatch):
         min_sample_size(crit, iv, conf, start_n=10, max_n=9)
 
     # a budget that is not an integer is refused before any scan
-    def evaluated(*args, **kwargs):
-        raise AssertionError("coverage was evaluated")
-    monkeypatch.setattr(poisson_ss.search, "scan_min_coverage", evaluated)
-    monkeypatch.setattr(poisson_ss.search, "_fail_ranks", evaluated)
-    monkeypatch.setattr(poisson_ss.search, "coverage_at", evaluated)
+    _forbid_coverage(monkeypatch)
     for option, value in [("max_n", math.inf), ("max_n", 300.0), ("start_n", 2.0),
                           ("max_n", True), ("start_n", True), ("max_n", np.float64(300.0)),
                           ("start_n", "2")]:
