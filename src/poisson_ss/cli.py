@@ -315,16 +315,17 @@ def _execute_coverage(ns: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _row_bound(criterion, n: int, interval) -> float:
-    """`cardinality_bound` for a row command, refused when it exceeds the
-    ceiling a uniform grid has; a row command checks it before it builds
-    any point."""
+    """`cardinality_bound` for a command that builds the candidate set of
+    one n (coverage, candidates, verify), refused when it exceeds the
+    ceiling a uniform grid has; the command checks it before it builds any
+    point."""
     bound = cardinality_bound(criterion, n, interval)
     # an infinite bound is an infinite b, which the candidate layout reports
     if _MAX_GRID_POINTS < bound < math.inf:
         raise ValidationError(
             f"the candidate set may hold up to {bound:.15g} points, more than "
-            f"the {_MAX_GRID_POINTS} a row command lists; narrow [a, b] or "
-            "lower --n")
+            f"the {_MAX_GRID_POINTS} a command builds for one n; narrow [a, b] "
+            "or lower n")
     return bound
 
 
@@ -364,6 +365,7 @@ def _execute_verify(ns: argparse.Namespace) -> tuple[dict, int]:
     n = ns.n
     if n is None:
         n = min_sample_size(criterion, interval, conf).n_min
+    _row_bound(criterion, n, interval)
     worst = min_coverage(criterion, n, interval)
 
     grid = grid_min_coverage(criterion, n, interval, ns.grid_points)

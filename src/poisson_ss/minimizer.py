@@ -36,9 +36,11 @@ call; so a run decides its n for the fixed costs of one.  A lone n goes a
 chunk at a time, its rank carried across chunks, so a stop builds the
 chunk that holds its witness and nothing past it.
 
-The first n without a failure passes, and `_minimum` gives its minimum:
-it sums the rows not summed yet in ascending order of their floor while
-the floor is within the margin of the least value summed so far.  It
+`_decide` returns one verdict per n, in order: the (witness, count) of
+each leading n that fails, then the (minimum, count) of the first n that
+does not, if any.  That n passes, and `_minimum` gives its minimum: it
+sums the rows not summed yet in ascending order of their floor while the
+floor is within the margin of the least value summed so far.  It
 reads the rows the fail-fast pass floored, the n's segment of a run's
 chunk or a lone n's one chunk; an n of several chunks builds them again.
 A full scan builds each chunk once.  A row left out has a coverage above
@@ -107,10 +109,8 @@ def scan_min_coverage(
     layout = _layout(criterion, n, interval)
     if fail_fast_threshold is None:
         return _minimum(_chunks(criterion, n, layout))
-    if hit := _probe(criterion, n, layout, fail_fast_threshold):
-        return hit
-    hits, passed = _decide(criterion, [(n, layout)], fail_fast_threshold)
-    return hits[0] if hits else passed
+    return (_probe(criterion, n, layout, fail_fast_threshold)
+            or _decide(criterion, [(n, layout)], fail_fast_threshold)[0])
 
 
 def _probe(criterion: ErrorCriterion, n: int, layout: _Layout, threshold: float) -> _Hit | None:
@@ -127,12 +127,12 @@ def _probe(criterion: ErrorCriterion, n: int, layout: _Layout, threshold: float)
 
 def _decide(
     criterion: ErrorCriterion, layouts: list[tuple[int, _Layout]], threshold: float
-) -> tuple[list[_Hit], _Hit | None]:
-    """(hits, passed) of consecutive (n, layout), with no scalar probe:
-    hits are the (witness, count) that a fail-fast `scan_min_coverage` of
-    each leading layout with a coverage at or below ``threshold`` would
-    return, and passed is the (minimum, count) of the first layout without
-    one, or None when every layout has one (see the module docstring)."""
+) -> list[_Hit]:
+    """The verdicts of consecutive (n, layout), in order, with no scalar
+    probe: the (witness, count) that a fail-fast `scan_min_coverage` would
+    return for each leading layout with a coverage at or below
+    ``threshold``, then the (minimum, count) of the first layout without
+    one, if any (see the module docstring)."""
     if len(layouts) > 1:
         lams, g_ell, h_ell, sizes, _ = _point_rows(
             [(layout, -math.inf, math.inf) for _, layout in layouts])
@@ -148,15 +148,15 @@ def _decide(
                                 coverage=float(covs[i])), seen + i - start + 1)
                 for i, start in zip(_first_fails(chunk, bounds, threshold), bounds)]
         if len(hits) == len(sizes):
-            return hits, None
+            return hits
         if hits:  # a run, whose segment past its hits passes
             break
         seen += lams.size
         least = min(least, covs.min())
     if built > 1:
-        return [], _minimum(_chunks(criterion, *layouts[0]), least)
+        return [_minimum(_chunks(criterion, *layouts[0]), least)]
     segment = slice(bounds[len(hits)], bounds[len(hits) + 1])
-    return hits, _minimum([tuple(column[segment] for column in chunk)])
+    return hits + [_minimum([tuple(column[segment] for column in chunk)])]
 
 
 def _minimum(chunks: Iterable[_Chunk], least: float = math.inf) -> _Hit:

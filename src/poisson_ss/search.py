@@ -20,27 +20,29 @@ An Absolute criterion has no tails to bound and scans all of [a, b].  The
 global worst case at the returned n, over all of [a, b], is
 `min_coverage(criterion, plan.n_min, interval)`.
 
-Each n is decided by the scan's own pass, `minimizer._decide`: it finds
-the n's first coverage at or below 1 - delta in rate order, the witness
-and count a fail-fast scan reports, or, without one, the minimum, which
-gives the plan.  Where the n before was decided within the scan's scalar
-probe, the search probes n first, `minimizer._probe`, and a miss sends n
-through the pass alone.  A failing n whose witness lies past the probe
-costs mostly fixed per-n overhead (building arrays, `interval_probs`
-calls), not sums.  So after such an n the search skips the probe and
-decides the following n in a batched run: n and the next consecutive n,
-never above max_n, whose `cardinality_bound` over their scanned
-intervals sum to at most one chunk of the array layout (`_fail_run`
-packs them), in one pass over their candidates on [a, scan_b], one
-segment of rows per n.  The run builds every n's candidates, windows,
-means and coverage floors with one set of array calls, not one per n; an
-n whose layout alone exceeds a chunk is a run of one, gone through a
-chunk at a time.  The leading n that fail are decided by the run.  The
-first n that does not fail passes, and its minimum reads its segment of
-the run's rows.  An n whose tail bound leaves only a is decided by the
-coverage at a.  An error building a later n's layout ends the run before
-that n, so an error surfaces only at an n the search would decide on its
-own.  The n of a run past the answer are speculative: they cost work but
+Every n gets one verdict, a (result, count) pair: where the tail bound
+leaves only a, the coverage at a, with count 1; otherwise what the public
+fail-fast scan `scan_min_coverage(criterion, n, [a, scan_b], 1 - delta)`
+returns, the witness and rank of the n's first coverage at or below
+1 - delta in rate order or, without one, its minimum and number of
+candidates.  The search adds each count to ``evaluations`` and returns
+the plan at the first verdict above 1 - delta.  Where the n before was
+decided within the scan's scalar probe, n gets the public scan itself.
+A failing n whose witness lies past the probe costs mostly fixed per-n
+overhead (building arrays, `interval_probs` calls), not sums.  So after
+such an n the search skips the probe and decides the next n in a batched
+run, the scan's own pass `minimizer._decide` over the layouts `_run`
+packs: that n and the consecutive n after it, never above max_n, whose
+`cardinality_bound` over their scanned intervals sum to at most one
+chunk of the array layout, one segment of rows per n.  The run builds
+every n's candidates, windows, means and coverage floors with one set of
+array calls, not one per n; an n whose layout alone exceeds a chunk is a
+run of one, gone through a chunk at a time.  The run returns the verdict
+the public scan would for each leading n that fails, and then for the
+first n that does not, whose minimum reads its segment of the run's
+rows.  An error building a later n's layout ends the run before that n,
+so an error surfaces only at an n the search would decide on its own.
+The n of a run past the answer are speculative: they cost work but
 never change the answer.
 
 Where the relative margin governs, the count K = 0 is never inside the
@@ -59,7 +61,7 @@ import numbers
 from .candidates import _CHUNK, _layout, _Layout, cardinality_bound
 from .chernoff import lambda_threshold
 from .coverage import coverage_at
-from .minimizer import _PREFIX, _decide, _probe
+from .minimizer import _PREFIX, _decide, scan_min_coverage
 from .types import (
     ConfidenceSpec,
     ErrorCriterion,
@@ -105,14 +107,15 @@ def _scan_b(criterion: ErrorCriterion, interval: ParamInterval, delta: float, n:
     return interval.b
 
 
-def _fail_run(
+def _run(
     criterion: ErrorCriterion, interval: ParamInterval, delta: float, n: int, max_n: int
 ) -> list[tuple[int, _Layout]]:
-    """(m, layout) of the n after ``n`` that a batched run decides with it;
-    see the module docstring."""
+    """(m, layout) of ``n`` and of the n after it that a batched run decides
+    with it; see the module docstring."""
     a = interval.a
-    scan_b = _scan_b(criterion, interval, delta, n)
-    layouts, rows = [], cardinality_bound(criterion, n, ParamInterval(a, scan_b))
+    scanned = ParamInterval(a, _scan_b(criterion, interval, delta, n))
+    layouts = [(n, _layout(criterion, n, scanned))]
+    rows = cardinality_bound(criterion, n, scanned)
     for m in range(n + 1, max_n + 1):
         try:
             scan_b = _scan_b(criterion, interval, delta, m)
@@ -179,28 +182,21 @@ def min_sample_size(
         scan_b = _scan_b(criterion, interval, delta, n)
         if scan_b <= a:
             # The tail bounds certify every rate above a; only a itself is left.
-            result = coverage_at(criterion, n, a)
-            hits, passed = ([(result, 1)], None) if result.coverage <= level else ([], (result, 1))
+            verdicts = [(coverage_at(criterion, n, a), 1)]
+        elif rank > _PREFIX:
+            verdicts = _decide(criterion, _run(criterion, interval, delta, n, max_n), level)
         else:
-            layout = _layout(criterion, n, ParamInterval(a, scan_b))
-            if rank > _PREFIX:
-                run = [(n, layout), *_fail_run(criterion, interval, delta, n, max_n)]
-                hits, passed = _decide(criterion, run, level)
-            elif hit := _probe(criterion, n, layout, level):
-                hits, passed = [hit], None
-            else:
-                hits, passed = _decide(criterion, [(n, layout)], level)
-        evaluations += sum(count for _, count in hits)
-        n += len(hits)
-        if passed:
-            result, count = passed
-            return SampleSizePlan(
-                n_min=n,
-                worst_lambda=result.lam,
-                worst_coverage=result.coverage,
-                evaluations=evaluations + count,
-                # a where the tail bounds leave only a
-                truncated_b=max(a, _scan_b(criterion, interval, delta, n)),
-            )
-        rank = hits[-1][1]
+            verdicts = [scan_min_coverage(criterion, n, ParamInterval(a, scan_b), level)]
+        for result, rank in verdicts:
+            evaluations += rank
+            if result.coverage > level:
+                return SampleSizePlan(
+                    n_min=n,
+                    worst_lambda=result.lam,
+                    worst_coverage=result.coverage,
+                    evaluations=evaluations,
+                    # a where the tail bounds leave only a
+                    truncated_b=max(a, _scan_b(criterion, interval, delta, n)),
+                )
+            n += 1
     raise MaxSampleSizeExceeded(max_n)

@@ -85,7 +85,7 @@ def test_size_budget_exhaustion_exits_2(capsys):
 def test_size_tiny_relative_lower_bound_exits_2_at_once(capsys, monkeypatch):
     def evaluated(*args, **kwargs):
         raise AssertionError("coverage was evaluated")
-    for name in ("_probe", "_decide", "coverage_at"):
+    for name in ("scan_min_coverage", "_decide", "coverage_at"):
         monkeypatch.setattr(search, name, evaluated)
     code, out, err = run(capsys, [
         "size", "--criterion", "rel", "--eps", "0.1", "--a", "1e-300",
@@ -173,6 +173,7 @@ def _coverage_rows(argv) -> list[tuple]:
             for row in json.loads(out.getvalue())["rows"]]
 
 
+@pytest.mark.seeded
 @settings(max_examples=200, deadline=None)
 @given(_scans().filter(_listable), _SMALL_CHUNKS)
 def test_coverage_rows_match_the_per_point_reference(config, chunk):
@@ -190,6 +191,7 @@ def test_coverage_rows_match_the_per_point_reference(config, chunk):
     assert got == want
 
 
+@pytest.mark.seeded
 @settings(max_examples=100, deadline=None)
 @given(grids(), _GRID_CHUNKS)
 def test_coverage_grid_rows_match_the_per_rate_reference(config, chunk):
@@ -255,6 +257,7 @@ def _assert_grid_output_matches_the_per_row_writer(crit, n, interval, points) ->
     assert _stdout(argv) == want_csv
 
 
+@pytest.mark.seeded
 @settings(max_examples=100, deadline=None)
 @given(_scans().filter(_listable), _SMALL_CHUNKS, grids(), _GRID_CHUNKS)
 def test_row_output_matches_the_per_row_writer(config, chunk, grid, grid_chunk):
@@ -614,26 +617,31 @@ HUGE_SET = {"criterion": "abs", "eps": 0.1, "a": 0, "b": 10000, "n": 10000}
 
 
 def _refuse_to_build(monkeypatch):
-    """Fail the test if a row command lays out or builds a candidate set."""
+    """Fail the test if a command lays out, builds or scans a candidate set."""
     def refuse(*args):
         pytest.fail("the candidate set was built")
 
-    for name in ("candidate_set", "_layout", "_point_arrays"):
+    for name in ("candidate_set", "_layout", "_point_arrays", "min_coverage"):
         monkeypatch.setattr(cli, name, refuse)
 
 
-@pytest.mark.parametrize("cmd", ["coverage", "candidates"])
+# the extra options each command that builds the candidate set of one n needs
+_ONE_N_COMMANDS = {"coverage": [], "candidates": [], "verify": ["--delta", "0.1"]}
+
+
+@pytest.mark.parametrize("cmd", list(_ONE_N_COMMANDS))
 def test_row_commands_refuse_a_candidate_set_above_the_ceiling(capsys, monkeypatch, cmd):
     _refuse_to_build(monkeypatch)
     argv = [cmd] + [f"--{key}={value}" for key, value in HUGE_SET.items()]
-    code, out, err = run(capsys, argv)
+    code, out, err = run(capsys, argv + _ONE_N_COMMANDS[cmd])
     assert code == 1
     assert out == ""
     assert "200000004 points" in err and "10000000" in err
     # the ceiling itself is allowed: [0, 1] at n = 10 has a bound of 24
     monkeypatch.undo()
     monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 24)
-    small = [cmd, "--criterion", "abs", "--eps", "0.1", "--a", "0", "--b", "1"]
+    small = [cmd, "--criterion", "abs", "--eps", "0.1", "--a", "0", "--b", "1",
+             *_ONE_N_COMMANDS[cmd]]
     assert run(capsys, small + ["--n", "10"])[0] == 0
     code, _, err = run(capsys, small + ["--n", "11"])
     assert code == 1 and "up to 26 points, more than the 24" in err
@@ -652,12 +660,14 @@ def test_row_bound_refusal_prints_a_readable_count(capsys):
 def test_batch_jobs_refuse_a_candidate_set_above_the_ceiling(tmp_path, capsys, monkeypatch):
     _refuse_to_build(monkeypatch)
     config = tmp_path / "jobs.jsonl"
-    config.write_text("".join(json.dumps({"cmd": cmd, **HUGE_SET}) + "\n"
-                              for cmd in ("coverage", "candidates")), encoding="utf-8")
+    config.write_text("".join(json.dumps({"cmd": cmd, **HUGE_SET, **extra}) + "\n"
+                              for cmd, extra in (("coverage", {}), ("candidates", {}),
+                                                 ("verify", {"delta": 0.1}))),
+                      encoding="utf-8")
     code, out, _ = run(capsys, ["--config", str(config)])
     assert code == 1
     results = [json.loads(line) for line in out.splitlines()]
-    assert len(results) == 2
+    assert len(results) == 3
     for result in results:
         assert result["code"] == 1
         assert "10000000" in result["error"]

@@ -347,6 +347,7 @@ def test_windows_match_the_independent_reference_bit_for_bit(config):
             want.g, want.h, want.coverage.hex()), point
 
 
+@pytest.mark.seeded
 @settings(max_examples=150, deadline=None)
 @given(
     kind=st.sampled_from(["abs", "rel", "mix"]),

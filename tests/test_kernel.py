@@ -210,6 +210,7 @@ def _kernel_args(draw):
     return g, g + draw(st.integers(-3, 2 * spread)), mu
 
 
+@pytest.mark.seeded
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_kernel_args(), min_size=1, max_size=40),
        st.sampled_from([8192, 64, 7, 1]))
@@ -276,6 +277,7 @@ def _floor_args(draw):
     return g, h, mu
 
 
+@pytest.mark.seeded
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_floor_args(), min_size=1, max_size=20))
 @example([(-5, 3, 0.0), (1, 0, 5e-324), (0, -1, 1e-6)])        # mu = 0, empty

@@ -227,6 +227,7 @@ def _assert_scan_matches_reference(crit, n, interval, threshold):
         want.lam.hex(), want.g, want.h, want.coverage.hex(), want_count)
 
 
+@pytest.mark.seeded
 @settings(max_examples=200, deadline=None)
 @given(_scans())
 def test_scan_matches_the_per_point_reference_bit_for_bit(config):
@@ -238,6 +239,7 @@ def test_scan_matches_the_per_point_reference_bit_for_bit(config):
 _SMALL_CHUNKS = st.sampled_from([7, 64])
 
 
+@pytest.mark.seeded
 @settings(max_examples=200, deadline=None)
 @given(_scans(), _SMALL_CHUNKS)
 def test_scan_across_chunks_matches_the_per_point_reference(config, chunk):
@@ -261,6 +263,7 @@ def _tuple_rows(crit, n, interval):
             for value, kind, ell, extra_tags in _point_tuples(_layout(crit, n, interval))]
 
 
+@pytest.mark.seeded
 @settings(max_examples=300, deadline=None)
 @given(_scans(), _SMALL_CHUNKS | st.just(candidates._CHUNK))
 def test_array_layout_matches_the_lazy_stream_row_for_row(config, chunk):
@@ -315,6 +318,7 @@ def _runs(draw):
 _A = 50 / 101 + 0.1 - 0.9 * DEDUP_REL_TOL * (50 / 101 + 2.1)
 
 
+@pytest.mark.seeded
 @settings(max_examples=200, deadline=None)
 @given(_runs(), _SMALL_CHUNKS | st.just(candidates._CHUNK))
 @example((Absolute(0.1), [(100, ParamInterval(_A, _A + 0.5)), (101, ParamInterval(_A, _A + 2.0))]),
@@ -448,6 +452,7 @@ def test_fail_fast_scan_sums_only_rows_its_floors_cannot_decide(monkeypatch):
     assert (witness, count) == reference_scan(crit, n, interval, threshold)
 
 
+@pytest.mark.seeded
 @settings(max_examples=50, deadline=None)
 @given(
     cuts=st.lists(st.integers(1, 1_200), max_size=6),

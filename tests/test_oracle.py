@@ -102,6 +102,7 @@ def grids(draw):
 _GRID_CHUNKS = st.sampled_from([1, 7, 64, 768])
 
 
+@pytest.mark.seeded
 @settings(max_examples=150, deadline=None)
 @given(grids(), _GRID_CHUNKS, st.sampled_from([1, kernel._WIDE]))
 def test_grid_rows_match_the_per_rate_reference(config, chunk, wide):

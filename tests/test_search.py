@@ -23,6 +23,7 @@ from poisson_ss import (
     ParamInterval,
     Relative,
     brute_force_coverage,
+    coverage_at,
     min_coverage,
     min_sample_size,
     scan_min_coverage,
@@ -102,7 +103,7 @@ def _forbid_coverage(monkeypatch):
     """Make every route by which the search decides an n raise."""
     def evaluated(*args, **kwargs):
         raise AssertionError("coverage was evaluated")
-    for name in ("_probe", "_decide", "coverage_at"):
+    for name in ("scan_min_coverage", "_decide", "coverage_at"):
         monkeypatch.setattr(poisson_ss.search, name, evaluated)
 
 
@@ -131,7 +132,7 @@ def test_relative_lower_bound_tie_is_left_to_the_scan(monkeypatch):
             return real(*args)
         monkeypatch.setattr(poisson_ss.search, name, wrapper)
 
-    recording("_probe", lambda criterion, n, *_: [n])
+    recording("scan_min_coverage", lambda criterion, n, *_: [n])
     recording("_decide", lambda criterion, layouts, *_: [n for n, _ in layouts])
     max_n, delta = 10, 0.1
     a = math.log(1.0 / delta) / max_n
@@ -188,11 +189,9 @@ def _draw_criterion(kind, eps, eps_r, a, width):
 
 def _run(criterion, interval, delta, start, max_n):
     """The batched run the search decides from ``start`` when the n before
-    it was decided past the probe: (layouts, hits, passed)."""
-    scanned = ParamInterval(interval.a, search._scan_b(criterion, interval, delta, start))
-    layouts = [(start, candidates._layout(criterion, start, scanned))]
-    layouts += search._fail_run(criterion, interval, delta, start, max_n)
-    return (layouts, *minimizer._decide(criterion, layouts, 1.0 - delta))
+    it was decided past the probe: (layouts, verdicts)."""
+    layouts = search._run(criterion, interval, delta, start, max_n)
+    return layouts, minimizer._decide(criterion, layouts, 1.0 - delta)
 
 
 _DRAWS = dict(
@@ -208,13 +207,14 @@ _DRAWS = dict(
 )
 
 
+@pytest.mark.seeded
 @settings(max_examples=40, deadline=None)
 @given(**_DRAWS, run_rows=st.sampled_from([None, 64]))
 def test_batched_run_decides_each_n_as_its_fail_fast_scan(
         kind, eps, eps_r, a, width, delta, back, length, chunk, run_rows):
-    # a run decides n only by a failure its own fail-fast scan also finds,
-    # at the same rank and with the same witness, and ends at the first n
-    # that scan finds passing.  Runs start up to 30 below the answer, so
+    # a run gives each n the verdict of its own fail-fast scan, witness or
+    # minimum, with the same count, and ends at the first n that scan
+    # finds passing.  Runs start up to 30 below the answer, so
     # most hold failing and passing n; 64-point chunks split each n's
     # layout into several, and with a 64-row run budget a first layout
     # above it is a run of one.
@@ -224,20 +224,18 @@ def test_batched_run_decides_each_n_as_its_fail_fast_scan(
     assume(search._scan_b(criterion, interval, delta, start) > interval.a)
     with (mock.patch.object(candidates, "_CHUNK", chunk or candidates._CHUNK),
           mock.patch.object(search, "_CHUNK", run_rows or search._CHUNK)):
-        layouts, hits, passed = _run(criterion, interval, delta, start, start + length - 1)
-        assert len(hits) <= len(layouts) <= length
-        assert (passed is None) == (len(hits) == len(layouts))
-        for (n, _), hit in zip(layouts, hits + [None]):
+        layouts, verdicts = _run(criterion, interval, delta, start, start + length - 1)
+        assert [n for n, _ in layouts] == list(range(start, start + len(layouts)))
+        assert 1 <= len(verdicts) <= len(layouts) <= length
+        assert all(result.coverage <= level for result, _ in verdicts[:-1])
+        assert len(verdicts) == len(layouts) or verdicts[-1][0].coverage > level
+        for (n, _), (result, count) in zip(layouts, verdicts):
             scanned = ParamInterval(interval.a, search._scan_b(criterion, interval, delta, n))
-            witness, count = scan_min_coverage(criterion, n, scanned, level)
-            if hit is None:
-                assert witness.coverage > level
-            else:
-                assert witness.coverage <= level
-                assert hit[1] == count
-                assert _bits(hit[0]) == _bits(witness)
+            witness, evals = scan_min_coverage(criterion, n, scanned, level)
+            assert (_bits(result), count) == (_bits(witness), evals)
 
 
+@pytest.mark.seeded
 @settings(max_examples=40, deadline=None)
 @given(**_DRAWS, gap=st.floats(0.0, 0.5))
 def test_a_passing_decision_gives_the_full_scan_minimum(
@@ -257,17 +255,52 @@ def test_a_passing_decision_gives_the_full_scan_minimum(
         witness, evals = scan_min_coverage(criterion, start, scanned, threshold)
         assert (_bits(witness), evals) == (_bits(full), count)
 
-        layouts, hits, passed = _run(criterion, interval, delta, start, start + length - 1)
-        if passed is not None:
-            n = start + len(hits)
+        _, verdicts = _run(criterion, interval, delta, start, start + length - 1)
+        passed, evals = verdicts[-1]
+        if passed.coverage > 1.0 - delta:
+            n = start + len(verdicts) - 1
             scanned = ParamInterval(interval.a, search._scan_b(criterion, interval, delta, n))
             full, count = scan_min_coverage(criterion, n, scanned)
             assert _bits(full) == _bits(min_coverage(criterion, n, scanned))
-            assert (_bits(passed[0]), passed[1]) == (_bits(full), count)
+            assert (_bits(passed), evals) == (_bits(full), count)
 
 
 def _bits(result):
     return result.lam.hex(), result.g, result.h, result.coverage.hex()
+
+
+@pytest.mark.seeded
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["abs", "mixed", "rel"]),
+    eps=st.floats(0.25, 0.6),
+    eps_r=st.floats(0.25, 0.6),
+    a=st.just(0.0) | st.floats(0.1, 1.0),
+    width=st.floats(0.2, 1.5),
+    delta=st.floats(0.1, 0.4),
+    start_n=st.integers(1, 20),
+)
+def test_search_matches_the_public_scan_n_by_n(kind, eps, eps_r, a, width, delta, start_n):
+    # every n from start_n below n_min fails the public fail-fast scan of
+    # [a, scan_b], or the coverage at a where the tail bounds leave only a;
+    # n_min passes it with the plan's worst case; and evaluations is the
+    # sum of the counts of those verdicts, 1 for the coverage at a
+    criterion, interval = _draw_criterion(kind, eps, eps_r, a, width)
+    level = 1.0 - delta
+    plan = min_sample_size(criterion, interval, ConfidenceSpec(delta), start_n=start_n)
+    evaluations = 0
+    for n in range(start_n, plan.n_min + 1):
+        scan_b = search._scan_b(criterion, interval, delta, n)
+        if scan_b <= interval.a:
+            result, count = coverage_at(criterion, n, interval.a), 1
+        else:
+            result, count = scan_min_coverage(
+                criterion, n, ParamInterval(interval.a, scan_b), level)
+        evaluations += count
+        assert (result.coverage > level) == (n == plan.n_min)
+    assert result.lam.hex() == plan.worst_lambda.hex()
+    assert result.coverage.hex() == plan.worst_coverage.hex()
+    assert plan.evaluations == evaluations
 
 
 def test_run_of_one_builds_only_the_chunk_of_its_witness(monkeypatch):
@@ -287,8 +320,8 @@ def test_run_of_one_builds_only_the_chunk_of_its_witness(monkeypatch):
             yield chunk
 
     monkeypatch.setattr(minimizer, "_point_arrays", counting_arrays)
-    layouts, (hit,), passed = _run(criterion, interval, delta, n, n + 10)
-    assert len(layouts) == 1 and passed is None and len(built) == 1
+    layouts, (hit,) = _run(criterion, interval, delta, n, n + 10)
+    assert len(layouts) == 1 and hit[0].coverage <= 1.0 - delta and len(built) == 1
     assert hit[1] <= built[0]
     witness, count = scan_min_coverage(criterion, n, interval, 1.0 - delta)
     assert (_bits(hit[0]), hit[1]) == (_bits(witness), count)
@@ -313,8 +346,9 @@ def test_run_of_several_n_builds_and_windows_them_in_one_call_each(monkeypatch):
     for name in calls:
         monkeypatch.setattr(minimizer, name, counting(name))
     criterion, interval, conf = _BATCHED
-    layouts, hits, _ = _run(criterion, interval, conf.delta, 250, 400)
-    assert len(layouts) >= 2 and len(hits) >= 2
+    layouts, verdicts = _run(criterion, interval, conf.delta, 250, 400)
+    fails = [result for result, _ in verdicts if result.coverage <= 1.0 - conf.delta]
+    assert len(layouts) >= 2 and len(fails) >= 2
     assert calls == {"_point_rows": 1, "_windows": 1, "_point_arrays": 0}
 
 
