@@ -22,12 +22,12 @@ the crossover once; two layouts read them.  `_point_tuples` is lazy: a
 k-way merge of one generator per family yields plain tuples one at a time,
 so a scan that stops at one of its first candidates builds only those.
 One array builder, `_point_rows`, builds the same points as numpy arrays
-from slices of the ell ranges, for one layout or several at once.  Its two
-uses: `_point_arrays` takes one layout a chunk of about _CHUNK points at a
-time, so a scan past its first few candidates never holds more than a
-chunk, and a batched run of consecutive n (see `search`) takes every n's
-whole layout in one call, one piece per n.  `candidate_stream` makes
-CandidatePoints from the lazy layout.
+from slices of the ell ranges in open spans of rates, for one layout or
+several at once.  Its two uses: `_point_arrays` builds one layout a span of
+about _CHUNK points at a time, so a scan past its first few candidates
+never holds more than a chunk, and a batched run of consecutive n (see
+`search`) takes every n's whole layout in one call, one piece per n.
+`candidate_stream` makes CandidatePoints from the lazy layout.
 """
 
 from __future__ import annotations
@@ -222,49 +222,46 @@ def _point_arrays(layout: _Layout) -> Iterator[tuple[np.ndarray, np.ndarray, np.
     """The points of `_point_tuples` in the same order, a chunk at a time,
     as the arrays (value, g_ell, h_ell) of `_point_rows`.
 
-    A chunk takes the points from the start of its first group up to
-    _CHUNK / (sum of the divs) past it, so about _CHUNK points.  Its last
-    group may reach past that end, so the group is held back and starts
-    the next chunk; a span that holds one group is widened instead.  A
-    sliver's two rows never end a chunk early: a span is wider than 2 tol.
+    A chunk is the points in one of the equal spans [start, end) of rates
+    from a, _CHUNK / (sum of the divs) wide, so about _CHUNK points (the
+    first starts at -inf, the last ends at inf), sliced by value from a
+    build of the span padded by 8 tol.  A point takes the value of a member
+    of its group, and a group spans at most 6 tol (`_merge_groups`): each
+    group with its point in the span is built whole, and one cut at the
+    padded edge lies over 2 tol outside the span, its point sliced away.
     """
     tol, specials, grids = layout
-    top = specials[-1][0] + tol  # every point lies below b + tol
-    base = _CHUNK / sum(div for _, div, _, _, _ in grids)
-    start, low, width = -math.inf, specials[0][0], base
-    while True:
-        end = low + width
-        if not end < top:
-            yield _point_rows([(layout, start, math.inf)])[:3]
-            return
-        values, g_ell, h_ell, _, last_group = _point_rows([(layout, start, end)])
-        if values.size > 1:  # the last group is held back
-            yield values[:-1], g_ell[:-1], h_ell[:-1]
-            start = low = last_group
-            width = base
-        else:  # one group fills the span
-            width *= 2.0
+    a, b = specials[0][0], specials[-1][0]
+    width = _CHUNK / sum(div for _, div, _, _, _ in grids)
+    spans = max(1, math.ceil((b - a) / width))
+    for k in range(spans):
+        start = a + k * width if k else -math.inf
+        end = a + (k + 1) * width if k + 1 < spans else math.inf
+        values, g_ell, h_ell, _ = _point_rows([(layout, start - 8.0 * tol, end + 8.0 * tol)])
+        i, j = values.searchsorted([start, end])
+        if i < j:
+            yield values[i:j], g_ell[i:j], h_ell[i:j]
 
 
-# A piece of `_point_rows`: a layout and the span of rates [start, end] it
-# takes points from; -inf and inf take the whole layout.
+# A piece of `_point_rows`: a layout and the open span of rates (start, end)
+# it takes points from; -inf and inf take the whole layout.
 _Piece = tuple[_Layout, float, float]
 
 
 def _point_rows(
     pieces: list[_Piece],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The points of several pieces as arrays (value, g_ell, h_ell), piece
     after piece, each piece's in the order of `_point_tuples`: g_ell and
     h_ell hold the ell of the tag that pins each window side in `_window`'s
-    tag loop, or `_UNPINNED`.  Also each piece's number of points, and the
-    least value of the last group (None without points).
+    tag loop, or `_UNPINNED`.  Also each piece's number of points.
 
     A piece takes its layout's endpoints, crossover and family members in
-    [start, end].  The members of every family of every piece come from
-    one ragged range of ell, and all rows go through one stable sort on
-    (piece, value), which breaks ties in `heapq.merge`'s order, and one
-    grouping, whose groups never cross from one piece to the next.
+    (start, end), and merges them among themselves.  The members of every
+    family of every piece come from one ragged range of ell, and all rows
+    go through one stable sort on (piece, value), which breaks ties in
+    `heapq.merge`'s order, and one grouping, whose groups never cross from
+    one piece to the next.
     """
     spans, tols = [], []  # (first ell, count, div, shift, low, high, priority, piece)
     for s, ((tol, points, grids), start, end) in enumerate(pieces):
@@ -272,21 +269,17 @@ def _point_rows(
         # an endpoint or the crossover is a range of one ell, 0 / -1.0 + value:
         # exactly its value, -0.0 included
         spans += [(0, 1, -1.0, value, -math.inf, math.inf, _KIND_PRIORITY[kind], s)
-                  for value, kind, _, _ in points if start <= value <= end]
-        # value >= start and value <= end as strict bounds, like the tol ones
-        low, high = math.nextafter(start, -math.inf), math.nextafter(end, math.inf)
+                  for value, kind, _, _ in points if start < value < end]
         for kind, div, shift, lo, hi in grids:
             first = math.floor(div * (max(lo, start) - shift)) - 1
-            last = math.ceil(div * (hi - shift)) + 1
-            if end < math.inf:
-                last = min(last, math.floor(div * (end - shift)) + 1)
+            last = math.ceil(div * (min(hi, end) - shift)) + 1
             spans.append((first, max(0, last - first + 1), div, shift,
-                          max(lo - tol, low), min(hi + tol, high), _KIND_PRIORITY[kind], s))
+                          max(lo - tol, start), min(hi + tol, end), _KIND_PRIORITY[kind], s))
     first, count, div, shift, low, high, priority, seg = map(np.array, zip(*spans))
     span = np.repeat(np.arange(count.size), count)
     ells = np.arange(span.size) + (first - count.cumsum() + count)[span]
     values = ells / div[span] + shift[span]
-    # the members strictly within tol of (lo, hi) and in [start, end]
+    # the members strictly within tol of (lo, hi) and in (start, end)
     keep = (values > low[span]) & (values < high[span])
     values, ells, span = values[keep], ells[keep], span[keep]
     key, tol = values, tols[0]
@@ -303,9 +296,8 @@ def _point_rows(
         gap[starts[starts < gap.size]] = math.inf  # a group never crosses pieces
         tol = np.array(tols)[seg]
     heads = np.flatnonzero(gap > tol)
-    last_group = float(values[heads[-1]]) if heads.size else None
     values, g_ell, h_ell, seg = _merge_groups(values, priority, ells, seg, heads)
-    return values, g_ell, h_ell, np.bincount(seg, minlength=len(pieces)), last_group
+    return values, g_ell, h_ell, np.bincount(seg, minlength=len(pieces))
 
 
 # `_PIN_SIDE` by priority: -1 for the endpoints and the crossover.

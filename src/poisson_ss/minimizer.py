@@ -134,7 +134,7 @@ def _decide(
     ``threshold``, then the (minimum, count) of the first layout without
     one, if any (see the module docstring)."""
     if len(layouts) > 1:
-        lams, g_ell, h_ell, sizes, _ = _point_rows(
+        lams, g_ell, h_ell, sizes = _point_rows(
             [(layout, -math.inf, math.inf) for _, layout in layouts])
         ns = np.repeat([n for n, _ in layouts], sizes)
         passes = [(_floored(criterion, ns, lams, g_ell, h_ell), sizes.tolist())]

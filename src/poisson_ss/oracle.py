@@ -25,7 +25,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .candidates import _CHUNK
+from .candidates import _CHUNK, _check_order
 from .coverage import _windows, coverage_at
 from .kernel import _MAX_MEAN, interval_probs, pmf
 from .types import (
@@ -33,6 +33,7 @@ from .types import (
     CoverageResult,
     ErrorCriterion,
     Mixed,
+    NonFiniteBound,
     ParamInterval,
     Relative,
     _check_margins,
@@ -94,15 +95,20 @@ def _grid_rows(
     The array windows are exact while every window bound is below 2**53,
     which a mean up to 2**38 with n below 2**52 ensures.  A chunk with a rate
     outside that goes through `coverage_at` rate by rate, so a rate the
-    scalar route refuses raises its ValueError, for the first such rate."""
+    scalar route refuses raises its ValueError, for the first such rate.
+    A non-finite bound or a > b raises before any rate, as in `min_coverage`."""
     _check_points(points)
     _check_margins(criterion)
     _check_sample_size(n)
-    a, step = interval.a, interval.width / (points - 1)
+    a, b = interval.a, interval.b
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise NonFiniteBound(f"grid rates need a finite interval, got [{a!r}, {b!r}]")
+    _check_order(interval)
+    step = interval.width / (points - 1)
     for start in range(0, points, _CHUNK):
         i = np.arange(start, min(start + _CHUNK, points))
         with np.errstate(all="ignore"):  # inf and NaN rates, as in floats
-            lams = np.where(i < points - 1, a + i * step, interval.b)
+            lams = np.where(i < points - 1, a + i * step, b)
             mus = n * lams
         if n < 2 ** 52 and ((lams >= 0.0) & (mus <= _MAX_MEAN)).all():
             gs, hs = _windows(criterion, n, lams)

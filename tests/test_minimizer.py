@@ -1,6 +1,7 @@
 """Worst-case coverage over an interval via the candidate set."""
 
 import sys
+import tracemalloc
 from itertools import islice
 from unittest import mock
 
@@ -330,7 +331,7 @@ def test_run_build_matches_per_n_builds_row_for_row(run, chunk):
     # with its own n
     crit, ns = run
     layouts = [_layout(crit, n, interval) for n, interval in ns]
-    lams, g_ell, h_ell, sizes, _ = candidates._point_rows(
+    lams, g_ell, h_ell, sizes = candidates._point_rows(
         [(layout, -np.inf, np.inf) for layout in layouts])
     gs, hs = _windows(crit, np.repeat([n for n, _ in ns], sizes), lams, g_ell, h_ell)
     rows = list(zip([v.hex() for v in lams.tolist()], gs.tolist(), hs.tolist()))
@@ -353,20 +354,28 @@ def test_array_layout_keeps_a_negative_zero_endpoint(crit):
     assert [v.hex() for v in run[0][run[0] == 0.0].tolist()] == ["-0x0.0p+0"] * 2
 
 
-def test_merge_group_straddling_a_chunk_cut():
-    # eps = 0.1 + tol / 4 puts each abs_minus point tol / 2 below an
-    # abs_plus point, one merge group; the first chunk, 7 / (2 n) wide,
-    # ends between the two members of the group at 0.5
+@pytest.mark.parametrize("side", [1, -1])
+def test_merge_group_straddling_a_chunk_cut(side):
+    # eps = 0.1 + side * tol / 4 puts an abs_plus and an abs_minus point at
+    # 0.5 -+ tol / 4, one merge group whose point takes the abs_plus value;
+    # the first chunk, 7 / (2 n) wide, ends at 0.5, between the two members
     n, tol, chunk = 100, DEDUP_REL_TOL, 7
-    crit = Absolute(0.1 + tol / 4)
+    crit = Absolute(0.1 + side * tol / 4)
     interval = ParamInterval(0.5 - chunk / (2 * n), 0.9)
     end = interval.a + chunk / (2 * n)
-    assert 60 / n - crit.eps < end < 40 / n + crit.eps
+    plus, minus = 40 / n + crit.eps, 60 / n - crit.eps  # the group's members
+    assert min(plus, minus) < end < max(plus, minus)
     with mock.patch.object(candidates, "_CHUNK", chunk):
         chunks = list(_point_arrays(_layout(crit, n, interval)))
-        # the group is held back whole and heads the second chunk
+        # the group goes whole, both tags on its one row, to the chunk whose
+        # span holds its point, and no row of it comes again in the other
         assert len(chunks) > 1
-        assert chunks[0][0][-1] < 0.5 - tol / 8 and chunks[1][0][0] > 0.5 - tol / 2
+        (values, g_ell, h_ell), (after, _, _) = chunks[0], chunks[1]
+        if side < 0:
+            assert values[-1] == plus and after[0] > 0.5 + tol
+            assert (g_ell[-1], h_ell[-1]) == (40, 60)
+        else:
+            assert values[-1] < 0.5 - tol and after[0] == plus
         assert _array_rows(crit, n, interval) == _tuple_rows(crit, n, interval)
         for threshold in (None, "min", ("row", 4), ("row", 5)):
             _assert_scan_matches_reference(crit, n, interval, threshold)
@@ -391,10 +400,13 @@ def test_fail_fast_stop_on_a_chunk_edge_row(chunk):
                 assert (witness, count) == reference_scan(crit, n, interval, covs[row])
 
 
-def test_fail_fast_scan_past_the_prefix_builds_one_chunk(monkeypatch):
-    # [5, 1e6] holds about 2e6 candidates at n = 1; the first rows below the
-    # threshold lie past the scalar probe, in the first block
-    crit, n, interval = Relative(0.1), 1, ParamInterval(5.0, 1e6)
+@pytest.mark.parametrize("b", [1e6, 1e10])
+def test_fail_fast_scan_past_the_prefix_builds_one_chunk(monkeypatch, b):
+    # [5, b] holds about 2 b candidates at n = 1, in about b / 4096 spans;
+    # the first rows below the threshold lie past the scalar probe, in the
+    # first block.  The spans come one at a time: a list of 2.4e6 cuts for
+    # b = 1e10 alone would pass the memory bound.
+    crit, n, interval = Relative(0.1), 1, ParamInterval(5.0, b)
     head = list(islice(candidate_stream(crit, n, interval), _PREFIX + _BLOCK))
     covs = [reference_coverage_at_point(crit, n, point).coverage for point in head]
     threshold = min(covs[_PREFIX:])
@@ -408,7 +420,13 @@ def test_fail_fast_scan_past_the_prefix_builds_one_chunk(monkeypatch):
             yield chunk
 
     monkeypatch.setattr(minimizer, "_point_arrays", counting_arrays)
-    witness, count = scan_min_coverage(crit, n, interval, threshold)
+    tracemalloc.start()
+    try:
+        witness, count = scan_min_coverage(crit, n, interval, threshold)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
     assert _PREFIX < count <= _PREFIX + _BLOCK
     assert witness.coverage == threshold
     assert len(built) == 1 and built[0] <= candidates._CHUNK + 16

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from poisson_ss import (
     Absolute,
+    EmptyInterval,
     Mixed,
+    NonFiniteBound,
     ParamInterval,
     Relative,
     brute_force_coverage,
@@ -37,6 +39,18 @@ def test_two_point_grid_is_the_endpoint_minimum():
 def test_grid_needs_two_points():
     with pytest.raises(ValueError):
         grid_min_coverage(Absolute(0.2), 5, ParamInterval(0.0, 1.0), points=1)
+
+
+@pytest.mark.parametrize("interval, error", [
+    (ParamInterval(1.0, 0.0), EmptyInterval),
+    (ParamInterval(0.0, math.inf), NonFiniteBound),
+    (ParamInterval(math.nan, 1.0), NonFiniteBound),
+])
+def test_grid_refuses_the_intervals_min_coverage_refuses(interval, error):
+    with pytest.raises(error):
+        min_coverage(Absolute(0.1), 10, interval)
+    with pytest.raises(error):
+        grid_min_coverage(Absolute(0.1), 10, interval, 5)
 
 
 def grid_reference(crit, n, interval, points):
@@ -134,7 +148,7 @@ def test_grid_rate_is_a_float_for_integer_bounds():
     (Absolute(0.1), 2, ParamInterval(0.0, 1e308), 3),           # window bound is inf
     (Absolute(0.1), 2, ParamInterval(1e308, 1.7e308), 2),
     (Absolute(0.1), 10 ** 21, ParamInterval(0.0, 1.0), 3),      # mean 5e20 at 0.5
-    (Absolute(0.1), 5, ParamInterval(0.0, math.inf), 3),        # NaN rate 0 * inf
+    (Absolute(0.1), 5, ParamInterval(-1.7e308, 1.7e308), 3),    # NaN rate 0 * inf
     (Mixed(0.1, 0.2), 3, ParamInterval(-1.0, 1.0), 3),          # negative rate
     (Absolute(0.1), 10 ** 21, ParamInterval(0.0, 1e-300), 5),   # h above int64
     (Absolute(0.1), 2 ** 60, ParamInterval(0.0, 1e-10), 3),     # h above 2**53
