@@ -7,7 +7,7 @@ cheap; this script audits one plan four different ways: a dense uniform
 grid (can only overestimate the minimum), a brute-force sum of the
 margin event (no window algebra at all), a seeded Monte Carlo
 simulation of the actual estimation experiment, and the pass/fail
-decision each route implies.
+decision of the two exact routes.
 """
 
 import math
@@ -61,11 +61,11 @@ def main():
           f"({trials:,} trials, {z:+.2f} standard errors)")
     print()
 
-    # Route 4: all roads must reach the same verdict.
+    # Route 4: the exact routes must reach the same verdict.  A grid can
+    # miss the worst rate, so it bounds the minimum but casts no vote.
     level = 1.0 - conf.delta
     votes = {
         "candidate scan": worst.coverage > level,
-        "grid floor": grid.coverage > level,
         "brute force": brute > level,
     }
     for name, vote in votes.items():
@@ -73,8 +73,9 @@ def main():
     assert len(set(votes.values())) == 1
     assert abs(brute - worst.coverage) < 1e-12
     assert grid.coverage >= worst.coverage - 1e-12
-    assert abs(est - worst.coverage) < 5.0 * max(stderr, 1e-12)
+    # the standard error of the coverage the simulation tests
     sigma = math.sqrt(worst.coverage * (1 - worst.coverage) / trials)
+    assert abs(est - worst.coverage) <= 5.0 * sigma
     print(f"\nall oracles agree; simulation sits within "
           f"{abs(est - worst.coverage) / sigma:.2f} true standard errors")
 

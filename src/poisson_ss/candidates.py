@@ -93,17 +93,29 @@ class _Points(tuple):
 
 def cardinality_bound(criterion: ErrorCriterion, n: int, interval: ParamInterval) -> float:
     """Strict upper bound on the candidate count: 2 n (b - a) plus 4, or
-    plus 7 when a crossover point can join the set."""
-    _check_sample_size(n)
-    _check_order(interval)
+    plus 7 when a crossover point can join the set.  Refuses what
+    `candidate_set` refuses before it lays out a point (`_check_scan`)."""
+    _check_scan(criterion, n, interval)
     extra = 7.0 if isinstance(criterion, Mixed) else 4.0
     return 2.0 * n * interval.width + extra
 
 
-def _check_order(interval: ParamInterval) -> None:
-    if interval.a > interval.b:
-        raise EmptyInterval(
-            f"rate interval must satisfy a <= b, got [{interval.a!r}, {interval.b!r}]")
+def _check_scan(criterion: ErrorCriterion, n: int, interval: ParamInterval) -> None:
+    """The one rule for a fixed-n (criterion, n, [a, b]): margins inside
+    (0, 1), 1 <= n <= the largest float, n an integer, a and b finite and
+    a <= b; a == b is a one-rate interval.  Raises on the first broken part."""
+    _check_margins(criterion)
+    _check_sample_size(n)
+    if n % 1:
+        raise ValueError(f"sample size must be an integer, got {n!r}")
+    a, b = interval.a, interval.b
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise NonFiniteBound(
+            f"a fixed-n scan needs a finite interval, got [{a!r}, {b!r}]; an "
+            "infinite b is only searchable with tail-bound truncation under "
+            "a relative or mixed margin")
+    if a > b:
+        raise EmptyInterval(f"rate interval must satisfy a <= b, got [{a!r}, {b!r}]")
 
 
 def _progressions(
@@ -169,17 +181,8 @@ def _layout(criterion: ErrorCriterion, n: int, interval: ParamInterval) -> _Layo
     and each breakpoint family as (kind, div, shift, lo, hi), its members
     ell / div + shift strictly within tol of (lo, hi).  Both layouts,
     `_point_tuples` and `_point_arrays`, read it."""
-    _check_margins(criterion)
-    _check_sample_size(n)
-    if n % 1:
-        raise ValueError(f"sample size must be an integer, got {n!r}")
+    _check_scan(criterion, n, interval)
     a, b = interval.a, interval.b
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise NonFiniteBound(
-            f"candidate rates need a finite interval, got [{a!r}, {b!r}]; an "
-            "infinite b is only searchable with tail-bound truncation under "
-            "a relative or mixed margin")
-    _check_order(interval)
     tol = DEDUP_REL_TOL * max(1.0, abs(a), abs(b))
 
     eff = effective_criterion(criterion, interval)

@@ -25,7 +25,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .candidates import _CHUNK, _check_order
+from .candidates import _CHUNK, _check_scan
 from .coverage import _windows, coverage_at
 from .kernel import _MAX_MEAN, interval_probs, pmf
 from .types import (
@@ -33,10 +33,8 @@ from .types import (
     CoverageResult,
     ErrorCriterion,
     Mixed,
-    NonFiniteBound,
     ParamInterval,
     Relative,
-    _check_margins,
     _check_sample_size,
 )
 
@@ -96,14 +94,10 @@ def _grid_rows(
     which a mean up to 2**38 with n below 2**52 ensures.  A chunk with a rate
     outside that goes through `coverage_at` rate by rate, so a rate the
     scalar route refuses raises its ValueError, for the first such rate.
-    A non-finite bound or a > b raises before any rate, as in `min_coverage`."""
+    Before any rate, it refuses what `min_coverage` refuses (`_check_scan`)."""
     _check_points(points)
-    _check_margins(criterion)
-    _check_sample_size(n)
+    _check_scan(criterion, n, interval)
     a, b = interval.a, interval.b
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise NonFiniteBound(f"grid rates need a finite interval, got [{a!r}, {b!r}]")
-    _check_order(interval)
     step = interval.width / (points - 1)
     for start in range(0, points, _CHUNK):
         i = np.arange(start, min(start + _CHUNK, points))

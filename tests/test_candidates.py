@@ -25,6 +25,7 @@ from poisson_ss import (
     cardinality_bound,
     coverage_at,
     coverage_at_point,
+    grid_min_coverage,
     min_coverage,
     min_sample_size,
     scan_min_coverage,
@@ -339,6 +340,50 @@ def test_reversed_interval_is_rejected_and_a_point_interval_is_not():
         (0.5, CandidateKind.ENDPOINT_A), (0.5, CandidateKind.ENDPOINT_B)]
     assert cardinality_bound(crit, 5, point) == 4.0
     assert min_coverage(crit, 5, point).lam == 0.5
+
+
+_MARGINS = st.floats(0.05, 0.9) | st.sampled_from([0.0, 1.5])
+_GATE_CRITERIA = (st.builds(Absolute, _MARGINS) | st.builds(Relative, _MARGINS)
+                  | st.builds(Mixed, _MARGINS, _MARGINS))
+_GATE_NS = st.integers(1, 40) | st.sampled_from([0, 2.5, math.nan, 10 ** 400])
+_GATE_INTERVALS = st.builds(
+    lambda a, width: ParamInterval(a, a + width),
+    st.floats(0.0, 3.0), st.sampled_from([0.0]) | st.floats(0.0, 3.0),
+) | st.sampled_from([
+    ParamInterval(math.nan, 1.0), ParamInterval(0.0, math.nan),
+    ParamInterval(-math.inf, 1.0), ParamInterval(0.0, math.inf),
+    ParamInterval(1.0, 0.5),
+])
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args), None
+    except Exception as exc:  # the type is what the property compares
+        return None, type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_GATE_CRITERIA, _GATE_NS, _GATE_INTERVALS)
+def test_fixed_n_calls_refuse_the_same_arguments(criterion, n, interval):
+    calls = {
+        "bound": cardinality_bound,
+        "set": candidate_set,
+        "stream": lambda *args: tuple(candidate_stream(*args)),
+        "min": min_coverage,
+        "scan": scan_min_coverage,
+        "grid": lambda *args: grid_min_coverage(*args, points=11),
+    }
+    outcomes = {name: _outcome(call, criterion, n, interval) for name, call in calls.items()}
+    assert len({error for _, error in outcomes.values()}) == 1, outcomes
+    bound, error = outcomes["bound"]
+    if error is None:
+        assert bound > len(outcomes["set"][0])
+
+
+def test_cardinality_bound_refuses_a_nan_bound():
+    with pytest.raises(NonFiniteBound):
+        cardinality_bound(Absolute(0.1), 10, ParamInterval(math.nan, 1.0))
 
 
 @pytest.mark.parametrize("criterion", [

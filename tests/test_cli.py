@@ -403,6 +403,44 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     assert [c["name"] for c in failed] == ["brute_force_at_worst"]
 
 
+# The six queries of the benchmark's plan workloads, with their n_min.
+_PLAN_QUERIES = [
+    (["--criterion", "rel", "--eps", "0.15", "--a", "0.5", "--b", "2", "--delta", "0.05"], 354),
+    (["--criterion", "rel", "--eps", "0.2", "--a", "0.5", "--b", "50", "--delta", "0.05"], 201),
+    (["--criterion", "rel", "--eps", "0.2", "--a", "0.5", "--b", "2", "--delta", "0.1"], 141),
+    (["--criterion", "abs", "--eps", "0.1", "--a", "0", "--b", "1", "--delta", "0.1"], 276),
+    (["--criterion", "abs", "--eps", "0.2", "--a", "0", "--b", "2", "--delta", "0.05"], 193),
+    (["--criterion", "mixed", "--eps-a", "0.1", "--eps-r", "0.2", "--a", "0.1", "--b", "3",
+      "--delta", "0.05"], 201),
+]
+
+
+@pytest.mark.parametrize("flags, n_min", _PLAN_QUERIES)
+@pytest.mark.parametrize("below", [0, 1])
+def test_verify_passes_at_n_min_and_the_n_below(capsys, flags, n_min, below):
+    # At n_min - 1 of the Absolute(0.1) [0, 1] query the minimum, 0.89697 at
+    # rate 0.99818, lies between two of the 2001 grid rates, whose minimum is
+    # above 0.9: the grid bounds the minimum but does not vote on the decision.
+    code, out, _ = run(capsys, ["verify", *flags, "--n", str(n_min - below)])
+    result = json.loads(out)
+    assert (code, result["passed"]) == (0, True), result["checks"]
+    assert (result["worst_coverage"] > 1.0 - result["delta"]) == (below == 0)
+
+
+def test_verify_monte_carlo_tolerance_comes_from_the_worst_coverage(capsys):
+    # Every trial lands in the window, so the estimate is 1 and its own
+    # standard error 0; the coverage it tests is 1 - 1e-12.
+    code, out, _ = run(capsys, [
+        "verify", "--criterion", "abs", "--eps", "0.5", "--a", "0", "--b", "1e-12",
+        "--delta", "1e-6", "--n", "1", "--trials", "100"])
+    result = json.loads(out)
+    assert code == 0 and result["passed"] is True
+    p = result["worst_coverage"]
+    (mc,) = [c for c in result["checks"] if c["name"] == "monte_carlo_at_worst"]
+    assert 0.0 < mc["discrepancy"] <= mc["tolerance"]
+    assert mc["tolerance"] == cli.MC_STDERR_MULTIPLE * math.sqrt(p * (1.0 - p) / 100)
+
+
 @pytest.mark.parametrize("argv", [
     [],                                                     # nothing given
     ["sizes"],                                              # unknown command
