@@ -30,6 +30,7 @@ from .types import (
     EmptyInterval,
     EpsilonOutOfRange,
     ErrorCriterion,
+    MarginTooNarrow,
     Mixed,
     NegativeLowerBound,
     NonFiniteBound,
@@ -62,6 +63,7 @@ __all__ = [
     "NegativeLowerBound",
     "NonFiniteBound",
     "RelativeWithZeroLowerBound",
+    "MarginTooNarrow",
     # kernel
     "pmf",
     "interval_prob",

@@ -21,12 +21,13 @@ family is a progression ell / div + shift over an integer range of ell, and
 the crossover once; two layouts read them.  `_point_tuples` is lazy: a
 k-way merge of one generator per family yields plain tuples one at a time,
 so a scan that stops at one of its first candidates builds only those.
-One array builder, `_point_rows`, builds the same points as numpy arrays
-from slices of the ell ranges in open spans of rates, for one layout or
-several at once.  Its two uses: `_point_arrays` builds one layout a span of
-about _CHUNK points at a time, so a scan past its first few candidates
-never holds more than a chunk, and a batched run of consecutive n (see
-`search`) takes every n's whole layout in one call, one piece per n.
+One array builder, `_point_rows`, builds the same points as numpy arrays,
+those in a span of rates [start, end), for one layout or several at once.
+`_spans` cuts a layout's rates into spans of about _CHUNK points or fewer,
+the first ending where its caller asks.  `_point_arrays` builds one layout
+span after span, so a scan past its first few candidates never holds more
+than a chunk, and a batched run of consecutive n (see `minimizer`) builds
+a span of each of its n in one call, one piece per n.
 `candidate_stream` makes CandidatePoints from the lazy layout.
 """
 
@@ -221,33 +222,33 @@ def _point_tuples(layout: _Layout) -> Iterator[_Point]:
     return _points(heapq.merge(specials, *families, key=itemgetter(0)), tol)
 
 
-def _point_arrays(layout: _Layout) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The points of `_point_tuples` in the same order, a chunk at a time,
-    as the arrays (value, g_ell, h_ell) of `_point_rows`.
-
-    A chunk is the points in one of the equal spans [start, end) of rates
-    from a, _CHUNK / (sum of the divs) wide, so about _CHUNK points (the
-    first starts at -inf, the last ends at inf), sliced by value from a
-    build of the span padded by 8 tol.  A point takes the value of a member
-    of its group, and a group spans at most 6 tol (`_merge_groups`): each
-    group with its point in the span is built whole, and one cut at the
-    padded edge lies over 2 tol outside the span, its point sliced away.
-    """
-    tol, specials, grids = layout
+def _spans(layout: _Layout, end: float = math.inf) -> Iterator[tuple[float, float]]:
+    """Cut the rates into spans [start, end) of about _CHUNK points or
+    fewer, in rate order: the first from -inf to ``end`` or to a + width,
+    whichever is less, then spans width = _CHUNK / (sum of the divs) wide,
+    the last of them ending at inf.  The spans come one at a time."""
+    _, specials, grids = layout
     a, b = specials[0][0], specials[-1][0]
     width = _CHUNK / sum(div for _, div, _, _, _ in grids)
-    spans = max(1, math.ceil((b - a) / width))
-    for k in range(spans):
-        start = a + k * width if k else -math.inf
-        end = a + (k + 1) * width if k + 1 < spans else math.inf
-        values, g_ell, h_ell, _ = _point_rows([(layout, start - 8.0 * tol, end + 8.0 * tol)])
-        i, j = values.searchsorted([start, end])
-        if i < j:
-            yield values[i:j], g_ell[i:j], h_ell[i:j]
+    start, cut = -math.inf, min(end, a + width)
+    while cut < b:
+        yield start, cut
+        start, cut = cut, cut + width
+    yield start, math.inf
 
 
-# A piece of `_point_rows`: a layout and the open span of rates (start, end)
-# it takes points from; -inf and inf take the whole layout.
+def _point_arrays(layout: _Layout) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The points of `_point_tuples` in the same order, a chunk at a time,
+    as the arrays (value, g_ell, h_ell) of `_point_rows`: one chunk per
+    span of `_spans`, empty ones left out."""
+    for start, end in _spans(layout):
+        values, g_ell, h_ell, _ = _point_rows([(layout, start, end)])
+        if values.size:
+            yield values, g_ell, h_ell
+
+
+# A piece of `_point_rows`: a layout and the span of rates [start, end) it
+# takes points from; -inf and inf take the whole layout.
 _Piece = tuple[_Layout, float, float]
 
 
@@ -259,16 +260,24 @@ def _point_rows(
     h_ell hold the ell of the tag that pins each window side in `_window`'s
     tag loop, or `_UNPINNED`.  Also each piece's number of points.
 
-    A piece takes its layout's endpoints, crossover and family members in
-    (start, end), and merges them among themselves.  The members of every
-    family of every piece come from one ragged range of ell, and all rows
-    go through one stable sort on (piece, value), which breaks ties in
-    `heapq.merge`'s order, and one grouping, whose groups never cross from
-    one piece to the next.
+    A piece holds the points of its layout with values in [start, end),
+    as the whole layout has them.  It is built from the layout's endpoints,
+    crossover and family members in the span padded by 8 tol, merged among
+    themselves, and sliced by value.  A point takes the value of a member of
+    its group, and a group spans at most 6 tol (`_merge_groups`): so each
+    group with its point in the span is built whole, and one cut at a
+    padded edge lies over 2 tol outside the span, its point sliced away.
+
+    The members of every family of every piece come from one ragged range
+    of ell, and all rows go through one stable sort on (piece, value),
+    which breaks ties in `heapq.merge`'s order, and one grouping, whose
+    groups never cross from one piece to the next.
     """
     spans, tols = [], []  # (first ell, count, div, shift, low, high, priority, piece)
+    cuts = np.array([(start, end) for _, start, end in pieces]).T
     for s, ((tol, points, grids), start, end) in enumerate(pieces):
         tols.append(tol)
+        start, end = start - 8.0 * tol, end + 8.0 * tol
         # an endpoint or the crossover is a range of one ell, 0 / -1.0 + value:
         # exactly its value, -0.0 included
         spans += [(0, 1, -1.0, value, -math.inf, math.inf, _KIND_PRIORITY[kind], s)
@@ -300,6 +309,9 @@ def _point_rows(
         tol = np.array(tols)[seg]
     heads = np.flatnonzero(gap > tol)
     values, g_ell, h_ell, seg = _merge_groups(values, priority, ells, seg, heads)
+    if np.isfinite(cuts).any():
+        keep = (values >= cuts[0][seg]) & (values < cuts[1][seg])
+        values, g_ell, h_ell, seg = values[keep], g_ell[keep], h_ell[keep], seg[keep]
     return values, g_ell, h_ell, np.bincount(seg, minlength=len(pieces))
 
 

@@ -39,6 +39,7 @@ from .types import (
     CandidatePoint,
     CoverageResult,
     ErrorCriterion,
+    MarginTooNarrow,
     Mixed,
     _check_margins,
     _check_sample_size,
@@ -97,8 +98,11 @@ def _window(criterion: ErrorCriterion, n: int, lam: float, tags: tuple) -> tuple
         value = ell/n - eps            ->  h = ell - 1
         value = ell/(n (1 + eps))      ->  h = ell - 1
 
-    Unpinned sides take the float rule above through `_snap`.  The caller
-    has checked the criterion's margins."""
+    Unpinned sides take the float rule above through `_snap`.  Where both
+    sides, snapped or pinned, fall on one count strictly between the
+    products, the margin is below what the rule resolves and the window
+    would drop that count: that raises `MarginTooNarrow`.  The caller has
+    checked the criterion's margins."""
     _check_sample_size(n)
     if not (lam >= 0.0):
         raise ValueError(f"rate must be nonnegative, got {lam!r}")
@@ -127,7 +131,19 @@ def _window(criterion: ErrorCriterion, n: int, lam: float, tags: tuple) -> tuple
         g = max(0, math.floor(_snap(lower)) + 1)
     if h is None:
         h = math.ceil(_snap(upper)) - 1
+    if h == g - 2 and g >= 1 and lower < g - 1 < upper:
+        raise _too_narrow(n, lam, lower, upper, g - 1)
     return g, h
+
+
+def _too_narrow(n: int, lam: float, lower: float, upper: float, count: int) -> MarginTooNarrow:
+    """The error for a window whose two ends, snapped or pinned, both fall
+    on the count strictly between its products ``lower`` and ``upper``: the
+    margin is below what the window rule resolves, and the window would
+    drop that count."""
+    return MarginTooNarrow(
+        f"the margin is too narrow at rate {lam!r} for n = {n!r}: both window "
+        f"ends, {lower!r} and {upper!r}, fall on the count {count} between them")
 
 
 def _windows(
@@ -143,9 +159,10 @@ def _windows(
     has ell >= 0.
 
     The float rule takes the same operations in the same order; ``np.rint``
-    rounds half to even like ``round``.  A negative rate or a non-finite
-    product raises `_window`'s ValueError for the first such rate and its
-    own n."""
+    rounds half to even like ``round``.  A negative rate, a non-finite
+    product or a window too narrow to resolve raises `_window`'s error for
+    the first such rate and its own n; the last costs a subtraction and a
+    max over the rows where no window is."""
     with np.errstate(over="ignore"):  # a product overflows to inf, as in floats
         if isinstance(criterion, Mixed):
             absolute = lams <= criterion.crossover
@@ -165,6 +182,12 @@ def _windows(
     h = (np.ceil(_snaps(upper)) - 1.0).astype(np.int64)
     g = np.where(g_ell != _UNPINNED, np.maximum(g_ell + 1, 0), g)
     h = np.where(h_ell != _UNPINNED, h_ell - 1, h)
+    if lams.size and (g - h).max() > 1:  # two ends on one count, maybe
+        bad = (h == g - 2) & (g >= 1) & (lower < g - 1) & (g - 1 < upper)
+        if bad.any():
+            i = bad.argmax()
+            raise _too_narrow(int(n[i]) if np.ndim(n) else n, float(lams[i]),
+                              float(lower[i]), float(upper[i]), int(g[i]) - 1)
     return g, h
 
 

@@ -24,32 +24,43 @@ bit for bit the scalar values; so a probed row read again has the value
 the probe saw, above the threshold.
 
 One pass, `_decide`, settles an n, for a scan with a threshold and for a
-batched run of consecutive n (see `search`).  It goes over the rows of
-each n in rate order and sums those whose floor is within the margin of
-the threshold, up to the first value at or below it: the first failing
-candidate in rate order.  Several n that fit a chunk together share one
-floored chunk, one segment of rows per n: one `_point_rows` call builds
-every n's rows, one `_windows` call resolves their windows with each row's
-own n, and one `_floors` call floors them.  `_first_fails` then sums the
-next block of every segment without a failure yet in one `interval_probs`
-call; so a run decides its n for the fixed costs of one.  A lone n goes a
-chunk at a time, its rank carried across chunks, so a stop builds the
-chunk that holds its witness and nothing past it.
+batched run of consecutive n (see `search`).  It builds each n's rows a
+span of rates at a time (`candidates._spans`): the first from -inf to the
+n's own end, then spans of about a chunk, the last up to inf.  A scan's
+end is inf, so its spans are the chunks of `_point_arrays`; a run's ends
+are the search's guess of where each n fails.  The spans split the rates
+into disjoint pieces in order, so an n's rows come in rate order however
+the spans fall, and so do its rank and its minimum.
+
+The pass goes in rounds.  A round takes the next span of every n still
+open, in n order up to the first n known to pass, as many as fit a chunk:
+one `_point_rows` call builds their rows, one segment per n, one
+`_windows` call resolves their windows with each row's own n, and one
+`_floors` call floors them.  `_first_fails` then sums the rows whose
+floor is within the margin of the threshold, the next block of every
+segment without a failure yet in one `interval_probs` call, up to each
+segment's first value at or below it.  An n fails at the first such
+value of its spans in rate order, its rank carried across them; an n
+whose last span has none passes; any other n goes on from the end of its
+span in the next round.  So the first round of a run decides every n
+whose witness lies in its first span for the fixed costs of one, and an
+n that stops builds nothing past the span that holds its witness.
 
 `_decide` returns one verdict per n, in order: the (witness, count) of
 each leading n that fails, then the (minimum, count) of the first n that
 does not, if any.  That n passes, and `_minimum` gives its minimum: it
 sums the rows not summed yet in ascending order of their floor while the
-floor is within the margin of the least value summed so far.  It
-reads the rows the fail-fast pass floored, the n's segment of a run's
-chunk or a lone n's one chunk; an n of several chunks builds them again.
-A full scan builds each chunk once.  A row left out has a coverage above
-a summed value, so the minimum and its ties do not change.
+floor is within the margin of the least value summed so far.  It reads
+the rows the fail-fast pass floored, the n's segments of each round; an
+n of more than a chunk of rows builds them again, a chunk at a time,
+from the least value the pass summed.  A full scan builds each chunk
+once.  A row left out has a coverage above a summed value, so the
+minimum and its ties do not change.
 
 So the scan returns what a point-by-point scan returns: ties go to the
 smallest rate, and ``evaluations`` counts the candidates in rate order up
-to and including the witness, whether a floor or a sum decided them.  A
-scan holds at most one chunk at a time.  `_blocks` evaluates the
+to and including the witness, whether a floor or a sum decided them.  No
+build holds more than about a chunk of rows.  `_blocks` evaluates the
 ``coverage`` command's rows, which need every value: it sums each whole
 chunk in one `interval_probs` call, with no floors, wide enough for the
 kernel's step-by-step sweep, where the scan's pruned blocks of _BLOCK
@@ -64,7 +75,15 @@ from itertools import accumulate, islice
 
 import numpy as np
 
-from .candidates import _layout, _Layout, _point_arrays, _point_rows, _point_tuples
+from .candidates import (
+    _CHUNK,
+    _layout,
+    _Layout,
+    _point_arrays,
+    _point_rows,
+    _point_tuples,
+    _spans,
+)
 from .coverage import _coverage, _windows
 from .kernel import _floors, interval_probs
 from .types import CoverageResult, ErrorCriterion, ParamInterval
@@ -110,7 +129,7 @@ def scan_min_coverage(
     if fail_fast_threshold is None:
         return _minimum(_chunks(criterion, n, layout))
     return (_probe(criterion, n, layout, fail_fast_threshold)
-            or _decide(criterion, [(n, layout)], fail_fast_threshold)[0])
+            or _decide(criterion, [(n, layout, math.inf)], fail_fast_threshold)[0])
 
 
 def _probe(criterion: ErrorCriterion, n: int, layout: _Layout, threshold: float) -> _Hit | None:
@@ -126,37 +145,70 @@ def _probe(criterion: ErrorCriterion, n: int, layout: _Layout, threshold: float)
 
 
 def _decide(
-    criterion: ErrorCriterion, layouts: list[tuple[int, _Layout]], threshold: float
+    criterion: ErrorCriterion, runs: list[tuple[int, _Layout, float]], threshold: float
 ) -> list[_Hit]:
-    """The verdicts of consecutive (n, layout), in order, with no scalar
-    probe: the (witness, count) that a fail-fast `scan_min_coverage` would
-    return for each leading layout with a coverage at or below
+    """The verdicts of consecutive (n, layout, end), in order, with no
+    scalar probe: the (witness, count) that a fail-fast `scan_min_coverage`
+    would return for each leading layout with a coverage at or below
     ``threshold``, then the (minimum, count) of the first layout without
-    one, if any (see the module docstring)."""
-    if len(layouts) > 1:
-        lams, g_ell, h_ell, sizes = _point_rows(
-            [(layout, -math.inf, math.inf) for _, layout in layouts])
-        ns = np.repeat([n for n, _ in layouts], sizes)
-        passes = [(_floored(criterion, ns, lams, g_ell, h_ell), sizes.tolist())]
-    else:
-        passes = ((chunk, [chunk[0].size]) for chunk in _chunks(criterion, *layouts[0]))
-    seen, least = 0, math.inf  # least: the least coverage summed so far
-    for built, (chunk, sizes) in enumerate(passes, 1):
-        lams, gs, hs, _, _, covs = chunk
-        bounds = list(accumulate(sizes, initial=0))
-        hits = [(CoverageResult(lam=float(lams[i]), g=int(gs[i]), h=int(hs[i]),
-                                coverage=float(covs[i])), seen + i - start + 1)
-                for i, start in zip(_first_fails(chunk, bounds, threshold), bounds)]
-        if len(hits) == len(sizes):
-            return hits
-        if hits:  # a run, whose segment past its hits passes
-            break
-        seen += lams.size
-        least = min(least, covs.min())
-    if built > 1:
-        return [_minimum(_chunks(criterion, *layouts[0]), least)]
-    segment = slice(bounds[len(hits)], bounds[len(hits) + 1])
-    return hits + [_minimum([tuple(column[segment] for column in chunk)])]
+    one, if any.  Each n's rows come a span at a time, the first span
+    ending at its ``end`` (see the module docstring)."""
+    spans = [_spans(layout, end) for _, layout, end in runs]
+    ahead = [next(cuts) for cuts in spans]  # each n's next span, None past its last
+    hits: list[_Hit | None] = [None] * len(runs)
+    seen, least = [0] * len(runs), [math.inf] * len(runs)
+    kept: list[list[_Chunk] | None] = [[] for _ in runs]  # an n's rows, up to a chunk
+    verdicts: list[_Hit] = []
+    while True:
+        for k in range(len(verdicts), len(runs)):
+            if hits[k] is not None:
+                verdicts.append(hits[k])
+            elif ahead[k] is None:  # no failure in any span: the n passes
+                n, layout, _ = runs[k]
+                chunks = _chunks(criterion, n, layout) if kept[k] is None else kept[k]
+                return verdicts + [_minimum(chunks, least[k])]
+            else:
+                break
+        if len(verdicts) == len(runs):
+            return verdicts
+        # the next span of each n still open, up to the first n that passes,
+        # as many as fit a chunk
+        ks, rows = [], 0.0
+        for k in range(len(verdicts), len(runs)):
+            if hits[k] is None:
+                if ahead[k] is None:
+                    break
+                n, (_, specials, _), _ = runs[k]
+                start, end = ahead[k]
+                # `cardinality_bound` of the span's part of [a, b]
+                rows += 2.0 * n * max(0.0, min(end, specials[-1][0])
+                                      - max(start, specials[0][0])) + 7.0
+                if ks and rows > _CHUNK:
+                    break
+                ks.append(k)
+        lams, g_ell, h_ell, sizes = _point_rows([(runs[k][1], *ahead[k]) for k in ks])
+        chunk = _floored(criterion, np.repeat([runs[k][0] for k in ks], sizes),
+                         lams, g_ell, h_ell)
+        for k in ks:
+            ahead[k] = next(spans[k], None)
+        bounds = list(accumulate(sizes.tolist(), initial=0))
+        fails = _first_fails(chunk, bounds, threshold, [ahead[k] is None for k in ks])
+        # the segments past the first that passes no longer count
+        for i, k in enumerate(ks[:len(fails) + 1]):
+            row = fails[i] if i < len(fails) else -1
+            if row >= 0:
+                hits[k] = (CoverageResult(lam=float(lams[row]), g=int(chunk[1][row]),
+                                          h=int(chunk[2][row]),
+                                          coverage=float(chunk[5][row])),
+                           seen[k] + row - bounds[i] + 1)
+            elif bounds[i] < bounds[i + 1]:
+                segment = tuple(column[bounds[i]:bounds[i + 1]] for column in chunk)
+                seen[k] += segment[0].size
+                least[k] = min(least[k], segment[5].min())
+                if kept[k] is not None:
+                    kept[k].append(segment)
+                    if seen[k] > _CHUNK:
+                        kept[k] = None
 
 
 def _minimum(chunks: Iterable[_Chunk], least: float = math.inf) -> _Hit:
@@ -198,26 +250,31 @@ def _floored(
     return lams, gs, hs, mus, _floors(gs, hs, mus), np.full(lams.size, np.inf)
 
 
-def _first_fails(chunk: _Chunk, bounds: list[int], threshold: float) -> list[int]:
+def _first_fails(
+    chunk: _Chunk, bounds: list[int], threshold: float, closed: list[bool]
+) -> list[int]:
     """Rows of the first coverage at or below ``threshold``, in rate order,
-    of the leading segments of a floored ``chunk`` that have one; segment k
-    is rows bounds[k] to bounds[k + 1].
+    of the segments of a floored ``chunk`` before the first closed one
+    without such a coverage, and -1 for an open one without; segment k is
+    rows bounds[k] to bounds[k + 1], and closed[k] when no rows of its n
+    come after it.
 
     Only rows whose floor is within _MARGIN of the threshold are summed,
     into the chunk's coverages.  Each round sums the next _BLOCK of them
     in every segment without a failure yet, in one `interval_probs` call.
-    The rounds stop once the first segment without a failure has no rows
-    left, since the segments past it no longer count."""
+    The rounds stop once no segment without a failure, up to the first
+    closed one, has rows left: that closed segment's n passes, and the
+    segments past it no longer count."""
     _, gs, hs, mus, floors, covs = chunk
     rows = np.flatnonzero(floors <= threshold + _MARGIN)
     pos, end = rows.searchsorted(bounds[:-1]), rows.searchsorted(bounds[1:])
     hits = np.full(pos.size, -1)
-    lead = 0
+    closed = np.array(closed, bool)
     while True:
-        while lead < hits.size and hits[lead] >= 0:
-            lead += 1
-        if lead == hits.size or pos[lead] == end[lead]:
-            return hits[:lead].tolist()
+        last = np.flatnonzero((hits < 0) & closed)
+        last = last[0] if last.size else hits.size
+        if not ((hits < 0) & (pos < end))[:last + 1].any():
+            return hits[:last].tolist()
         take = np.where(hits < 0, np.minimum(end - pos, _BLOCK), 0)
         # segment k's next take[k] rows, segment after segment
         block = rows[np.repeat(pos - take.cumsum() + take, take) + np.arange(take.sum())]

@@ -15,7 +15,8 @@ evaluates the rates a chunk at a time through the scan's array path:
 `_windows` with no side pinned, then `interval_probs`, so each row equals
 `coverage_at` at its rate bit for bit.  It shares the acceptance-window code
 with the main path and checks only the reduction to candidates; brute force
-and Monte Carlo share nothing with the window code.
+and Monte Carlo share nothing with the window code but its snap tolerance,
+which sets where their strict events tie (`_inside`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .candidates import _CHUNK, _check_scan
-from .coverage import _windows, coverage_at
+from .coverage import SNAP_TOL, _windows, coverage_at
 from .kernel import _MAX_MEAN, interval_probs, pmf
 from .types import (
     Absolute,
@@ -43,13 +44,6 @@ from .types import (
 # depends only on (seed, trials).
 MC_CHUNK = 1 << 16
 
-# The error events use strict inequalities, so a count whose error ties the
-# margin exactly is excluded.  At breakpoint rates that tie is exact in real
-# arithmetic but lands on an arbitrary side in floats; an error within this
-# relative distance of the margin is treated as the tie.  Matches the snap
-# tolerance used for the window bounds, so all routes agree near breakpoints.
-EDGE_TOL = 1e-12
-
 # Most points a uniform grid may have, already minutes of coverage work.
 _MAX_GRID_POINTS = 10 ** 7
 
@@ -60,16 +54,24 @@ _MAX_TRIALS = 2 * 10 ** 8
 
 __all__ = [
     "MC_CHUNK",
-    "EDGE_TOL",
     "grid_min_coverage",
     "brute_force_coverage",
     "monte_carlo_coverage",
 ]
 
 
-def _strictly_below(err, margin):
-    """Robust err < margin for the strict error events (works on arrays)."""
-    return err < margin * (1.0 - EDGE_TOL)
+def _inside(n: int, lam: float, margin: float) -> tuple[float, float]:
+    """(lo, hi): the estimate errors k / n - lam strictly inside the error
+    event, lo < k / n - lam < hi.  The event is strict, so a count whose
+    error ties the margin is left out.  At breakpoint rates that tie is
+    exact in real arithmetic but lands on an arbitrary side in floats.  So
+    a count within the window rule's snap band of an end n (lam -+ margin),
+    SNAP_TOL max(1, |end|) (`coverage._snap`), is the tie: in rate units
+    that band is SNAP_TOL max(1, |end|) / n, and all routes agree near
+    breakpoints, at large rates too."""
+    lo = -margin + SNAP_TOL * max(1.0, abs(n * (lam - margin))) / n
+    hi = margin - SNAP_TOL * max(1.0, abs(n * (lam + margin))) / n
+    return lo, hi
 
 
 def _check_trials(trials: int) -> None:
@@ -166,12 +168,8 @@ def brute_force_coverage(
     mu = n * lam
     if k_max is None:
         k_max = math.ceil(mu + 40.0 * math.sqrt(mu + 1.0))
-    margin = _margin(criterion, lam)
-    terms = [
-        pmf(k, mu)
-        for k in range(k_max + 1)
-        if _strictly_below(abs(k / n - lam), margin)
-    ]
+    lo, hi = _inside(n, lam, _margin(criterion, lam))
+    terms = [pmf(k, mu) for k in range(k_max + 1) if lo < k / n - lam < hi]
     return min(1.0, math.fsum(terms))
 
 
@@ -198,7 +196,7 @@ def monte_carlo_coverage(
         raise ValueError(f"seed must be nonnegative, got {seed!r}")
 
     mu = n * lam
-    margin = _margin(criterion, lam)
+    lo, hi = _inside(n, lam, _margin(criterion, lam))
     hits = 0
     done = 0
     chunk_index = 0
@@ -206,8 +204,8 @@ def monte_carlo_coverage(
         size = min(MC_CHUNK, trials - done)
         rng = np.random.Generator(np.random.Philox(seed=[seed, chunk_index]))
         counts = rng.poisson(lam=mu, size=size)
-        ok = _strictly_below(np.abs(counts / n - lam), margin)
-        hits += int(np.count_nonzero(ok))
+        errors = counts / n - lam
+        hits += int(np.count_nonzero((lo < errors) & (errors < hi)))
         done += size
         chunk_index += 1
 

@@ -31,19 +31,27 @@ decided within the scan's scalar probe, n gets the public scan itself.
 A failing n whose witness lies past the probe costs mostly fixed per-n
 overhead (building arrays, `interval_probs` calls), not sums.  So after
 such an n the search skips the probe and decides the next n in a batched
-run, the scan's own pass `minimizer._decide` over the layouts `_run`
-packs: that n and the consecutive n after it, never above max_n, whose
-`cardinality_bound` over their scanned intervals sum to at most one
-chunk of the array layout, one segment of rows per n.  The run builds
-every n's candidates, windows, means and coverage floors with one set of
-array calls, not one per n; an n whose layout alone exceeds a chunk is a
-run of one, gone through a chunk at a time.  The run returns the verdict
-the public scan would for each leading n that fails, and then for the
-first n that does not, whose minimum reads its segment of the run's
-rows.  An error building a later n's layout ends the run before that n,
-so an error surfaces only at an n the search would decide on its own.
-The n of a run past the answer are speculative: they cost work but
-never change the answer.
+run, the scan's own pass `minimizer._decide` over the n `_run` packs:
+that n and the consecutive n after it, never above max_n.  Each n m of a
+run gets the end of its first span of rates, a guess of where it fails
+from the last failing n, n0, whose witness has rate lam* and rank r*:
+
+    end = a + _GROWTH * max((lam* - a) * m / n0, r* / (2 m)),
+
+the witness moved in proportion to n, or its rank at the 2 m candidates
+a unit of rate holds, whichever is further.  The run holds at most _RUN
+n, whose `cardinality_bound` over [a, min(end, scan_b)] sum to at most
+one chunk of the array layout.  The pass builds every n's first span
+with one set of array calls, not one per n; an n with no failure there
+goes on over the rest of its layout in the pass's next round, a span of
+about a chunk at a time.  The run returns the verdict the public scan
+would for each leading n that fails, and then for the first n that does
+not, whose minimum reads the rows of its spans.  The spans split each
+n's candidates in rate order, so where they end changes the work, never
+a verdict or a count.  An error building a later n's layout ends the run
+before that n, so an error surfaces only at an n the search would
+decide on its own.  The n of a run past the answer are speculative:
+they cost work but never change the answer.
 
 Where the relative margin governs, the count K = 0 is never inside the
 acceptance window.  So the coverage at r0, the least such rate of [a, b]
@@ -78,6 +86,15 @@ __all__ = ["MaxSampleSizeExceeded", "min_sample_size"]
 # float rounding, so a near tie is left to the scan.
 _LOWER_BOUND_SLACK = 1e-9
 
+# How far an n's first span in a batched run reaches past the guess of its
+# witness, as a factor from a; see the module docstring.
+_GROWTH = 1.25
+
+# Most n a batched run holds.  The n past the answer in the run that holds
+# it cost work for nothing: a layout, a piece of each build and a verdict
+# each, however few their rows.
+_RUN = 32
+
 
 class MaxSampleSizeExceeded(RuntimeError):
     """No sample size within the budget met the coverage requirement."""
@@ -108,27 +125,31 @@ def _scan_b(criterion: ErrorCriterion, interval: ParamInterval, delta: float, n:
 
 
 def _run(
-    criterion: ErrorCriterion, interval: ParamInterval, delta: float, n: int, max_n: int
-) -> list[tuple[int, _Layout]]:
-    """(m, layout) of ``n`` and of the n after it that a batched run decides
-    with it; see the module docstring."""
+    criterion: ErrorCriterion, interval: ParamInterval, delta: float, n: int, max_n: int,
+    last: tuple[int, float, int],
+) -> list[tuple[int, _Layout, float]]:
+    """(m, layout, end) of ``n`` and of the n after it that a batched run
+    decides with it, end the end of m's first span, predicted from ``last``,
+    the (n, witness rate, rank) of the last failing n; see the module
+    docstring."""
     a = interval.a
-    scanned = ParamInterval(a, _scan_b(criterion, interval, delta, n))
-    layouts = [(n, _layout(criterion, n, scanned))]
-    rows = cardinality_bound(criterion, n, scanned)
-    for m in range(n + 1, max_n + 1):
+    n0, lam, rank = last
+    runs, rows = [], 0.0
+    for m in range(n, max_n + 1):
         try:
             scan_b = _scan_b(criterion, interval, delta, m)
             if scan_b <= a:
                 break
-            scanned = ParamInterval(a, scan_b)
-            rows += cardinality_bound(criterion, m, scanned)
-            if rows > _CHUNK:
+            end = a + _GROWTH * max((lam - a) * m / n0, rank / (2.0 * m))
+            rows += cardinality_bound(criterion, m, ParamInterval(a, min(end, scan_b)))
+            if runs and (rows > _CHUNK or len(runs) == _RUN):
                 break
-            layouts.append((m, _layout(criterion, m, scanned)))
+            runs.append((m, _layout(criterion, m, ParamInterval(a, scan_b)), end))
         except ValueError:
+            if not runs:
+                raise
             break
-    return layouts
+    return runs
 
 
 def min_sample_size(
@@ -184,7 +205,8 @@ def min_sample_size(
             # The tail bounds certify every rate above a; only a itself is left.
             verdicts = [(coverage_at(criterion, n, a), 1)]
         elif rank > _PREFIX:
-            verdicts = _decide(criterion, _run(criterion, interval, delta, n, max_n), level)
+            verdicts = _decide(criterion, _run(criterion, interval, delta, n, max_n, last),
+                               level)
         else:
             verdicts = [scan_min_coverage(criterion, n, ParamInterval(a, scan_b), level)]
         for result, rank in verdicts:
@@ -198,5 +220,6 @@ def min_sample_size(
                     # a where the tail bounds leave only a
                     truncated_b=max(a, _scan_b(criterion, interval, delta, n)),
                 )
+            last = (n, result.lam, rank)
             n += 1
     raise MaxSampleSizeExceeded(max_n)

@@ -43,6 +43,11 @@ class RelativeWithZeroLowerBound(ValidationError):
     """A relative margin cannot be certified down to rate zero."""
 
 
+class MarginTooNarrow(ValidationError):
+    """At some rate the margin is narrower than the window rule resolves:
+    both window ends fall on one count that lies strictly between them."""
+
+
 @dataclass(frozen=True, slots=True)
 class Absolute:
     """Error event |est - lam| < eps, uniformly in the rate lam."""

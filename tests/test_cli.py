@@ -544,6 +544,27 @@ def test_sample_size_below_one_is_the_librarys_error(capsys, argv):
     assert err == "error: sample size must be >= 1, got 0\n"
 
 
+def test_a_margin_too_narrow_for_the_window_rule_exits_1(capsys):
+    code, out, err = run(capsys, [
+        "coverage", "--criterion", "abs", "--eps", "1e-13", "--a", "0", "--b", "1",
+        "--n", "1"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: the margin is too narrow at rate 0.0 for n = 1")
+
+
+def test_verify_passes_on_a_tie_at_a_large_rate(capsys):
+    # brute force and Monte Carlo tie the margin within the window rule's
+    # snap band, not within 1e-12 of the margin, which k / n - lam cannot
+    # resolve near 1e6
+    code, out, _ = run(capsys, [
+        "verify", "--criterion", "rel", "--eps", "1e-9", "--a", "1e6", "--b", "1000001",
+        "--delta", "0.5", "--n", "10", "--trials", "20000"])
+    result = json.loads(out)
+    assert code == 0 and result["passed"] is True
+    assert result["worst_coverage"] == 0.0
+
+
 def test_size_with_infinite_b_and_absolute_margin_exits_1(capsys):
     code, out, err = run(capsys, [
         "size", "--criterion", "abs", "--eps", "0.1", "--a", "0",

@@ -13,6 +13,7 @@ from poisson_ss import (
     AcceptanceBounds,
     CandidateKind,
     CandidatePoint,
+    MarginTooNarrow,
     Mixed,
     ParamInterval,
     Relative,
@@ -23,6 +24,7 @@ from poisson_ss import (
     coverage_at,
     coverage_at_point,
     interval_prob,
+    min_coverage,
 )
 from poisson_ss.coverage import _UNPINNED, _windows
 
@@ -88,6 +90,42 @@ def test_windows_raise_for_the_first_bad_rate_with_its_own_n(criterion):
     unpinned = np.full(lams.size, _UNPINNED)
     with pytest.raises(ValueError, match="acceptance window bound inf is not finite"):
         _windows(criterion, np.array([1, 2]), lams, unpinned, unpinned)
+
+
+@pytest.mark.parametrize("criterion, n, lam, count", [
+    # n (lam -+ eps) = 1 -+ 1e-13 both snap to 1: the window [2, 0] would
+    # drop the count 1, whose mass is exp(-1)
+    (Absolute(1e-13), 1, 1.0, 1),
+    (Absolute(1e-13), 1, 0.0, 0),
+    (Relative(1e-13), 3, 1 / 3, 1),
+    # the snap band grows with the rate: at 1e6 it is 1e-6 wide
+    (Absolute(1e-9), 1, 1e6, 10 ** 6),
+    (Mixed(1e-9, 1e-16), 1, 1e6, 10 ** 6),  # below the crossover 1e7
+])
+def test_a_margin_the_window_rule_cannot_resolve_is_refused(criterion, n, lam, count):
+    message = f"fall on the count {count} between them"
+    with pytest.raises(MarginTooNarrow, match=message):
+        coverage_at(criterion, n, lam)
+    with pytest.raises(MarginTooNarrow, match=message):
+        acceptance_bounds(criterion, n, lam)
+    # the array rule refuses the same rate, with its own n, past a rate
+    # whose ends hold no count
+    lams = np.array([lam + 0.25, lam])
+    with pytest.raises(MarginTooNarrow, match=message):
+        _windows(criterion, np.array([n + 1, n]), lams)
+
+
+def test_a_tiny_margin_with_no_count_between_its_ends_is_answered():
+    # 0.5 -+ 1e-13 hold no count: the window is empty, and so is the event
+    result = coverage_at(Absolute(1e-13), 1, 0.5)
+    assert (result.g, result.h, result.coverage) == (1, 0, 0.0)
+
+
+def test_a_scan_refuses_a_candidate_whose_window_drops_its_count():
+    # a = 0 merges with the breakpoints -+ 1e-13, whose tags pin both
+    # window sides on the count 0
+    with pytest.raises(MarginTooNarrow, match="at rate 0.0 for n = 1"):
+        min_coverage(Absolute(1e-13), 1, ParamInterval(0.0, 1.0))
 
 
 def test_window_can_be_empty_for_tight_relative_margin():
@@ -360,11 +398,26 @@ def test_windows_match_the_independent_reference_bit_for_bit(config):
 )
 def test_windows_with_one_n_per_row_match_one_call_per_row(kind, eps, rows):
     # the window rule with an array of n, one per rate, against one scalar-n
-    # call per rate, with and without pinned sides
+    # call per rate, with and without pinned sides.  Drawn pins can put both
+    # ends of a window on one count between its products: the array call
+    # then refuses the first such rate, as its own call does.
     crit = {"abs": Absolute(eps[0]), "rel": Relative(eps[0]), "mix": Mixed(*eps)}[kind]
     ns, lams, g_ell, h_ell = (np.array([_UNPINNED if v is None else v for v in column])
                               for column in zip(*rows))
-    gs, hs = _windows(crit, ns, lams, g_ell, h_ell)
-    for i, n in enumerate(ns.tolist()):
-        g, h = _windows(crit, n, lams[i:i + 1], g_ell[i:i + 1], h_ell[i:i + 1])
+
+    def windows(*args):
+        try:
+            return _windows(crit, *args)
+        except MarginTooNarrow as exc:
+            return str(exc)
+
+    whole = windows(ns, lams, g_ell, h_ell)
+    each = [windows(n, lams[i:i + 1], g_ell[i:i + 1], h_ell[i:i + 1])
+            for i, n in enumerate(ns.tolist())]
+    refused = [row for row in each if isinstance(row, str)]
+    if refused:
+        assert whole == refused[0]
+        return
+    gs, hs = whole
+    for i, (g, h) in enumerate(each):
         assert (gs[i], hs[i]) == (g[0], h[0]), rows[i]

@@ -412,14 +412,14 @@ def test_fail_fast_scan_past_the_prefix_builds_one_chunk(monkeypatch, b):
     threshold = min(covs[_PREFIX:])
     assert min(covs[:_PREFIX]) > threshold
     built = []
-    arrays = minimizer._point_arrays
+    rows = minimizer._point_rows
 
-    def counting_arrays(layout):
-        for chunk in arrays(layout):
-            built.append(chunk[0].size)
-            yield chunk
+    def counting_rows(pieces):
+        values, g_ell, h_ell, sizes = rows(pieces)
+        built.append(values.size)
+        return values, g_ell, h_ell, sizes
 
-    monkeypatch.setattr(minimizer, "_point_arrays", counting_arrays)
+    monkeypatch.setattr(minimizer, "_point_rows", counting_rows)
     tracemalloc.start()
     try:
         witness, count = scan_min_coverage(crit, n, interval, threshold)
@@ -477,12 +477,14 @@ def test_fail_fast_scan_sums_only_rows_its_floors_cannot_decide(monkeypatch):
     seed=st.integers(0, 2**32 - 1),
     quantile=st.floats(0.0, 0.6),
     size=st.sampled_from([1, 3, 64]),
+    closed=st.lists(st.booleans(), min_size=7, max_size=7),
 )
-def test_first_failures_of_segments_match_a_plain_search(cuts, seed, quantile, size):
+def test_first_failures_of_segments_match_a_plain_search(cuts, seed, quantile, size, closed):
     # the fail-fast pass over segments of rows, in rounds of `size` rows a
     # segment, against a plain search of each segment for its first
-    # failure, up to the first segment without one.  The rows of a layout
-    # are shuffled, so that failures are spread over every segment.
+    # failure, -1 for an open one without, up to the first closed segment
+    # without one.  The rows of a layout are shuffled, so that failures
+    # are spread over every segment.
     crit, n, interval = Absolute(0.1), 400, ParamInterval(0.0, 1.6)
     columns = [np.concatenate(column) for column in zip(
         *minimizer._chunks(crit, n, _layout(crit, n, interval)))]
@@ -493,13 +495,13 @@ def test_first_failures_of_segments_match_a_plain_search(cuts, seed, quantile, s
     threshold = float(np.quantile(covs, quantile, method="lower"))
     bounds = sorted({0, lams.size, *(cut % lams.size for cut in cuts)})
     with mock.patch.object(minimizer, "_BLOCK", size):
-        hits = minimizer._first_fails(chunk, bounds, threshold)
+        hits = minimizer._first_fails(chunk, bounds, threshold, closed[:len(bounds) - 1])
     want = []
-    for lo, hi in zip(bounds, bounds[1:]):
+    for lo, hi, shut in zip(bounds, bounds[1:], closed):
         fails = np.flatnonzero(covs[lo:hi] <= threshold)
-        if not fails.size:
+        if not fails.size and shut:
             break
-        want.append(lo + int(fails[0]))
+        want.append(lo + int(fails[0]) if fails.size else -1)
     assert hits == want
     summed = chunk[5] != np.inf
     assert (chunk[5][summed] == covs[summed]).all()

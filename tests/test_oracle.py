@@ -23,7 +23,7 @@ from poisson_ss import (
     monte_carlo_coverage,
     oracle,
 )
-from poisson_ss.oracle import _MAX_TRIALS, EDGE_TOL, MC_CHUNK
+from poisson_ss.oracle import _MAX_TRIALS, MC_CHUNK
 
 
 def test_two_point_grid_is_the_endpoint_minimum():
@@ -214,7 +214,18 @@ def test_exact_margin_tie_counts_as_outside():
     assert (want.g, want.h) == (2, 2)
     got = brute_force_coverage(Absolute(eps), n, lam)
     assert got == pytest.approx(want.coverage, abs=1e-13)
-    assert EDGE_TOL < 1e-9
+
+
+def test_a_tie_at_a_large_rate_counts_as_outside():
+    # the worst rate of Relative(1e-9) on [1e6, 1e6 + 1] at n = 10 is the
+    # breakpoint 1e7 / (10 (1 - 1e-9)), where the count 10**7 ties the
+    # margin; k / n - lam carries a float error near 1e-10 there, far above
+    # 1e-12 of the margin, so the tie band is the window rule's snap band
+    crit, n, interval = Relative(1e-9), 10, ParamInterval(1e6, 1e6 + 1.0)
+    worst = min_coverage(crit, n, interval)
+    assert worst.coverage == 0.0
+    assert brute_force_coverage(crit, n, worst.lam) == 0.0
+    assert monte_carlo_coverage(crit, n, worst.lam, trials=20_000) == (0.0, 0.0)
 
 
 def test_monte_carlo_is_reproducible():

@@ -1,8 +1,11 @@
 """Minimum sample size search: ascending scan, truncation, budgets."""
 
+import contextlib
+import hashlib
 import inspect
 import itertools
 import math
+import random
 import sys
 from unittest import mock
 
@@ -23,6 +26,7 @@ from poisson_ss import (
     ParamInterval,
     Relative,
     brute_force_coverage,
+    candidate_set,
     coverage_at,
     min_coverage,
     min_sample_size,
@@ -133,7 +137,7 @@ def test_relative_lower_bound_tie_is_left_to_the_scan(monkeypatch):
         monkeypatch.setattr(poisson_ss.search, name, wrapper)
 
     recording("scan_min_coverage", lambda criterion, n, *_: [n])
-    recording("_decide", lambda criterion, layouts, *_: [n for n, _ in layouts])
+    recording("_decide", lambda criterion, runs, *_: [n for n, _, _ in runs])
     max_n, delta = 10, 0.1
     a = math.log(1.0 / delta) / max_n
     with pytest.raises(MaxSampleSizeExceeded) as info:
@@ -187,11 +191,46 @@ def _draw_criterion(kind, eps, eps_r, a, width):
     return criterion, ParamInterval(a, a + width)
 
 
-def _run(criterion, interval, delta, start, max_n):
+def _last(criterion, interval, delta, n):
+    """(n, witness rate, rank) of n's public fail-fast scan, as the search
+    hands it to the batched run after n."""
+    scanned = ParamInterval(interval.a, search._scan_b(criterion, interval, delta, n))
+    witness, rank = scan_min_coverage(criterion, n, scanned, 1.0 - delta)
+    return n, witness.lam, rank
+
+
+def _run(criterion, interval, delta, start, max_n, last=None):
     """The batched run the search decides from ``start`` when the n before
-    it was decided past the probe: (layouts, verdicts)."""
-    layouts = search._run(criterion, interval, delta, start, max_n)
-    return layouts, minimizer._decide(criterion, layouts, 1.0 - delta)
+    it, whose (n, witness rate, rank) is ``last``, was decided past the
+    probe: (runs, verdicts).  By default ``last`` is start - 1's own."""
+    if last is None:
+        last = _last(criterion, interval, delta, start - 1)
+    runs = search._run(criterion, interval, delta, start, max_n, last)
+    return runs, minimizer._decide(criterion, runs, 1.0 - delta)
+
+
+@contextlib.contextmanager
+def _chunk(size):
+    """Chunks, and a run's rounds, of ``size`` points, or as they are."""
+    with (mock.patch.object(candidates, "_CHUNK", size or candidates._CHUNK),
+          mock.patch.object(minimizer, "_CHUNK", size or minimizer._CHUNK)):
+        yield
+
+
+def _record_rows(monkeypatch):
+    """Record the largest rate `_decide` builds for each layout, by id."""
+    built = {}
+    rows = minimizer._point_rows
+
+    def recording(pieces):
+        values, g_ell, h_ell, sizes = rows(pieces)
+        for (layout, _, _), part in zip(pieces, np.split(values, np.cumsum(sizes)[:-1])):
+            if part.size:
+                built[id(layout)] = max(built.get(id(layout), -math.inf), part.max())
+        return values, g_ell, h_ell, sizes
+
+    monkeypatch.setattr(minimizer, "_point_rows", recording)
+    return built
 
 
 _DRAWS = dict(
@@ -204,58 +243,76 @@ _DRAWS = dict(
     back=st.integers(0, 30),
     length=st.integers(1, 30),
     chunk=st.sampled_from([None, 64]),
+    # the last witness, as a share of the scanned interval, and its rank
+    reach=st.floats(0.0, 1.5),
+    rank=st.integers(1, 3000),
 )
 
 
+def _draw_run(kind, eps, eps_r, a, width, delta, back, reach, rank):
+    """(criterion, interval, start, last) of a run starting up to 30 below
+    the answer after a drawn last witness."""
+    criterion, interval = _draw_criterion(kind, eps, eps_r, a, width)
+    start = max(1, min_sample_size(criterion, interval, ConfidenceSpec(delta)).n_min - back)
+    scan_b = search._scan_b(criterion, interval, delta, start)
+    assume(scan_b > interval.a)
+    last = (max(1, start - 1), interval.a + reach * (scan_b - interval.a), rank)
+    return criterion, interval, start, last
+
+
 @pytest.mark.seeded
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(**_DRAWS, run_rows=st.sampled_from([None, 64]))
 def test_batched_run_decides_each_n_as_its_fail_fast_scan(
-        kind, eps, eps_r, a, width, delta, back, length, chunk, run_rows):
+        kind, eps, eps_r, a, width, delta, back, length, chunk, reach, rank, run_rows):
     # a run gives each n the verdict of its own fail-fast scan, witness or
     # minimum, with the same count, and ends at the first n that scan
-    # finds passing.  Runs start up to 30 below the answer, so
-    # most hold failing and passing n; 64-point chunks split each n's
-    # layout into several, and with a 64-row run budget a first layout
-    # above it is a run of one.
-    criterion, interval = _draw_criterion(kind, eps, eps_r, a, width)
+    # finds passing.  Runs start up to 30 below the answer, so most hold
+    # failing and passing n, and the drawn last witness puts the ends of
+    # their first spans before, at or past their own witnesses.  64-point
+    # chunks split each n's layout into several, and with a 64-row run
+    # budget a first span above it is a run of one.  An n whose witness
+    # lies in its first span has no row built past that span.
+    criterion, interval, start, last = _draw_run(
+        kind, eps, eps_r, a, width, delta, back, reach, rank)
     level = 1.0 - delta
-    start = max(1, min_sample_size(criterion, interval, ConfidenceSpec(delta)).n_min - back)
-    assume(search._scan_b(criterion, interval, delta, start) > interval.a)
-    with (mock.patch.object(candidates, "_CHUNK", chunk or candidates._CHUNK),
-          mock.patch.object(search, "_CHUNK", run_rows or search._CHUNK)):
-        layouts, verdicts = _run(criterion, interval, delta, start, start + length - 1)
-        assert [n for n, _ in layouts] == list(range(start, start + len(layouts)))
-        assert 1 <= len(verdicts) <= len(layouts) <= length
+    with (_chunk(chunk), mock.patch.object(search, "_CHUNK", run_rows or search._CHUNK),
+          pytest.MonkeyPatch.context() as monkeypatch):
+        built = _record_rows(monkeypatch)
+        runs, verdicts = _run(criterion, interval, delta, start, start + length - 1, last)
+        assert [n for n, _, _ in runs] == list(range(start, start + len(runs)))
+        assert 1 <= len(verdicts) <= len(runs) <= min(length, search._RUN)
         assert all(result.coverage <= level for result, _ in verdicts[:-1])
-        assert len(verdicts) == len(layouts) or verdicts[-1][0].coverage > level
-        for (n, _), (result, count) in zip(layouts, verdicts):
+        assert len(verdicts) == len(runs) or verdicts[-1][0].coverage > level
+        for (n, layout, end), (result, count) in zip(runs, verdicts):
             scanned = ParamInterval(interval.a, search._scan_b(criterion, interval, delta, n))
             witness, evals = scan_min_coverage(criterion, n, scanned, level)
             assert (_bits(result), count) == (_bits(witness), evals)
+            _, first_end = next(candidates._spans(layout, end))
+            if result.coverage <= level and result.lam < first_end:
+                assert built[id(layout)] < first_end
 
 
 @pytest.mark.seeded
 @settings(max_examples=40, deadline=None)
 @given(**_DRAWS, gap=st.floats(0.0, 0.5))
 def test_a_passing_decision_gives_the_full_scan_minimum(
-        kind, eps, eps_r, a, width, delta, back, length, chunk, gap):
+        kind, eps, eps_r, a, width, delta, back, length, chunk, reach, rank, gap):
     # the minimum pass that reads the fail-fast pass's rows gives what a
     # full scan gives, bit for bit and with the same count: for a lone
     # layout whose threshold lies below its minimum (64-point chunks make
     # most layouts several chunks, which are built again), and for the
-    # passing segment of a run
-    criterion, interval = _draw_criterion(kind, eps, eps_r, a, width)
-    start = max(1, min_sample_size(criterion, interval, ConfidenceSpec(delta)).n_min - back)
-    assume(search._scan_b(criterion, interval, delta, start) > interval.a)
-    with mock.patch.object(candidates, "_CHUNK", chunk or candidates._CHUNK):
+    # passing n of a run, whose rows come in one span or several
+    criterion, interval, start, last = _draw_run(
+        kind, eps, eps_r, a, width, delta, back, reach, rank)
+    with _chunk(chunk):
         scanned = ParamInterval(interval.a, search._scan_b(criterion, interval, delta, start))
         full, count = scan_min_coverage(criterion, start, scanned)
         threshold = math.nextafter(full.coverage - gap, -math.inf)
         witness, evals = scan_min_coverage(criterion, start, scanned, threshold)
         assert (_bits(witness), evals) == (_bits(full), count)
 
-        _, verdicts = _run(criterion, interval, delta, start, start + length - 1)
+        _, verdicts = _run(criterion, interval, delta, start, start + length - 1, last)
         passed, evals = verdicts[-1]
         if passed.coverage > 1.0 - delta:
             n = start + len(verdicts) - 1
@@ -267,6 +324,27 @@ def test_a_passing_decision_gives_the_full_scan_minimum(
 
 def _bits(result):
     return result.lam.hex(), result.g, result.h, result.coverage.hex()
+
+
+@pytest.mark.parametrize("n", [100, 150])
+def test_first_span_ending_inside_a_merged_group(n):
+    # Absolute(0.1) with 0.2 n an integer: ell / n + 0.1 and
+    # (ell + 0.2 n) / n - 0.1 are one rate up to rounding, so nearly every
+    # point is a merged group of two members.  First spans that end on the
+    # points around n's witness, and a quarter tol to either side of them,
+    # cut between a group's members; each n still gets its public verdict.
+    criterion, interval, level = Absolute(0.1), ParamInterval(0.0, 1.0), 0.9
+    tol = candidates.DEDUP_REL_TOL
+    points = candidate_set(criterion, n, interval)
+    witness, count = scan_min_coverage(criterion, n, interval, level)
+    assert witness.coverage <= level and points[count - 1].extra_tags
+    layouts = [(m, candidates._layout(criterion, m, interval)) for m in (n, n + 1)]
+    want = [scan_min_coverage(criterion, m, interval, level) for m, _ in layouts]
+    for point in points[count - 3:count + 2]:
+        for end in (point.value - tol / 4, point.value, point.value + tol / 4):
+            verdicts = minimizer._decide(
+                criterion, [(m, layout, end) for m, layout in layouts], level)
+            assert [(_bits(r), c) for r, c in verdicts] == [(_bits(r), c) for r, c in want]
 
 
 @pytest.mark.seeded
@@ -304,35 +382,38 @@ def test_search_matches_the_public_scan_n_by_n(kind, eps, eps_r, a, width, delta
 
 
 def test_run_of_one_builds_only_the_chunk_of_its_witness(monkeypatch):
-    # n = 200 has 405 candidates on [0, 1], more than a 64-point chunk, so
-    # its run holds it alone; it fails near rate 0.03, in the first chunk
+    # n = 200 has 405 candidates on [0, 1], in spans of 64 points; its first
+    # span alone passes a 16-row run budget, so its run holds it alone.  It
+    # fails near rate 0.03, inside its first span, and that is the one build
     criterion, interval, delta, n = Absolute(0.02), ParamInterval(0.0, 1.0), 0.1, 200
+    last = _last(criterion, interval, delta, n - 1)
     monkeypatch.setattr(candidates, "_CHUNK", 64)
-    monkeypatch.setattr(search, "_CHUNK", 64)
-    assert len(list(minimizer._point_arrays(
-        candidates._layout(criterion, n, interval)))) > 1
+    monkeypatch.setattr(minimizer, "_CHUNK", 64)
+    monkeypatch.setattr(search, "_CHUNK", 16)
+    assert len(list(candidates._spans(candidates._layout(criterion, n, interval)))) > 1
     built = []
-    arrays = minimizer._point_arrays
+    rows = minimizer._point_rows
 
-    def counting_arrays(layout):
-        for chunk in arrays(layout):
-            built.append(chunk[0].size)
-            yield chunk
+    def counting_rows(pieces):
+        values, g_ell, h_ell, sizes = rows(pieces)
+        built.append(values.size)
+        return values, g_ell, h_ell, sizes
 
-    monkeypatch.setattr(minimizer, "_point_arrays", counting_arrays)
-    layouts, (hit,) = _run(criterion, interval, delta, n, n + 10)
-    assert len(layouts) == 1 and hit[0].coverage <= 1.0 - delta and len(built) == 1
-    assert hit[1] <= built[0]
+    monkeypatch.setattr(minimizer, "_point_rows", counting_rows)
+    runs, (hit,) = _run(criterion, interval, delta, n, n + 10, last)
+    assert len(runs) == 1 and hit[0].coverage <= 1.0 - delta and len(built) == 1
+    assert hit[1] <= built[0] <= 64
     witness, count = scan_min_coverage(criterion, n, interval, 1.0 - delta)
     assert (_bits(hit[0]), hit[1]) == (_bits(witness), count)
 
 
 # n_min 276; from n = 32 on, its failing n are decided in batched runs of
-# about 16
+# 15 to 32
 _BATCHED = (Absolute(0.1), ParamInterval(0.0, 1.0), ConfidenceSpec(0.1))
 
 
 def test_run_of_several_n_builds_and_windows_them_in_one_call_each(monkeypatch):
+    # each n's witness lies inside its first span, so the run is one round
     calls = {"_point_rows": 0, "_windows": 0, "_point_arrays": 0}
 
     def counting(name):
@@ -343,13 +424,54 @@ def test_run_of_several_n_builds_and_windows_them_in_one_call_each(monkeypatch):
             return real(*args)
         return wrapper
 
+    criterion, interval, conf = _BATCHED
+    last = _last(criterion, interval, conf.delta, 249)
     for name in calls:
         monkeypatch.setattr(minimizer, name, counting(name))
-    criterion, interval, conf = _BATCHED
-    layouts, verdicts = _run(criterion, interval, conf.delta, 250, 400)
+    runs, verdicts = _run(criterion, interval, conf.delta, 250, 400, last)
     fails = [result for result, _ in verdicts if result.coverage <= 1.0 - conf.delta]
-    assert len(layouts) >= 2 and len(fails) >= 2
+    assert len(runs) >= 2 and len(fails) >= 2
     assert calls == {"_point_rows": 1, "_windows": 1, "_point_arrays": 0}
+
+
+@pytest.mark.parametrize("growth", [1e-3, 1e6])
+@pytest.mark.parametrize("criterion, interval, delta", [
+    _BATCHED[:2] + (_BATCHED[2].delta,),
+    (Absolute(0.2), ParamInterval(0.0, 2.0), 0.05),
+    (Mixed(0.1, 0.2), ParamInterval(0.1, 3.0), 0.05),
+    (Mixed(0.05, 0.1), ParamInterval(0.0, 2.0), 0.1),
+])
+def test_plans_do_not_depend_on_the_growth_factor(monkeypatch, growth, criterion, interval,
+                                                   delta):
+    # first spans that hold next to nothing, or every n's whole layout
+    plan = min_sample_size(criterion, interval, ConfidenceSpec(delta))
+    monkeypatch.setattr(search, "_GROWTH", growth)
+    again = min_sample_size(criterion, interval, ConfidenceSpec(delta))
+    assert (again.n_min, again.evaluations, again.truncated_b) == (
+        plan.n_min, plan.evaluations, plan.truncated_b)
+    assert again.worst_lambda.hex() == plan.worst_lambda.hex()
+    assert again.worst_coverage.hex() == plan.worst_coverage.hex()
+
+
+def test_a_run_builds_no_row_past_a_first_span_that_holds_the_witness(monkeypatch):
+    # the first run of this Mixed search predicts from n = 66's witness near
+    # a; the n whose witness lies in the first span are built only that far,
+    # and the others on to their witnesses
+    criterion, interval, delta = Mixed(0.1, 0.2), ParamInterval(0.1, 3.0), 0.05
+    last = _last(criterion, interval, delta, 66)
+    built = _record_rows(monkeypatch)
+    runs, verdicts = _run(criterion, interval, delta, 67, 300, last)
+    assert len(runs) == len(verdicts) == search._RUN
+    inside = 0
+    for (n, layout, end), (result, _) in zip(runs, verdicts):
+        _, first_end = next(candidates._spans(layout, end))
+        assert first_end < search._scan_b(criterion, interval, delta, n)
+        if result.lam < first_end:
+            assert built[id(layout)] < first_end
+            inside += 1
+        else:
+            assert built[id(layout)] >= result.lam
+    assert 16 <= inside < len(runs)
 
 
 def _count_builds(monkeypatch, n_min):
@@ -441,7 +563,10 @@ def test_budget_inside_a_batched_run_raises_as_before(monkeypatch, max_n):
 
 
 def test_errors_building_n_past_the_answer_do_not_surface(monkeypatch):
+    # runs of up to two chunks of first spans: the last one reaches past
+    # the answer
     plan = min_sample_size(*_BATCHED)
+    monkeypatch.setattr(search, "_CHUNK", 2 * search._CHUNK)
     seen = _record_layouts(monkeypatch, fail=lambda n: n > plan.n_min)
     assert min_sample_size(*_BATCHED) == plan
     assert max(seen) > plan.n_min  # a run did reach past the answer
@@ -452,6 +577,36 @@ def test_errors_building_n_below_the_answer_surface(monkeypatch, bad_n):
     _record_layouts(monkeypatch, fail=lambda n: n == bad_n)
     with pytest.raises(ValueError, match=f"^injected at n = {bad_n}$"):
         min_sample_size(*_BATCHED)
+
+
+def _drawn_searches(seed, count):
+    """``count`` (criterion, interval, conf) drawn with ``random.Random(seed)``:
+    Absolute, Relative and Mixed margins, intervals from 0 or above it."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        kind = rng.choice(["abs", "rel", "mixed"])
+        a = 0.0 if rng.random() < 0.5 else round(rng.uniform(0.1, 1.5), 3)
+        width = round(rng.uniform(0.2, 1.8), 3)
+        delta = round(rng.uniform(0.05, 0.4), 3)
+        if kind == "abs":
+            criterion = Absolute(round(rng.uniform(0.06, 0.4), 3))
+        elif kind == "rel":
+            criterion, a = Relative(round(rng.uniform(0.15, 0.5), 3)), max(a, 0.2)
+        else:
+            criterion = Mixed(round(rng.uniform(0.05, 0.4), 3), round(rng.uniform(0.1, 0.5), 3))
+        yield criterion, ParamInterval(a, a + width), ConfidenceSpec(delta)
+
+
+def test_pinned_digest_of_drawn_searches():
+    # 150 drawn searches, every field of each plan bit for bit: a change to
+    # how the search decides an n may change its cost, never its plan
+    digest = hashlib.sha256()
+    for criterion, interval, conf in _drawn_searches(2026, 150):
+        plan = min_sample_size(criterion, interval, conf)
+        digest.update(repr((plan.n_min, plan.worst_lambda.hex(), plan.worst_coverage.hex(),
+                            plan.evaluations, plan.truncated_b.hex())).encode())
+    assert digest.hexdigest() == (
+        "41c7dbe66ed1f2f3dd93617ae18fab5064655cf5e99743c3c33a037c733f1631")
 
 
 def test_start_n_floors_the_search():
