@@ -16,11 +16,15 @@ piece.  A crossover at or outside the interval reduces the criterion to a
 pure one and the reduced families are used over all of [a, b].
 
 The set comes in ascending rate order, never as one list.  Each breakpoint
-family is a progression ell / div + shift over an integer range of ell, and
-`_layout` checks the arguments and lays out those ranges, the endpoints and
-the crossover once; two layouts read them.  `_point_tuples` is lazy: a
-k-way merge of one generator per family yields plain tuples one at a time,
-so a scan that stops at one of its first candidates builds only those.
+family is a progression ell / div + shift over an integer range of ell.
+`_check_scan` is the one argument check of a fixed-n call, and `_layout`
+lays out those ranges, the endpoints and the crossover once for arguments
+so checked (a search checks its query once, not at every n); two layouts
+read them.  `_point_tuples` is lazy: a k-way merge of one generator per
+family yields plain tuples one at a time, so a scan that stops at one of
+its first candidates builds only those.  `_special_point` builds the one
+point whose group holds an endpoint or the crossover, from the few
+members within 8 tol of it, with no stream at all.
 One array builder, `_point_rows`, builds the same points as numpy arrays,
 those in a span of rates [start, end), for one layout or several at once.
 `_spans` cuts a layout's rates into spans of about _CHUNK points or fewer,
@@ -97,8 +101,12 @@ def cardinality_bound(criterion: ErrorCriterion, n: int, interval: ParamInterval
     plus 7 when a crossover point can join the set.  Refuses what
     `candidate_set` refuses before it lays out a point (`_check_scan`)."""
     _check_scan(criterion, n, interval)
-    extra = 7.0 if isinstance(criterion, Mixed) else 4.0
-    return 2.0 * n * interval.width + extra
+    return _bound(criterion, n, interval.width)
+
+
+def _bound(criterion: ErrorCriterion, n: int, width: float) -> float:
+    """`cardinality_bound` over an interval ``width`` wide, unchecked."""
+    return 2.0 * n * width + (7.0 if isinstance(criterion, Mixed) else 4.0)
 
 
 def _check_scan(criterion: ErrorCriterion, n: int, interval: ParamInterval) -> None:
@@ -177,12 +185,12 @@ _Layout = tuple[float, list[_Point], list[_Grid]]
 
 
 def _layout(criterion: ErrorCriterion, n: int, interval: ParamInterval) -> _Layout:
-    """Check the arguments and lay out the candidate set as (tol, specials,
-    grids): the merge tolerance, the endpoints and the crossover as points,
-    and each breakpoint family as (kind, div, shift, lo, hi), its members
-    ell / div + shift strictly within tol of (lo, hi).  Both layouts,
-    `_point_tuples` and `_point_arrays`, read it."""
-    _check_scan(criterion, n, interval)
+    """Lay out the candidate set of arguments that passed `_check_scan` as
+    (tol, specials, grids): the merge tolerance, the endpoints and the
+    crossover as points, and each breakpoint family as (kind, div, shift,
+    lo, hi), its members ell / div + shift strictly within tol of (lo, hi).
+    Both layouts, `_point_tuples` and `_point_arrays`, read it.  Raises
+    where n makes the rates too large or the interval too wide."""
     a, b = interval.a, interval.b
     tol = DEDUP_REL_TOL * max(1.0, abs(a), abs(b))
 
@@ -220,6 +228,41 @@ def _point_tuples(layout: _Layout) -> Iterator[_Point]:
     tol, specials, grids = layout
     families = [_family(*grid, tol) for grid in grids]
     return _points(heapq.merge(specials, *families, key=itemgetter(0)), tol)
+
+
+def _special_point(layout: _Layout, special: _Point) -> _Point:
+    """The point of `_point_tuples` whose group holds ``special``, one of
+    the layout's endpoints or its crossover, tags included; of a sliver's
+    two points, the one of the special's kind, else the first.
+
+    It is built from the specials and family members within 8 tol of the
+    special alone, sorted by value in the stream's order of sources, and
+    grouped as `_points` groups.  A group spans at most 6 tol
+    (`_merge_groups`), so the special's group is among them whole, and a
+    group cut at the edge of that window lies over a tol away from it."""
+    tol, specials, grids = layout
+    value = special[0]
+    low, high = value - 8.0 * tol, value + 8.0 * tol
+    rows = [point for point in specials if low < point[0] < high]
+    for kind, div, shift, lo, hi in grids:
+        lo, hi = max(lo - tol, low), min(hi + tol, high)
+        # members are over 8 tol apart, so at most two lie in (lo, hi)
+        first = math.floor(div * (lo - shift))
+        for ell in range(first - 1, first + 3):
+            v = ell / div + shift
+            if lo < v < hi:
+                rows.append((v, kind, ell, ()))
+    rows.sort(key=itemgetter(0))
+    # the special's group, as `_points` groups: no gap within it above tol
+    start = end = rows.index(special)
+    while start and rows[start][0] - rows[start - 1][0] <= tol:
+        start -= 1
+    while end + 1 < len(rows) and rows[end + 1][0] - rows[end][0] <= tol:
+        end += 1
+    if start == end:
+        return special
+    merged = _merge_group(rows[start:end + 1])  # a sliver's two points: a's, b's
+    return merged[-1] if special[1] is CandidateKind.ENDPOINT_B else merged[0]
 
 
 def _spans(layout: _Layout, end: float = math.inf) -> Iterator[tuple[float, float]]:
@@ -366,6 +409,7 @@ def candidate_stream(
 ) -> Iterator[CandidatePoint]:
     """The points of `candidate_set`, built one at a time in the same order.
     Bad arguments, a > b included, raise before the first point."""
+    _check_scan(criterion, n, interval)
     return starmap(CandidatePoint, _point_tuples(_layout(criterion, n, interval)))
 
 

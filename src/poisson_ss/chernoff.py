@@ -66,6 +66,12 @@ def lambda_threshold(n: int, eps_r: float, delta: float) -> float:
         raise ValueError(f"margin must lie strictly inside (0, 1), got {eps_r!r}")
     if not (0.0 < delta < 1.0):
         raise ValueError(f"risk level must lie strictly inside (0, 1), got {delta!r}")
+    return _threshold(n, eps_r, delta)
+
+
+def _threshold(n: int, eps_r: float, delta: float) -> float:
+    """`lambda_threshold` of arguments already checked, for a search that
+    checks its query once."""
     denom = TWO_LN2_MINUS_1 * n * eps_r * eps_r
     if denom == 0.0:
         return math.inf

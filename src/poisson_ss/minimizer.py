@@ -5,12 +5,18 @@ yields the exact minimum over the whole continuum of rates; between
 consecutive candidates the coverage never dips below the smaller of the two
 adjacent candidate values.
 
-A scan with a threshold first probes its first _PREFIX candidates from
-the lazy tuple stream, one at a time with the scalar kernel, and returns
-the first one at or below the threshold: a failing n is usually decided
-there (a Relative search spends ~2.4 evaluations per n), and building
+A scan with a threshold first probes its first _PREFIX candidates, one
+at a time with the scalar kernel, and returns the first one at or below
+the threshold: a failing n is usually decided there (a Relative search
+spends ~2.4 evaluations per n, most of its n failing at a), and building
 arrays or calling numpy would cost more than those few sums.  The probe,
-`_probe`, only looks for a failure; a full scan skips it.
+`_probe`, sums a's own point first, built alone by
+`candidates._special_point`, and starts the lazy tuple stream, at its
+second point, only when a passes: priming the stream's generators costs
+more than the sum at a.  The probe only looks for a failure; a full scan
+skips it.  `scan_min_coverage` checks its arguments (`_check_scan`) and
+lays the n out; a search, which checks its query once, hands `_verdict`
+each n's layout itself.
 
 Past the probe the scan takes the array layout from its first row, one
 chunk at a time, resolves a chunk's windows at once with `_windows` and
@@ -77,11 +83,14 @@ import numpy as np
 
 from .candidates import (
     _CHUNK,
+    _check_scan,
     _layout,
     _Layout,
+    _Point,
     _point_arrays,
     _point_rows,
     _point_tuples,
+    _special_point,
     _spans,
 )
 from .coverage import _coverage, _windows
@@ -113,11 +122,11 @@ def scan_min_coverage(
     smaller rate.  When a fail-fast threshold is given the scan stops at the
     first candidate with coverage <= threshold; the returned result is then
     that witness rather than the global minimum, which is all a pass/fail
-    decision needs.  Such a scan probes its first _PREFIX candidates,
-    `_probe`, then settles the rest in one pass, `_decide`, which gives the
-    witness or, without one, the minimum.  A full scan only takes the
-    minimum, `_minimum`.  Candidates are built a chunk at a time, so an
-    early stop also stops building them.
+    decision needs.  Such a scan, `_verdict`, probes its first _PREFIX
+    candidates, `_probe`, then settles the rest in one pass, `_decide`,
+    which gives the witness or, without one, the minimum.  A full scan
+    only takes the minimum, `_minimum`.  Candidates are built a chunk at a
+    time, so an early stop also stops building them.
 
     In the array path a candidate's coverage is summed only where its
     coverage floor cannot show that it is above the threshold, or above the
@@ -125,23 +134,37 @@ def scan_min_coverage(
     still covers every candidate up to and including the witness, or all of
     them, whether its floor or its sum decided it.
     """
+    _check_scan(criterion, n, interval)
     layout = _layout(criterion, n, interval)
     if fail_fast_threshold is None:
         return _minimum(_chunks(criterion, n, layout))
-    return (_probe(criterion, n, layout, fail_fast_threshold)
-            or _decide(criterion, [(n, layout, math.inf)], fail_fast_threshold)[0])
+    return _verdict(criterion, n, layout, fail_fast_threshold)
+
+
+def _verdict(criterion: ErrorCriterion, n: int, layout: _Layout, threshold: float) -> _Hit:
+    """What a fail-fast `scan_min_coverage` returns for n, from n's
+    layout of checked arguments: `_probe`, else `_decide`."""
+    return (_probe(criterion, n, layout, threshold)
+            or _decide(criterion, [(n, layout, math.inf)], threshold)[0])
 
 
 def _probe(criterion: ErrorCriterion, n: int, layout: _Layout, threshold: float) -> _Hit | None:
     """(witness, rank) of the first of the first _PREFIX candidates with a
-    coverage at or below ``threshold``, or None: the lazy tuple stream and
-    the scalar kernel, one candidate at a time."""
-    probe = islice(_point_tuples(layout), _PREFIX)
-    for count, (value, kind, ell, extra_tags) in enumerate(probe, 1):
+    coverage at or below ``threshold``, or None, summed one at a time with
+    the scalar kernel: a's own point, then the lazy tuple stream from its
+    second point."""
+    for count, (value, kind, ell, extra_tags) in enumerate(_prefix(layout), 1):
         g, h, cov = _coverage(criterion, n, value, ((kind, ell),) + extra_tags)
         if cov <= threshold:
             return CoverageResult(lam=value, g=g, h=h, coverage=cov), count
     return None
+
+
+def _prefix(layout: _Layout) -> Iterator[_Point]:
+    """The first _PREFIX points of `_point_tuples`, the stream started
+    only when its second point is asked for."""
+    yield _special_point(layout, layout[1][0])
+    yield from islice(_point_tuples(layout), 1, _PREFIX)
 
 
 def _decide(

@@ -27,14 +27,18 @@ returns, the witness and rank of the n's first coverage at or below
 1 - delta in rate order or, without one, its minimum and number of
 candidates.  The search adds each count to ``evaluations`` and returns
 the plan at the first verdict above 1 - delta.  Where the n before was
-decided within the scan's scalar probe, n gets the public scan itself.
-A failing n whose witness lies past the probe costs mostly fixed per-n
-overhead (building arrays, `interval_probs` calls), not sums.  So after
-such an n the search skips the probe and decides the next n in a batched
-run, the scan's own pass `minimizer._decide` over the n `_run` packs:
-that n and the consecutive n after it, never above max_n.  Each n m of a
-run gets the end of its first span of rates, a guess of where it fails
-from the last failing n, n0, whose witness has rate lam* and rank r*:
+decided within the scan's scalar probe, n gets the public scan's own
+decision, `minimizer._verdict`, on n's layout: the coverage at a's own
+point first, the rest of the probe only if a passes, then the pass over
+the rest.  Most n of a Relative search fail at a, for one sum and a
+layout.  A failing n whose witness lies past the probe costs mostly
+fixed per-n overhead (building arrays, `interval_probs` calls), not
+sums.  So after such an n the search skips the probe and decides the
+next n in a batched run, the scan's own pass `minimizer._decide` over
+the n `_run` packs: that n and the consecutive n after it, never above
+max_n.  Each n m of a run gets the end of its first span of rates, a
+guess of where it fails from the last failing n, n0, whose witness has
+rate lam* and rank r*:
 
     end = a + _GROWTH * max((lam* - a) * m / n0, r* / (2 m)),
 
@@ -59,6 +63,19 @@ acceptance window.  So the coverage at r0, the least such rate of [a, b]
 most 1 - exp(-n r0), and every sufficient n exceeds ln(1/delta) / r0; r0
 is a candidate, and the crossover's absolute window excludes K = 0 too.
 A budget max_n below that bound is reported before any scan.
+
+The query is checked once per search, not at every n.  `validate` checks
+the margins, delta and [a, b], and the fixed-n rule of the public calls,
+`candidates._check_scan`, runs once, for start_n over [a, scan_b].  No
+part of that rule that passes there fails at a later n.  scan_b only
+shrinks as n grows, so it stays finite if it is finite at start_n, and
+an n is scanned only where scan_b lies above a.  `_layout` refuses every
+n above about 1.25e11 as too wide, long before n could pass the largest
+float; where only a is left, `coverage_at` checks n itself.  So each n
+is laid out (`_layout`) and truncated (`chernoff._threshold`) with no
+checks.  What depends on n is still raised at the n it comes from: rates
+too large or an interval too wide for n's layout, and a margin too
+narrow for the window rule at some rate (`MarginTooNarrow`).
 """
 
 from __future__ import annotations
@@ -66,10 +83,10 @@ from __future__ import annotations
 import math
 import numbers
 
-from .candidates import _CHUNK, _layout, _Layout, cardinality_bound
-from .chernoff import lambda_threshold
+from .candidates import _CHUNK, _bound, _check_scan, _layout, _Layout
+from .chernoff import _threshold
 from .coverage import coverage_at
-from .minimizer import _PREFIX, _decide, scan_min_coverage
+from .minimizer import _PREFIX, _decide, _verdict
 from .types import (
     ConfidenceSpec,
     ErrorCriterion,
@@ -77,6 +94,7 @@ from .types import (
     ParamInterval,
     Relative,
     SampleSizePlan,
+    _check_sample_size,
     validate,
 )
 
@@ -115,10 +133,10 @@ def _relative_eps(criterion: ErrorCriterion) -> float | None:
 
 def _scan_b(criterion: ErrorCriterion, interval: ParamInterval, delta: float, n: int) -> float:
     """Upper end of the rates that decide n: the tail-bound threshold where
-    it falls below b."""
+    it falls below b.  The search has checked the arguments."""
     eps_r = _relative_eps(criterion)
     if eps_r is not None:
-        threshold = lambda_threshold(n, eps_r, delta)
+        threshold = _threshold(n, eps_r, delta)
         if threshold < interval.b:
             return threshold
     return interval.b
@@ -141,7 +159,7 @@ def _run(
             if scan_b <= a:
                 break
             end = a + _GROWTH * max((lam - a) * m / n0, rank / (2.0 * m))
-            rows += cardinality_bound(criterion, m, ParamInterval(a, min(end, scan_b)))
+            rows += _bound(criterion, m, min(end, scan_b) - a)
             if runs and (rows > _CHUNK or len(runs) == _RUN):
                 break
             runs.append((m, _layout(criterion, m, ParamInterval(a, scan_b)), end))
@@ -197,6 +215,11 @@ def min_sample_size(
                 f"n > ln(1/delta) / {name} = {n_lower:.6g}")
 
     level, a = 1.0 - delta, interval.a
+    # The fixed-n rule, once (see the module docstring).
+    _check_sample_size(start_n)
+    scan_b = _scan_b(criterion, interval, delta, start_n)
+    if scan_b > a:
+        _check_scan(criterion, start_n, ParamInterval(a, scan_b))
     evaluations = rank = 0
     n = start_n
     while n <= max_n:
@@ -208,7 +231,8 @@ def min_sample_size(
             verdicts = _decide(criterion, _run(criterion, interval, delta, n, max_n, last),
                                level)
         else:
-            verdicts = [scan_min_coverage(criterion, n, ParamInterval(a, scan_b), level)]
+            verdicts = [_verdict(criterion, n, _layout(criterion, n, ParamInterval(a, scan_b)),
+                                 level)]
         for result, rank in verdicts:
             evaluations += rank
             if result.coverage > level:

@@ -212,9 +212,11 @@ def validate(
     """Check a planning configuration, returning it unchanged if well formed.
 
     Raises the most specific `ValidationError` subclass on the first
-    violated constraint.  A Mixed criterion whose crossover falls at or
-    below a (or at or above b) is accepted; it simply behaves as the pure
-    relative (or absolute) criterion over the whole interval.  The upper
+    violated constraint; a delta so small that 1 - delta rounds to 1.0 is
+    refused too, since no coverage can exceed 1.  A Mixed criterion whose
+    crossover falls at or below a (or at or above b) is accepted; it simply
+    behaves as the pure relative (or absolute) criterion over the whole
+    interval.  The upper
     bound b may be +inf; only a search whose tail bound truncates the scan
     can use it, and a scan over it raises `NonFiniteBound`.
     """
@@ -224,6 +226,10 @@ def validate(
     if not (0.0 < conf.delta < 1.0):
         raise DeltaOutOfRange(
             f"risk level must lie strictly inside (0, 1), got {conf.delta!r}")
+    if 1.0 - conf.delta == 1.0:
+        raise DeltaOutOfRange(
+            f"risk level {conf.delta!r} is too small for floats: 1 - delta rounds "
+            "to 1.0, and no coverage can exceed that")
     if not math.isfinite(interval.a):
         raise NonFiniteBound(
             f"rate interval needs a finite lower bound, got a={interval.a!r}")

@@ -426,3 +426,100 @@ def test_scan_checks_margins_once_per_stream_not_per_point(monkeypatch):
     _, count = scan_min_coverage(Mixed(0.1, 0.2), 40, ParamInterval(0.0, 2.0))
     assert count > 100
     assert streams == [Mixed(0.1, 0.2)]
+
+
+# The four breakpoint families as (kind, value of ell at n for margin eps).
+_FAMILY_VALUES = {
+    CandidateKind.ABS_PLUS: lambda ell, n, eps: ell / n + eps,
+    CandidateKind.ABS_MINUS: lambda ell, n, eps: ell / n - eps,
+    CandidateKind.REL_UPPER: lambda ell, n, eps: ell / (n * (1.0 + eps)),
+    CandidateKind.REL_LOWER: lambda ell, n, eps: ell / (n * (1.0 - eps)),
+}
+
+
+@st.composite
+def _special_layouts(draw):
+    """(criterion, n, interval) with a drawn to put members of a's group, or
+    of a group cut by the 8 tol window around a, near a: a on a breakpoint
+    of one of the four families, up to 9 tol off it, a crossover within 8
+    tol of a, a sliver [a, a + tol / 2], a = 0.0 and a = -0.0."""
+    n = draw(st.integers(1, 300))
+    eps, eps_r = draw(_margins), draw(_margins)
+    case = draw(st.sampled_from(["breakpoint", "crossover", "zero", "random"]))
+    if case == "breakpoint":
+        kind = draw(st.sampled_from(list(_FAMILY_VALUES)))
+        a = _FAMILY_VALUES[kind](draw(st.integers(1, 3 * n)), n, eps)
+        off = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0, 2.0, 5.9, 6.5, 7.9, 8.0, 9.0])
+                   | st.floats(-9.0, 9.0))
+        a = max(0.0, a + off * DEDUP_REL_TOL * max(1.0, a))
+    elif case == "zero":
+        a = draw(st.sampled_from([0.0, -0.0]))
+    else:
+        a = draw(st.sampled_from([0.5, 1.0]) | st.floats(1e-3, 5.0))
+    width = draw(st.sampled_from([0.5 * DEDUP_REL_TOL * max(1.0, a)]) | st.floats(1e-3, 2.0))
+    tol = DEDUP_REL_TOL * max(1.0, a + width)
+    if case == "crossover":
+        # eps_a / eps_r within 8 tol above a: a Mixed layout with its
+        # crossover next to a
+        cx = a + draw(st.floats(0.0, 8.0)) * tol
+        crit = Mixed(min(0.95, cx * eps_r), eps_r)
+    elif case == "breakpoint" and kind in (CandidateKind.ABS_PLUS, CandidateKind.ABS_MINUS):
+        crit = draw(st.sampled_from([Absolute(eps), Mixed(eps, eps_r / 1e3)]))
+    elif case == "breakpoint" or a > 0.0 and draw(st.booleans()):
+        crit = draw(st.sampled_from([Relative(eps), Mixed(1e-6, eps)]))
+    else:
+        crit = draw(st.sampled_from([Absolute(eps), Mixed(eps, eps_r)]))
+    return crit, n, ParamInterval(a, a + width)
+
+
+def _assert_special_points(layout):
+    """`_special_point` of a and of b is the stream's first and last point,
+    in value `.hex()`, kind, ell and tags; the crossover's is its own point,
+    or an endpoint's whose group it joined."""
+    def key(point):
+        value, kind, ell, extra_tags = point
+        return value.hex(), kind, ell, extra_tags
+
+    specials, points = layout[1], list(candidates._point_tuples(layout))
+    assert key(candidates._special_point(layout, specials[0])) == key(points[0])
+    assert key(candidates._special_point(layout, specials[-1])) == key(points[-1])
+    if len(specials) == 3:
+        cx = candidates._special_point(layout, specials[1])
+        own = [p for p in points if p[1] is CandidateKind.CROSSOVER]
+        assert key(cx) in [key(p) for p in own or (points[0], points[-1])]
+
+
+@pytest.mark.seeded
+@settings(max_examples=400, deadline=None)
+@given(_special_layouts())
+def test_special_point_is_the_streams_point_of_that_special(config):
+    _assert_special_points(candidates._layout(*config))
+
+
+@pytest.mark.parametrize("offsets", [
+    # a chain of all four families, 0.9 tol apart, from a: a group 3.6 tol wide
+    (0.9, 1.8, 2.7, 3.6),
+    (-0.9, 0.9, 1.8, 2.7),
+    # with the crossover at 0.99 tol, the longest chain of families a's
+    # group can hold: its last member nearly 5 tol from a
+    (1.98, 2.97, 3.96, 4.95),
+    # a chain that starts past a's group and is cut at the window's edge
+    (1.1, 2.0, 2.9, 3.8),
+    (6.5, 7.4, 8.3, 9.2),
+    # members on the window's edge, and one just inside it
+    (-8.0, 8.0, 7.9, -0.5),
+])
+@pytest.mark.parametrize("crossover", [None, 0.45, 0.99, 4.5])
+@pytest.mark.parametrize("width", [20.0, 5.4])
+def test_special_point_takes_whole_chains_of_members(offsets, crossover, width):
+    # a hand-made layout: each family has a member at a + offset * tol
+    # (ell = 0, div = 1), and the crossover, if any, lies between them; at
+    # width 5.4, b ends a chain of a, four members and the crossover
+    tol, a = DEDUP_REL_TOL, 1.0
+    b = a + width * tol
+    specials = [(a, CandidateKind.ENDPOINT_A, None, ()), (b, CandidateKind.ENDPOINT_B, None, ())]
+    if crossover is not None:
+        specials.insert(1, (a + crossover * tol, CandidateKind.CROSSOVER, None, ()))
+    grids = [(kind, 1.0, a + offset * tol, a, b)
+             for kind, offset in zip(_FAMILY_VALUES, offsets)]
+    _assert_special_points((tol, specials, grids))

@@ -37,6 +37,7 @@ sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from exact_reference import reference_coverage_at_point  # noqa: E402
 from test_minimizer import _SMALL_CHUNKS, _scans  # noqa: E402
 from test_oracle import _GRID_CHUNKS, grid_reference, grids  # noqa: E402
+from test_search import SEARCH_ERRORS, _forbid_coverage  # noqa: E402
 
 SIZE_ARGS = ["size", "--criterion", "abs", "--eps", "0.5",
              "--a", "0", "--b", "0.5", "--delta", "0.5"]
@@ -82,11 +83,41 @@ def test_size_budget_exhaustion_exits_2(capsys):
     assert "20" in err
 
 
+def test_size_refuses_a_delta_too_small_for_floats(capsys, monkeypatch):
+    # 1 - 1e-17 rounds to 1.0, which no coverage exceeds: exit 1 before any
+    # n, not a walk to --max-n
+    _forbid_coverage(monkeypatch)
+    code, out, err = run(capsys, SIZE_ARGS[:-1] + ["1e-17"])
+    assert code == 1
+    assert out == ""
+    assert "1e-17 is too small for floats" in err
+
+
+def _size_argv(criterion, interval, delta, options):
+    if isinstance(criterion, Mixed):
+        margin = ["mixed", "--eps-a", repr(criterion.eps_a), "--eps-r", repr(criterion.eps_r)]
+    else:
+        margin = ["abs" if isinstance(criterion, Absolute) else "rel", "--eps",
+                  repr(criterion.eps)]
+    return (["size", "--criterion", *margin, "--a", repr(interval.a), "--b",
+             repr(interval.b), "--delta", repr(delta)]
+            + [f"--{key.replace('_', '-')}={value}" for key, value in options.items()])
+
+
+@pytest.mark.parametrize("criterion, interval, delta, options, error, message, evaluated",
+                         SEARCH_ERRORS)
+def test_size_reports_search_errors_as_the_library_raises_them(
+        capsys, monkeypatch, criterion, interval, delta, options, error, message, evaluated):
+    if not evaluated:
+        _forbid_coverage(monkeypatch)
+    code, out, err = run(capsys, _size_argv(criterion, interval, delta, options))
+    assert code == (2 if error is search.MaxSampleSizeExceeded else 1)
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_size_tiny_relative_lower_bound_exits_2_at_once(capsys, monkeypatch):
-    def evaluated(*args, **kwargs):
-        raise AssertionError("coverage was evaluated")
-    for name in ("scan_min_coverage", "_decide", "coverage_at"):
-        monkeypatch.setattr(search, name, evaluated)
+    _forbid_coverage(monkeypatch)
     code, out, err = run(capsys, [
         "size", "--criterion", "rel", "--eps", "0.1", "--a", "1e-300",
         "--b", "1", "--delta", "0.05"])

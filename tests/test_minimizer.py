@@ -127,7 +127,8 @@ def test_early_stop_witness_is_below_threshold():
 
 def test_fail_fast_scan_builds_only_what_it_evaluates(monkeypatch):
     # [0.5, 1e6] holds about 2e6 candidates at n = 1, and the window at
-    # rate 0.5 is empty, so the first candidate already fails
+    # rate 0.5 is empty, so the first candidate already fails: a's point,
+    # built alone, and the stream is never started
     built = []
     grouped = candidates._points
 
@@ -142,7 +143,7 @@ def test_fail_fast_scan_builds_only_what_it_evaluates(monkeypatch):
     assert count == 1
     assert witness.lam == 0.5
     assert witness.coverage == 0.0
-    assert len(built) == 1
+    assert built == []
 
 
 # Round margins put n * eps, 2 n eps and the crossover on lattice values, so

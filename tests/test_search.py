@@ -20,6 +20,8 @@ from poisson_ss import (
     Absolute,
     ConfidenceSpec,
     DeltaOutOfRange,
+    EpsilonOutOfRange,
+    MarginTooNarrow,
     MaxSampleSizeExceeded,
     Mixed,
     NonFiniteBound,
@@ -70,6 +72,36 @@ def test_pinned_plans(criterion, interval, delta, n_min, worst_lam, worst_cov,
     assert plan.worst_coverage > 1.0 - delta
 
 
+# Large Relative searches whose failing n nearly all fail at their first
+# candidate, a, which the probe of a's own point decides alone.  past_a is
+# what the failing n spend past a: evaluations less one per failing n and
+# less the passing n's count (131 n near the answer of the first search
+# fail at ranks 2 to 8; all 100 000 of the second fail at a).
+_FAIL_AT_A = [
+    pytest.param(Relative(0.05), ParamInterval(0.1, 10.0), 0.05,
+                 15_496, "0x1.9c59579fc9052p-4", "0x1.e68abfd1495dap-1", 20_172,
+                 "0x1.f8d4dc0abf6bcp-3", 249),
+    pytest.param(Relative(0.999999), ParamInterval(1e-5, 1e5), 0.5,
+                 100_001, "0x1.4f8b588e368f1p-17", "0x1.1a8848422bc5cp-1", 100_007,
+                 "0x1.2d0a1e0930cb9p-15", 0, marks=pytest.mark.slow),
+]
+
+
+@pytest.mark.parametrize(
+    "criterion,interval,delta,n_min,worst_lam,worst_cov,evals,trunc_b,past_a", _FAIL_AT_A)
+def test_pinned_searches_failing_nearly_every_n_at_a(
+        criterion, interval, delta, n_min, worst_lam, worst_cov, evals, trunc_b, past_a):
+    plan = min_sample_size(criterion, interval, ConfidenceSpec(delta))
+    assert plan.n_min == n_min
+    assert plan.worst_lambda.hex() == worst_lam
+    assert plan.worst_coverage.hex() == worst_cov
+    assert plan.evaluations == evals
+    assert plan.truncated_b.hex() == trunc_b
+    scanned = ParamInterval(interval.a, plan.truncated_b)
+    _, count = scan_min_coverage(criterion, n_min, scanned, 1.0 - delta)
+    assert evals - (n_min - 1) - count == past_a
+
+
 def test_returned_n_is_minimal():
     for criterion, interval, delta, n_min, *_ in PINNED:
         if n_min == 1:
@@ -107,7 +139,7 @@ def _forbid_coverage(monkeypatch):
     """Make every route by which the search decides an n raise."""
     def evaluated(*args, **kwargs):
         raise AssertionError("coverage was evaluated")
-    for name in ("scan_min_coverage", "_decide", "coverage_at"):
+    for name in ("_verdict", "_decide", "coverage_at"):
         monkeypatch.setattr(poisson_ss.search, name, evaluated)
 
 
@@ -136,7 +168,7 @@ def test_relative_lower_bound_tie_is_left_to_the_scan(monkeypatch):
             return real(*args)
         monkeypatch.setattr(poisson_ss.search, name, wrapper)
 
-    recording("scan_min_coverage", lambda criterion, n, *_: [n])
+    recording("_verdict", lambda criterion, n, *_: [n])
     recording("_decide", lambda criterion, runs, *_: [n for n, _, _ in runs])
     max_n, delta = 10, 0.1
     a = math.log(1.0 / delta) / max_n
@@ -772,6 +804,61 @@ def test_infinite_b_without_truncation_is_a_validation_error(criterion):
     with pytest.raises(NonFiniteBound):
         min_sample_size(criterion, ParamInterval(0.5, math.inf),
                         ConfidenceSpec(0.1))
+
+
+_INFINITE_B = ("a fixed-n scan needs a finite interval, got [{}, inf]; an infinite b is "
+               "only searchable with tail-bound truncation under a relative or mixed margin")
+
+# (criterion, interval, delta, options, error, message, evaluated): the
+# error a search raises, with the message it gave when every n checked the
+# whole query; a message that names an n names the n it comes from.
+# evaluated says whether coverage is computed before the error: a check of
+# the query fires before any.
+SEARCH_ERRORS = [
+    (Absolute(0.3), ParamInterval(0.0, math.inf), 0.1, {},
+     NonFiniteBound, _INFINITE_B.format(0.0), False),
+    (Absolute(0.3), ParamInterval(0.0, math.inf), 0.1, {"start_n": 5},
+     NonFiniteBound, _INFINITE_B.format(0.0), False),
+    # eps_r**2 underflows, so no rate is certified: the relative search
+    # without truncation
+    (Relative(1e-200), ParamInterval(0.5, math.inf), 0.1, {},
+     NonFiniteBound, _INFINITE_B.format(0.5), False),
+    (Mixed(0.1, 1.5), ParamInterval(0.0, 1.0), 0.1, {},
+     EpsilonOutOfRange, "margin must lie strictly inside (0, 1), got 1.5", False),
+    (Absolute(0.3), ParamInterval(1e11, 1e11 + 1), 0.1, {},
+     ValueError, "the interval [100000000000.0, 100000000001.0] is too wide for n = 2: "
+     "floats cannot tell its breakpoints apart", True),
+    # refused at the first n too wide, after the n below it failed
+    (Absolute(0.05), ParamInterval(0.0, 3e9), 0.1, {},
+     ValueError, "the interval [0.0, 3000000000.0] is too wide for n = 42: "
+     "floats cannot tell its breakpoints apart", True),
+    (Absolute(1e-13), ParamInterval(0.0, 1.0), 0.1, {"start_n": 7},
+     MarginTooNarrow, "the margin is too narrow at rate 0.0 for n = 7: both window ends, "
+     "-7e-13 and 7e-13, fall on the count 0 between them", True),
+    (Relative(0.2), ParamInterval(0.5, 2.0), 0.1, {"max_n": 20},
+     MaxSampleSizeExceeded, "no sufficient sample size found with n <= 20", True),
+    (Relative(0.1), ParamInterval(1e-300, 1.0), 0.05, {},
+     MaxSampleSizeExceeded, "no sufficient sample size found with n <= 1000000: "
+     "relative coverage at a = 1e-300 needs n > ln(1/delta) / a = 2.99573e+300", False),
+    (Absolute(0.1), ParamInterval(0.0, 1.0), 0.1, {"start_n": 10 ** 400, "max_n": 10 ** 401},
+     ValueError, "sample size must be an integer no larger than the largest float, "
+     "1.7976931348623157e+308", False),
+    (Relative(0.1), ParamInterval(0.5, 1.0), 0.1, {"start_n": 10 ** 400, "max_n": 10 ** 401},
+     ValueError, "sample size must be an integer no larger than the largest float, "
+     "1.7976931348623157e+308", False),
+]
+
+
+@pytest.mark.parametrize(
+    "criterion, interval, delta, options, error, message, evaluated", SEARCH_ERRORS)
+def test_search_errors_come_at_the_same_n_with_the_same_message(
+        monkeypatch, criterion, interval, delta, options, error, message, evaluated):
+    if not evaluated:
+        _forbid_coverage(monkeypatch)
+    with pytest.raises(error) as info:
+        min_sample_size(criterion, interval, ConfidenceSpec(delta), **options)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_absolute_criterion_has_nothing_to_truncate():

@@ -23,6 +23,7 @@ from poisson_ss import (
     RelativeWithZeroLowerBound,
     ValidationError,
     effective_criterion,
+    min_sample_size,
     validate,
 )
 
@@ -50,6 +51,19 @@ def test_mixed_margins_must_both_be_inside_unit_interval(eps_a, eps_r):
 def test_delta_must_be_inside_unit_interval(delta):
     with pytest.raises(DeltaOutOfRange):
         validate(Absolute(0.1), ParamInterval(0.0, 1.0), ConfidenceSpec(delta))
+
+
+@pytest.mark.parametrize("delta", [1e-17, 5e-324, 2.0 ** -54])
+def test_delta_too_small_for_floats_is_refused(delta):
+    # 1 - delta rounds to 1.0: no coverage can exceed the level, so a
+    # search would walk on to max_n
+    assert 1.0 - delta == 1.0
+    with pytest.raises(DeltaOutOfRange, match="too small for floats"):
+        validate(Absolute(0.5), ParamInterval(0.0, 0.5), ConfidenceSpec(delta))
+    with pytest.raises(DeltaOutOfRange, match="rounds to 1.0"):
+        min_sample_size(Absolute(0.5), ParamInterval(0.0, 0.5), ConfidenceSpec(delta))
+    # the least delta whose 1 - delta is below 1.0 still passes the gate
+    validate(Absolute(0.5), ParamInterval(0.0, 0.5), ConfidenceSpec(2.0 ** -53))
 
 
 def test_interval_must_be_nonempty():
