@@ -19,27 +19,26 @@ The set comes in ascending rate order, never as one list.  Each breakpoint
 family is a progression ell / div + shift over an integer range of ell.
 `_check_scan` is the one argument check of a fixed-n call, and `_layout`
 lays out those ranges, the endpoints and the crossover once for arguments
-so checked (a search checks its query once, not at every n); two layouts
-read them.  `_point_tuples` is lazy: a k-way merge of one generator per
-family yields plain tuples one at a time, so a scan that stops at one of
-its first candidates builds only those.  `_special_point` builds the one
-point whose group holds an endpoint or the crossover, from the few
-members within 8 tol of it, with no stream at all.
-One array builder, `_point_rows`, builds the same points as numpy arrays,
-those in a span of rates [start, end), for one layout or several at once.
-`_spans` cuts a layout's rates into spans of about _CHUNK points or fewer,
-the first ending where its caller asks.  `_point_arrays` builds one layout
-span after span, so a scan past its first few candidates never holds more
-than a chunk, and a batched run of consecutive n (see `minimizer`) builds
-a span of each of its n in one call, one piece per n.
-`candidate_stream` makes CandidatePoints from the lazy layout.
+so checked (a search checks its query once, not at every n).
+Points are built a span of rates [start, end) at a time, by one rule: take
+the endpoints, the crossover and the family members in the span padded by
+8 tol, group them, merge each group, and slice by value.  `_span_points`
+applies it in pure Python to one layout and returns tuples; `_point_rows`
+applies it with numpy, to one layout or several at once, and returns
+arrays.  `_spans` cuts a layout's rates into spans of about _CHUNK points
+or fewer, the first ending where its caller asks.  `candidate_stream`
+chains `_span_points` over them, building a span only when its first
+point is asked for.  `_point_arrays` builds one layout span after span as
+arrays, so a scan past its first few candidates never holds more than a
+chunk, and a batched run of consecutive n (see `minimizer`) builds a span
+of each of its n in one call, one piece per n.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections.abc import Iterator
+from functools import partial
 from itertools import chain, starmap
 from operator import itemgetter
 
@@ -75,11 +74,9 @@ _KIND_PRIORITY = {kind: rank for rank, kind in enumerate(CandidateKind)}
 # many family members plus a few at its edges.
 _CHUNK = 8192
 
-# Every source, group and point is (value, kind, ell, extra_tags), the field
+# Every member, group and point is (value, kind, ell, extra_tags), the field
 # order of CandidatePoint; ell is None for the endpoints and the crossover.
-# Merges key on the value alone.  _END closes the last group.
 _Point = tuple[float, CandidateKind, int | None, tuple]
-_END = ((math.inf, CandidateKind.ENDPOINT_B, None, ()),)
 
 __all__ = ["DEDUP_REL_TOL", "candidate_set", "candidate_stream", "cardinality_bound"]
 
@@ -140,19 +137,6 @@ def _progressions(
             (CandidateKind.REL_LOWER, n * (1.0 - criterion.eps), 0.0))
 
 
-def _family(
-    kind: CandidateKind, div: float, shift: float, lo: float, hi: float, tol: float
-) -> Iterator[_Point]:
-    """Members of one family strictly within tol of (lo, hi), ascending."""
-    first = math.floor(div * (lo - shift)) - 1
-    last = math.ceil(div * (hi - shift)) + 1
-    lo, hi = lo - tol, hi + tol
-    for ell in range(first, last + 1):
-        v = ell / div + shift
-        if lo < v < hi:
-            yield v, kind, ell, ()
-
-
 def _merge_group(group: list[_Point]) -> list[_Point]:
     """Colliding points as one point tagged by all (two for a sliver)."""
     group = sorted(group, key=lambda p: (_KIND_PRIORITY[p[1]], p[0]))
@@ -165,21 +149,6 @@ def _merge_group(group: list[_Point]) -> list[_Point]:
     return [(value, kind, ell, grid if ell is None else grid[1:])]
 
 
-def _points(merged: Iterator[_Point], tol: float) -> Iterator[_Point]:
-    """Group points within tol of the group's last member; a lone point
-    passes through as is and only collisions are merged."""
-    group = [next(merged)]
-    for point in chain(merged, _END):
-        if point[0] - group[-1][0] <= tol:
-            group.append(point)
-            continue
-        if len(group) == 1:
-            yield group[0]
-        else:
-            yield from _merge_group(group)
-        group = [point]
-
-
 _Grid = tuple[CandidateKind, float, float, float, float]
 _Layout = tuple[float, list[_Point], list[_Grid]]
 
@@ -189,7 +158,7 @@ def _layout(criterion: ErrorCriterion, n: int, interval: ParamInterval) -> _Layo
     (tol, specials, grids): the merge tolerance, the endpoints and the
     crossover as points, and each breakpoint family as (kind, div, shift,
     lo, hi), its members ell / div + shift strictly within tol of (lo, hi).
-    Both layouts, `_point_tuples` and `_point_arrays`, read it.  Raises
+    Both builders, `_span_points` and `_point_rows`, read it.  Raises
     where n makes the rates too large or the interval too wide."""
     a, b = interval.a, interval.b
     tol = DEDUP_REL_TOL * max(1.0, abs(a), abs(b))
@@ -222,47 +191,40 @@ def _layout(criterion: ErrorCriterion, n: int, interval: ParamInterval) -> _Layo
     return tol, specials, grids
 
 
-def _point_tuples(layout: _Layout) -> Iterator[_Point]:
-    """The points of `candidate_stream` as (value, kind, ell, extra_tags)
-    tuples, built lazily one at a time."""
+def _span_points(layout: _Layout, start: float, end: float) -> list[_Point]:
+    """The points of the layout with values in [start, end), in rate order,
+    as (value, kind, ell, extra_tags) tuples: one piece of `_point_rows`,
+    built by its rule in pure Python.  The members in the span padded by
+    8 tol are sorted by value, ties in the order of the specials and then
+    the families, and a group is a run of them with no gap above tol; a
+    lone member is its own point and a collision is merged."""
     tol, specials, grids = layout
-    families = [_family(*grid, tol) for grid in grids]
-    return _points(heapq.merge(specials, *families, key=itemgetter(0)), tol)
-
-
-def _special_point(layout: _Layout, special: _Point) -> _Point:
-    """The point of `_point_tuples` whose group holds ``special``, one of
-    the layout's endpoints or its crossover, tags included; of a sliver's
-    two points, the one of the special's kind, else the first.
-
-    It is built from the specials and family members within 8 tol of the
-    special alone, sorted by value in the stream's order of sources, and
-    grouped as `_points` groups.  A group spans at most 6 tol
-    (`_merge_groups`), so the special's group is among them whole, and a
-    group cut at the edge of that window lies over a tol away from it."""
-    tol, specials, grids = layout
-    value = special[0]
-    low, high = value - 8.0 * tol, value + 8.0 * tol
+    low, high = start - 8.0 * tol, end + 8.0 * tol
     rows = [point for point in specials if low < point[0] < high]
     for kind, div, shift, lo, hi in grids:
+        # the members in (lo, hi): an ell outside floor..ceil of its ends
+        # lies a step, over 8 tol, outside it, far past any rounding
         lo, hi = max(lo - tol, low), min(hi + tol, high)
-        # members are over 8 tol apart, so at most two lie in (lo, hi)
-        first = math.floor(div * (lo - shift))
-        for ell in range(first - 1, first + 3):
+        for ell in range(math.floor(div * (lo - shift)), math.ceil(div * (hi - shift)) + 1):
             v = ell / div + shift
             if lo < v < hi:
                 rows.append((v, kind, ell, ()))
     rows.sort(key=itemgetter(0))
-    # the special's group, as `_points` groups: no gap within it above tol
-    start = end = rows.index(special)
-    while start and rows[start][0] - rows[start - 1][0] <= tol:
-        start -= 1
-    while end + 1 < len(rows) and rows[end + 1][0] - rows[end][0] <= tol:
-        end += 1
-    if start == end:
-        return special
-    merged = _merge_group(rows[start:end + 1])  # a sliver's two points: a's, b's
-    return merged[-1] if special[1] is CandidateKind.ENDPOINT_B else merged[0]
+    points, group = [], rows[:1]
+    for row in rows[1:]:
+        if row[0] - group[-1][0] <= tol:
+            group.append(row)
+            continue
+        points += group if len(group) < 2 else _merge_group(group)
+        group = [row]
+    points += group if len(group) < 2 else _merge_group(group)
+    # the points outside [start, end) come from its padding, at either end
+    i, j = 0, len(points)
+    while i < j and points[i][0] < start:
+        i += 1
+    while j > i and points[j - 1][0] >= end:
+        j -= 1
+    return points[i:j]
 
 
 def _spans(layout: _Layout, end: float = math.inf) -> Iterator[tuple[float, float]]:
@@ -281,7 +243,7 @@ def _spans(layout: _Layout, end: float = math.inf) -> Iterator[tuple[float, floa
 
 
 def _point_arrays(layout: _Layout) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The points of `_point_tuples` in the same order, a chunk at a time,
+    """The points of `candidate_stream` in the same order, a chunk at a time,
     as the arrays (value, g_ell, h_ell) of `_point_rows`: one chunk per
     span of `_spans`, empty ones left out."""
     for start, end in _spans(layout):
@@ -299,7 +261,7 @@ def _point_rows(
     pieces: list[_Piece],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The points of several pieces as arrays (value, g_ell, h_ell), piece
-    after piece, each piece's in the order of `_point_tuples`: g_ell and
+    after piece, each piece's in the order of `_span_points`: g_ell and
     h_ell hold the ell of the tag that pins each window side in `_window`'s
     tag loop, or `_UNPINNED`.  Also each piece's number of points.
 
@@ -313,7 +275,7 @@ def _point_rows(
 
     The members of every family of every piece come from one ragged range
     of ell, and all rows go through one stable sort on (piece, value),
-    which breaks ties in `heapq.merge`'s order, and one grouping, whose
+    which breaks ties in `_span_points`' order, and one grouping, whose
     groups never cross from one piece to the next.
     """
     spans, tols = [], []  # (first ell, count, div, shift, low, high, priority, piece)
@@ -326,10 +288,10 @@ def _point_rows(
         spans += [(0, 1, -1.0, value, -math.inf, math.inf, _KIND_PRIORITY[kind], s)
                   for value, kind, _, _ in points if start < value < end]
         for kind, div, shift, lo, hi in grids:
-            first = math.floor(div * (max(lo, start) - shift)) - 1
-            last = math.ceil(div * (min(hi, end) - shift)) + 1
-            spans.append((first, max(0, last - first + 1), div, shift,
-                          max(lo - tol, start), min(hi + tol, end), _KIND_PRIORITY[kind], s))
+            lo, hi = max(lo - tol, start), min(hi + tol, end)
+            first, last = math.floor(div * (lo - shift)), math.ceil(div * (hi - shift))
+            spans.append((first, max(0, last - first + 1), div, shift, lo, hi,
+                          _KIND_PRIORITY[kind], s))
     first, count, div, shift, low, high, priority, seg = map(np.array, zip(*spans))
     span = np.repeat(np.arange(count.size), count)
     ells = np.arange(span.size) + (first - count.cumsum() + count)[span]
@@ -407,10 +369,13 @@ def _merge_groups(
 def candidate_stream(
     criterion: ErrorCriterion, n: int, interval: ParamInterval
 ) -> Iterator[CandidatePoint]:
-    """The points of `candidate_set`, built one at a time in the same order.
-    Bad arguments, a > b included, raise before the first point."""
+    """The points of `candidate_set` in the same order, built a span of
+    about _CHUNK points at a time.  Bad arguments, a > b included, raise
+    before the first point."""
     _check_scan(criterion, n, interval)
-    return starmap(CandidatePoint, _point_tuples(_layout(criterion, n, interval)))
+    layout = _layout(criterion, n, interval)
+    spans = starmap(partial(_span_points, layout), _spans(layout))
+    return starmap(CandidatePoint, chain.from_iterable(spans))
 
 
 def candidate_set(

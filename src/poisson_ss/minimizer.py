@@ -10,13 +10,15 @@ at a time with the scalar kernel, and returns the first one at or below
 the threshold: a failing n is usually decided there (a Relative search
 spends ~2.4 evaluations per n, most of its n failing at a), and building
 arrays or calling numpy would cost more than those few sums.  The probe,
-`_probe`, sums a's own point first, built alone by
-`candidates._special_point`, and starts the lazy tuple stream, at its
-second point, only when a passes: priming the stream's generators costs
-more than the sum at a.  The probe only looks for a failure; a full scan
-skips it.  `scan_min_coverage` checks its arguments (`_check_scan`) and
-lays the n out; a search, which checks its query once, hands `_verdict`
-each n's layout itself.
+`_probe`, builds its points as tuples a span at a time with
+`candidates._span_points` (`_prefix`).  Its first span, the rates below
+a + tol, holds a's group alone, since every other group lies more than
+tol above a; it sums a's point, and builds the next spans, each about
+_PREFIX points wide, only when a passes: building them costs more than
+the sum at a.  The probe only looks for a failure; a full scan skips it.
+`scan_min_coverage` checks its arguments (`_check_scan`) and lays the n
+out; a search, which checks its query once, hands `_verdict` each n's
+layout itself.
 
 Past the probe the scan takes the array layout from its first row, one
 chunk at a time, resolves a chunk's windows at once with `_windows` and
@@ -83,14 +85,14 @@ import numpy as np
 
 from .candidates import (
     _CHUNK,
+    _bound,
     _check_scan,
     _layout,
     _Layout,
     _Point,
     _point_arrays,
     _point_rows,
-    _point_tuples,
-    _special_point,
+    _span_points,
     _spans,
 )
 from .coverage import _coverage, _windows
@@ -151,9 +153,8 @@ def _verdict(criterion: ErrorCriterion, n: int, layout: _Layout, threshold: floa
 def _probe(criterion: ErrorCriterion, n: int, layout: _Layout, threshold: float) -> _Hit | None:
     """(witness, rank) of the first of the first _PREFIX candidates with a
     coverage at or below ``threshold``, or None, summed one at a time with
-    the scalar kernel: a's own point, then the lazy tuple stream from its
-    second point."""
-    for count, (value, kind, ell, extra_tags) in enumerate(_prefix(layout), 1):
+    the scalar kernel."""
+    for count, (value, kind, ell, extra_tags) in enumerate(islice(_prefix(layout), _PREFIX), 1):
         g, h, cov = _coverage(criterion, n, value, ((kind, ell),) + extra_tags)
         if cov <= threshold:
             return CoverageResult(lam=value, g=g, h=h, coverage=cov), count
@@ -161,10 +162,17 @@ def _probe(criterion: ErrorCriterion, n: int, layout: _Layout, threshold: float)
 
 
 def _prefix(layout: _Layout) -> Iterator[_Point]:
-    """The first _PREFIX points of `_point_tuples`, the stream started
-    only when its second point is asked for."""
-    yield _special_point(layout, layout[1][0])
-    yield from islice(_point_tuples(layout), 1, _PREFIX)
+    """The layout's points in rate order, built by `_span_points`: a's
+    group, the span below a + tol, then spans _PREFIX / (sum of the divs)
+    wide, each built only when its first point is asked for."""
+    tol, specials, grids = layout
+    start = specials[0][0] + tol
+    yield from _span_points(layout, -math.inf, start)
+    width = _PREFIX / sum(div for _, div, _, _, _ in grids)
+    while start <= specials[-1][0]:
+        end = start + width
+        yield from _span_points(layout, start, end)
+        start = end
 
 
 def _decide(
@@ -204,8 +212,8 @@ def _decide(
                 n, (_, specials, _), _ = runs[k]
                 start, end = ahead[k]
                 # `cardinality_bound` of the span's part of [a, b]
-                rows += 2.0 * n * max(0.0, min(end, specials[-1][0])
-                                      - max(start, specials[0][0])) + 7.0
+                rows += _bound(criterion, n, max(0.0, min(end, specials[-1][0])
+                                                 - max(start, specials[0][0])))
                 if ks and rows > _CHUNK:
                     break
                 ks.append(k)

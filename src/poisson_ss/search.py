@@ -29,9 +29,10 @@ candidates.  The search adds each count to ``evaluations`` and returns
 the plan at the first verdict above 1 - delta.  Where the n before was
 decided within the scan's scalar probe, n gets the public scan's own
 decision, `minimizer._verdict`, on n's layout: the coverage at a's own
-point first, the rest of the probe only if a passes, then the pass over
-the rest.  Most n of a Relative search fail at a, for one sum and a
-layout.  A failing n whose witness lies past the probe costs mostly
+point first, built alone as the span of rates below a + tol, the spans
+of the rest of the probe only if a passes, then the pass over the rest.
+Most n of a Relative search fail at a, for one sum, a layout and one
+small span.  A failing n whose witness lies past the probe costs mostly
 fixed per-n overhead (building arrays, `interval_probs` calls), not
 sums.  So after such an n the search skips the probe and decides the
 next n in a batched run, the scan's own pass `minimizer._decide` over

@@ -179,8 +179,10 @@ _LARGEST_FLOAT = sys.float_info.max
 
 
 def _check_sample_size(n: int) -> None:
-    """Raise ValueError unless 1 <= n <= the largest float: every window
-    and coverage step multiplies n into floats."""
+    """Raise ValueError unless 1 <= n <= the largest float, n not a bool:
+    every window and coverage step multiplies n into floats."""
+    if isinstance(n, bool):
+        raise ValueError(f"sample size must be an integer, not a bool, got {n!r}")
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n!r}")
     if n > _LARGEST_FLOAT:

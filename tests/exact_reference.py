@@ -21,10 +21,10 @@ Everything here leans on scipy's Poisson cdf rather than the package's own
 mass kernel, keeping the two routes numerically independent.
 
 `reference_candidate_set` is the package's earlier full-list candidate
-enumeration, kept as the oracle for the streamed one in
-`poisson_ss.candidates`: it lists every family member, sorts the whole list
-once and merges colliding groups, and must yield the same points in the
-same order.
+enumeration, kept as the oracle for the span-built one in
+`poisson_ss.candidates`: it lists every family member, and
+`reference_points` sorts the whole list once and merges colliding groups;
+they must yield the same points in the same order.
 
 `reference_window` is the package's earlier float window rule, kept as the
 oracle for `poisson_ss.coverage`: the two products, a snap to the nearest
@@ -291,9 +291,16 @@ def reference_candidate_set(
         _absolute_family(raw, n, eff.eps_a, a, cx, tol)
         _relative_family(raw, n, eff.eps_r, cx, b, tol)
 
-    entries: list[tuple[float, CandidateKind, int | None]] = [*raw, *specials]
-    entries.sort(key=lambda t: (t[0], _KIND_PRIORITY[t[1]]))
+    return reference_points([*raw, *specials], tol)
 
+
+def reference_points(
+    entries: list[tuple[float, CandidateKind, int | None]], tol: float
+) -> tuple[CandidatePoint, ...]:
+    """The points of (value, kind, ell) members: one sort by (value, kind
+    priority), then a merge of each group of values within tol of the
+    previous member."""
+    entries = sorted(entries, key=lambda t: (t[0], _KIND_PRIORITY[t[1]]))
     points: list[CandidatePoint] = []
     group: list[tuple[float, CandidateKind, int | None]] = [entries[0]]
     for entry in entries[1:]:
@@ -303,7 +310,6 @@ def reference_candidate_set(
             points.extend(_merge_group(group))
             group = [entry]
     points.extend(_merge_group(group))
-
     return tuple(points)
 
 

@@ -32,9 +32,10 @@ from poisson_ss import (
 )
 from poisson_ss import candidates, coverage
 from poisson_ss.candidates import DEDUP_REL_TOL
+from poisson_ss.coverage import _PIN_SIDE, _UNPINNED
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from exact_reference import reference_candidate_set  # noqa: E402
+from exact_reference import reference_candidate_set, reference_points  # noqa: E402
 
 
 def _random_config(rng):
@@ -345,7 +346,7 @@ def test_reversed_interval_is_rejected_and_a_point_interval_is_not():
 _MARGINS = st.floats(0.05, 0.9) | st.sampled_from([0.0, 1.5])
 _GATE_CRITERIA = (st.builds(Absolute, _MARGINS) | st.builds(Relative, _MARGINS)
                   | st.builds(Mixed, _MARGINS, _MARGINS))
-_GATE_NS = st.integers(1, 40) | st.sampled_from([0, 2.5, math.nan, 10 ** 400])
+_GATE_NS = st.integers(1, 40) | st.sampled_from([0, 2.5, math.nan, 10 ** 400, True])
 _GATE_INTERVALS = st.builds(
     lambda a, width: ParamInterval(a, a + width),
     st.floats(0.0, 3.0), st.sampled_from([0.0]) | st.floats(0.0, 3.0),
@@ -472,28 +473,55 @@ def _special_layouts(draw):
     return crit, n, ParamInterval(a, a + width)
 
 
-def _assert_special_points(layout):
-    """`_special_point` of a and of b is the stream's first and last point,
-    in value `.hex()`, kind, ell and tags; the crossover's is its own point,
-    or an endpoint's whose group it joined."""
+def _pins(point):
+    """(value hex, g_ell, h_ell) of a point as `_point_rows` gives it: each
+    window side takes the ell of the last of the point's tags that pins it."""
+    value, kind, ell, extra_tags = point
+    pins = [_UNPINNED, _UNPINNED]
+    for tag_kind, tag_ell in ((kind, ell),) + extra_tags:
+        if tag_kind in _PIN_SIDE:
+            pins[_PIN_SIDE[tag_kind]] = tag_ell
+    return value.hex(), *pins
+
+
+def _assert_spans_match(layout, cuts, want):
+    """The `_span_points` of the spans between ``cuts``, in order, are the
+    points ``want`` in value `.hex()`, kind, ell and tags, and each span's
+    pins are `_point_rows`' on the same span."""
     def key(point):
         value, kind, ell, extra_tags = point
         return value.hex(), kind, ell, extra_tags
 
-    specials, points = layout[1], list(candidates._point_tuples(layout))
-    assert key(candidates._special_point(layout, specials[0])) == key(points[0])
-    assert key(candidates._special_point(layout, specials[-1])) == key(points[-1])
-    if len(specials) == 3:
-        cx = candidates._special_point(layout, specials[1])
-        own = [p for p in points if p[1] is CandidateKind.CROSSOVER]
-        assert key(cx) in [key(p) for p in own or (points[0], points[-1])]
+    edges = [-math.inf, *sorted(cuts), math.inf]
+    got = []
+    for start, end in zip(edges, edges[1:]):
+        points = candidates._span_points(layout, start, end)
+        values, g_ell, h_ell, _ = candidates._point_rows([(layout, start, end)])
+        assert [_pins(point) for point in points] == list(
+            zip([v.hex() for v in values.tolist()], g_ell.tolist(), h_ell.tolist()))
+        got += points
+    assert [key(point) for point in got] == [
+        key((p.value, p.kind, p.ell, p.extra_tags)) for p in want]
+
+
+# Cuts of the rates near a, near b (in merge tolerances off them) or within
+# [a, b] (at a fraction (off + 9) / 18 of its width); a + tol is the cut
+# after a's group that the scan's probe makes.
+_CUTS = st.lists(st.tuples(st.sampled_from("abt"),
+                           st.sampled_from([-8.0, -1.0, 0.0, 1.0, 8.0]) | st.floats(-9.0, 9.0)),
+                 max_size=4)
 
 
 @pytest.mark.seeded
 @settings(max_examples=400, deadline=None)
-@given(_special_layouts())
-def test_special_point_is_the_streams_point_of_that_special(config):
-    _assert_special_points(candidates._layout(*config))
+@given(_special_layouts(), _CUTS)
+def test_span_points_match_the_reference_and_the_array_rows(config, cuts):
+    layout = candidates._layout(*config)
+    tol, (a, *_, b) = layout[0], [value for value, _, _, _ in layout[1]]
+    at = {"a": lambda off: a + off * tol, "b": lambda off: b + off * tol,
+          "t": lambda off: a + (off + 9.0) / 18.0 * (b - a)}
+    _assert_spans_match(layout, [at[side](off) for side, off in cuts],
+                        reference_candidate_set(*config))
 
 
 @pytest.mark.parametrize("offsets", [
@@ -503,18 +531,19 @@ def test_special_point_is_the_streams_point_of_that_special(config):
     # with the crossover at 0.99 tol, the longest chain of families a's
     # group can hold: its last member nearly 5 tol from a
     (1.98, 2.97, 3.96, 4.95),
-    # a chain that starts past a's group and is cut at the window's edge
+    # a chain that starts past a's group and is cut at the padding's edge
     (1.1, 2.0, 2.9, 3.8),
     (6.5, 7.4, 8.3, 9.2),
-    # members on the window's edge, and one just inside it
+    # members on the padding's edge, and one just inside it
     (-8.0, 8.0, 7.9, -0.5),
 ])
 @pytest.mark.parametrize("crossover", [None, 0.45, 0.99, 4.5])
 @pytest.mark.parametrize("width", [20.0, 5.4])
-def test_special_point_takes_whole_chains_of_members(offsets, crossover, width):
+def test_span_points_take_whole_chains_of_members(offsets, crossover, width):
     # a hand-made layout: each family has a member at a + offset * tol
     # (ell = 0, div = 1), and the crossover, if any, lies between them; at
-    # width 5.4, b ends a chain of a, four members and the crossover
+    # width 5.4, b ends a chain of a, four members and the crossover.  The
+    # rates are cut once, every half tol from below a to past b.
     tol, a = DEDUP_REL_TOL, 1.0
     b = a + width * tol
     specials = [(a, CandidateKind.ENDPOINT_A, None, ()), (b, CandidateKind.ENDPOINT_B, None, ())]
@@ -522,4 +551,8 @@ def test_special_point_takes_whole_chains_of_members(offsets, crossover, width):
         specials.insert(1, (a + crossover * tol, CandidateKind.CROSSOVER, None, ()))
     grids = [(kind, 1.0, a + offset * tol, a, b)
              for kind, offset in zip(_FAMILY_VALUES, offsets)]
-    _assert_special_points((tol, specials, grids))
+    members = [(value, kind, None) for value, kind, _, _ in specials]
+    members += [(shift, kind, 0) for kind, _, shift, _, _ in grids if a - tol < shift < b + tol]
+    want = reference_points(members, tol)
+    for cuts in [[], *([a + k * tol / 2] for k in range(-20, 2 * int(width) + 22))]:
+        _assert_spans_match((tol, specials, grids), cuts, want)

@@ -22,7 +22,7 @@ from poisson_ss import (
     scan_min_coverage,
 )
 from poisson_ss import candidates, kernel, minimizer, search
-from poisson_ss.candidates import DEDUP_REL_TOL, _layout, _point_arrays, _point_tuples
+from poisson_ss.candidates import DEDUP_REL_TOL, _layout, _point_arrays
 from poisson_ss.coverage import _window, _windows
 from poisson_ss.minimizer import _BLOCK, _PREFIX
 
@@ -127,23 +127,46 @@ def test_early_stop_witness_is_below_threshold():
 
 def test_fail_fast_scan_builds_only_what_it_evaluates(monkeypatch):
     # [0.5, 1e6] holds about 2e6 candidates at n = 1, and the window at
-    # rate 0.5 is empty, so the first candidate already fails: a's point,
-    # built alone, and the stream is never started
-    built = []
-    grouped = candidates._points
+    # rate 0.5 is empty, so the first candidate already fails: the probe
+    # builds a's group, the span below a + tol, and no point past it
+    interval = ParamInterval(0.5, 1e6)
+    tol = DEDUP_REL_TOL * interval.b
+    spans, built = [], []
+    span_points = minimizer._span_points
 
-    def counting_points(*args):
-        for point in grouped(*args):
-            built.append(point)
-            yield point
+    def counting_span_points(layout, start, end):
+        points = span_points(layout, start, end)
+        spans.append((start, end))
+        built.extend(points)
+        return points
 
-    monkeypatch.setattr(candidates, "_points", counting_points)
-    witness, count = scan_min_coverage(
-        Relative(0.1), 1, ParamInterval(0.5, 1e6), fail_fast_threshold=0.9)
+    monkeypatch.setattr(minimizer, "_span_points", counting_span_points)
+    monkeypatch.setattr(minimizer, "_point_rows", lambda pieces: pytest.fail("arrays built"))
+    witness, count = scan_min_coverage(Relative(0.1), 1, interval, fail_fast_threshold=0.9)
     assert count == 1
     assert witness.lam == 0.5
     assert witness.coverage == 0.0
-    assert built == []
+    assert spans == [(-np.inf, 0.5 + tol)]
+    assert [point[0] for point in built] == [0.5]
+
+
+def test_stream_builds_one_span_for_its_first_point(monkeypatch):
+    # [0.5, 1e6] holds about 2e6 candidates at n = 1; the first point of
+    # the stream builds only the first span, about a chunk of points
+    spans, built = [], []
+    span_points = candidates._span_points
+
+    def counting_span_points(layout, start, end):
+        points = span_points(layout, start, end)
+        spans.append((start, end))
+        built.extend(points)
+        return points
+
+    monkeypatch.setattr(candidates, "_span_points", counting_span_points)
+    first = next(candidate_stream(Relative(0.1), 1, ParamInterval(0.5, 1e6)))
+    assert first.value == 0.5
+    assert len(spans) == 1
+    assert len(built) <= candidates._CHUNK + 16
 
 
 # Round margins put n * eps, 2 n eps and the crossover on lattice values, so
@@ -260,19 +283,9 @@ def _array_rows(crit, n, interval):
 
 
 def _tuple_rows(crit, n, interval):
-    """The same rows from the lazy layout and the scalar window."""
-    return [(value.hex(), *_window(crit, n, value, ((kind, ell),) + extra_tags))
-            for value, kind, ell, extra_tags in _point_tuples(_layout(crit, n, interval))]
-
-
-@pytest.mark.seeded
-@settings(max_examples=300, deadline=None)
-@given(_scans(), _SMALL_CHUNKS | st.just(candidates._CHUNK))
-def test_array_layout_matches_the_lazy_stream_row_for_row(config, chunk):
-    crit, n, interval, _ = config
-    want = _tuple_rows(crit, n, interval)
-    with mock.patch.object(candidates, "_CHUNK", chunk):
-        assert _array_rows(crit, n, interval) == want
+    """The same rows from the stream and the scalar window."""
+    return [(p.value.hex(), *_window(crit, n, p.value, ((p.kind, p.ell),) + p.extra_tags))
+            for p in candidate_stream(crit, n, interval)]
 
 
 @st.composite

@@ -184,3 +184,6 @@ def test_every_sample_size_check_refuses_zero_and_a_size_above_the_largest_float
         call(0)
     with pytest.raises(ValueError, match="no larger than the largest float"):
         call(10 ** 400)
+    # a bool is not a sample size, though True == 1
+    with pytest.raises(ValueError, match="not a bool"):
+        call(True)
