@@ -107,13 +107,12 @@ def _bound(criterion: ErrorCriterion, n: int, width: float) -> float:
 
 
 def _check_scan(criterion: ErrorCriterion, n: int, interval: ParamInterval) -> None:
-    """The one rule for a fixed-n (criterion, n, [a, b]): margins inside
-    (0, 1), 1 <= n <= the largest float, n an integer, a and b finite and
-    a <= b; a == b is a one-rate interval.  Raises on the first broken part."""
+    """The one rule for a fixed-n (criterion, n, [a, b]): the margins and n
+    by their rules in `types` (`_check_margins`, `_check_sample_size`),
+    then a and b finite and a <= b; a == b is a one-rate interval.  Raises
+    on the first broken part."""
     _check_margins(criterion)
     _check_sample_size(n)
-    if n % 1:
-        raise ValueError(f"sample size must be an integer, got {n!r}")
     a, b = interval.a, interval.b
     if not (math.isfinite(a) and math.isfinite(b)):
         raise NonFiniteBound(
@@ -299,20 +298,15 @@ def _point_rows(
     # the members strictly within tol of (lo, hi) and in (start, end)
     keep = (values > low[span]) & (values < high[span])
     values, ells, span = values[keep], ells[keep], span[keep]
-    key, tol = values, tols[0]
-    if len(pieces) > 1:
-        key = np.empty(values.size, dtype=np.complex128)  # sorts on (real, imag)
-        key.real, key.imag = seg[span], values
+    key = np.empty(values.size, dtype=np.complex128)  # sorts on (real, imag)
+    key.real, key.imag = seg[span], values
     order = np.argsort(key, kind="stable")
     values, ells, span = values[order], ells[order], span[order]
     priority, seg = priority[span], seg[span]
     gap = np.empty(values.size)
     gap[:1], gap[1:] = math.inf, values[1:] - values[:-1]
-    if len(pieces) > 1:
-        starts = seg.searchsorted(np.arange(1, len(pieces)))
-        gap[starts[starts < gap.size]] = math.inf  # a group never crosses pieces
-        tol = np.array(tols)[seg]
-    heads = np.flatnonzero(gap > tol)
+    gap[1:][seg[1:] != seg[:-1]] = math.inf  # a group never crosses pieces
+    heads = np.flatnonzero(gap > np.array(tols)[seg])
     values, g_ell, h_ell, seg = _merge_groups(values, priority, ells, seg, heads)
     if np.isfinite(cuts).any():
         keep = (values >= cuts[0][seg]) & (values < cuts[1][seg])

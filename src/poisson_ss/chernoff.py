@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .types import _check_sample_size
+from .types import _check_delta, _check_margin, _check_rate, _check_sample_size
 
 TWO_LN2_MINUS_1 = 2.0 * math.log(2.0) - 1.0
 
@@ -37,10 +37,8 @@ class TailBounds:
 def tail_bounds(n: int, lam: float, eps: float) -> TailBounds:
     """Closed-form exponential bounds on both relative tails."""
     _check_sample_size(n)
-    if not (lam >= 0.0):
-        raise ValueError(f"rate must be nonnegative, got {lam!r}")
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"margin must lie strictly inside (0, 1), got {eps!r}")
+    _check_rate(lam)
+    _check_margin(eps)
     x = n * lam * eps * eps
     return TailBounds(
         lower=min(1.0, math.exp(-0.5 * x)),
@@ -62,10 +60,8 @@ def lambda_threshold(n: int, eps_r: float, delta: float) -> float:
     rate is certified and the threshold is inf.
     """
     _check_sample_size(n)
-    if not (0.0 < eps_r < 1.0):
-        raise ValueError(f"margin must lie strictly inside (0, 1), got {eps_r!r}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"risk level must lie strictly inside (0, 1), got {delta!r}")
+    _check_margin(eps_r)
+    _check_delta(delta)
     return _threshold(n, eps_r, delta)
 
 

@@ -22,11 +22,13 @@ rejected with a reason.  Machine output serializes every float with 17
 significant digits so values round-trip exactly, and is strict JSON: a
 non-finite float (the upper bound b = inf that ``size`` accepts for a
 relative or mixed margin, whose tail bound makes the scan finite) is
-written as null.  The rows of ``coverage`` and
-``candidates`` are kept as tuples and written with one ``%`` template per
-row and format, byte for byte what formatting each value apart gives; a
-row float that is inf or NaN, found from its block's arrays, is null in
-JSON too.
+written as null.  The rows of ``coverage`` and ``candidates`` are kept as
+tuples and written with one ``%`` template per row and format, byte for
+byte what formatting each value apart gives.  Their floats are finite by
+construction, so no row needs the null rule: those commands need a finite
+0 <= a < b, every candidate and grid rate lies in [a, b], every coverage
+is clamped to [0, 1], and a Poisson mean above 2**38 raises before any
+row is written.
 
 Exit codes: 0 success, 1 validation error, 2 budget exceeded, 3 internal
 verification failure.  No other value is ever returned.
@@ -37,17 +39,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
 import sys
 import time
-
-import numpy as np
 
 from .candidates import _layout, _point_arrays, candidate_set, cardinality_bound
 from .minimizer import _blocks, min_coverage
 from .oracle import (
     _MAX_GRID_POINTS,
     _check_points,
+    _check_seed,
     _check_trials,
     _grid_rows,
     brute_force_coverage,
@@ -109,17 +109,11 @@ _COVERAGE_JSON = '{"lambda": %.17g, "g": %d, "h": %d, "coverage": %.17g}'
 _COVERAGE_CSV = "%.17g,%d,%d,%.17g\n"
 _CANDIDATE_JSON = '{"lambda": %.17g, "kind": %s, "ell": %s, "extra_tags": %s}'
 _CANDIDATE_TEXT = "%.17g  %s%s%s\n"
-# "%.17g" of inf, -inf or NaN, where a row template writes a float value
-_NON_FINITE = re.compile(r"(?<=: )(?:-?inf|nan)(?=[,}])")
 
 
 class _Rows(list):
     """A result's row tuples, which `_jsonify` writes as one ``to_json(row)``
-    text per row.  ``finite`` is false when a float in them is inf or NaN:
-    the row text then holds that float's "%.17g" text, which `_jsonify`
-    replaces by null."""
-
-    finite = True
+    text per row; their floats are finite (see the module docstring)."""
 
     def __init__(self, to_json) -> None:
         super().__init__()
@@ -150,8 +144,7 @@ def _jsonify(obj) -> str:
     if kind is int:
         return int.__repr__(obj)
     if kind is _Rows:
-        text = "[" + ", ".join(map(obj.to_json, obj)) + "]"
-        return text if obj.finite else _NON_FINITE.sub("null", text)
+        return "[" + ", ".join(map(obj.to_json, obj)) + "]"
     if isinstance(obj, str):
         return _json_string(obj)
     if isinstance(obj, dict):
@@ -301,9 +294,6 @@ def _execute_coverage(ns: argparse.Namespace) -> tuple[dict, int]:
         blocks = _blocks(criterion, ns.n, _point_arrays(_layout(criterion, ns.n, interval)))
     rows = _Rows(_COVERAGE_JSON.__mod__)
     for lams, gs, hs, covs in blocks:
-        # dtype=float also reads the Python floats of an object-dtype block
-        # (oracle._grid_rows' per-rate chunk)
-        rows.finite &= bool(np.isfinite(np.asarray((lams, covs), dtype=float)).all())
         rows.extend(zip(lams.tolist(), gs.tolist(), hs.tolist(), covs.tolist()))
     result = {
         "criterion": _criterion_obj(criterion),
@@ -333,7 +323,6 @@ def _execute_candidates(ns: argparse.Namespace) -> tuple[dict, int]:
     bound = _row_bound(criterion, ns.n, interval)
     points = candidate_set(criterion, ns.n, interval)
     bound_holds = len(points) < bound
-    # every rate lies in the finite [a, b], so the rows stay finite
     rows = _Rows(_candidate_json)
     rows.extend((p.value, p.kind.value, p.ell,
                  tuple((kind.value, ell) for kind, ell in p.extra_tags))
@@ -359,8 +348,7 @@ def _execute_verify(ns: argparse.Namespace) -> tuple[dict, int]:
     criterion, interval, conf = _problem(ns)
     _check_trials(ns.trials)  # bad sizes fail before any search
     _check_points(ns.grid_points)
-    if ns.seed < 0:
-        raise ValidationError(f"--seed must be >= 0, got {ns.seed}")
+    _check_seed(ns.seed)
     n = ns.n
     if n is None:
         n = min_sample_size(criterion, interval, conf).n_min

@@ -20,7 +20,9 @@ Coverage at lam is then the Poisson(n * lam) mass of the window.
 At a candidate breakpoint the side its tag names comes from the integer
 ell instead.  The whole rule, float and tagged sides, lives in `_window`,
 which every public function here and the scan's first candidates go
-through; the scan passes plain fields and builds no objects.  `_windows`
+through; the scan passes plain fields and builds no objects.  The public
+functions check the margins and n once (`types`); `_window` checks only
+the rate, so a scan's probe sums do not check n again.  `_windows`
 is the same rule over arrays, for the scan's chunks, the grid oracle and
 a batched run's rows of several n, one n per row.
 """
@@ -42,6 +44,7 @@ from .types import (
     MarginTooNarrow,
     Mixed,
     _check_margins,
+    _check_rate,
     _check_sample_size,
 )
 
@@ -102,10 +105,9 @@ def _window(criterion: ErrorCriterion, n: int, lam: float, tags: tuple) -> tuple
     sides, snapped or pinned, fall on one count strictly between the
     products, the margin is below what the rule resolves and the window
     would drop that count: that raises `MarginTooNarrow`.  The caller has
-    checked the criterion's margins."""
-    _check_sample_size(n)
-    if not (lam >= 0.0):
-        raise ValueError(f"rate must be nonnegative, got {lam!r}")
+    checked the criterion's margins and n, once per call or per search, so
+    a scan's probe sums check neither; the rate is checked here."""
+    _check_rate(lam)
     if isinstance(criterion, Mixed):
         absolute = lam <= criterion.crossover
         eps = criterion.eps_a if absolute else criterion.eps_r
@@ -208,12 +210,14 @@ def _coverage(
 def acceptance_bounds(criterion: ErrorCriterion, n: int, lam: float) -> AcceptanceBounds:
     """Window of total counts for which the error event holds at rate lam."""
     _check_margins(criterion)
+    _check_sample_size(n)
     return AcceptanceBounds(*_window(criterion, n, lam, ()))
 
 
 def coverage_at(criterion: ErrorCriterion, n: int, lam: float) -> CoverageResult:
     """Probability that the error event holds at rate lam with n samples."""
     _check_margins(criterion)
+    _check_sample_size(n)
     g, h, cov = _coverage(criterion, n, lam, ())
     return CoverageResult(lam=lam, g=g, h=h, coverage=cov)
 
@@ -224,6 +228,7 @@ def coverage_at_point(
     """Coverage at a candidate point through the window its tags pin
     (`_window`); an untagged point gets `acceptance_bounds`' window."""
     _check_margins(criterion)
+    _check_sample_size(n)
     g, h, cov = _coverage(criterion, n, point.value,
                           ((point.kind, point.ell),) + point.extra_tags)
     return CoverageResult(lam=point.value, g=g, h=h, coverage=cov)

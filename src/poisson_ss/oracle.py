@@ -36,6 +36,8 @@ from .types import (
     Mixed,
     ParamInterval,
     Relative,
+    _check_integer,
+    _check_rate,
     _check_sample_size,
 )
 
@@ -75,13 +77,21 @@ def _inside(n: int, lam: float, margin: float) -> tuple[float, float]:
 
 
 def _check_trials(trials: int) -> None:
+    _check_integer("trials", trials)
     if not (1 <= trials <= _MAX_TRIALS):
         raise ValueError(f"trials must be 1 to {_MAX_TRIALS}, got {trials!r}")
 
 
 def _check_points(points: int) -> None:
+    _check_integer("grid points", points)
     if not (2 <= points <= _MAX_GRID_POINTS):
         raise ValueError(f"grid needs 2 to {_MAX_GRID_POINTS} points, got {points!r}")
+
+
+def _check_seed(seed: int) -> None:
+    _check_integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
 
 
 def _grid_rows(
@@ -149,25 +159,18 @@ def _margin(criterion: ErrorCriterion, lam: float) -> float:
     raise TypeError(f"unknown criterion type: {criterion!r}")
 
 
-def brute_force_coverage(
-    criterion: ErrorCriterion,
-    n: int,
-    lam: float,
-    k_max: int | None = None,
-) -> float:
+def brute_force_coverage(criterion: ErrorCriterion, n: int, lam: float) -> float:
     """Coverage by direct enumeration of total counts.
 
     For each k in [0, k_max] the error event is re-derived from the margin
     inequality with estimate k/n; no acceptance window is consulted.  The
-    default k_max, ceil(n lam + 40 sqrt(n lam + 1)), leaves a neglected tail
+    cut k_max = ceil(n lam + 40 sqrt(n lam + 1)) leaves a neglected tail
     far below 1e-12.
     """
     _check_sample_size(n)
-    if not (lam >= 0.0):
-        raise ValueError(f"rate must be nonnegative, got {lam!r}")
+    _check_rate(lam)
     mu = n * lam
-    if k_max is None:
-        k_max = math.ceil(mu + 40.0 * math.sqrt(mu + 1.0))
+    k_max = math.ceil(mu + 40.0 * math.sqrt(mu + 1.0))
     lo, hi = _inside(n, lam, _margin(criterion, lam))
     terms = [pmf(k, mu) for k in range(k_max + 1) if lo < k / n - lam < hi]
     return min(1.0, math.fsum(terms))
@@ -189,11 +192,9 @@ def monte_carlo_coverage(
     the same (seed, trials) always gives the same estimate.
     """
     _check_sample_size(n)
-    if not (lam >= 0.0):
-        raise ValueError(f"rate must be nonnegative, got {lam!r}")
+    _check_rate(lam)
     _check_trials(trials)
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed!r}")
+    _check_seed(seed)
 
     mu = n * lam
     lo, hi = _inside(n, lam, _margin(criterion, lam))

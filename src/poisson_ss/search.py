@@ -66,14 +66,17 @@ is a candidate, and the crossover's absolute window excludes K = 0 too.
 A budget max_n below that bound is reported before any scan.
 
 The query is checked once per search, not at every n.  `validate` checks
-the margins, delta and [a, b], and the fixed-n rule of the public calls,
+the margins, delta and [a, b], start_n and max_n are integers
+(`types._check_integer`), and the fixed-n rule of the public calls,
 `candidates._check_scan`, runs once, for start_n over [a, scan_b].  No
 part of that rule that passes there fails at a later n.  scan_b only
 shrinks as n grows, so it stays finite if it is finite at start_n, and
 an n is scanned only where scan_b lies above a.  `_layout` refuses every
 n above about 1.25e11 as too wide, long before n could pass the largest
-float; where only a is left, `coverage_at` checks n itself.  So each n
-is laid out (`_layout`) and truncated (`chernoff._threshold`) with no
+float.  Where only a is left, its coverage (`coverage._coverage`) does
+not check n either: an n past the largest float there is summed at the
+float it rounds to, as its threshold already is.  So each n is laid out
+(`_layout`), truncated (`chernoff._threshold`) and summed with no
 checks.  What depends on n is still raised at the n it comes from: rates
 too large or an interval too wide for n's layout, and a margin too
 narrow for the window rule at some rate (`MarginTooNarrow`).
@@ -82,19 +85,20 @@ narrow for the window rule at some rate (`MarginTooNarrow`).
 from __future__ import annotations
 
 import math
-import numbers
 
 from .candidates import _CHUNK, _bound, _check_scan, _layout, _Layout
 from .chernoff import _threshold
-from .coverage import coverage_at
+from .coverage import _coverage
 from .minimizer import _PREFIX, _decide, _verdict
 from .types import (
     ConfidenceSpec,
+    CoverageResult,
     ErrorCriterion,
     Mixed,
     ParamInterval,
     Relative,
     SampleSizePlan,
+    _check_integer,
     _check_sample_size,
     validate,
 )
@@ -192,9 +196,8 @@ def min_sample_size(
     observation as no estimate at all.
     """
     validate(criterion, interval, conf)
-    for name, value in (("start_n", start_n), ("max_n", max_n)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    _check_integer("start_n", start_n)
+    _check_integer("max_n", max_n)
     start_n, max_n = int(start_n), int(max_n)
     if start_n < 1:
         raise ValueError(f"start_n must be >= 1, got {start_n!r}")
@@ -227,7 +230,7 @@ def min_sample_size(
         scan_b = _scan_b(criterion, interval, delta, n)
         if scan_b <= a:
             # The tail bounds certify every rate above a; only a itself is left.
-            verdicts = [(coverage_at(criterion, n, a), 1)]
+            verdicts = [(CoverageResult(a, *_coverage(criterion, n, a, ())), 1)]
         elif rank > _PREFIX:
             verdicts = _decide(criterion, _run(criterion, interval, delta, n, max_n, last),
                                level)
@@ -242,8 +245,8 @@ def min_sample_size(
                     worst_lambda=result.lam,
                     worst_coverage=result.coverage,
                     evaluations=evaluations,
-                    # a where the tail bounds leave only a
-                    truncated_b=max(a, _scan_b(criterion, interval, delta, n)),
+                    # a where the tail bounds leave only a; a float, as b may be an int
+                    truncated_b=float(max(a, _scan_b(criterion, interval, delta, n))),
                 )
             last = (n, result.lam, rank)
             n += 1

@@ -5,11 +5,18 @@ event should hold, over which range of unknown rates it must hold, and with
 what probability.  The dataclasses here are plain carriers; `validate` is the
 single gate that enforces every field invariant, so anything downstream of a
 successful `validate` call may assume a well-formed configuration.
+
+Each argument rule is written once, here, and every public call goes
+through it: `_check_integer` for a count (a sample size, a search bound, a
+seed, a number of trials or grid points), `_check_sample_size` for n,
+`_check_rate` for a rate, `_check_margin` for one margin and
+`_check_margins` for a criterion's, and `_check_delta` for a risk level.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -178,32 +185,57 @@ class SampleSizePlan:
 _LARGEST_FLOAT = sys.float_info.max
 
 
+def _check_integer(name: str, value: int) -> None:
+    """Raise ValueError unless ``value`` is an integer: a `numbers.Integral`
+    and not a bool (numpy's bool is no `numbers.Integral`), so neither
+    2.5, 276.0 nor True is a count.  The message names the argument."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_sample_size(n: int) -> None:
-    """Raise ValueError unless 1 <= n <= the largest float, n not a bool:
-    every window and coverage step multiplies n into floats."""
-    if isinstance(n, bool):
-        raise ValueError(f"sample size must be an integer, not a bool, got {n!r}")
+    """Raise ValueError unless n is an integer (`_check_integer`) from 1 to
+    the largest float: every window and coverage step multiplies n into
+    floats."""
+    _check_integer("sample size", n)
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n!r}")
     if n > _LARGEST_FLOAT:
         raise ValueError(
-            f"sample size must be an integer no larger than the largest float, "
+            f"sample size must be no larger than the largest float, "
             f"{_LARGEST_FLOAT!r}")
 
 
+def _check_rate(lam: float) -> None:
+    """Raise ValueError unless the rate is nonnegative (NaN is not)."""
+    if not (lam >= 0.0):
+        raise ValueError(f"rate must be nonnegative, got {lam!r}")
+
+
+def _check_margin(eps: float) -> None:
+    """Raise `EpsilonOutOfRange` unless the margin lies strictly inside
+    (0, 1)."""
+    if not (0.0 < eps < 1.0):
+        raise EpsilonOutOfRange(f"margin must lie strictly inside (0, 1), got {eps!r}")
+
+
 def _check_margins(criterion: ErrorCriterion) -> None:
-    """Raise `EpsilonOutOfRange` unless every margin lies strictly inside
-    (0, 1), and TypeError for a criterion of unknown type."""
+    """`_check_margin` for every margin of the criterion, and TypeError for
+    a criterion of unknown type."""
     if isinstance(criterion, (Absolute, Relative)):
-        eps_values: tuple[float, ...] = (criterion.eps,)
+        _check_margin(criterion.eps)
     elif isinstance(criterion, Mixed):
-        eps_values = (criterion.eps_a, criterion.eps_r)
+        _check_margin(criterion.eps_a)
+        _check_margin(criterion.eps_r)
     else:
         raise TypeError(f"unknown criterion type: {criterion!r}")
-    for eps in eps_values:
-        if not (0.0 < eps < 1.0):
-            raise EpsilonOutOfRange(
-                f"margin must lie strictly inside (0, 1), got {eps!r}")
+
+
+def _check_delta(delta: float) -> None:
+    """Raise `DeltaOutOfRange` unless the risk level lies strictly inside
+    (0, 1)."""
+    if not (0.0 < delta < 1.0):
+        raise DeltaOutOfRange(f"risk level must lie strictly inside (0, 1), got {delta!r}")
 
 
 def validate(
@@ -225,9 +257,7 @@ def validate(
     if not isinstance(criterion, (Absolute, Relative, Mixed)):
         raise ValidationError(f"unknown criterion type: {criterion!r}")
     _check_margins(criterion)
-    if not (0.0 < conf.delta < 1.0):
-        raise DeltaOutOfRange(
-            f"risk level must lie strictly inside (0, 1), got {conf.delta!r}")
+    _check_delta(conf.delta)
     if 1.0 - conf.delta == 1.0:
         raise DeltaOutOfRange(
             f"risk level {conf.delta!r} is too small for floats: 1 - delta rounds "

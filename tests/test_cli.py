@@ -323,31 +323,6 @@ def test_grid_output_of_the_per_rate_chunk_matches_the_per_row_writer(config):
     _assert_grid_output_matches_the_per_row_writer(*config)
 
 
-def _non_finite_blocks(*args):
-    yield (np.array([0.0, math.inf]), np.array([0, 1]), np.array([0, 2]),
-           np.array([1.0, math.nan]))
-    yield (np.array([0.5, 1.0]), np.array([1, 2]), np.array([1, 3]),
-           np.array([-math.inf, 0.25]))
-    yield tuple(np.array(column, dtype=object)
-                for column in ([2.0, math.nan], [3, 10**20], [4, 10**20], [0.5, math.inf]))
-
-
-@pytest.mark.parametrize("route, extra", [("_blocks", []), ("_grid_rows", ["--grid", "4"])])
-def test_non_finite_row_values_are_null_in_json_and_fmt_text_in_csv(route, extra):
-    crit, n, interval = Absolute(0.25), 2, ParamInterval(0.0, 1.0)
-    argv = _argv("coverage", crit, n, interval) + extra
-    want_json, want_csv = _coverage_reference(_head(crit, n, interval), _non_finite_blocks())
-    with mock.patch.object(cli, route, _non_finite_blocks):
-        got_json = _stdout(argv + ["--format", "json"])
-        got_csv = _stdout(argv)
-    assert got_json == want_json
-    rows = json.loads(got_json, parse_constant=_reject_constant)["rows"]
-    assert [(row["lambda"], row["coverage"]) for row in rows] == [
-        (0.0, 1.0), (None, None), (0.5, None), (1.0, 0.25), (2.0, 0.5), (None, None)]
-    assert got_csv == want_csv
-    assert got_csv.splitlines()[1:3] == ["0,0,0,1", "inf,1,2,nan"]
-
-
 def test_candidates_json_listing(capsys):
     code, out, _ = run(capsys, [
         "candidates", "--criterion", "abs", "--eps", "0.25",

@@ -191,10 +191,11 @@ def test_brute_force_matches_window_mass():
 
 
 def test_brute_force_insensitive_to_tail_cut():
-    crit = Mixed(0.3, 0.25)
-    short = brute_force_coverage(crit, 11, 1.37)
-    long = brute_force_coverage(crit, 11, 1.37, k_max=2000)
-    assert short == pytest.approx(long, abs=1e-13)
+    # the counts past the cut ceil(mu + 40 sqrt(mu + 1)) add nothing visible
+    crit, n, lam = Mixed(0.3, 0.25), 11, 1.37
+    lo, hi = oracle._inside(n, lam, max(crit.eps_a, crit.eps_r * lam))
+    long = math.fsum(kernel.pmf(k, n * lam) for k in range(2001) if lo < k / n - lam < hi)
+    assert brute_force_coverage(crit, n, lam) == pytest.approx(min(1.0, long), abs=1e-13)
 
 
 def test_brute_force_argument_validation():
@@ -279,3 +280,21 @@ def test_monte_carlo_argument_validation():
         monte_carlo_coverage(Absolute(0.2), 3, 1.0, trials=10, seed=-1)
     with pytest.raises(ValueError, match="trials must be 1 to"):
         monte_carlo_coverage(Absolute(0.2), 3, 1.0, trials=_MAX_TRIALS + 1)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work done before the arguments were checked")
+
+
+@pytest.mark.parametrize("value", [10.5, True, np.True_])
+@pytest.mark.parametrize("call", [
+    lambda value: monte_carlo_coverage(Absolute(0.2), 3, 1.0, trials=value),
+    lambda value: monte_carlo_coverage(Absolute(0.2), 3, 1.0, trials=10, seed=value),
+    lambda value: grid_min_coverage(Absolute(0.2), 3, ParamInterval(0.0, 1.0), points=value),
+])
+def test_seed_trials_and_points_are_integers_checked_before_any_work(monkeypatch, call, value):
+    monkeypatch.setattr(np.random, "Philox", _no_work)
+    monkeypatch.setattr(oracle, "_windows", _no_work)
+    monkeypatch.setattr(oracle, "coverage_at", _no_work)
+    with pytest.raises(ValueError, match=r"^(trials|seed|grid points) must be an integer, got "):
+        call(value)

@@ -139,7 +139,7 @@ def _forbid_coverage(monkeypatch):
     """Make every route by which the search decides an n raise."""
     def evaluated(*args, **kwargs):
         raise AssertionError("coverage was evaluated")
-    for name in ("_verdict", "_decide", "coverage_at"):
+    for name in ("_verdict", "_decide", "_coverage"):
         monkeypatch.setattr(poisson_ss.search, name, evaluated)
 
 
@@ -841,10 +841,10 @@ SEARCH_ERRORS = [
      MaxSampleSizeExceeded, "no sufficient sample size found with n <= 1000000: "
      "relative coverage at a = 1e-300 needs n > ln(1/delta) / a = 2.99573e+300", False),
     (Absolute(0.1), ParamInterval(0.0, 1.0), 0.1, {"start_n": 10 ** 400, "max_n": 10 ** 401},
-     ValueError, "sample size must be an integer no larger than the largest float, "
+     ValueError, "sample size must be no larger than the largest float, "
      "1.7976931348623157e+308", False),
     (Relative(0.1), ParamInterval(0.5, 1.0), 0.1, {"start_n": 10 ** 400, "max_n": 10 ** 401},
-     ValueError, "sample size must be an integer no larger than the largest float, "
+     ValueError, "sample size must be no larger than the largest float, "
      "1.7976931348623157e+308", False),
 ]
 
@@ -866,6 +866,10 @@ def test_absolute_criterion_has_nothing_to_truncate():
                            ConfidenceSpec(0.5))
     assert plan.n_min == 3
     assert plan.truncated_b == 0.5
+    # integer bounds still give a float, so .hex() works
+    plan = min_sample_size(Absolute(0.3), ParamInterval(0, 1), ConfidenceSpec(0.1))
+    assert type(plan.truncated_b) is float
+    assert plan.truncated_b.hex() == (1.0).hex()
 
 
 def test_default_options():

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import poisson_ss
@@ -170,10 +171,20 @@ def test_candidate_point_grid_tags_collects_all_memberships():
     assert merged.grid_tags() == ((CandidateKind.REL_LOWER, 3),)
 
 
+_UNIT = ParamInterval(0.0, 1.0)
+
+
 @pytest.mark.parametrize("call", [
-    lambda n: poisson_ss.cardinality_bound(Absolute(0.1), n, ParamInterval(0.0, 1.0)),
-    lambda n: poisson_ss.candidate_set(Absolute(0.1), n, ParamInterval(0.0, 1.0)),
+    lambda n: poisson_ss.cardinality_bound(Absolute(0.1), n, _UNIT),
+    lambda n: poisson_ss.candidate_set(Absolute(0.1), n, _UNIT),
+    lambda n: tuple(poisson_ss.candidate_stream(Absolute(0.1), n, _UNIT)),
+    lambda n: poisson_ss.min_coverage(Absolute(0.1), n, _UNIT),
+    lambda n: poisson_ss.scan_min_coverage(Absolute(0.1), n, _UNIT, 0.9),
+    lambda n: poisson_ss.grid_min_coverage(Absolute(0.1), n, _UNIT, points=11),
+    lambda n: poisson_ss.acceptance_bounds(Absolute(0.1), n, 0.5),
     lambda n: poisson_ss.coverage_at(Absolute(0.1), n, 0.5),
+    lambda n: poisson_ss.coverage_at_point(
+        Absolute(0.1), n, CandidatePoint(0.5, CandidateKind.ENDPOINT_A)),
     lambda n: poisson_ss.tail_bounds(n, 0.5, 0.1),
     lambda n: poisson_ss.lambda_threshold(n, 0.1, 0.1),
     lambda n: poisson_ss.brute_force_coverage(Absolute(0.1), n, 0.5),
@@ -184,6 +195,8 @@ def test_every_sample_size_check_refuses_zero_and_a_size_above_the_largest_float
         call(0)
     with pytest.raises(ValueError, match="no larger than the largest float"):
         call(10 ** 400)
-    # a bool is not a sample size, though True == 1
-    with pytest.raises(ValueError, match="not a bool"):
-        call(True)
+    # n is an integer: not a float, even one with an integer value, and not
+    # a bool of any kind, though True == 1
+    for n in (2.5, 276.0, math.nan, True, np.True_):
+        with pytest.raises(ValueError, match=r"^sample size must be an integer, got "):
+            call(n)
