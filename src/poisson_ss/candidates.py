@@ -31,7 +31,9 @@ chains `_span_points` over them, building a span only when its first
 point is asked for.  `_point_arrays` builds one layout span after span as
 arrays, so a scan past its first few candidates never holds more than a
 chunk, and a batched run of consecutive n (see `minimizer`) builds a span
-of each of its n in one call, one piece per n.
+of each of its n in one call, one piece per n.  `_pins_at_a` gives the
+pins of a's own point, the first one, for many n at once in closed form,
+without a layout: the search's blocks at a (see `search`).
 """
 
 from __future__ import annotations
@@ -188,6 +190,57 @@ def _layout(criterion: ErrorCriterion, n: int, interval: ParamInterval) -> _Layo
             f"the interval [{a!r}, {b!r}] is too wide for n = {n!r}: floats "
             "cannot tell its breakpoints apart")
     return tol, specials, grids
+
+
+def _pins_at_a(
+    criterion: ErrorCriterion, ns: np.ndarray, a: float, bs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pins (g_ell, h_ell) of a's point for each n of the int64 array
+    ``ns`` laid out over [a, b], b from ``bs``, as `_point_rows` gives them,
+    for the leading n whose `_layout` would not raise; a b at or below a
+    leaves a alone, with no layout and no pin.
+
+    `_layout`'s rule in closed form, each family over its own range.  Its
+    spacing check fails wherever its finiteness check does, b being
+    finite, so it alone ends the pins.  a's group spans at most 6 tol, and
+    a family's members lie over 8 tol apart, so only the two members on
+    either side of a can join it.  They, b and the crossover are grouped
+    as `_span_points` groups them, and a side takes the ell of the member
+    of greatest priority that pins it in a's group."""
+    tol = DEDUP_REL_TOL * np.maximum(max(1.0, abs(a)), np.abs(bs))
+    if isinstance(criterion, Mixed):  # the pieces of `effective_criterion`
+        cx = criterion.crossover
+        pieces = ((Absolute(criterion.eps_a), a, np.minimum(cx, bs), cx > a),
+                  (Relative(criterion.eps_r), max(cx, a), bs, cx < bs))
+    else:
+        cx, pieces = math.inf, ((criterion, a, bs, True),)
+    laid = bs > a
+    wide = np.zeros(ns.size, dtype=bool)
+    values = [np.full(ns.size, a), bs, np.where((a < cx) & (cx < bs), cx, math.inf)]
+    pins = []  # (side, ell) of each member column after those three
+    for piece, lo, hi, live in pieces:
+        for kind, div, shift in _progressions(piece, ns):
+            wide |= laid & live & (8.0 * tol * div >= 1.0)
+            below = np.floor(div * (a - shift))
+            for ell in (below, below + 1.0):
+                value = ell / div + shift
+                values.append(np.where(live & (lo - tol < value) & (value < hi + tol),
+                                       value, math.inf))
+                pins.append((_PIN_SIDE[kind], ell))
+    end = wide.argmax() if wide.any() else ns.size
+    table = np.stack(values, axis=1)[:end]
+    order = table.argsort(axis=1)
+    ranked = np.take_along_axis(table, order, axis=1)
+    group = np.zeros(table.shape, dtype=np.int64)
+    with np.errstate(invalid="ignore"):  # inf - inf past the last member
+        np.cumsum(np.diff(ranked, axis=1) > tol[:end, None], axis=1, out=group[:, 1:])
+    joins = group == group[np.arange(end), (order == 0).argmax(axis=1), None]
+    np.put_along_axis(joins, order, joins.copy(), axis=1)
+    joins &= laid[:end, None]
+    out = np.full((2, end), _UNPINNED)
+    for (side, ell), join in zip(pins, joins.T[3:]):  # in priority order
+        out[side] = np.where(join, ell[:end], out[side])
+    return out[0], out[1]
 
 
 def _span_points(layout: _Layout, start: float, end: float) -> list[_Point]:

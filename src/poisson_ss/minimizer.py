@@ -18,7 +18,9 @@ _PREFIX points wide, only when a passes: building them costs more than
 the sum at a.  The probe only looks for a failure; a full scan skips it.
 `scan_min_coverage` checks its arguments (`_check_scan`) and lays the n
 out; a search, which checks its query once, hands `_verdict` each n's
-layout itself.
+layout itself.  `_fails_at_a` gives the probe's first verdict, a's, for
+a block of consecutive n at once: one `_windows` and one `interval_probs`
+call over one row per n.
 
 Past the probe the scan takes the array layout from its first row, one
 chunk at a time, resolves a chunk's windows at once with `_windows` and
@@ -89,6 +91,7 @@ from .candidates import (
     _check_scan,
     _layout,
     _Layout,
+    _pins_at_a,
     _Point,
     _point_arrays,
     _point_rows,
@@ -96,7 +99,7 @@ from .candidates import (
     _spans,
 )
 from .coverage import _coverage, _windows
-from .kernel import _floors, interval_probs
+from .kernel import _MAX_MEAN, _floors, interval_probs
 from .types import CoverageResult, ErrorCriterion, ParamInterval
 
 __all__ = ["min_coverage", "scan_min_coverage"]
@@ -148,6 +151,29 @@ def _verdict(criterion: ErrorCriterion, n: int, layout: _Layout, threshold: floa
     layout of checked arguments: `_probe`, else `_decide`."""
     return (_probe(criterion, n, layout, threshold)
             or _decide(criterion, [(n, layout, math.inf)], threshold)[0])
+
+
+def _fails_at_a(
+    criterion: ErrorCriterion, ns: np.ndarray, a: float, bs: np.ndarray, threshold: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g, h and the coverage at a of the leading n of the int64 array
+    ``ns`` whose coverage at a is at or below ``threshold``, each n laid
+    out over [a, b] with its b in ``bs``: row i is the result at a of the
+    verdict (result, 1) that `_verdict` gives ns[i], where b lies above a,
+    and the untagged coverage at a alone where it does not.  a's windows
+    come from one `_windows` call with one n per row and the pins of
+    `_pins_at_a`, their sums from one `interval_probs` call.  The rows end
+    before the first n that passes at a, and before any n whose layout,
+    window or sum would raise."""
+    g_ell, h_ell = _pins_at_a(criterion, ns, a, bs)
+    mus = ns[:g_ell.size] * a
+    over = mus > _MAX_MEAN
+    end = over.argmax() if over.any() else mus.size
+    gs, hs = _windows(criterion, ns[:end], np.full(end, a), g_ell[:end], h_ell[:end], cut=True)
+    covs = interval_probs(gs, hs, mus[:gs.size])
+    passed = covs > threshold
+    end = passed.argmax() if passed.any() else covs.size
+    return gs[:end], hs[:end], covs[:end]
 
 
 def _probe(criterion: ErrorCriterion, n: int, layout: _Layout, threshold: float) -> _Hit | None:

@@ -37,6 +37,7 @@ from .types import (
     ParamInterval,
     Relative,
     _check_integer,
+    _check_margins,
     _check_rate,
     _check_sample_size,
 )
@@ -167,6 +168,7 @@ def brute_force_coverage(criterion: ErrorCriterion, n: int, lam: float) -> float
     cut k_max = ceil(n lam + 40 sqrt(n lam + 1)) leaves a neglected tail
     far below 1e-12.
     """
+    _check_margins(criterion)
     _check_sample_size(n)
     _check_rate(lam)
     mu = n * lam
@@ -191,6 +193,7 @@ def monte_carlo_coverage(
     come from the counter-based Philox generator keyed by (seed, chunk), so
     the same (seed, trials) always gives the same estimate.
     """
+    _check_margins(criterion)
     _check_sample_size(n)
     _check_rate(lam)
     _check_trials(trials)

@@ -32,7 +32,8 @@ decision, `minimizer._verdict`, on n's layout: the coverage at a's own
 point first, built alone as the span of rates below a + tol, the spans
 of the rest of the probe only if a passes, then the pass over the rest.
 Most n of a Relative search fail at a, for one sum, a layout and one
-small span.  A failing n whose witness lies past the probe costs mostly
+small span, and after a streak of them the search decides n at a in
+blocks (below).  A failing n whose witness lies past the probe costs mostly
 fixed per-n overhead (building arrays, `interval_probs` calls), not
 sums.  So after such an n the search skips the probe and decides the
 next n in a batched run, the scan's own pass `minimizer._decide` over
@@ -57,6 +58,24 @@ a verdict or a count.  An error building a later n's layout ends the run
 before that n, so an error surfaces only at an n the search would
 decide on its own.  The n of a run past the answer are speculative:
 they cost work but never change the answer.
+
+Blocks at a.  Once _STREAK n in a row have failed at a, with rank 1, the
+search decides the next block of n at a together, `minimizer._fails_at_a`:
+each n's scan_b in one numpy expression (`_scan_bs`, `_threshold`'s
+operations in its order), the pins of a's point for every n in closed
+form (`candidates._pins_at_a`, which also ends the block before an n
+whose layout would raise), one `_windows` call with one n per row and
+one `interval_probs` call.  A block holds twice as many n as the streak
+before it, up to _A_BLOCK and never past max_n, so while every n of its
+blocks fails the streak triples with each block.  Each n that fails at a
+gets count 1 and the result at a that its own decision gives, bit for
+bit: the same window, pins and sum from the same numbers, and a fail at
+a has rank 1 whichever route sums it.  So no verdict and no count
+depends on the blocks.  A block ends before the first n whose a passes
+and before any n whose window or sum would raise; that n is decided on
+its own, as above, and raises there if it must.  The n a block holds
+past that n, past the answer too, cost work but never count and never
+raise.
 
 Where the relative margin governs, the count K = 0 is never inside the
 acceptance window.  So the coverage at r0, the least such rate of [a, b]
@@ -86,10 +105,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .candidates import _CHUNK, _bound, _check_scan, _layout, _Layout
-from .chernoff import _threshold
+from .chernoff import TWO_LN2_MINUS_1, _threshold
 from .coverage import _coverage
-from .minimizer import _PREFIX, _decide, _verdict
+from .minimizer import _PREFIX, _decide, _fails_at_a, _verdict
 from .types import (
     ConfidenceSpec,
     CoverageResult,
@@ -112,6 +133,16 @@ _LOWER_BOUND_SLACK = 1e-9
 # How far an n's first span in a batched run reaches past the guess of its
 # witness, as a factor from a; see the module docstring.
 _GROWTH = 1.25
+
+# A search decides n at a in blocks (see the module docstring) once this
+# many n in a row have failed at a, each block twice as long as the streak
+# up to _A_BLOCK n.  A block costs about ten one-n decisions in fixed numpy
+# overhead, so short streaks, common near the answer, are left to them.
+# An n fails at a only below about 1.25e11, where `_layout` refuses it (at
+# larger n the tail bounds leave only a, where a passes), so a block's n
+# are exact as floats.
+_STREAK = 16
+_A_BLOCK = 8192
 
 # Most n a batched run holds.  The n past the answer in the run that holds
 # it cost work for nothing: a layout, a piece of each build and a verdict
@@ -145,6 +176,19 @@ def _scan_b(criterion: ErrorCriterion, interval: ParamInterval, delta: float, n:
         if threshold < interval.b:
             return threshold
     return interval.b
+
+
+def _scan_bs(
+    criterion: ErrorCriterion, interval: ParamInterval, delta: float, ns: np.ndarray
+) -> np.ndarray:
+    """`_scan_b` of each n of the int64 array ``ns``, with `_threshold`'s
+    operations in its order."""
+    eps_r = _relative_eps(criterion)
+    if eps_r is None:
+        return np.full(ns.size, float(interval.b))
+    with np.errstate(divide="ignore"):  # a zero denominator gives inf, as there
+        threshold = math.log(2.0 / delta) / (TWO_LN2_MINUS_1 * ns * eps_r * eps_r)
+    return np.minimum(threshold, interval.b)
 
 
 def _run(
@@ -224,9 +268,17 @@ def min_sample_size(
     scan_b = _scan_b(criterion, interval, delta, start_n)
     if scan_b > a:
         _check_scan(criterion, start_n, ParamInterval(a, scan_b))
-    evaluations = rank = 0
+    evaluations = rank = streak = 0
     n = start_n
     while n <= max_n:
+        if streak >= _STREAK:
+            stop = min(n + min(max(2 * streak, 1), _A_BLOCK), max_n + 1)
+            ns = np.arange(n, stop)
+            fails = _fails_at_a(criterion, ns, float(a),
+                                _scan_bs(criterion, interval, delta, ns), level)[2].size
+            evaluations, streak, n = evaluations + fails, streak + fails, n + fails
+            if n == stop:  # every n of the block fails at a
+                continue
         scan_b = _scan_b(criterion, interval, delta, n)
         if scan_b <= a:
             # The tail bounds certify every rate above a; only a itself is left.
@@ -249,5 +301,6 @@ def min_sample_size(
                     truncated_b=float(max(a, _scan_b(criterion, interval, delta, n))),
                 )
             last = (n, result.lam, rank)
+            streak = streak + 1 if rank == 1 else 0
             n += 1
     raise MaxSampleSizeExceeded(max_n)

@@ -523,6 +523,63 @@ def test_span_points_match_the_reference_and_the_array_rows(config, cuts):
                         reference_candidate_set(*config))
 
 
+@pytest.mark.seeded
+@settings(max_examples=400, deadline=None)
+@given(_special_layouts(), st.integers(0, 4))
+def test_pins_at_a_are_those_of_a_first_point(config, shift):
+    # for the n around a drawn layout's n, each over the drawn [a, b]: the
+    # pins of a's point built alone, as the scan's probe builds it
+    criterion, n, interval = config
+    ns = np.arange(max(1, n - shift), n + 5 - shift)
+    g_ell, h_ell = candidates._pins_at_a(criterion, ns, interval.a, np.full(ns.size, interval.b))
+    want = []
+    for m in ns.tolist():
+        layout = candidates._layout(criterion, m, interval)
+        first, *_ = candidates._span_points(layout, -math.inf, interval.a + layout[0])
+        want.append(_pins(first)[1:])
+    assert list(zip(g_ell.tolist(), h_ell.tolist())) == want
+
+
+@pytest.mark.parametrize("via", ["crossover", "b"])
+@pytest.mark.parametrize("gap, joins", [(0.9, True), (0.8, True), (1.25, False)])
+def test_pins_at_a_follow_a_chain_through_b_or_the_crossover(via, gap, joins):
+    # the REL_UPPER member 7 / (10 * 1.25) lies two gaps above a, and b or
+    # the crossover one gap: the member joins a's group, and pins h, when
+    # the gaps are within tol
+    n, eps_r, tol = 10, 0.25, DEDUP_REL_TOL
+    member = 7 / (n * (1 + eps_r))
+    a = member - 2 * gap * tol
+    if via == "crossover":
+        criterion, b = Mixed((a + gap * tol) * eps_r, eps_r), 1.0
+    else:
+        criterion, b = Relative(eps_r), a + gap * tol
+    g_ell, h_ell = candidates._pins_at_a(criterion, np.array([n]), a, np.array([b]))
+    layout = candidates._layout(criterion, n, ParamInterval(a, b))
+    first, *_ = candidates._span_points(layout, -math.inf, a + layout[0])
+    assert (g_ell.tolist(), h_ell.tolist()) == ([_pins(first)[1]], [_pins(first)[2]])
+    assert (h_ell[0] == 7) == joins
+
+
+@pytest.mark.parametrize("criterion, a, b, first_wide", [
+    # 8 tol div >= 1 with tol = 1e-12 b and div = 1.1 n: n >= 113 636.36
+    (Relative(0.1), 1.0, 1e6, 113_637),
+    (Absolute(0.1), 0.0, 1e6, 125_000),
+    # the crossover at 5e5 lies above b: only the absolute families count
+    (Mixed(0.5, 1e-6), 0.0, 1e5, 1_250_000),
+    (Mixed(1e-3, 0.5), 1.0, 1e5, 833_334),
+])
+def test_pins_at_a_end_at_the_first_n_too_wide_to_lay_out(criterion, a, b, first_wide):
+    ns = np.arange(first_wide - 3, first_wide + 3)
+    g_ell, _ = candidates._pins_at_a(criterion, ns, a, np.full(ns.size, b))
+    assert g_ell.size == 3
+    candidates._layout(criterion, first_wide - 1, ParamInterval(a, b))
+    with pytest.raises(ValueError, match="too wide"):
+        candidates._layout(criterion, first_wide, ParamInterval(a, b))
+    # where b lies at or below a, nothing is laid out and nothing ends the pins
+    g_ell, h_ell = candidates._pins_at_a(criterion, ns, b, np.full(ns.size, b))
+    assert g_ell.tolist() == h_ell.tolist() == [_UNPINNED] * ns.size
+
+
 @pytest.mark.parametrize("offsets", [
     # a chain of all four families, 0.9 tol apart, from a: a group 3.6 tol wide
     (0.9, 1.8, 2.7, 3.6),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from poisson_ss import (
     Absolute,
     EmptyInterval,
+    EpsilonOutOfRange,
     Mixed,
     NonFiniteBound,
     ParamInterval,
@@ -203,6 +204,19 @@ def test_brute_force_argument_validation():
         brute_force_coverage(Absolute(0.2), 0, 1.0)
     with pytest.raises(ValueError):
         brute_force_coverage(Absolute(0.2), 3, -0.5)
+
+
+@pytest.mark.parametrize("criterion", [
+    Relative(-0.5), Absolute(2.0), Mixed(0.1, 1.0), Absolute(math.nan)])
+def test_oracles_refuse_a_margin_outside_the_unit_interval(criterion):
+    # the margin rule of every other call that takes a criterion, checked
+    # before n and the rate
+    with pytest.raises(EpsilonOutOfRange):
+        brute_force_coverage(criterion, 3, 1.0)
+    with pytest.raises(EpsilonOutOfRange):
+        monte_carlo_coverage(criterion, 3, 1.0, 100)
+    with pytest.raises(EpsilonOutOfRange):
+        brute_force_coverage(criterion, 0, -1.0)
 
 
 def test_exact_margin_tie_counts_as_outside():

@@ -73,17 +73,17 @@ def test_pinned_plans(criterion, interval, delta, n_min, worst_lam, worst_cov,
 
 
 # Large Relative searches whose failing n nearly all fail at their first
-# candidate, a, which the probe of a's own point decides alone.  past_a is
-# what the failing n spend past a: evaluations less one per failing n and
-# less the passing n's count (131 n near the answer of the first search
-# fail at ranks 2 to 8; all 100 000 of the second fail at a).
+# candidate, a, which blocks at a decide in one kernel call each.  past_a
+# is what the failing n spend past a: evaluations less one per failing n
+# and less the passing n's count (131 n near the answer of the first
+# search fail at ranks 2 to 8; all 100 000 of the second fail at a).
 _FAIL_AT_A = [
-    pytest.param(Relative(0.05), ParamInterval(0.1, 10.0), 0.05,
-                 15_496, "0x1.9c59579fc9052p-4", "0x1.e68abfd1495dap-1", 20_172,
-                 "0x1.f8d4dc0abf6bcp-3", 249),
-    pytest.param(Relative(0.999999), ParamInterval(1e-5, 1e5), 0.5,
-                 100_001, "0x1.4f8b588e368f1p-17", "0x1.1a8848422bc5cp-1", 100_007,
-                 "0x1.2d0a1e0930cb9p-15", 0, marks=pytest.mark.slow),
+    (Relative(0.05), ParamInterval(0.1, 10.0), 0.05,
+     15_496, "0x1.9c59579fc9052p-4", "0x1.e68abfd1495dap-1", 20_172,
+     "0x1.f8d4dc0abf6bcp-3", 249),
+    (Relative(0.999999), ParamInterval(1e-5, 1e5), 0.5,
+     100_001, "0x1.4f8b588e368f1p-17", "0x1.1a8848422bc5cp-1", 100_007,
+     "0x1.2d0a1e0930cb9p-15", 0),
 ]
 
 
@@ -100,6 +100,165 @@ def test_pinned_searches_failing_nearly_every_n_at_a(
     scanned = ParamInterval(interval.a, plan.truncated_b)
     _, count = scan_min_coverage(criterion, n_min, scanned, 1.0 - delta)
     assert evals - (n_min - 1) - count == past_a
+
+
+def _a_verdict(criterion, interval, delta, n, prefix=None):
+    """n's verdict as the search decides it alone: the public fail-fast scan
+    of [a, scan_b], or the coverage at a alone where the tail bounds leave
+    only a; with ``prefix``, the scan stops after that many candidates
+    (None if none of them fails)."""
+    scan_b = search._scan_b(criterion, interval, delta, n)
+    if scan_b <= interval.a:
+        result = coverage_at(criterion, n, interval.a)
+        return (result, 1) if prefix is None or result.coverage <= 1.0 - delta else None
+    layout = candidates._layout(criterion, n, ParamInterval(interval.a, scan_b))
+    if prefix is None:
+        return minimizer._verdict(criterion, n, layout, 1.0 - delta)
+    with mock.patch.object(minimizer, "_PREFIX", prefix):
+        return minimizer._probe(criterion, n, layout, 1.0 - delta)
+
+
+@st.composite
+def _blocks_at_a(draw):
+    """(criterion, interval, delta, ns) for a block at a: a drawn at random,
+    on or a few merge tolerances off a breakpoint of one of the block's n,
+    or on or next to a mixed crossover; b next to a, a few units above it,
+    or inf; n where the tail bounds leave only a, and where they do not; a
+    margin too narrow for the window rule at a."""
+    kind = draw(st.sampled_from(["abs", "mixed", "rel"]))
+    eps, eps_r = draw(st.floats(0.02, 0.6) | st.just(1e-13)), draw(st.floats(0.02, 0.6))
+    criterion = {"abs": Absolute(eps), "mixed": Mixed(eps, eps_r), "rel": Relative(eps)}[kind]
+    first = draw(st.integers(1, 3000))
+    ns = np.arange(first, first + draw(st.integers(1, 64)))
+    off = draw(st.sampled_from([0.0, 0.5, -0.5, 1.0, 3.0, -5.0]) | st.floats(-9.0, 9.0))
+    case = draw(st.sampled_from(["random", "breakpoint", "crossover"]))
+    if case == "crossover" and kind == "mixed":
+        a = criterion.crossover
+    elif case == "breakpoint":
+        n = int(draw(st.sampled_from(ns.tolist())))
+        pieces = (Absolute(eps), Relative(eps_r)) if kind == "mixed" else (criterion,)
+        div, shift = draw(st.sampled_from([
+            (div, shift) for piece in pieces for _, div, shift in candidates._progressions(piece, n)]))
+        a = max(0.0, math.floor(div * (draw(st.floats(0.05, 3.0)) - shift)) / div + shift)
+    else:
+        a = draw(st.floats(0.05, 3.0))
+    a = max(a + off * 1e-12 * max(1.0, a), 0.0 if kind == "abs" else 1e-3)
+    width = draw(st.sampled_from([1e-13, 3e-12, 1e-9, math.inf]) | st.floats(0.01, 3.0))
+    assume(kind != "abs" or width < math.inf)
+    return criterion, ParamInterval(a, a + width), draw(st.floats(0.02, 0.6)), ns
+
+
+@pytest.mark.seeded
+@settings(max_examples=300, deadline=None)
+@given(_blocks_at_a())
+def test_a_block_gives_each_n_that_fails_at_a_its_own_verdict(block):
+    # each row of a block at a is the verdict the n gets alone, bit for bit,
+    # with rank 1; the block ends at the first n whose a passes or whose
+    # decision alone raises.  Each n's scan_b is `_scan_b`'s.
+    criterion, interval, delta, ns = block
+    bs = search._scan_bs(criterion, interval, delta, ns)
+    assert [b.hex() for b in bs.tolist()] == [
+        float(search._scan_b(criterion, interval, delta, n)).hex() for n in ns.tolist()]
+    assume(bs[0] < math.inf)
+    gs, hs, covs = minimizer._fails_at_a(criterion, ns, interval.a, bs, 1.0 - delta)
+    for n, g, h, cov in zip(ns.tolist(), gs.tolist(), hs.tolist(), covs.tolist()):
+        result, rank = _a_verdict(criterion, interval, delta, n)
+        assert (result.lam.hex(), result.g, result.h, result.coverage.hex(), rank) == (
+            float(interval.a).hex(), g, h, cov.hex(), 1)
+    if covs.size < ns.size:  # the n after them does not fail at a
+        with contextlib.suppress(ValueError):
+            assert _a_verdict(criterion, interval, delta, int(ns[covs.size]), prefix=1) is None
+
+
+_BLOCK_QUERIES = [
+    (Relative(0.2), ParamInterval(0.5, 2.0), 0.1, {}),
+    (Relative(0.15), ParamInterval(0.5, 2.0), 0.05, {"start_n": 40}),
+    # scan_b falls from b = 100, or inf, to near a; at n = 500 the tail
+    # bounds leave only a
+    (Relative(0.5), ParamInterval(0.2, 100.0), 0.2, {}),
+    (Relative(0.2), ParamInterval(0.5, math.inf), 0.05, {}),
+    (Relative(0.5), ParamInterval(0.2, 100.0), 0.2, {"start_n": 500}),
+    (Mixed(0.3, 0.2), ParamInterval(0.1, 3.0), 0.1, {}),
+    (Mixed(0.05, 0.1), ParamInterval(0.5, 2.0), 0.1, {}),
+    # a on a REL_UPPER breakpoint of every other n: pinned windows at a
+    (Relative(0.25), ParamInterval(0.4, 1.0), 0.1, {}),
+    (Relative(0.2), ParamInterval(0.5, 2.0), 0.1, {"max_n": 100}),
+    (Relative(1e-13), ParamInterval(1 / 64, 1.0), 0.1, {}),
+]
+
+
+def _plan_or_error(criterion, interval, delta, options):
+    try:
+        plan = min_sample_size(criterion, interval, ConfidenceSpec(delta), **options)
+    except (ValueError, MaxSampleSizeExceeded) as error:
+        return type(error), str(error)
+    return (plan.n_min, plan.worst_lambda.hex(), plan.worst_coverage.hex(),
+            plan.evaluations, plan.truncated_b.hex())
+
+
+@pytest.mark.parametrize("streak", [None, 0])
+@pytest.mark.parametrize("cap", [1, 8192])
+@pytest.mark.parametrize("criterion, interval, delta, options", _BLOCK_QUERIES)
+def test_plans_do_not_depend_on_the_blocks_at_a(monkeypatch, streak, cap, criterion, interval,
+                                                 delta, options):
+    # blocks of one n, or growing to 8 192, from the streak gate or from the
+    # first n: the same plan, evaluations included, or the same error
+    plan = _plan_or_error(criterion, interval, delta, options)
+    monkeypatch.setattr(search, "_A_BLOCK", cap)
+    if streak is not None:
+        monkeypatch.setattr(search, "_STREAK", streak)
+    assert _plan_or_error(criterion, interval, delta, options) == plan
+
+
+def _record_blocks(monkeypatch):
+    """Record (first n, n in the block, n that fail at a) of every block."""
+    blocks = []
+    real = search._fails_at_a
+
+    def recording(criterion, ns, *args):
+        rows = real(criterion, ns, *args)
+        blocks.append((int(ns[0]), ns.size, rows[2].size))
+        return rows
+    monkeypatch.setattr(search, "_fails_at_a", recording, raising=True)
+    return blocks
+
+
+def test_blocks_follow_the_streak_and_stop_at_max_n(monkeypatch):
+    # the first block starts after _STREAK n that fail at a; each holds
+    # twice the streak before it while every n fails, and the last one
+    # ends at max_n
+    blocks = _record_blocks(monkeypatch)
+    with pytest.raises(MaxSampleSizeExceeded):
+        min_sample_size(Relative(0.999999), ParamInterval(1e-5, 1e5), ConfidenceSpec(0.5),
+                        max_n=80_000)
+    streak = search._STREAK
+    assert blocks[0][0] == streak + 1
+    for first, size, fails in blocks:
+        assert (first, size, fails) == (
+            streak + 1, min(2 * streak, search._A_BLOCK, 80_000 - streak), size)
+        streak += size
+    assert streak == 80_000
+
+
+def test_a_narrow_margin_inside_a_block_raises_at_its_own_n(monkeypatch):
+    # n = 64 ends a streak of 63 n that fail at a: the block that holds it
+    # stops before it, and n = 64, decided alone, raises
+    blocks = _record_blocks(monkeypatch)
+    with pytest.raises(MarginTooNarrow, match="for n = 64:"):
+        min_sample_size(Relative(1e-13), ParamInterval(1 / 64, 1.0), ConfidenceSpec(0.1))
+    first, size, fails = blocks[-1]
+    assert first < 64 < first + size and first + fails == 64
+
+
+def test_n_past_the_answer_in_a_block_cost_work_and_never_count(monkeypatch):
+    # the last block reaches past the first n whose a passes, and past the
+    # answer; the plan is the one n by n
+    criterion, interval, delta = Relative(0.05), ParamInterval(0.1, 10.0), 0.05
+    blocks = _record_blocks(monkeypatch)
+    plan = min_sample_size(criterion, interval, ConfidenceSpec(delta))
+    assert any(first + size > plan.n_min for first, size, _ in blocks)
+    monkeypatch.setattr(search, "_STREAK", plan.n_min + 1)
+    assert min_sample_size(criterion, interval, ConfidenceSpec(delta)) == plan
 
 
 def test_returned_n_is_minimal():
@@ -139,8 +298,8 @@ def _forbid_coverage(monkeypatch):
     """Make every route by which the search decides an n raise."""
     def evaluated(*args, **kwargs):
         raise AssertionError("coverage was evaluated")
-    for name in ("_verdict", "_decide", "_coverage"):
-        monkeypatch.setattr(poisson_ss.search, name, evaluated)
+    for name in ("_verdict", "_decide", "_coverage", "_fails_at_a"):
+        monkeypatch.setattr(poisson_ss.search, name, evaluated, raising=True)
 
 
 @pytest.mark.parametrize("max_n", [20_000, 1_000_000])
@@ -157,26 +316,34 @@ def test_tiny_relative_lower_bound_exhausts_the_budget_at_once(monkeypatch, max_
 
 def test_relative_lower_bound_tie_is_left_to_the_scan(monkeypatch):
     # max_n * a equals ln(1/delta) up to rounding: the bound must not raise,
-    # the scan decides (and here every n <= max_n fails)
+    # the scan decides (and here every n <= max_n fails), n by n or, after
+    # a streak of 2 n that fail at a, in blocks at a
     scanned = set()
 
     def recording(name, ns):
         real = getattr(poisson_ss.search, name)
 
         def wrapper(*args):
-            scanned.update(ns(*args))
-            return real(*args)
-        monkeypatch.setattr(poisson_ss.search, name, wrapper)
+            result = real(*args)
+            scanned.update(ns(*args, result=result))
+            return result
+        monkeypatch.setattr(poisson_ss.search, name, wrapper, raising=True)
 
-    recording("_verdict", lambda criterion, n, *_: [n])
-    recording("_decide", lambda criterion, runs, *_: [n for n, _, _ in runs])
+    recording("_verdict", lambda criterion, n, *_, result: [n])
+    recording("_decide", lambda criterion, runs, *_, result: [n for n, _, _ in runs])
+    # the leading n of a block that fail at a, the ones it decides
+    recording("_fails_at_a",
+              lambda criterion, ns, *_, result: ns[:result[2].size].tolist())
     max_n, delta = 10, 0.1
     a = math.log(1.0 / delta) / max_n
-    with pytest.raises(MaxSampleSizeExceeded) as info:
-        min_sample_size(Relative(0.5), ParamInterval(a, 1.0),
-                        ConfidenceSpec(delta), max_n=max_n)
-    assert str(info.value) == f"no sufficient sample size found with n <= {max_n}"
-    assert scanned == set(range(1, max_n + 1))
+    for streak in (search._STREAK, 2):
+        monkeypatch.setattr(search, "_STREAK", streak)
+        scanned.clear()
+        with pytest.raises(MaxSampleSizeExceeded) as info:
+            min_sample_size(Relative(0.5), ParamInterval(a, 1.0),
+                            ConfidenceSpec(delta), max_n=max_n)
+        assert str(info.value) == f"no sufficient sample size found with n <= {max_n}"
+        assert scanned == set(range(1, max_n + 1))
 
 
 @pytest.mark.parametrize("criterion, interval, where", [
@@ -835,6 +1002,10 @@ SEARCH_ERRORS = [
     (Absolute(1e-13), ParamInterval(0.0, 1.0), 0.1, {"start_n": 7},
      MarginTooNarrow, "the margin is too narrow at rate 0.0 for n = 7: both window ends, "
      "-7e-13 and 7e-13, fall on the count 0 between them", True),
+    # n = 64 ends a streak of 63 n that fail at a, inside a block at a
+    (Relative(1e-13), ParamInterval(1 / 64, 1.0), 0.1, {},
+     MarginTooNarrow, "the margin is too narrow at rate 0.015625 for n = 64: both window "
+     "ends, 0.9999999999999 and 1.0000000000001, fall on the count 1 between them", True),
     (Relative(0.2), ParamInterval(0.5, 2.0), 0.1, {"max_n": 20},
      MaxSampleSizeExceeded, "no sufficient sample size found with n <= 20", True),
     (Relative(0.1), ParamInterval(1e-300, 1.0), 0.05, {},
