@@ -32,15 +32,14 @@ decision, `minimizer._verdict`, on n's layout: the coverage at a's own
 point first, built alone as the span of rates below a + tol, the spans
 of the rest of the probe only if a passes, then the pass over the rest.
 Most n of a Relative search fail at a, for one sum, a layout and one
-small span, and after a streak of them the search decides n at a in
-blocks (below).  A failing n whose witness lies past the probe costs mostly
-fixed per-n overhead (building arrays, `interval_probs` calls), not
-sums.  So after such an n the search skips the probe and decides the
-next n in a batched run, the scan's own pass `minimizer._decide` over
-the n `_run` packs: that n and the consecutive n after it, never above
-max_n.  Each n m of a run gets the end of its first span of rates, a
-guess of where it fails from the last failing n, n0, whose witness has
-rate lam* and rank r*:
+small span, and the search decides most of them at a in blocks (below).
+A failing n whose witness lies past the probe costs mostly fixed per-n
+overhead (building arrays, `interval_probs` calls), not sums.  So after
+such an n the search skips the probe and decides the next n in a batched
+run, the scan's own pass `minimizer._decide` over the n `_run` packs:
+that n and the consecutive n after it, never above max_n.  Each n m of a
+run gets the end of its first span of rates, a guess of where it fails
+from the last failing n, n0, whose witness has rate lam* and rank r*:
 
     end = a + _GROWTH * max((lam* - a) * m / n0, r* / (2 m)),
 
@@ -59,15 +58,22 @@ before that n, so an error surfaces only at an n the search would
 decide on its own.  The n of a run past the answer are speculative:
 they cost work but never change the answer.
 
-Blocks at a.  Once _STREAK n in a row have failed at a, with rank 1, the
-search decides the next block of n at a together, `minimizer._fails_at_a`:
-each n's scan_b in one numpy expression (`_scan_bs`, `_threshold`'s
-operations in its order), the pins of a's point for every n in closed
-form (`candidates._pins_at_a`, which also ends the block before an n
-whose layout would raise), one `_windows` call with one n per row and
-one `interval_probs` call.  A block holds twice as many n as the streak
-before it, up to _A_BLOCK and never past max_n, so while every n of its
-blocks fails the streak triples with each block.  Each n that fails at a
+Blocks at a.  The search decides a block of n at a together,
+`minimizer._fails_at_a`: each n's scan_b in one numpy expression
+(`_scan_bs`, `_threshold`'s operations in its order), the pins of a's
+point for every n in closed form (`candidates._pins_at_a`, which also
+ends the block before an n whose layout would raise), one `_windows` call
+with one n per row and one `interval_probs` call.  The blocks are sized
+from a prediction first.  The normal approximation of the coverage at a,
+2 Phi(m sqrt(n / a)) - 1 with m the margin's half-width at a, first
+exceeds 1 - delta at n_a = a (z / m)**2, z = Phi^-1(1 - delta / 2)
+(`_n_at_a`; 0 where a = 0).  While more than _STREAK n lie below
+n_a (1 + _SLACK), the next block runs from n up to that point, the first
+one from start_n.  Once a block ends early the prediction is spent, and
+after that a block opens only once _STREAK n in a row have failed at a,
+with rank 1, and holds twice as many n as that streak, so while every n
+of its blocks fails the streak triples with each block.  No block holds
+more than _A_BLOCK n or any n past max_n.  Each n that fails at a
 gets count 1 and the result at a that its own decision gives, bit for
 bit: the same window, pins and sum from the same numbers, and a fail at
 a has rank 1 whichever route sums it.  So no verdict and no count
@@ -112,6 +118,7 @@ from .chernoff import TWO_LN2_MINUS_1, _threshold
 from .coverage import _coverage
 from .minimizer import _PREFIX, _decide, _fails_at_a, _verdict
 from .types import (
+    Absolute,
     ConfidenceSpec,
     CoverageResult,
     ErrorCriterion,
@@ -134,15 +141,23 @@ _LOWER_BOUND_SLACK = 1e-9
 # witness, as a factor from a; see the module docstring.
 _GROWTH = 1.25
 
-# A search decides n at a in blocks (see the module docstring) once this
-# many n in a row have failed at a, each block twice as long as the streak
-# up to _A_BLOCK n.  A block costs about ten one-n decisions in fixed numpy
-# overhead, so short streaks, common near the answer, are left to them.
-# An n fails at a only below about 1.25e11, where `_layout` refuses it (at
-# larger n the tail bounds leave only a, where a passes), so a block's n
-# are exact as floats.
+# A search decides n at a in blocks (see the module docstring): up to its
+# predicted n_a while more than _STREAK n lie below it, and later once
+# _STREAK n in a row have failed at a, each such block twice as long as
+# the streak; every block holds at most _A_BLOCK n.  A block costs about
+# ten one-n decisions in fixed numpy overhead, so short runs, common near
+# the answer, are left to them.  An n fails at a only below about
+# 1.25e11, where `_layout` refuses it (at larger n the tail bounds leave
+# only a, where a passes), so a block's n are exact as floats.
 _STREAK = 16
 _A_BLOCK = 8192
+
+# How far past the predicted n_a the blocks at a reach, as a share of n_a.
+# The prediction is within a few percent where n a is large, and erring
+# high costs less than erring low: a block past the first n whose a passes
+# only sums rows that never count, while a prediction that falls short
+# leaves the streak rule a block of twice the streak, far past that n.
+_SLACK = 0.1
 
 # Most n a batched run holds.  The n past the answer in the run that holds
 # it cost work for nothing: a layout, a piece of each build and a verdict
@@ -165,6 +180,26 @@ def _relative_eps(criterion: ErrorCriterion) -> float | None:
     if isinstance(criterion, Mixed):
         return criterion.eps_r
     return None
+
+
+def _n_at_a(criterion: ErrorCriterion, a: float, delta: float) -> float:
+    """The n at which the coverage at a first exceeds 1 - delta, as its
+    normal approximation predicts: n_a = a (z / m)**2, with z the
+    1 - delta / 2 quantile of the standard normal and m the margin's
+    half-width at a.  A float in [0, inf]; 0 where a = 0."""
+    if a == 0.0:
+        return 0.0
+    from statistics import NormalDist  # only searches need it, not the import
+
+    z = -NormalDist().inv_cdf(delta / 2.0)
+    if isinstance(criterion, Absolute):
+        m = criterion.eps
+    elif isinstance(criterion, Relative):
+        m = criterion.eps * a
+    else:
+        m = max(criterion.eps_a, criterion.eps_r * a)
+    # the products overflow to inf and an underflowed m gives inf, not an error
+    return a * (z / m) * (z / m) if m > 0.0 else math.inf
 
 
 def _scan_b(criterion: ErrorCriterion, interval: ParamInterval, delta: float, n: int) -> float:
@@ -268,17 +303,24 @@ def min_sample_size(
     scan_b = _scan_b(criterion, interval, delta, start_n)
     if scan_b > a:
         _check_scan(criterion, start_n, ParamInterval(a, scan_b))
+    # where blocks at a stop while the prediction holds (see the module docstring)
+    limit = _n_at_a(criterion, a, delta) * (1.0 + _SLACK)
     evaluations = rank = streak = 0
     n = start_n
     while n <= max_n:
-        if streak >= _STREAK:
+        stop = n
+        if limit - n > _STREAK:
+            stop = math.ceil(min(limit, n + _A_BLOCK, max_n + 1))
+        elif streak >= _STREAK:
             stop = min(n + min(max(2 * streak, 1), _A_BLOCK), max_n + 1)
+        if stop > n:
             ns = np.arange(n, stop)
             fails = _fails_at_a(criterion, ns, float(a),
                                 _scan_bs(criterion, interval, delta, ns), level)[2].size
             evaluations, streak, n = evaluations + fails, streak + fails, n + fails
             if n == stop:  # every n of the block fails at a
                 continue
+            limit = 0.0  # the block ended early: the prediction is spent
         scan_b = _scan_b(criterion, interval, delta, n)
         if scan_b <= a:
             # The tail bounds certify every rate above a; only a itself is left.

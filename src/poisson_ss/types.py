@@ -231,6 +231,14 @@ def _check_margins(criterion: ErrorCriterion) -> None:
         raise TypeError(f"unknown criterion type: {criterion!r}")
 
 
+# The least risk level `validate` accepts.  A coverage close to 1 is summed
+# with an error of some 1e-14 (Absolute(0.5) at n = 1000 sums 7.4e-15 below
+# a mass of 1 at rate 0.014), so a level that close to 1 cannot be told
+# from the coverages around it, and a search would walk on to max_n; 1e-10
+# keeps four orders of magnitude clear of that error.
+_MIN_DELTA = 1e-10
+
+
 def _check_delta(delta: float) -> None:
     """Raise `DeltaOutOfRange` unless the risk level lies strictly inside
     (0, 1)."""
@@ -246,22 +254,24 @@ def validate(
     """Check a planning configuration, returning it unchanged if well formed.
 
     Raises the most specific `ValidationError` subclass on the first
-    violated constraint; a delta so small that 1 - delta rounds to 1.0 is
-    refused too, since no coverage can exceed 1.  A Mixed criterion whose
-    crossover falls at or below a (or at or above b) is accepted; it simply
-    behaves as the pure relative (or absolute) criterion over the whole
-    interval.  The upper
-    bound b may be +inf; only a search whose tail bound truncates the scan
-    can use it, and a scan over it raises `NonFiniteBound`.
+    violated constraint; a delta below _MIN_DELTA is refused too, since
+    1 - delta then rounds to 1.0, which no coverage can exceed, or comes
+    near the kernel's rounding error of coverages just below 1.  A Mixed
+    criterion whose crossover falls at or below a (or at or above b) is
+    accepted; it simply behaves as the pure relative (or absolute)
+    criterion over the whole interval.  The upper bound b may be +inf; only
+    a search whose tail bound truncates the scan can use it, and a scan
+    over it raises `NonFiniteBound`.
     """
     if not isinstance(criterion, (Absolute, Relative, Mixed)):
         raise ValidationError(f"unknown criterion type: {criterion!r}")
     _check_margins(criterion)
     _check_delta(conf.delta)
-    if 1.0 - conf.delta == 1.0:
+    if conf.delta < _MIN_DELTA:
         raise DeltaOutOfRange(
-            f"risk level {conf.delta!r} is too small for floats: 1 - delta rounds "
-            "to 1.0, and no coverage can exceed that")
+            f"risk level {conf.delta!r} is too small for floats: below {_MIN_DELTA!r}, "
+            "1 - delta rounds to 1.0 or lies so close to it that the kernel's "
+            "rounding error can decide whether a coverage exceeds it")
     if not math.isfinite(interval.a):
         raise NonFiniteBound(
             f"rate interval needs a finite lower bound, got a={interval.a!r}")

@@ -83,14 +83,16 @@ def test_size_budget_exhaustion_exits_2(capsys):
     assert "20" in err
 
 
-def test_size_refuses_a_delta_too_small_for_floats(capsys, monkeypatch):
-    # 1 - 1e-17 rounds to 1.0, which no coverage exceeds: exit 1 before any
-    # n, not a walk to --max-n
+@pytest.mark.parametrize("delta", ["1e-17", "1.2e-16", "9e-11"])
+def test_size_refuses_a_delta_too_small_for_floats(capsys, monkeypatch, delta):
+    # 1 - 1e-17 rounds to 1.0, which no coverage exceeds; at 1.2e-16 the
+    # coverages near 1 sum 7e-15 short of it: exit 1 before any n, not a
+    # walk to --max-n
     _forbid_coverage(monkeypatch)
-    code, out, err = run(capsys, SIZE_ARGS[:-1] + ["1e-17"])
+    code, out, err = run(capsys, SIZE_ARGS[:-1] + [delta])
     assert code == 1
     assert out == ""
-    assert "1e-17 is too small for floats" in err
+    assert f"{delta} is too small for floats" in err
 
 
 def _size_argv(criterion, interval, delta, options):

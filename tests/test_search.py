@@ -76,7 +76,9 @@ def test_pinned_plans(criterion, interval, delta, n_min, worst_lam, worst_cov,
 # candidate, a, which blocks at a decide in one kernel call each.  past_a
 # is what the failing n spend past a: evaluations less one per failing n
 # and less the passing n's count (131 n near the answer of the first
-# search fail at ranks 2 to 8; all 100 000 of the second fail at a).
+# search fail at ranks 2 to 8; all 100 000 of the second fail at a).  The
+# third holds a dozen blocks capped at _A_BLOCK n before its first n
+# whose a passes.
 _FAIL_AT_A = [
     (Relative(0.05), ParamInterval(0.1, 10.0), 0.05,
      15_496, "0x1.9c59579fc9052p-4", "0x1.e68abfd1495dap-1", 20_172,
@@ -84,6 +86,9 @@ _FAIL_AT_A = [
     (Relative(0.999999), ParamInterval(1e-5, 1e5), 0.5,
      100_001, "0x1.4f8b588e368f1p-17", "0x1.1a8848422bc5cp-1", 100_007,
      "0x1.2d0a1e0930cb9p-15", 0),
+    (Relative(0.02), ParamInterval(0.1, 10.0), 0.05,
+     96_501, "0x1.9aa2d600eb153p-4", "0x1.e688f0a5ab24ep-1", 129_943,
+     "0x1.faa8400b9d420p-3", 5_279),
 ]
 
 
@@ -183,6 +188,9 @@ _BLOCK_QUERIES = [
     # a on a REL_UPPER breakpoint of every other n: pinned windows at a
     (Relative(0.25), ParamInterval(0.4, 1.0), 0.1, {}),
     (Relative(0.2), ParamInterval(0.5, 2.0), 0.1, {"max_n": 100}),
+    # n_a = 135: start_n past it, and a max_n too large for an int64
+    (Relative(0.2), ParamInterval(0.5, 2.0), 0.1, {"start_n": 200}),
+    (Relative(0.2), ParamInterval(0.5, 2.0), 0.1, {"max_n": 2**63}),
     (Relative(1e-13), ParamInterval(1 / 64, 1.0), 0.1, {}),
 ]
 
@@ -196,18 +204,63 @@ def _plan_or_error(criterion, interval, delta, options):
             plan.evaluations, plan.truncated_b.hex())
 
 
+@pytest.mark.parametrize("predict", [None, 0.0, 0.5, 2.0, math.inf])
 @pytest.mark.parametrize("streak", [None, 0])
 @pytest.mark.parametrize("cap", [1, 8192])
 @pytest.mark.parametrize("criterion, interval, delta, options", _BLOCK_QUERIES)
-def test_plans_do_not_depend_on_the_blocks_at_a(monkeypatch, streak, cap, criterion, interval,
-                                                 delta, options):
+def test_plans_do_not_depend_on_the_blocks_at_a(monkeypatch, predict, streak, cap, criterion,
+                                                 interval, delta, options):
     # blocks of one n, or growing to 8 192, from the streak gate or from the
-    # first n: the same plan, evaluations included, or the same error
+    # first n, up to a predicted n_a of 0, half or twice the answer, or inf:
+    # the same plan, evaluations included, or the same error
     plan = _plan_or_error(criterion, interval, delta, options)
     monkeypatch.setattr(search, "_A_BLOCK", cap)
     if streak is not None:
         monkeypatch.setattr(search, "_STREAK", streak)
+    if predict is not None:
+        # the two queries that raise do so at n = 64 and n = 100
+        scale = plan[0] if type(plan[0]) is int else 100
+        n_a = predict * scale if 0.0 < predict < math.inf else predict
+        monkeypatch.setattr(search, "_n_at_a", lambda *args: n_a)
     assert _plan_or_error(criterion, interval, delta, options) == plan
+
+
+@pytest.mark.seeded
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["abs", "mixed", "rel"]),
+    eps=st.floats(0.2, 0.5),
+    eps_r=st.floats(0.08, 0.5),
+    a=st.just(0.0) | st.floats(0.1, 2.0),
+    width=st.floats(0.05, 1.5) | st.just(math.inf),
+    delta=st.floats(0.01, 0.3),
+    start_n=st.integers(1, 30),
+    max_n=st.none() | st.integers(60, 600),
+)
+def test_plans_do_not_depend_on_the_prediction(kind, eps, eps_r, a, width, delta, start_n,
+                                                max_n):
+    # the same plan, evaluations included, or the same error, with the
+    # blocks at a sized by the prediction and by the streak alone
+    if kind == "rel":
+        eps = eps_r  # a narrower relative margin, for a longer failing run at a
+    criterion, interval = _draw_criterion(kind, eps, eps_r, a, width)
+    assume(kind != "abs" or width < math.inf)
+    options = {"start_n": start_n} if max_n is None else {"start_n": start_n, "max_n": max_n}
+    plan = _plan_or_error(criterion, interval, delta, options)
+    with mock.patch.object(search, "_n_at_a", lambda *args: 0.0):
+        assert _plan_or_error(criterion, interval, delta, options) == plan
+
+
+@pytest.mark.parametrize("criterion, a, delta, n_a", [
+    (Relative(1e-200), 0.5, 0.1, math.inf),  # (z / m)**2 would overflow
+    (Relative(1e-200), 1e-200, 0.1, math.inf),  # m underflows to 0
+    (Mixed(0.1, 1e-200), 0.5, 0.1, 0.5 * (1.6448536269514722 / 0.1) ** 2),
+    (Mixed(0.1, 0.2), 0.0, 0.05, 0.0),
+    (Absolute(0.1), 0.0, 0.05, 0.0),
+    (Relative(0.2), 0.5, math.nextafter(1.0, 0.0), 0.0),
+])
+def test_the_prediction_never_raises(criterion, a, delta, n_a):
+    assert search._n_at_a(criterion, a, delta) == pytest.approx(n_a, rel=1e-9, abs=1e-20)
 
 
 def _record_blocks(monkeypatch):
@@ -223,21 +276,73 @@ def _record_blocks(monkeypatch):
     return blocks
 
 
-def test_blocks_follow_the_streak_and_stop_at_max_n(monkeypatch):
-    # the first block starts after _STREAK n that fail at a; each holds
-    # twice the streak before it while every n fails, and the last one
-    # ends at max_n
+def _expected_blocks(limit, start_n, stop_n, max_n, fails):
+    """(first n, n in the block, n that fail at a) of each block at a that a
+    search from start_n opens before it reaches stop_n, with its prediction
+    at ``limit`` and ``fails(n)`` true where n fails at a: blocks up to the
+    prediction from start_n, then, once one ends early or the prediction is
+    reached, blocks twice the streak before them after _STREAK n in a row
+    have failed at a; each capped at _A_BLOCK n and at max_n."""
+    blocks, streak, n = [], 0, start_n
+    while n < stop_n:
+        if limit - n > search._STREAK:
+            stop = math.ceil(min(limit, n + search._A_BLOCK, max_n + 1))
+        elif streak >= search._STREAK:
+            stop = min(n + min(2 * streak, search._A_BLOCK), max_n + 1)
+        else:  # n decided alone
+            streak, n = streak + 1 if fails(n) else 0, n + 1
+            continue
+        count = next((i for i, m in enumerate(range(n, stop)) if not fails(m)), stop - n)
+        blocks.append((n, stop - n, count))
+        streak, n = streak + count, n + count
+        if n < stop:  # the prediction is spent, and n is decided alone
+            limit, streak, n = 0.0, 0, n + 1
+    return blocks
+
+
+@pytest.mark.parametrize("n_a, cap", [
+    (None, None), (0.0, None), (30_000.5, None), (math.inf, None), (math.inf, 2**20)])
+def test_blocks_follow_the_prediction_then_the_streak_and_stop_at_max_n(monkeypatch, n_a, cap):
+    # every n fails at a: the first block starts at start_n and ends at the
+    # prediction, _A_BLOCK n or max_n, whichever comes first; past the
+    # prediction each block holds twice the streak before it, and the last
+    # one ends at max_n.  With no prediction the first block comes after
+    # _STREAK n decided alone.
+    criterion, interval, delta = Relative(0.999999), ParamInterval(1e-5, 1e5), 0.5
+    max_n = 80_000
+    if n_a is not None:
+        monkeypatch.setattr(search, "_n_at_a", lambda *args: n_a)
+    if cap is not None:
+        monkeypatch.setattr(search, "_A_BLOCK", cap)
+    limit = search._n_at_a(criterion, interval.a, delta) * (1.0 + search._SLACK)
     blocks = _record_blocks(monkeypatch)
     with pytest.raises(MaxSampleSizeExceeded):
-        min_sample_size(Relative(0.999999), ParamInterval(1e-5, 1e5), ConfidenceSpec(0.5),
-                        max_n=80_000)
-    streak = search._STREAK
-    assert blocks[0][0] == streak + 1
-    for first, size, fails in blocks:
-        assert (first, size, fails) == (
-            streak + 1, min(2 * streak, search._A_BLOCK, 80_000 - streak), size)
-        streak += size
-    assert streak == 80_000
+        min_sample_size(criterion, interval, ConfidenceSpec(delta), max_n=max_n)
+    assert blocks == _expected_blocks(limit, 1, max_n + 1, max_n, lambda n: True)
+    if limit > 1 + search._STREAK:
+        assert blocks[0][:2] == (1, math.ceil(min(limit - 1, search._A_BLOCK, max_n)))
+    else:
+        assert blocks[0][:2] == (search._STREAK + 1, 2 * search._STREAK)
+
+
+def test_blocks_after_one_that_ends_early_follow_the_streak(monkeypatch):
+    # the second block ends early, at the first n whose a passes; the
+    # prediction is spent, and the blocks up to the answer open after
+    # streaks of n decided alone
+    criterion, interval, delta = Relative(0.05), ParamInterval(0.1, 10.0), 0.05
+    limit = search._n_at_a(criterion, interval.a, delta) * (1.0 + search._SLACK)
+    blocks = _record_blocks(monkeypatch)
+    plan = min_sample_size(criterion, interval, ConfidenceSpec(delta))
+
+    def fails(n):
+        with contextlib.suppress(ValueError):
+            return _a_verdict(criterion, interval, delta, n, prefix=1) is not None
+        return False
+    assert blocks == _expected_blocks(limit, 1, plan.n_min, 10**6, fails)
+    (_, first_size, first_fails), (second, size, fails_) = blocks[:2]
+    assert first_size == first_fails == search._A_BLOCK
+    assert fails_ < size and second + size - 1 < limit
+    assert len(blocks) > 2
 
 
 def test_a_narrow_margin_inside_a_block_raises_at_its_own_n(monkeypatch):
@@ -258,6 +363,7 @@ def test_n_past_the_answer_in_a_block_cost_work_and_never_count(monkeypatch):
     plan = min_sample_size(criterion, interval, ConfidenceSpec(delta))
     assert any(first + size > plan.n_min for first, size, _ in blocks)
     monkeypatch.setattr(search, "_STREAK", plan.n_min + 1)
+    monkeypatch.setattr(search, "_n_at_a", lambda *args: 0.0)
     assert min_sample_size(criterion, interval, ConfidenceSpec(delta)) == plan
 
 
@@ -316,8 +422,9 @@ def test_tiny_relative_lower_bound_exhausts_the_budget_at_once(monkeypatch, max_
 
 def test_relative_lower_bound_tie_is_left_to_the_scan(monkeypatch):
     # max_n * a equals ln(1/delta) up to rounding: the bound must not raise,
-    # the scan decides (and here every n <= max_n fails), n by n or, after
-    # a streak of 2 n that fail at a, in blocks at a
+    # the scan decides (and here every n <= max_n fails): in a block at a up
+    # to the prediction, and without one n by n or, after a streak of 2 n
+    # that fail at a, in blocks at a
     scanned = set()
 
     def recording(name, ns):
@@ -336,8 +443,11 @@ def test_relative_lower_bound_tie_is_left_to_the_scan(monkeypatch):
               lambda criterion, ns, *_, result: ns[:result[2].size].tolist())
     max_n, delta = 10, 0.1
     a = math.log(1.0 / delta) / max_n
-    for streak in (search._STREAK, 2):
+    real_n_at_a = search._n_at_a
+    for streak, n_at_a in ((search._STREAK, real_n_at_a), (search._STREAK, lambda *args: 0.0),
+                           (2, lambda *args: 0.0)):
         monkeypatch.setattr(search, "_STREAK", streak)
+        monkeypatch.setattr(search, "_n_at_a", n_at_a)
         scanned.clear()
         with pytest.raises(MaxSampleSizeExceeded) as info:
             min_sample_size(Relative(0.5), ParamInterval(a, 1.0),

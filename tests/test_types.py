@@ -27,6 +27,7 @@ from poisson_ss import (
     min_sample_size,
     validate,
 )
+from poisson_ss.types import _MIN_DELTA
 
 
 def test_validate_returns_configuration_unchanged():
@@ -63,8 +64,22 @@ def test_delta_too_small_for_floats_is_refused(delta):
         validate(Absolute(0.5), ParamInterval(0.0, 0.5), ConfidenceSpec(delta))
     with pytest.raises(DeltaOutOfRange, match="rounds to 1.0"):
         min_sample_size(Absolute(0.5), ParamInterval(0.0, 0.5), ConfidenceSpec(delta))
-    # the least delta whose 1 - delta is below 1.0 still passes the gate
-    validate(Absolute(0.5), ParamInterval(0.0, 0.5), ConfidenceSpec(2.0 ** -53))
+    # the least delta a search can decide passes the gate, the float below it
+    # does not
+    validate(Absolute(0.5), ParamInterval(0.0, 0.5), ConfidenceSpec(_MIN_DELTA))
+    with pytest.raises(DeltaOutOfRange, match="too small for floats"):
+        validate(Absolute(0.5), ParamInterval(0.0, 0.5),
+                 ConfidenceSpec(math.nextafter(_MIN_DELTA, 0.0)))
+
+
+@pytest.mark.parametrize("criterion, interval, n_min", [
+    (Absolute(0.5), ParamInterval(0.0, 0.5), 106),
+    (Relative(0.2), ParamInterval(0.5, 2.0), 2166),
+])
+def test_the_least_delta_is_still_searched(criterion, interval, n_min):
+    plan = min_sample_size(criterion, interval, ConfidenceSpec(_MIN_DELTA))
+    assert plan.n_min == n_min
+    assert plan.worst_coverage > 1.0 - _MIN_DELTA
 
 
 def test_interval_must_be_nonempty():
