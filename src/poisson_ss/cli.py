@@ -23,12 +23,15 @@ significant digits so values round-trip exactly, and is strict JSON: a
 non-finite float (the upper bound b = inf that ``size`` accepts for a
 relative or mixed margin, whose tail bound makes the scan finite) is
 written as null.  The rows of ``coverage`` and ``candidates`` are kept as
-tuples and written with one ``%`` template per row and format, byte for
-byte what formatting each value apart gives.  Their floats are finite by
-construction, so no row needs the null rule: those commands need a finite
-0 <= a < b, every candidate and grid rate lies in [a, b], every coverage
-is clamped to [0, 1], and a Poisson mean above 2**38 raises before any
-row is written.
+chunks of columns (``coverage`` keeps each summed chunk's four arrays) and
+written a chunk at a time with one ``%`` template per row and format, byte
+for byte what formatting each value apart gives; neither a tuple per row
+nor a text of the whole output is held.  Every chunk is summed before the
+first row is written, so every error comes before any output.  Their
+floats are finite by construction, so no row needs the null rule: those
+commands need a finite 0 <= a < b, every candidate and grid rate lies in
+[a, b], every coverage is clamped to [0, 1], and a Poisson mean above
+2**38 raises before any row is written.
 
 Exit codes: 0 success, 1 validation error, 2 budget exceeded, 3 internal
 verification failure.  No other value is ever returned.
@@ -41,6 +44,9 @@ import json
 import math
 import sys
 import time
+from collections.abc import Iterator
+
+import numpy as np
 
 from .candidates import _layout, _point_arrays, candidate_set, cardinality_bound
 from .minimizer import _blocks, min_coverage
@@ -112,18 +118,25 @@ _CANDIDATE_TEXT = "%.17g  %s%s%s\n"
 
 
 class _Rows(list):
-    """A result's row tuples, which `_jsonify` writes as one ``to_json(row)``
-    text per row; their floats are finite (see the module docstring)."""
+    """A result's rows as chunks, each a tuple of equal-length columns
+    (arrays or lists), which `_write_json` writes a chunk at a time as one
+    ``to_json(row)`` text per row; their floats are finite (see the module
+    docstring)."""
 
     def __init__(self, to_json) -> None:
         super().__init__()
         self.to_json = to_json
 
+    def chunks(self) -> Iterator[Iterator[tuple]]:
+        """Each chunk's row tuples, made only when the chunk is written."""
+        for columns in self:
+            yield zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+
 
 def _candidate_json(row: tuple) -> str:
     lam, kind, ell, extra_tags = row
     return _CANDIDATE_JSON % (lam, _json_string(kind), "null" if ell is None else ell,
-                              _jsonify(extra_tags))
+                              _jsonify(extra_tags) if extra_tags else "[]")
 
 
 def _candidate_text(row: tuple) -> str:
@@ -134,17 +147,13 @@ def _candidate_text(row: tuple) -> str:
 
 def _jsonify(obj) -> str:
     """Strict JSON text with all finite floats at 17 significant digits and
-    non-finite ones as null.  Exact floats and ints are tested for first,
-    then `_Rows`, the bulk of ``coverage`` and ``candidates`` output, whose
-    rows are written one template each; strings are written as `json.dumps`
-    writes them."""
+    non-finite ones as null.  Exact floats and ints are tested for first;
+    strings are written as `json.dumps` writes them."""
     kind = type(obj)
     if kind is float:
         return format(obj, ".17g") if math.isfinite(obj) else "null"
     if kind is int:
         return int.__repr__(obj)
-    if kind is _Rows:
-        return "[" + ", ".join(map(obj.to_json, obj)) + "]"
     if isinstance(obj, str):
         return _json_string(obj)
     if isinstance(obj, dict):
@@ -158,6 +167,27 @@ def _jsonify(obj) -> str:
     if isinstance(obj, float):
         return _fmt(obj) if math.isfinite(obj) else "null"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _write_json(result: dict, out) -> None:
+    """Writes ``_jsonify(result)`` and a newline to ``out``, a `_Rows` value
+    a chunk at a time, so no text of the whole output is built."""
+    sep = "{"
+    for key, value in result.items():
+        out.write(f"{sep}{_json_string(key)}: ")
+        sep = ", "
+        if type(value) is not _Rows:
+            out.write(_jsonify(value))
+            continue
+        out.write("[")
+        between = ""
+        for rows in value.chunks():
+            text = ", ".join(map(value.to_json, rows))
+            if text:
+                out.write(between + text)
+                between = ", "
+        out.write("]")
+    out.write("}\n")
 
 
 def _add_problem_flags(p: argparse.ArgumentParser, with_delta: bool) -> None:
@@ -293,8 +323,7 @@ def _execute_coverage(ns: argparse.Namespace) -> tuple[dict, int]:
         _row_bound(criterion, ns.n, interval)
         blocks = _blocks(criterion, ns.n, _point_arrays(_layout(criterion, ns.n, interval)))
     rows = _Rows(_COVERAGE_JSON.__mod__)
-    for lams, gs, hs, covs in blocks:
-        rows.extend(zip(lams.tolist(), gs.tolist(), hs.tolist(), covs.tolist()))
+    rows.extend(blocks)  # every chunk is summed, and so checked, before any row is written
     result = {
         "criterion": _criterion_obj(criterion),
         "interval": {"a": interval.a, "b": interval.b},
@@ -324,9 +353,9 @@ def _execute_candidates(ns: argparse.Namespace) -> tuple[dict, int]:
     points = candidate_set(criterion, ns.n, interval)
     bound_holds = len(points) < bound
     rows = _Rows(_candidate_json)
-    rows.extend((p.value, p.kind.value, p.ell,
-                 tuple((kind.value, ell) for kind, ell in p.extra_tags))
-                for p in points)
+    rows.append(([p.value for p in points], [p.kind.value for p in points],
+                 [p.ell for p in points],
+                 [tuple((kind.value, ell) for kind, ell in p.extra_tags) for p in points]))
     result = {
         "criterion": _criterion_obj(criterion),
         "interval": {"a": interval.a, "b": interval.b},
@@ -406,11 +435,14 @@ def _render_size(result: dict, out) -> None:
 
 
 def _render_coverage(result: dict, out) -> None:
-    out.write("lambda,g,h,coverage\n" + "".join(map(_COVERAGE_CSV.__mod__, result["rows"])))
+    out.write("lambda,g,h,coverage\n")
+    for rows in result["rows"].chunks():
+        out.write("".join(map(_COVERAGE_CSV.__mod__, rows)))
 
 
 def _render_candidates(result: dict, out) -> None:
-    out.write("".join(map(_candidate_text, result["points"])))
+    for rows in result["points"].chunks():
+        out.write("".join(map(_candidate_text, rows)))
     verdict = "holds" if result["bound_holds"] else "VIOLATED"
     print(f"count: {result['count']}  bound: {_fmt(result['bound'])} "
           f"({verdict})", file=out)
@@ -427,7 +459,7 @@ def _render_verify(result: dict, out) -> None:
     print("overall: " + ("pass" if result["passed"] else "FAIL"), file=out)
 
 
-# Text and CSV formats; every subcommand's json format is _jsonify(result).
+# Text and CSV formats; every subcommand's json format is _write_json(result).
 _RENDERERS = {
     "size": _render_size,
     "coverage": _render_coverage,
@@ -515,7 +547,8 @@ def _run_batch(path: str, out, parser: argparse.ArgumentParser) -> int:
     status = EXIT_OK
     for job in jobs:
         result, code = _run(_run_job, job, parser)
-        print(_jsonify(result), file=out, flush=True)
+        _write_json(result, out)
+        out.flush()
         status = max(status, code)
     return status
 
@@ -535,7 +568,7 @@ def main(argv: list[str] | None = None) -> int:
     if "error" in result:
         print(f"error: {result['error']}", file=sys.stderr)
     elif ns.format == "json":
-        print(_jsonify(result))
+        _write_json(result, sys.stdout)
     else:
         _RENDERERS[ns.command](result, sys.stdout)
     return code

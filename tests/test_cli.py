@@ -535,6 +535,32 @@ def test_validation_failures_exit_1(capsys, argv):
     assert code == 1
 
 
+def test_an_error_in_a_later_chunk_leaves_no_partial_output(tmp_path, capsys):
+    # one rate a chunk: the first chunk (1e-300) sums, the second (1e300)
+    # raises, after a chunk of rows could have been written
+    job = {"cmd": "coverage", "criterion": "rel", "eps": 0.3, "a": 1e-300, "b": 1e300,
+           "n": 1, "grid": 2, "format": "json"}
+    argv = ["coverage", "--criterion", "rel", "--eps", "0.3", "--a", "1e-300",
+            "--b", "1e300", "--n", "1", "--grid", "2", "--format", "json"]
+    config = tmp_path / "jobs.jsonl"
+    config.write_text(json.dumps(job) + "\n", encoding="utf-8")
+    summed = []
+
+    def grid_rows(*args):
+        for block in oracle._grid_rows(*args):
+            summed.append(block)
+            yield block
+
+    with mock.patch.object(oracle, "_CHUNK", 1), mock.patch.object(cli, "_grid_rows", grid_rows):
+        code, out, err = run(capsys, argv)
+        assert len(summed) == 1
+        assert (code, out) == (1, "")
+        assert err == "error: mean must lie in [0, 2**38], got 1e+300\n"
+        code, out, _ = run(capsys, ["--config", str(config)])
+    assert code == 1
+    assert out == '{"error": "mean must lie in [0, 2**38], got 1e+300", "code": 1}\n'
+
+
 @pytest.mark.parametrize("argv", [
     ["coverage", "--criterion", "abs", "--eps", "0.2", "--a", "0", "--b", "1",
      "--n", "0"],

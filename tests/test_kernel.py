@@ -194,6 +194,42 @@ def _scalar_hex(g, h, mu):
     return [interval_prob(a, b, m).hex() for a, b, m in zip(g, h, mu)]
 
 
+def _edge(mu: float, up: bool) -> int | None:
+    """The last index out from the mode of mu, upward or downward, whose
+    term has its lower bound above the clean-row bound (`kernel._above`);
+    None downward when every term down to 0 has."""
+    mode = np.array([float(math.floor(mu))])
+    steps = np.array([1e8]) if up else mode
+    safe = kernel._safe_steps(mode, steps, np.array([mu]), up)[0]
+    if not up and safe == mode[0]:
+        return None
+    return int(mode[0] + safe if up else mode[0] - safe)
+
+
+def _edge_rows(mu: float) -> list[tuple[int, int, float]]:
+    """Rows of mean mu whose last in-range term is the last one above the
+    clean-row bound, or the first one below it, upward and downward: from
+    the mode where that is at most 5000 steps, and as a few terms in the
+    tail."""
+    mode, rows = math.floor(mu), []
+    up, down = _edge(mu, True), _edge(mu, False)
+    for e in (up, up + 1):
+        rows.append((e - 3, e, mu))
+        if e - mode <= 5000:
+            rows.append((mode, e, mu))
+    for e in () if down is None else (down, down - 1):
+        rows.append((e, e + 3, mu))
+        if mode - e <= 5000:
+            rows.append((e, mode, mu))
+    return rows
+
+
+# Rows at the clean-row bound, for means from 5e-324 to 2**38.
+_EDGE_ROWS = [row for mu in (5e-324, 1e-300, 1e-9, 0.5, 3.7, 40.0, 700.5, 1e5, 1e10,
+                             2.0 ** 38)
+              for row in _edge_rows(mu)]
+
+
 @st.composite
 def _kernel_args(draw):
     """(g, h, mu) around the mode of mu: negative g, empty ranges, zero and
@@ -219,6 +255,7 @@ def _kernel_args(draw):
 @example([(3000, 3100, 50.0), (0, 3, 1e10)], 1)              # anchor underflows
 @example([(0, 2000, 4.5), (0, 2000, 1500.0)], 64)            # cutoff up, down
 @example([(5, 7, 6.0), (0, 3000, 2000.0), (0, 3000, 2000.0)], 8192)  # k / mu < 0
+@example(_EDGE_ROWS + [(-5, 3, 0.0), (4, 3, 2.5)], 8192)     # at the clean-row bound
 def test_batched_kernel_matches_the_scalar_kernel_bit_for_bit(args, cells):
     g, h, mu = zip(*args)
     want = _scalar_hex(g, h, mu)
@@ -234,11 +271,11 @@ def test_batched_kernel_matches_the_scalar_kernel_bit_for_bit(args, cells):
 
 
 # Rows for wide calls: cutoffs up and down, anchors that underflow, mu = 0
-# and empty ranges, and ranges that end on every step from 0 to 300 around
-# a mode of 1000.
+# and empty ranges, ranges that end on every step from 0 to 300 around a
+# mode of 1000, and ranges that end at the clean-row bound.
 _WIDE_ROWS = ([(0, 2000, 4.5), (0, 2000, 1500.0), (3000, 3100, 50.0), (0, 3, 1e10),
                (-5, 3, 0.0), (2, 9, 0.0), (4, 3, 2.5), (-9, -2, 1.0)]
-              + [(1000 - d, 1000 + d // 2, 1000.0) for d in range(301)])
+              + [(1000 - d, 1000 + d // 2, 1000.0) for d in range(301)] + _EDGE_ROWS)
 
 
 @pytest.mark.parametrize("long_rows", [0, 1, 2000])
@@ -250,9 +287,23 @@ def test_wide_kernel_calls_match_the_scalar_kernel_bit_for_bit(long_rows):
     rows = _WIDE_ROWS + [(0, 3000, 2000.0)] * long_rows
     rows *= -(-kernel._WIDE // len(rows))  # a call of at least _WIDE points
     g, h, mu = zip(*rows)
-    with mock.patch.object(kernel, "_sweep", wraps=kernel._sweep) as sweep:
+    with mock.patch.object(kernel, "_lean", wraps=kernel._lean) as lean, \
+            mock.patch.object(kernel, "_sweep", wraps=kernel._sweep) as sweep:
         got = interval_probs(g, h, mu)
-    assert sweep.call_count == 2  # upward and downward
+    # upward and downward, each through both wide routes
+    assert (lean.call_count, sweep.call_count) == (2, 2)
+    assert [v.hex() for v in got.tolist()] == _scalar_hex(g, h, mu)
+
+
+def test_wide_kernel_calls_of_clean_rows_take_the_lean_route_alone():
+    # every last in-range term is above the clean-row bound, so no step is
+    # left for the sweep that tests the cutoff
+    rows = [(1000 - d % 90, 1000 + d % 70, 1000.0 + d / 7.0) for d in range(kernel._WIDE)]
+    g, h, mu = zip(*rows)
+    with mock.patch.object(kernel, "_lean", wraps=kernel._lean) as lean, \
+            mock.patch.object(kernel, "_sweep", wraps=kernel._sweep) as sweep:
+        got = interval_probs(g, h, mu)
+    assert (lean.call_count, sweep.call_count) == (2, 0)
     assert [v.hex() for v in got.tolist()] == _scalar_hex(g, h, mu)
 
 
