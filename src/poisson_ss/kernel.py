@@ -26,32 +26,29 @@ n * b below 1.25e11), a non-finite mean or a non-finite count raises.
 
 `interval_probs` is the batched form: element i of its result is
 ``interval_prob(g[i], h[i], mu[i])`` bit for bit.  It performs the same
-floating-point operations in the same order, in one of two sweeps chosen by
-the width of the call:
+floating-point operations in the same order, in one loop that lays its
+arrays out steps x points.  The term recurrence is
+``np.multiply.accumulate`` and the running totals and Fast2Sum error terms
+are ``np.add.accumulate`` down the step axis; both fold strictly left to
+right, as the loops do (``np.sum`` would sum pairwise and change bits).
+Each internal batch holds at most _BATCH_CELLS steps x points, or one step
+when there are more points.  A step past a range's end or its cutoff has
+ratio 0, and adding 0 is exact.
 
-* a call of fewer than _WIDE points lays its arrays out steps x points.
-  The term recurrence is ``np.multiply.accumulate`` and the running totals
-  and Fast2Sum error terms are ``np.add.accumulate`` down the step axis;
-  both fold strictly left to right, as the loops do (``np.sum`` would sum
-  pairwise and change bits).  Each internal batch holds at most
-  _BATCH_CELLS steps x points, or one step when there are more points.
-* a call of _WIDE points or more takes one step at a time over every point
-  still going, with elementwise ufuncs: 0.8 ns a cell against 4 to 9 ns
-  for an accumulate down the step axis (numpy 2.4, a 2-core x86 host).
-  It has two routes.  `_lean` takes each point's steps that the cutoff
-  provably cannot stop (`_safe_steps`): with the points in order of
-  falling step count, the points still going are a prefix, so a step is
-  seven ufunc calls on slices, with no cutoff test, mask or gather.
-  `_sweep` then takes the steps left, testing the cutoff: about a dozen
-  numpy calls a step, which _WIDE points amortize.  On the 19 262
-  coverage rows of Absolute(0.1) [0, 5] at n = 1926 every point but
-  those of the smallest rates is clean, and the sums took 35.5 to 37.6 ms
-  in place of 43 to 44 ms (medians of 30 alternating in-process runs).
+A call of _WIDE points or more first runs a lean pre-pass, `_lean`, over
+each point's steps that the cutoff provably cannot stop (`_safe_steps`):
+one step at a time over every point still going, with elementwise ufuncs,
+0.8 ns a cell against 4 to 9 ns for an accumulate down the step axis
+(numpy 2.4, a 2-core x86 host).  With the points in order of falling step
+count, the points still going are a prefix, so a step is seven ufunc calls
+on slices, with no cutoff test, mask or gather.  Only the points with steps
+left go on to the loop, from `_lean`'s last term.  On the 19 262 coverage
+rows of Absolute(0.1) [0, 5] at n = 1926 every point but those of the
+smallest rates is clean and never reaches the loop.
 
-In each, a step past a range's end or its cutoff has ratio 0 (in `_lean`
-it is not taken), and adding 0 is exact.  numpy's ``+ - * /`` and ``sqrt``
-round correctly, like Python's, but its ``exp`` and ``log`` need not round
-like libm, so those go through ``math`` one element at a time.
+numpy's ``+ - * /`` and ``sqrt`` round correctly, like Python's, but its
+``exp`` and ``log`` need not round like libm, so those go through ``math``
+one element at a time.
 
 The cutoff cannot stop a point's sum before a step whose term has the lower
 bound ``_pmf_tops(k, mu) * exp(-1 / (12 k))`` above _CLEAN_TERM = 1e-16,
@@ -66,7 +63,7 @@ million steps a term above 1e-16 can be from the mode at mu = 2**38), and
 step is at or below 1e-18 of its total, the test would never fire, and
 leaving it out changes no bit.  A point whose last in-range term passes
 this test is clean: `_lean` sums all of it.  For any other, `_safe_steps`
-finds by bisection how many of its steps pass.
+finds by bisection how many of its steps pass, and the loop takes the rest.
 
 `_floors` is a cheap lower bound on the interval mass, for skipping sums
 that cannot matter: one minus the geometric tail bounds
@@ -104,12 +101,13 @@ _MAX_MEAN = 2.0 ** 38
 # this take one step a batch.
 _BATCH_CELLS = 8192
 
-# Fewest points for which `interval_probs` sums one step at a time over all
-# of them (`_sweep`) rather than in steps x points batches: the width from
-# which the step-by-step sweep was faster on all three row shapes timed
-# (the coverage rows of Absolute(0.1) n = 1926 and of Relative(0.1)
-# n = 781, and the short windows of Absolute(0.1) n = 276; numpy 2.4, a
-# 2-core x86 host), where the crossovers lay at about 300 to 650 points.
+# Fewest points for which `interval_probs` runs the lean pre-pass before
+# its loop: above the widths, about 250, 350 and 500 points, at which
+# pre-pass + loop overtook the loop alone on the coverage rows of
+# Absolute(0.1) n = 1926 and of Relative(0.1) n = 781 and the short
+# windows of Absolute(0.1) n = 276 (best of 15 interleaved calls, numpy
+# 2.4, a 2-core x86 host).  It took 0.55, 0.72 and 0.97 of the loop's
+# time at 512 points, and 0.38, 0.57 and 0.76 at 768.
 _WIDE = 768
 
 __all__ = ["pmf", "interval_prob", "interval_probs"]
@@ -313,21 +311,20 @@ def _extend(total, comp, mass, anchor, steps, mu, up: bool) -> None:
     ratio mu / k, downward by k / mu, each point stopping after its first
     term at or below 1e-18 of its total, as the loops of `interval_prob` do.
 
-    A call of _WIDE points or more sends each point's steps that the cutoff
-    cannot stop (`_safe_steps`) through `_lean`, then the steps left, if
-    any, through `_sweep`.  A narrower one lays rows out as steps and
-    columns as points, at most _BATCH_CELLS cells a batch.  A step past a
-    point's last one has ratio 0 and adds an exact 0, so the last row holds
-    each point's sums after its last step, unless the cutoff stopped it on
-    an earlier row."""
+    A call of _WIDE points or more first sends each point's steps that the
+    cutoff cannot stop (`_safe_steps`) through `_lean`; only the points
+    with steps left go on, from `_lean`'s last term.  The loop lays rows
+    out as steps and columns as points, at most _BATCH_CELLS cells a batch.
+    A step past a point's last one has ratio 0 and adds an exact 0, so the
+    last row holds each point's sums after its last step, unless the cutoff
+    stopped it on an earlier row."""
+    term, k, left, pos = mass, anchor, steps, slice(None)
     if steps.size >= _WIDE:
         safe = _safe_steps(anchor, steps, mu, up)
         term = _lean(total, comp, mass, anchor, safe, mu, up)
-        rest = steps - safe
-        if rest.any():
-            _sweep(total, comp, term, anchor + safe if up else anchor - safe, rest, mu, up)
-        return
-    term, k, left, pos = mass, anchor, steps, slice(None)
+        pos = np.flatnonzero(steps > safe)
+        k = anchor + safe if up else anchor - safe
+        term, k, left, mu = term[pos], k[pos], (steps - safe)[pos], mu[pos]
     while left.size:
         most = int(left.max())
         if most == 0:
@@ -397,14 +394,14 @@ def _above(anchor, steps, mu, up: bool) -> np.ndarray:
 
 
 def _lean(total, comp, mass, anchor, steps, mu, up: bool) -> np.ndarray:
-    """`_sweep` for ``steps`` that the cutoff cannot stop (`_safe_steps`),
-    returning each point's last term.  In order of falling step count the
-    points still going at each step are a prefix, so a step is seven ufunc
-    calls on slices, the operations of `interval_prob`'s loops in their
-    order, with no cutoff test, mask or gather.  Each step writes the new
-    totals into the other of two buffers, so a point's sum ends in the
-    first buffer after an even number of steps and in the second after an
-    odd one."""
+    """`_extend`'s lean pre-pass: ``steps`` that the cutoff cannot stop
+    (`_safe_steps`), one step at a time over every point, returning each
+    point's last term.  In order of falling step count the points still
+    going at each step are a prefix, so a step is seven ufunc calls on
+    slices, the operations of `interval_prob`'s loops in their order, with
+    no cutoff test, mask or gather.  Each step writes the new totals into
+    the other of two buffers, so a point's sum ends in the first buffer
+    after an even number of steps and in the second after an odd one."""
     order = np.argsort(-steps)
     left = steps[order]
     term, k, mu, cmp = mass[order], anchor[order], mu[order], comp[order]
@@ -438,56 +435,14 @@ def _lean(total, comp, mass, anchor, steps, mu, up: bool) -> np.ndarray:
     return out
 
 
-def _sweep(total, comp, mass, anchor, steps, mu, up: bool) -> None:
-    """`_extend` one step at a time: each step is a few numpy calls over
-    every point still going, with the operations of `interval_prob`'s loops
-    in their order.  A point that has stopped, at its range end or the
-    cutoff, takes ratio 0 and so adds exact zeros.  The points still going
-    are gathered once at most half of them remain, and before the first
-    step, which copies the arrays the steps update in place."""
-    pos, term, k, left, tot, cmp = np.arange(mass.size), mass, anchor, steps, total, comp
-    done, step = steps < 1, 0
-    while True:
-        going = done.size - np.count_nonzero(done)
-        if step == 0 or 2 * going <= done.size:
-            total[pos], comp[pos] = tot, cmp
-            if not going:
-                return
-            keep = np.flatnonzero(~done)
-            pos, term, k, left, mu, tot, cmp = (
-                a[keep] for a in (pos, term, k, left, mu, tot, cmp))
-            ratio, fresh, diff = np.empty((3, going))
-            done, stop = np.zeros((2, going), dtype=bool)
-            ends = np.sort(left)  # the step each range ends on
-            end = ends[0]
-        step += 1
-        if up:  # term *= mu / k with k = anchor + step
-            k += 1.0
-            np.divide(mu, k, out=ratio)
-        else:  # term *= k / mu, then k -= 1
-            np.divide(k, mu, out=ratio)
-            k -= 1.0
-        np.copyto(ratio, 0.0, where=done)
-        term *= ratio
-        np.add(tot, term, out=fresh)
-        np.subtract(tot, fresh, out=diff)
-        diff += term
-        cmp += diff
-        tot, fresh = fresh, tot
-        np.multiply(tot, _TERM_CUTOFF, out=diff)
-        done |= np.less_equal(term, diff, out=stop)
-        if step == end:
-            done |= np.less_equal(left, step, out=stop)
-            end = ends[min(ends.searchsorted(step, "right"), ends.size - 1)]
-
-
 def interval_probs(g, h, mu) -> np.ndarray:
     """`interval_prob` over 1-D arrays of equal length.
 
     Element i of the float64 result is ``interval_prob(g[i], h[i], mu[i])``
-    bit for bit.  Counts are integers (integer or float arrays); input that
-    `interval_prob` rejects raises its ValueError, for the first bad
-    element.
+    bit for bit, from `_extend`'s loop, after a lean pre-pass in a call of
+    _WIDE points or more.  Counts are integers (integer or float arrays);
+    input that `interval_prob` rejects raises its ValueError, for the first
+    bad element.
     """
     g, h, mu = np.asarray(g), np.asarray(h), np.asarray(mu)
     # Python floats overflow to inf silently (x / mu at a subnormal mean,

@@ -73,8 +73,8 @@ to and including the witness, whether a floor or a sum decided them.  No
 build holds more than about a chunk of rows.  `_blocks` evaluates the
 ``coverage`` command's rows, which need every value: it sums each whole
 chunk in one `interval_probs` call, with no floors, wide enough for the
-kernel's step-by-step sweep, where the scan's pruned blocks of _BLOCK
-rows take its batched one.
+kernel's lean pre-pass, which the scan's pruned blocks of _BLOCK rows
+skip.
 """
 
 from __future__ import annotations

@@ -212,7 +212,7 @@ def _coverage_rows(argv) -> list[tuple]:
 def test_coverage_rows_match_the_per_point_reference(config, chunk):
     # Small chunks put rows on every side of chunk cuts and held-back merge
     # groups, and a small kernel width sends most of them through the
-    # step-by-step sweep; each row must still be the reference's.
+    # lean pre-pass; each row must still be the reference's.
     crit, n, interval, _ = config
     argv = ["coverage", *_criterion_argv(crit), "--a", repr(interval.a),
             "--b", repr(interval.b), "--n", str(n)]

@@ -260,8 +260,8 @@ def test_batched_kernel_matches_the_scalar_kernel_bit_for_bit(args, cells):
     g, h, mu = zip(*args)
     want = _scalar_hex(g, h, mu)
     # small batch sizes split the steps into many batches; a width of 1
-    # sends every call through the step-by-step sweep, and an unreachable
-    # one none
+    # sends every call through the lean pre-pass and then the batched loop,
+    # and an unreachable one through the loop alone
     for wide in (1, 10 ** 9):
         with mock.patch.object(kernel, "_BATCH_CELLS", cells), \
                 mock.patch.object(kernel, "_WIDE", wide):
@@ -278,6 +278,20 @@ _WIDE_ROWS = ([(0, 2000, 4.5), (0, 2000, 1500.0), (3000, 3100, 50.0), (0, 3, 1e1
               + [(1000 - d, 1000 + d // 2, 1000.0) for d in range(301)] + _EDGE_ROWS)
 
 
+def _wide_sums(g, h, mu):
+    """``interval_probs(g, h, mu)``, and for each `_safe_steps` call, upward
+    then downward, whether some row has steps left past its safe ones."""
+    left, safe_steps = [], kernel._safe_steps
+
+    def recorded(anchor, steps, mu, up):
+        safe = safe_steps(anchor, steps, mu, up)
+        left.append(bool((steps > safe).any()))
+        return safe
+
+    with mock.patch.object(kernel, "_safe_steps", recorded):
+        return interval_probs(g, h, mu), left
+
+
 @pytest.mark.parametrize("long_rows", [0, 1, 2000])
 def test_wide_kernel_calls_match_the_scalar_kernel_bit_for_bit(long_rows):
     # Cutoffs 9 sigma from a mode of 2000 stop the long rows after ~400
@@ -287,23 +301,20 @@ def test_wide_kernel_calls_match_the_scalar_kernel_bit_for_bit(long_rows):
     rows = _WIDE_ROWS + [(0, 3000, 2000.0)] * long_rows
     rows *= -(-kernel._WIDE // len(rows))  # a call of at least _WIDE points
     g, h, mu = zip(*rows)
-    with mock.patch.object(kernel, "_lean", wraps=kernel._lean) as lean, \
-            mock.patch.object(kernel, "_sweep", wraps=kernel._sweep) as sweep:
-        got = interval_probs(g, h, mu)
-    # upward and downward, each through both wide routes
-    assert (lean.call_count, sweep.call_count) == (2, 2)
+    got, left = _wide_sums(g, h, mu)
+    # upward and downward, some rows go on from the lean pre-pass to the
+    # loop that tests the cutoff
+    assert left == [True, True]
     assert [v.hex() for v in got.tolist()] == _scalar_hex(g, h, mu)
 
 
 def test_wide_kernel_calls_of_clean_rows_take_the_lean_route_alone():
     # every last in-range term is above the clean-row bound, so no step is
-    # left for the sweep that tests the cutoff
+    # left for the loop that tests the cutoff
     rows = [(1000 - d % 90, 1000 + d % 70, 1000.0 + d / 7.0) for d in range(kernel._WIDE)]
     g, h, mu = zip(*rows)
-    with mock.patch.object(kernel, "_lean", wraps=kernel._lean) as lean, \
-            mock.patch.object(kernel, "_sweep", wraps=kernel._sweep) as sweep:
-        got = interval_probs(g, h, mu)
-    assert (lean.call_count, sweep.call_count) == (2, 0)
+    got, left = _wide_sums(g, h, mu)
+    assert left == [False, False]
     assert [v.hex() for v in got.tolist()] == _scalar_hex(g, h, mu)
 
 

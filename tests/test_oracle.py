@@ -121,7 +121,7 @@ _GRID_CHUNKS = st.sampled_from([1, 7, 64, 768])
 @settings(max_examples=150, deadline=None)
 @given(grids(), _GRID_CHUNKS, st.sampled_from([1, kernel._WIDE]))
 def test_grid_rows_match_the_per_rate_reference(config, chunk, wide):
-    # a width of 1 sends every chunk through the kernel's step-by-step sweep
+    # a width of 1 sends every chunk through the kernel's lean pre-pass
     with mock.patch.object(oracle, "_CHUNK", chunk), mock.patch.object(kernel, "_WIDE", wide):
         _assert_grid_matches_reference(*config)
 
