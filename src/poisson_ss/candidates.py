@@ -26,7 +26,8 @@ the endpoints, the crossover and the family members in the span padded by
 applies it in pure Python to one layout and returns tuples; `_point_rows`
 applies it with numpy, to one layout or several at once, and returns
 arrays.  `_spans` cuts a layout's rates into spans of about _CHUNK points
-or fewer, the first ending where its caller asks.  `candidate_stream`
+or fewer, the first ending where its caller asks; the scan's probe cuts
+its spans of about _PREFIX points with it too.  `candidate_stream`
 chains `_span_points` over them, building a span only when its first
 point is asked for.  `_point_arrays` builds one layout span after span as
 arrays, so a scan past its first few candidates never holds more than a
@@ -46,7 +47,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .coverage import _PIN_SIDE, _UNPINNED
+from .coverage import _UNPINNED
 from .types import (
     Absolute,
     CandidateKind,
@@ -57,6 +58,7 @@ from .types import (
     NonFiniteBound,
     ParamInterval,
     Relative,
+    _PIN_SIDE,
     _check_margins,
     _check_sample_size,
     effective_criterion,
@@ -279,14 +281,16 @@ def _span_points(layout: _Layout, start: float, end: float) -> list[_Point]:
     return points[i:j]
 
 
-def _spans(layout: _Layout, end: float = math.inf) -> Iterator[tuple[float, float]]:
-    """Cut the rates into spans [start, end) of about _CHUNK points or
-    fewer, in rate order: the first from -inf to ``end`` or to a + width,
-    whichever is less, then spans width = _CHUNK / (sum of the divs) wide,
-    the last of them ending at inf.  The spans come one at a time."""
+def _spans(
+    layout: _Layout, end: float = math.inf, points: int | None = None
+) -> Iterator[tuple[float, float]]:
+    """Cut the rates into spans [start, end) of about ``points`` points,
+    _CHUNK by default, or fewer, in rate order: the first from -inf to
+    ``end`` or to a + width, whichever is less, then spans width = points /
+    (sum of the divs) wide, the last ending at inf, one at a time."""
     _, specials, grids = layout
     a, b = specials[0][0], specials[-1][0]
-    width = _CHUNK / sum(div for _, div, _, _, _ in grids)
+    width = (points or _CHUNK) / sum(div for _, div, _, _, _ in grids)
     start, cut = -math.inf, min(end, a + width)
     while cut < b:
         yield start, cut

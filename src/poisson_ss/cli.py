@@ -49,7 +49,8 @@ from collections.abc import Iterator
 import numpy as np
 
 from .candidates import _layout, _point_arrays, candidate_set, cardinality_bound
-from .minimizer import _blocks, min_coverage
+from .coverage import _blocks
+from .minimizer import min_coverage
 from .oracle import (
     _MAX_GRID_POINTS,
     _check_points,
@@ -147,12 +148,11 @@ def _candidate_text(row: tuple) -> str:
 
 def _jsonify(obj) -> str:
     """Strict JSON text with all finite floats at 17 significant digits and
-    non-finite ones as null.  Exact floats and ints are tested for first;
-    strings are written as `json.dumps` writes them."""
-    kind = type(obj)
-    if kind is float:
+    non-finite ones as null.  Floats (numpy's too) and exact ints come
+    first; strings are written as `json.dumps` writes them."""
+    if isinstance(obj, float):
         return format(obj, ".17g") if math.isfinite(obj) else "null"
-    if kind is int:
+    if type(obj) is int:
         return int.__repr__(obj)
     if isinstance(obj, str):
         return _json_string(obj)
@@ -161,11 +161,9 @@ def _jsonify(obj) -> str:
             f"{_json_string(str(k))}: {_jsonify(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(map(_jsonify, obj)) + "]"
-    # bool, None, int subclasses and float subclasses such as numpy's
+    # bool, None and int subclasses
     if isinstance(obj, bool) or obj is None or isinstance(obj, int):
         return json.dumps(obj)
-    if isinstance(obj, float):
-        return _fmt(obj) if math.isfinite(obj) else "null"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

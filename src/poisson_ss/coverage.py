@@ -24,17 +24,19 @@ through; the scan passes plain fields and builds no objects.  The public
 functions check the margins and n once (`types`); `_window` checks only
 the rate, so a scan's probe sums do not check n again.  `_windows`
 is the same rule over arrays, for the scan's chunks, the grid oracle and
-a batched run's rows of several n, one n per row.
+a batched run's rows of several n, one n per row.  `_blocks` sums the
+rows of both ``coverage`` routes, candidates and grid, a chunk at a time.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import interval_prob
+from .kernel import interval_prob, interval_probs
 from .types import (
     Absolute,
     CandidateKind,
@@ -72,11 +74,6 @@ class AcceptanceBounds:
     g: int
     h: int
 
-
-# The side of the window each breakpoint family pins at its own members,
-# as in `_window`: 0 for g, 1 for h.
-_PIN_SIDE = {CandidateKind.ABS_PLUS: 0, CandidateKind.REL_LOWER: 0,
-             CandidateKind.ABS_MINUS: 1, CandidateKind.REL_UPPER: 1}
 
 # The ell of a side no tag pins, in the arrays `_windows` reads; far from
 # any ell a scan can reach (below 2**38 in size), so ell -+ 1 cannot wrap.
@@ -155,7 +152,7 @@ def _windows(
     """`_window` over an array of rates, as int64 arrays g and h equal
     element for element to its values.  ``n`` is one sample size for every
     rate or an int64 array of one per rate.  ``g_ell`` and ``h_ell`` hold,
-    per rate, the ell of the last tag pinning that side (`_PIN_SIDE`), or
+    per rate, the ell of the last tag pinning that side (`types._PIN_SIDE`), or
     `_UNPINNED`, which the defaults give every rate.  A g pin is
     max(0, ell + 1) for both families: a REL_LOWER member of a candidate set
     has ell >= 0.
@@ -204,6 +201,17 @@ def _snaps(x: np.ndarray) -> np.ndarray:
     """`_snap` over an array."""
     r = np.rint(x)
     return np.where(np.abs(x - r) <= SNAP_TOL * np.maximum(1.0, np.abs(x)), r, x)
+
+
+def _blocks(
+    criterion: ErrorCriterion, n: int, chunks: Iterable[tuple[np.ndarray, ...]]
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """(lams, g, h, coverage) arrays over the rows (value, g_ell, h_ell) of
+    ``chunks``, each chunk built when asked for and summed in one
+    `interval_probs` call, wide enough for the kernel's lean pre-pass."""
+    for lams, g_ell, h_ell in chunks:
+        gs, hs = _windows(criterion, n, lams, g_ell, h_ell)
+        yield lams, gs, hs, interval_probs(gs, hs, n * lams)
 
 
 def _coverage(

@@ -10,11 +10,11 @@ at a time with the scalar kernel, and returns the first one at or below
 the threshold: a failing n is usually decided there (a Relative search
 spends ~2.4 evaluations per n, most of its n failing at a), and building
 arrays or calling numpy would cost more than those few sums.  The probe,
-`_probe`, builds its points as tuples a span at a time with
-`candidates._span_points` (`_prefix`).  Its first span, the rates below
-a + tol, holds a's group alone, since every other group lies more than
-tol above a; it sums a's point, and builds the next spans, each about
-_PREFIX points wide, only when a passes: building them costs more than
+`_probe`, builds its points as tuples with `candidates._span_points` over
+the spans `candidates._spans` cuts at a + tol and then every _PREFIX
+points.  The first, the rates below a + tol, holds a's group alone, as
+every other group lies over tol above a; the probe sums a's point and
+builds the next spans only when a passes: building them costs more than
 the sum at a.  The probe only looks for a failure; a full scan skips it.
 `scan_min_coverage` checks its arguments (`_check_scan`) and lays the n
 out; a search, which checks its query once, hands `_verdict` each n's
@@ -70,18 +70,16 @@ minimum and its ties do not change.
 So the scan returns what a point-by-point scan returns: ties go to the
 smallest rate, and ``evaluations`` counts the candidates in rate order up
 to and including the witness, whether a floor or a sum decided them.  No
-build holds more than about a chunk of rows.  `_blocks` evaluates the
-``coverage`` command's rows, which need every value: it sums each whole
-chunk in one `interval_probs` call, with no floors, wide enough for the
-kernel's lean pre-pass, which the scan's pruned blocks of _BLOCK rows
-skip.
+build holds more than about a chunk of rows.  The ``coverage`` command,
+which needs every value, sums whole chunks with no floors instead
+(`coverage._blocks`).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from itertools import accumulate, islice
+from itertools import accumulate
 
 import numpy as np
 
@@ -92,7 +90,6 @@ from .candidates import (
     _layout,
     _Layout,
     _pins_at_a,
-    _Point,
     _point_arrays,
     _point_rows,
     _span_points,
@@ -179,26 +176,18 @@ def _fails_at_a(
 def _probe(criterion: ErrorCriterion, n: int, layout: _Layout, threshold: float) -> _Hit | None:
     """(witness, rank) of the first of the first _PREFIX candidates with a
     coverage at or below ``threshold``, or None, summed one at a time with
-    the scalar kernel."""
-    for count, (value, kind, ell, extra_tags) in enumerate(islice(_prefix(layout), _PREFIX), 1):
-        g, h, cov = _coverage(criterion, n, value, ((kind, ell),) + extra_tags)
-        if cov <= threshold:
-            return CoverageResult(lam=value, g=g, h=h, coverage=cov), count
+    the scalar kernel, each span built only when its first point is due."""
+    tol, specials, _ = layout
+    count = 0
+    for start, end in _spans(layout, specials[0][0] + tol, _PREFIX):
+        for value, kind, ell, extra_tags in _span_points(layout, start, end):
+            count += 1
+            g, h, cov = _coverage(criterion, n, value, ((kind, ell),) + extra_tags)
+            if cov <= threshold:
+                return CoverageResult(lam=value, g=g, h=h, coverage=cov), count
+            if count == _PREFIX:
+                return None
     return None
-
-
-def _prefix(layout: _Layout) -> Iterator[_Point]:
-    """The layout's points in rate order, built by `_span_points`: a's
-    group, the span below a + tol, then spans _PREFIX / (sum of the divs)
-    wide, each built only when its first point is asked for."""
-    tol, specials, grids = layout
-    start = specials[0][0] + tol
-    yield from _span_points(layout, -math.inf, start)
-    width = _PREFIX / sum(div for _, div, _, _, _ in grids)
-    while start <= specials[-1][0]:
-        end = start + width
-        yield from _span_points(layout, start, end)
-        start = end
 
 
 def _decide(
@@ -341,15 +330,6 @@ def _first_fails(
         first = np.flatnonzero(np.diff(segment, prepend=-1))
         hits[segment[first]] = block[fails[first]]
         pos += take
-
-
-def _blocks(criterion: ErrorCriterion, n: int, chunks: Iterator[_Chunk]) -> Iterator[_Chunk]:
-    """(lams, g, h, coverage) arrays over every candidate of `_point_arrays`'
-    ``chunks``, a chunk at a time in rate order, each chunk summed in one
-    `interval_probs` call; a chunk is built only when it is asked for."""
-    for lams, g_ell, h_ell in chunks:
-        gs, hs = _windows(criterion, n, lams, g_ell, h_ell)
-        yield lams, gs, hs, interval_probs(gs, hs, n * lams)
 
 
 def min_coverage(

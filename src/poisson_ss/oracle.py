@@ -11,8 +11,8 @@ Three deliberately different routes to the same quantities:
   generator, so a third estimate comes from actual sampling.
 
 The grid route, `_grid_rows`, is shared with ``coverage --grid``.  It
-evaluates the rates a chunk at a time through the scan's array path:
-`_windows` with no side pinned, then `interval_probs`, so each row equals
+sums the rates a chunk at a time as the candidate rows of ``coverage``
+are summed, `coverage._blocks` with no side pinned, so each row equals
 `coverage_at` at its rate bit for bit.  It shares the acceptance-window code
 with the main path and checks only the reduction to candidates; brute force
 and Monte Carlo share nothing with the window code but its snap tolerance,
@@ -27,19 +27,17 @@ from collections.abc import Iterator
 import numpy as np
 
 from .candidates import _CHUNK, _check_scan
-from .coverage import SNAP_TOL, _windows, coverage_at
-from .kernel import _MAX_MEAN, interval_probs, pmf
+from .coverage import SNAP_TOL, _UNPINNED, _blocks, coverage_at
+from .kernel import _MAX_MEAN, pmf
 from .types import (
-    Absolute,
     CoverageResult,
     ErrorCriterion,
-    Mixed,
     ParamInterval,
-    Relative,
     _check_integer,
     _check_margins,
     _check_rate,
     _check_sample_size,
+    _margin,
 )
 
 # Monte Carlo trials are consumed in fixed-size chunks, each seeded from
@@ -118,8 +116,7 @@ def _grid_rows(
             lams = np.where(i < points - 1, a + i * step, b)
             mus = n * lams
         if n < 2 ** 52 and ((lams >= 0.0) & (mus <= _MAX_MEAN)).all():
-            gs, hs = _windows(criterion, n, lams)
-            yield lams, gs, hs, interval_probs(gs, hs, mus)
+            yield from _blocks(criterion, n, [(lams, _UNPINNED, _UNPINNED)])
         else:
             rows = [(r.lam, r.g, r.h, r.coverage)
                     for r in (coverage_at(criterion, n, lam) for lam in lams.tolist())]
@@ -146,18 +143,6 @@ def grid_min_coverage(
                                   coverage=float(covs[i]))
     assert best is not None
     return best
-
-
-def _margin(criterion: ErrorCriterion, lam: float) -> float:
-    """The largest error the event allows at rate lam.  A mixed event holds
-    when either margin does, so its margin is the larger of the two."""
-    if isinstance(criterion, Absolute):
-        return criterion.eps
-    if isinstance(criterion, Relative):
-        return criterion.eps * lam
-    if isinstance(criterion, Mixed):
-        return max(criterion.eps_a, criterion.eps_r * lam)
-    raise TypeError(f"unknown criterion type: {criterion!r}")
 
 
 def brute_force_coverage(criterion: ErrorCriterion, n: int, lam: float) -> float:

@@ -118,7 +118,6 @@ from .chernoff import TWO_LN2_MINUS_1, _threshold
 from .coverage import _coverage
 from .minimizer import _PREFIX, _decide, _fails_at_a, _verdict
 from .types import (
-    Absolute,
     ConfidenceSpec,
     CoverageResult,
     ErrorCriterion,
@@ -128,6 +127,7 @@ from .types import (
     SampleSizePlan,
     _check_integer,
     _check_sample_size,
+    _margin,
     validate,
 )
 
@@ -192,12 +192,7 @@ def _n_at_a(criterion: ErrorCriterion, a: float, delta: float) -> float:
     from statistics import NormalDist  # only searches need it, not the import
 
     z = -NormalDist().inv_cdf(delta / 2.0)
-    if isinstance(criterion, Absolute):
-        m = criterion.eps
-    elif isinstance(criterion, Relative):
-        m = criterion.eps * a
-    else:
-        m = max(criterion.eps_a, criterion.eps_r * a)
+    m = _margin(criterion, a)
     # the products overflow to inf and an underflowed m gives inf, not an error
     return a * (z / m) * (z / m) if m > 0.0 else math.inf
 

@@ -11,6 +11,8 @@ through it: `_check_integer` for a count (a sample size, a search bound, a
 seed, a number of trials or grid points), `_check_sample_size` for n,
 `_check_rate` for a rate, `_check_margin` for one margin and
 `_check_margins` for a criterion's, and `_check_delta` for a risk level.
+So is the margin at a rate, `_margin`, and the window side each
+breakpoint family pins, `_PIN_SIDE`.
 """
 
 from __future__ import annotations
@@ -121,12 +123,10 @@ class CandidateKind(Enum):
     REL_LOWER = "rel_lower"    # value = ell / (n * (1 - eps))
 
 
-_GRID_KINDS = frozenset((
-    CandidateKind.ABS_PLUS,
-    CandidateKind.ABS_MINUS,
-    CandidateKind.REL_UPPER,
-    CandidateKind.REL_LOWER,
-))
+# The side of the window each breakpoint family, and only those, pins at
+# its own members, as in `coverage._window`: 0 for g, 1 for h.
+_PIN_SIDE = {CandidateKind.ABS_PLUS: 0, CandidateKind.REL_LOWER: 0,
+             CandidateKind.ABS_MINUS: 1, CandidateKind.REL_UPPER: 1}
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,7 +147,7 @@ class CandidatePoint:
     def grid_tags(self) -> tuple[tuple[CandidateKind, int], ...]:
         """All (kind, ell) breakpoint memberships of this point."""
         own: tuple[tuple[CandidateKind, int], ...]
-        own = ((self.kind, self.ell),) if self.kind in _GRID_KINDS else ()
+        own = ((self.kind, self.ell),) if self.kind in _PIN_SIDE else ()
         return own + self.extra_tags
 
 
@@ -229,6 +229,17 @@ def _check_margins(criterion: ErrorCriterion) -> None:
         _check_margin(criterion.eps_r)
     else:
         raise TypeError(f"unknown criterion type: {criterion!r}")
+
+
+def _margin(criterion: ErrorCriterion, lam: float) -> float:
+    """The largest error the event allows at rate lam, of a criterion that
+    passed `_check_margins`.  A mixed event holds when either margin does,
+    so its margin is the larger of the two."""
+    if isinstance(criterion, Absolute):
+        return criterion.eps
+    if isinstance(criterion, Relative):
+        return criterion.eps * lam
+    return max(criterion.eps_a, criterion.eps_r * lam)
 
 
 # The least risk level `validate` accepts.  A coverage close to 1 is summed

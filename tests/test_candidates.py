@@ -32,7 +32,8 @@ from poisson_ss import (
 )
 from poisson_ss import candidates, coverage
 from poisson_ss.candidates import DEDUP_REL_TOL
-from poisson_ss.coverage import _PIN_SIDE, _UNPINNED
+from poisson_ss.coverage import _UNPINNED
+from poisson_ss.types import _PIN_SIDE
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from exact_reference import reference_candidate_set, reference_points  # noqa: E402

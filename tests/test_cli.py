@@ -31,7 +31,7 @@ from poisson_ss import (
 from poisson_ss import candidates, cli, kernel, oracle, search
 from poisson_ss.candidates import _layout, _point_arrays, cardinality_bound
 from poisson_ss.cli import main
-from poisson_ss.minimizer import _blocks
+from poisson_ss.coverage import _blocks
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from exact_reference import reference_coverage_at_point  # noqa: E402
@@ -999,6 +999,11 @@ class _Code(enum.IntEnum):
 ])
 def test_json_text_without_floats_is_json_dumps(value):
     assert cli._jsonify(value) == json.dumps(value)
+
+
+def test_json_text_refuses_a_value_of_no_json_type():
+    with pytest.raises(TypeError, match="^cannot serialize object$"):
+        cli._jsonify({"x": [object()]})
 
 
 @pytest.mark.parametrize("value,text", [

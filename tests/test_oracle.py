@@ -308,7 +308,7 @@ def _no_work(*args, **kwargs):
 ])
 def test_seed_trials_and_points_are_integers_checked_before_any_work(monkeypatch, call, value):
     monkeypatch.setattr(np.random, "Philox", _no_work)
-    monkeypatch.setattr(oracle, "_windows", _no_work)
+    monkeypatch.setattr(oracle, "_blocks", _no_work)
     monkeypatch.setattr(oracle, "coverage_at", _no_work)
     with pytest.raises(ValueError, match=r"^(trials|seed|grid points) must be an integer, got "):
         call(value)

@@ -888,6 +888,16 @@ def test_errors_building_n_below_the_answer_surface(monkeypatch, bad_n):
         min_sample_size(*_BATCHED)
 
 
+def test_a_run_ends_before_the_first_m_whose_tail_bound_leaves_only_a():
+    # m = 388 is the first whose scan_b lies at or below a = 0.5: the run
+    # holds 380 to 387 and leaves 388 to be decided at a alone
+    criterion, interval, delta = Relative(0.2), ParamInterval(0.5, 2.0), 0.1
+    runs = search._run(criterion, interval, delta, 380, 10**6, (379, 0.6, 20))
+    assert [m for m, _, _ in runs] == list(range(380, 388))
+    assert search._scan_b(criterion, interval, delta, 387) > interval.a
+    assert search._scan_b(criterion, interval, delta, 388) <= interval.a
+
+
 def _drawn_searches(seed, count):
     """``count`` (criterion, interval, conf) drawn with ``random.Random(seed)``:
     Absolute, Relative and Mixed margins, intervals from 0 or above it."""
