@@ -198,14 +198,14 @@ def _pins_at_a(
     criterion: ErrorCriterion, ns: np.ndarray, a: float, bs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The pins (g_ell, h_ell) of a's point for each n of the int64 array
-    ``ns`` laid out over [a, b], b from ``bs``, as `_point_rows` gives them,
-    for the leading n whose `_layout` would not raise; a b at or below a
-    leaves a alone, with no layout and no pin.
+    ``ns`` laid out over [a, b], b from ``bs``, as `_point_rows` gives them;
+    a b at or below a leaves a alone, with no layout and no pin.
 
     `_layout`'s rule in closed form, each family over its own range.  Its
     spacing check fails wherever its finiteness check does, b being
-    finite, so it alone ends the pins.  a's group spans at most 6 tol, and
-    a family's members lie over 8 tol apart, so only the two members on
+    finite, so it alone finds the first n whose `_layout` raises, and that
+    n's `_layout` raises its error.  a's group spans at most 6 tol, and a
+    family's members lie over 8 tol apart, so only the two members on
     either side of a can join it.  They, b and the crossover are grouped
     as `_span_points` groups them, and a side takes the ell of the member
     of greatest priority that pins it in a's group."""
@@ -229,19 +229,21 @@ def _pins_at_a(
                 values.append(np.where(live & (lo - tol < value) & (value < hi + tol),
                                        value, math.inf))
                 pins.append((_PIN_SIDE[kind], ell))
-    end = wide.argmax() if wide.any() else ns.size
-    table = np.stack(values, axis=1)[:end]
+    if wide.any():
+        i = wide.argmax()
+        _layout(criterion, int(ns[i]), ParamInterval(a, float(bs[i])))  # raises
+    table = np.stack(values, axis=1)
     order = table.argsort(axis=1)
     ranked = np.take_along_axis(table, order, axis=1)
     group = np.zeros(table.shape, dtype=np.int64)
     with np.errstate(invalid="ignore"):  # inf - inf past the last member
-        np.cumsum(np.diff(ranked, axis=1) > tol[:end, None], axis=1, out=group[:, 1:])
-    joins = group == group[np.arange(end), (order == 0).argmax(axis=1), None]
+        np.cumsum(np.diff(ranked, axis=1) > tol[:, None], axis=1, out=group[:, 1:])
+    joins = group == group[np.arange(ns.size), (order == 0).argmax(axis=1), None]
     np.put_along_axis(joins, order, joins.copy(), axis=1)
-    joins &= laid[:end, None]
-    out = np.full((2, end), _UNPINNED)
+    joins &= laid[:, None]
+    out = np.full((2, ns.size), _UNPINNED)
     for (side, ell), join in zip(pins, joins.T[3:]):  # in priority order
-        out[side] = np.where(join, ell[:end], out[side])
+        out[side] = np.where(join, ell, out[side])
     return out[0], out[1]
 
 

@@ -147,7 +147,7 @@ def _too_narrow(n: int, lam: float, lower: float, upper: float, count: int) -> M
 
 def _windows(
     criterion: ErrorCriterion, n: int | np.ndarray, lams: np.ndarray,
-    g_ell=_UNPINNED, h_ell=_UNPINNED, cut: bool = False,
+    g_ell=_UNPINNED, h_ell=_UNPINNED,
 ) -> tuple[np.ndarray, np.ndarray]:
     """`_window` over an array of rates, as int64 arrays g and h equal
     element for element to its values.  ``n`` is one sample size for every
@@ -161,8 +161,7 @@ def _windows(
     rounds half to even like ``round``.  A negative rate, a non-finite
     product or a window too narrow to resolve raises `_window`'s error for
     the first such rate and its own n; the last costs a subtraction and a
-    max over the rows where no window is.  With ``cut`` nothing raises:
-    g and h end before the first such rate."""
+    max over the rows where no window is."""
     with np.errstate(over="ignore"):  # a product overflows to inf, as in floats
         if isinstance(criterion, Mixed):
             absolute = lams <= criterion.crossover
@@ -176,24 +175,18 @@ def _windows(
             lower, upper = mu * (1.0 - criterion.eps), mu * (1.0 + criterion.eps)
     bad = ~((lams >= 0.0) & np.isfinite(lower) & np.isfinite(upper))
     if bad.any():
-        if not cut:
-            i = bad.argmax()
-            _window(criterion, int(n[i]) if np.ndim(n) else n, float(lams[i]), ())  # raises
-        # the window of a bad rate is cut away; it takes finite products
-        lower, upper = np.where(bad, 0.0, lower), np.where(bad, 0.0, upper)
+        i = bad.argmax()
+        _window(criterion, int(n[i]) if np.ndim(n) else n, float(lams[i]), ())  # raises
     g = np.maximum(np.floor(_snaps(lower)) + 1.0, 0.0).astype(np.int64)
     h = (np.ceil(_snaps(upper)) - 1.0).astype(np.int64)
     g = np.where(g_ell != _UNPINNED, np.maximum(g_ell + 1, 0), g)
     h = np.where(h_ell != _UNPINNED, h_ell - 1, h)
     if lams.size and (g - h).max() > 1:  # two ends on one count, maybe
         narrow = (h == g - 2) & (g >= 1) & (lower < g - 1) & (g - 1 < upper)
-        if narrow.any() and not cut:
+        if narrow.any():
             i = narrow.argmax()
             raise _too_narrow(int(n[i]) if np.ndim(n) else n, float(lams[i]),
                               float(lower[i]), float(upper[i]), int(g[i]) - 1)
-        bad |= narrow
-    if cut and bad.any():
-        g, h = g[:bad.argmax()], h[:bad.argmax()]
     return g, h
 
 

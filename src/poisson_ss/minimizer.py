@@ -96,7 +96,7 @@ from .candidates import (
     _spans,
 )
 from .coverage import _coverage, _windows
-from .kernel import _MAX_MEAN, _floors, interval_probs
+from .kernel import _floors, interval_probs
 from .types import CoverageResult, ErrorCriterion, ParamInterval
 
 __all__ = ["min_coverage", "scan_min_coverage"]
@@ -160,14 +160,10 @@ def _fails_at_a(
     and the untagged coverage at a alone where it does not.  a's windows
     come from one `_windows` call with one n per row and the pins of
     `_pins_at_a`, their sums from one `interval_probs` call.  The rows end
-    before the first n that passes at a, and before any n whose layout,
-    window or sum would raise."""
-    g_ell, h_ell = _pins_at_a(criterion, ns, a, bs)
-    mus = ns[:g_ell.size] * a
-    over = mus > _MAX_MEAN
-    end = over.argmax() if over.any() else mus.size
-    gs, hs = _windows(criterion, ns[:end], np.full(end, a), g_ell[:end], h_ell[:end], cut=True)
-    covs = interval_probs(gs, hs, mus[:gs.size])
+    before the first n that passes at a; an n whose layout, window or sum
+    would raise makes the call raise."""
+    gs, hs = _windows(criterion, ns, np.full(ns.size, a), *_pins_at_a(criterion, ns, a, bs))
+    covs = interval_probs(gs, hs, ns * a)
     passed = covs > threshold
     end = passed.argmax() if passed.any() else covs.size
     return gs[:end], hs[:end], covs[:end]

@@ -53,35 +53,35 @@ about a chunk at a time.  The run returns the verdict the public scan
 would for each leading n that fails, and then for the first n that does
 not, whose minimum reads the rows of its spans.  The spans split each
 n's candidates in rate order, so where they end changes the work, never
-a verdict or a count.  An error building a later n's layout ends the run
-before that n, so an error surfaces only at an n the search would
-decide on its own.  The n of a run past the answer are speculative:
+a verdict or a count.  The n of a run past the answer are speculative:
 they cost work but never change the answer.
 
 Blocks at a.  The search decides a block of n at a together,
 `minimizer._fails_at_a`: each n's scan_b in one numpy expression
 (`_scan_bs`, `_threshold`'s operations in its order), the pins of a's
-point for every n in closed form (`candidates._pins_at_a`, which also
-ends the block before an n whose layout would raise), one `_windows` call
-with one n per row and one `interval_probs` call.  The blocks are sized
-from a prediction first.  The normal approximation of the coverage at a,
-2 Phi(m sqrt(n / a)) - 1 with m the margin's half-width at a, first
-exceeds 1 - delta at n_a = a (z / m)**2, z = Phi^-1(1 - delta / 2)
-(`_n_at_a`; 0 where a = 0).  While more than _STREAK n lie below
-n_a (1 + _SLACK), the next block runs from n up to that point, the first
-one from start_n.  Once a block ends early the prediction is spent, and
-after that a block opens only once _STREAK n in a row have failed at a,
-with rank 1, and holds twice as many n as that streak, so while every n
-of its blocks fails the streak triples with each block.  No block holds
-more than _A_BLOCK n or any n past max_n.  Each n that fails at a
-gets count 1 and the result at a that its own decision gives, bit for
-bit: the same window, pins and sum from the same numbers, and a fail at
-a has rank 1 whichever route sums it.  So no verdict and no count
-depends on the blocks.  A block ends before the first n whose a passes
-and before any n whose window or sum would raise; that n is decided on
-its own, as above, and raises there if it must.  The n a block holds
-past that n, past the answer too, cost work but never count and never
-raise.
+point for every n in closed form (`candidates._pins_at_a`), one
+`_windows` call with one n per row and one `interval_probs` call.  The
+blocks are sized from a prediction first.  The normal approximation of
+the coverage at a, 2 Phi(m sqrt(n / a)) - 1 with m the margin's
+half-width at a, first exceeds 1 - delta at n_a = a (z / m)**2,
+z = Phi^-1(1 - delta / 2) (`_n_at_a`; 0 where a = 0).  While more than
+_STREAK n lie below n_a (1 + _SLACK), the next block runs from n up to
+that point, the first one from start_n.  Once a block ends early the
+prediction is spent, and after that a block opens only once _STREAK n
+in a row have failed at a, with rank 1, and holds twice as many n as
+that streak, so while every n of its blocks fails the streak triples
+with each block.  Like every build, a block holds at most _CHUNK n, and
+no n past max_n.  Each n that fails at a gets count 1 and the result at
+a that its own decision gives, bit for bit: the same window, pins and
+sum from the same numbers, and a fail at a has rank 1 whichever route
+sums it.  So no verdict and no count depends on the blocks.  A block
+ends before the first n whose a passes; that n is decided on its own,
+as above.  The n a block holds past that n, past the answer too, cost
+work but never count.
+
+Blocks and runs decide several n at once only for speed, so they raise
+nothing that deciding each n alone would not: where one raises a
+ValueError, the search drops it whole and decides its first n alone.
 
 Where the relative margin governs, the count K = 0 is never inside the
 acceptance window.  So the coverage at r0, the least such rate of [a, b]
@@ -144,13 +144,12 @@ _GROWTH = 1.25
 # A search decides n at a in blocks (see the module docstring): up to its
 # predicted n_a while more than _STREAK n lie below it, and later once
 # _STREAK n in a row have failed at a, each such block twice as long as
-# the streak; every block holds at most _A_BLOCK n.  A block costs about
-# ten one-n decisions in fixed numpy overhead, so short runs, common near
-# the answer, are left to them.  An n fails at a only below about
-# 1.25e11, where `_layout` refuses it (at larger n the tail bounds leave
-# only a, where a passes), so a block's n are exact as floats.
+# the streak; like every build, a block holds at most _CHUNK n.  A block
+# costs about ten one-n decisions in fixed numpy overhead, so short runs,
+# common near the answer, are left to them.  An n fails at a only below
+# about 1.25e11, where `_layout` refuses it (at larger n the tail bounds
+# leave only a, where a passes), so a block's n are exact as floats.
 _STREAK = 16
-_A_BLOCK = 8192
 
 # How far past the predicted n_a the blocks at a reach, as a share of n_a.
 # The prediction is within a few percent where n a is large, and erring
@@ -233,19 +232,14 @@ def _run(
     n0, lam, rank = last
     runs, rows = [], 0.0
     for m in range(n, max_n + 1):
-        try:
-            scan_b = _scan_b(criterion, interval, delta, m)
-            if scan_b <= a:
-                break
-            end = a + _GROWTH * max((lam - a) * m / n0, rank / (2.0 * m))
-            rows += _bound(criterion, m, min(end, scan_b) - a)
-            if runs and (rows > _CHUNK or len(runs) == _RUN):
-                break
-            runs.append((m, _layout(criterion, m, ParamInterval(a, scan_b)), end))
-        except ValueError:
-            if not runs:
-                raise
+        scan_b = _scan_b(criterion, interval, delta, m)
+        if scan_b <= a:
             break
+        end = a + _GROWTH * max((lam - a) * m / n0, rank / (2.0 * m))
+        rows += _bound(criterion, m, min(end, scan_b) - a)
+        if runs and (rows > _CHUNK or len(runs) == _RUN):
+            break
+        runs.append((m, _layout(criterion, m, ParamInterval(a, scan_b)), end))
     return runs
 
 
@@ -305,25 +299,32 @@ def min_sample_size(
     while n <= max_n:
         stop = n
         if limit - n > _STREAK:
-            stop = math.ceil(min(limit, n + _A_BLOCK, max_n + 1))
+            stop = math.ceil(min(limit, n + _CHUNK, max_n + 1))
         elif streak >= _STREAK:
-            stop = min(n + min(max(2 * streak, 1), _A_BLOCK), max_n + 1)
+            stop = min(n + min(2 * streak, _CHUNK), max_n + 1)
         if stop > n:
             ns = np.arange(n, stop)
-            fails = _fails_at_a(criterion, ns, float(a),
-                                _scan_bs(criterion, interval, delta, ns), level)[2].size
+            try:
+                fails = _fails_at_a(criterion, ns, float(a),
+                                    _scan_bs(criterion, interval, delta, ns), level)[2].size
+            except ValueError:  # dropped whole: n is decided alone and the streak restarts
+                fails = streak = 0
             evaluations, streak, n = evaluations + fails, streak + fails, n + fails
             if n == stop:  # every n of the block fails at a
                 continue
             limit = 0.0  # the block ended early: the prediction is spent
         scan_b = _scan_b(criterion, interval, delta, n)
+        verdicts = []
         if scan_b <= a:
             # The tail bounds certify every rate above a; only a itself is left.
             verdicts = [(CoverageResult(a, *_coverage(criterion, n, a, ())), 1)]
         elif rank > _PREFIX:
-            verdicts = _decide(criterion, _run(criterion, interval, delta, n, max_n, last),
-                               level)
-        else:
+            try:
+                verdicts = _decide(criterion, _run(criterion, interval, delta, n, max_n, last),
+                                   level)
+            except ValueError:  # dropped whole: n is decided alone, below
+                pass
+        if not verdicts:
             verdicts = [_verdict(criterion, n, _layout(criterion, n, ParamInterval(a, scan_b)),
                                  level)]
         for result, rank in verdicts:

@@ -569,14 +569,23 @@ def test_pins_at_a_follow_a_chain_through_b_or_the_crossover(via, gap, joins):
     (Mixed(0.5, 1e-6), 0.0, 1e5, 1_250_000),
     (Mixed(1e-3, 0.5), 1.0, 1e5, 833_334),
 ])
-def test_pins_at_a_end_at_the_first_n_too_wide_to_lay_out(criterion, a, b, first_wide):
+def test_pins_at_a_raise_the_layout_error_of_the_first_n_too_wide(criterion, a, b, first_wide):
+    # a block that holds first_wide raises `_layout`'s own error for it;
+    # the n before it get the pins of a's point as each layout alone has it
     ns = np.arange(first_wide - 3, first_wide + 3)
-    g_ell, _ = candidates._pins_at_a(criterion, ns, a, np.full(ns.size, b))
-    assert g_ell.size == 3
-    candidates._layout(criterion, first_wide - 1, ParamInterval(a, b))
-    with pytest.raises(ValueError, match="too wide"):
+    with pytest.raises(ValueError, match="too wide") as alone:
         candidates._layout(criterion, first_wide, ParamInterval(a, b))
-    # where b lies at or below a, nothing is laid out and nothing ends the pins
+    with pytest.raises(ValueError) as block:
+        candidates._pins_at_a(criterion, ns, a, np.full(ns.size, b))
+    assert (type(block.value), str(block.value)) == (type(alone.value), str(alone.value))
+    g_ell, h_ell = candidates._pins_at_a(criterion, ns[:3], a, np.full(3, b))
+    want = []
+    for m in ns[:3].tolist():
+        layout = candidates._layout(criterion, m, ParamInterval(a, b))
+        first, *_ = candidates._span_points(layout, -math.inf, a + layout[0])
+        want.append(_pins(first)[1:])
+    assert list(zip(g_ell.tolist(), h_ell.tolist())) == want
+    # where b lies at or below a, nothing is laid out and nothing raises
     g_ell, h_ell = candidates._pins_at_a(criterion, ns, b, np.full(ns.size, b))
     assert g_ell.tolist() == h_ell.tolist() == [_UNPINNED] * ns.size
 

@@ -80,10 +80,6 @@ def test_windows_raise_the_scalar_message_for_the_first_bad_rate(criterion, lams
     unpinned = np.full(lams.size, _UNPINNED)
     with pytest.raises(ValueError, match=message):
         _windows(criterion, 2, lams, unpinned, unpinned)
-    # with cut, nothing raises: the windows end before the first bad rate
-    got = _windows(criterion, 2, lams, unpinned, unpinned, cut=True)
-    assert [side.tolist() for side in got] == [
-        side.tolist() for side in _windows(criterion, 2, lams[:1])]
 
 
 @pytest.mark.parametrize("criterion", [Absolute(0.1), Relative(0.1), Mixed(0.1, 0.1)])
@@ -117,9 +113,6 @@ def test_a_margin_the_window_rule_cannot_resolve_is_refused(criterion, n, lam, c
     lams = np.array([lam + 0.25, lam])
     with pytest.raises(MarginTooNarrow, match=message):
         _windows(criterion, np.array([n + 1, n]), lams)
-    got = _windows(criterion, np.array([n + 1, n]), lams, cut=True)
-    assert [side.tolist() for side in got] == [
-        side.tolist() for side in _windows(criterion, n + 1, lams[:1])]
 
 
 def test_a_tiny_margin_with_no_count_between_its_ends_is_answered():
