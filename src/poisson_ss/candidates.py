@@ -40,6 +40,7 @@ without a layout: the search's blocks at a (see `search`).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Iterator
 from functools import partial
 from itertools import chain, starmap
@@ -265,7 +266,8 @@ def _span_points(layout: _Layout, start: float, end: float) -> list[_Point]:
             v = ell / div + shift
             if lo < v < hi:
                 rows.append((v, kind, ell, ()))
-    rows.sort(key=itemgetter(0))
+    value = itemgetter(0)
+    rows.sort(key=value)
     points, group = [], rows[:1]
     for row in rows[1:]:
         if row[0] - group[-1][0] <= tol:
@@ -275,12 +277,7 @@ def _span_points(layout: _Layout, start: float, end: float) -> list[_Point]:
         group = [row]
     points += group if len(group) < 2 else _merge_group(group)
     # the points outside [start, end) come from its padding, at either end
-    i, j = 0, len(points)
-    while i < j and points[i][0] < start:
-        i += 1
-    while j > i and points[j - 1][0] >= end:
-        j -= 1
-    return points[i:j]
+    return points[bisect_left(points, start, key=value):bisect_left(points, end, key=value)]
 
 
 def _spans(

@@ -17,15 +17,18 @@ the crossover itself.
 
 Coverage at lam is then the Poisson(n * lam) mass of the window.
 
-At a candidate breakpoint the side its tag names comes from the integer
-ell instead.  The whole rule, float and tagged sides, lives in `_window`,
-which every public function here and the scan's first candidates go
-through; the scan passes plain fields and builds no objects.  The public
-functions check the margins and n once (`types`); `_window` checks only
-the rate, so a scan's probe sums do not check n again.  `_windows`
-is the same rule over arrays, for the scan's chunks, the grid oracle and
-a batched run's rows of several n, one n per row.  `_blocks` sums the
-rows of both ``coverage`` routes, candidates and grid, a chunk at a time.
+At a candidate breakpoint the side its tag pins (`types._PIN_SIDE`) comes
+from the integer ell instead.  The whole rule, float and pinned sides, and
+its errors live in `_window`, which takes the ell of each pinned side.
+`_coverage` reads a point's tags into those pins and sums the window; every
+public function here and the scan's first candidates go through it, and
+the scan passes plain fields and builds no objects.  The public functions
+check the margins and n once (`types`); `_window` checks only the rate, so
+a scan's probe sums do not check n again.  `_windows` is the same rule
+over arrays, with the same pins, for the scan's chunks, the grid oracle
+and a batched run's rows of several n, one n per row; it raises each error
+by calling `_window` on the row at fault.  `_blocks` sums the rows of both
+``coverage`` routes, candidates and grid, a chunk at a time.
 """
 
 from __future__ import annotations
@@ -39,12 +42,12 @@ import numpy as np
 from .kernel import interval_prob, interval_probs
 from .types import (
     Absolute,
-    CandidateKind,
     CandidatePoint,
     CoverageResult,
     ErrorCriterion,
     MarginTooNarrow,
     Mixed,
+    _PIN_SIDE,
     _check_margins,
     _check_rate,
     _check_sample_size,
@@ -87,23 +90,24 @@ def _snap(x: float) -> float:
     return x
 
 
-def _window(criterion: ErrorCriterion, n: int, lam: float, tags: tuple) -> tuple[int, int]:
-    """The window (g, h) at rate lam.  Each (kind, ell) in ``tags``, a
-    point's own tag first, pins one side in integer arithmetic, since at a
-    breakpoint that side sits exactly on an integer jump; a kind that is
-    not a breakpoint family pins nothing:
+def _window(
+    criterion: ErrorCriterion, n: int, lam: float, g_ell: int = _UNPINNED, h_ell: int = _UNPINNED
+) -> tuple[int, int]:
+    """The window (g, h) at rate lam.  ``g_ell`` and ``h_ell`` are the ells
+    of the tags pinning each side, the side `types._PIN_SIDE` names for the
+    tag's family, or `_UNPINNED`.  At a breakpoint the pinned side sits
+    exactly on an integer jump, so it comes from the ell in integers:
 
-        value = ell/n + eps            ->  g = max(0, ell + 1)
-        value = ell/(n (1 - eps))      ->  g = ell + 1
-        value = ell/n - eps            ->  h = ell - 1
-        value = ell/(n (1 + eps))      ->  h = ell - 1
+        g = max(0, g_ell + 1)          h = h_ell - 1
 
-    Unpinned sides take the float rule above through `_snap`.  Where both
-    sides, snapped or pinned, fall on one count strictly between the
-    products, the margin is below what the rule resolves and the window
-    would drop that count: that raises `MarginTooNarrow`.  The caller has
-    checked the criterion's margins and n, once per call or per search, so
-    a scan's probe sums check neither; the rate is checked here."""
+    (only ABS_PLUS needs the clamp: a REL_LOWER member of a candidate set
+    has ell >= 0).  Unpinned sides take the float rule above through
+    `_snap`.  Where both sides, snapped or pinned, fall on one count
+    strictly between the products, the margin is below what the rule
+    resolves and the window would drop that count: that raises
+    `MarginTooNarrow`.  The caller has checked the criterion's margins and
+    n, once per call or per search, so a scan's probe sums check neither;
+    the rate is checked here."""
     _check_rate(lam)
     if isinstance(criterion, Mixed):
         absolute = lam <= criterion.crossover
@@ -118,31 +122,16 @@ def _window(criterion: ErrorCriterion, n: int, lam: float, tags: tuple) -> tuple
         raise ValueError(
             f"acceptance window bound {upper if math.isfinite(lower) else lower!r} "
             "is not finite: the rate is too large for this sample size")
-    g = h = None
-    for kind, ell in tags:
-        if kind is CandidateKind.ABS_PLUS:
-            g = max(0, ell + 1)
-        elif kind is CandidateKind.REL_LOWER:
-            g = ell + 1
-        elif kind is CandidateKind.ABS_MINUS or kind is CandidateKind.REL_UPPER:
-            h = ell - 1
-    if g is None:  # a relative lower product is >= 0: only absolute g clamps
-        g = max(0, math.floor(_snap(lower)) + 1)
-    if h is None:
-        h = math.ceil(_snap(upper)) - 1
+    if g_ell == _UNPINNED:  # a relative lower product is >= 0: only absolute g clamps
+        g_ell = math.floor(_snap(lower))
+    if h_ell == _UNPINNED:
+        h_ell = math.ceil(_snap(upper))
+    g, h = max(0, g_ell + 1), h_ell - 1
     if h == g - 2 and g >= 1 and lower < g - 1 < upper:
-        raise _too_narrow(n, lam, lower, upper, g - 1)
+        raise MarginTooNarrow(
+            f"the margin is too narrow at rate {lam!r} for n = {n!r}: both window "
+            f"ends, {lower!r} and {upper!r}, fall on the count {g - 1} between them")
     return g, h
-
-
-def _too_narrow(n: int, lam: float, lower: float, upper: float, count: int) -> MarginTooNarrow:
-    """The error for a window whose two ends, snapped or pinned, both fall
-    on the count strictly between its products ``lower`` and ``upper``: the
-    margin is below what the window rule resolves, and the window would
-    drop that count."""
-    return MarginTooNarrow(
-        f"the margin is too narrow at rate {lam!r} for n = {n!r}: both window "
-        f"ends, {lower!r} and {upper!r}, fall on the count {count} between them")
 
 
 def _windows(
@@ -150,18 +139,15 @@ def _windows(
     g_ell=_UNPINNED, h_ell=_UNPINNED,
 ) -> tuple[np.ndarray, np.ndarray]:
     """`_window` over an array of rates, as int64 arrays g and h equal
-    element for element to its values.  ``n`` is one sample size for every
-    rate or an int64 array of one per rate.  ``g_ell`` and ``h_ell`` hold,
-    per rate, the ell of the last tag pinning that side (`types._PIN_SIDE`), or
-    `_UNPINNED`, which the defaults give every rate.  A g pin is
-    max(0, ell + 1) for both families: a REL_LOWER member of a candidate set
-    has ell >= 0.
+    element for element to its values.  ``n``, ``g_ell`` and ``h_ell`` are
+    each one value for every rate or an int64 array of one per rate; the
+    defaults pin no side.
 
     The float rule takes the same operations in the same order; ``np.rint``
     rounds half to even like ``round``.  A negative rate, a non-finite
-    product or a window too narrow to resolve raises `_window`'s error for
-    the first such rate and its own n; the last costs a subtraction and a
-    max over the rows where no window is."""
+    product or a window too narrow to resolve raises the error `_window`
+    raises for the first such rate with its own n and pins; the last costs
+    a subtraction and a max over the rows where no window is."""
     with np.errstate(over="ignore"):  # a product overflows to inf, as in floats
         if isinstance(criterion, Mixed):
             absolute = lams <= criterion.crossover
@@ -174,20 +160,19 @@ def _windows(
             mu = n * lams
             lower, upper = mu * (1.0 - criterion.eps), mu * (1.0 + criterion.eps)
     bad = ~((lams >= 0.0) & np.isfinite(lower) & np.isfinite(upper))
-    if bad.any():
-        i = bad.argmax()
-        _window(criterion, int(n[i]) if np.ndim(n) else n, float(lams[i]), ())  # raises
-    g = np.maximum(np.floor(_snaps(lower)) + 1.0, 0.0).astype(np.int64)
-    h = (np.ceil(_snaps(upper)) - 1.0).astype(np.int64)
-    g = np.where(g_ell != _UNPINNED, np.maximum(g_ell + 1, 0), g)
-    h = np.where(h_ell != _UNPINNED, h_ell - 1, h)
-    if lams.size and (g - h).max() > 1:  # two ends on one count, maybe
-        narrow = (h == g - 2) & (g >= 1) & (lower < g - 1) & (g - 1 < upper)
-        if narrow.any():
-            i = narrow.argmax()
-            raise _too_narrow(int(n[i]) if np.ndim(n) else n, float(lams[i]),
-                              float(lower[i]), float(upper[i]), int(g[i]) - 1)
-    return g, h
+    if not bad.any():
+        g = np.maximum(np.floor(_snaps(lower)) + 1.0, 0.0).astype(np.int64)
+        h = (np.ceil(_snaps(upper)) - 1.0).astype(np.int64)
+        g = np.where(g_ell != _UNPINNED, np.maximum(g_ell + 1, 0), g)
+        h = np.where(h_ell != _UNPINNED, h_ell - 1, h)
+        if not lams.size or (g - h).max() <= 1:  # no two ends on one count
+            return g, h
+        bad = (h == g - 2) & (g >= 1) & (lower < g - 1) & (g - 1 < upper)
+        if not bad.any():
+            return g, h
+    i = bad.argmax()  # the first row at fault, whichever way
+    _window(criterion, *(np.broadcast_to(column, lams.shape)[i].item()
+                         for column in (n, lams, g_ell, h_ell)))  # raises
 
 
 def _snaps(x: np.ndarray) -> np.ndarray:
@@ -210,8 +195,15 @@ def _blocks(
 def _coverage(
     criterion: ErrorCriterion, n: int, lam: float, tags: tuple
 ) -> tuple[int, int, float]:
-    """(g, h, coverage) at rate lam; see `_window`."""
-    g, h = _window(criterion, n, lam, tags)
+    """(g, h, coverage) at rate lam, each (kind, ell) of ``tags`` pinning
+    the side `_PIN_SIDE` names for its kind, the last for each side; a
+    kind that is not a breakpoint family pins nothing (see `_window`)."""
+    pins = [_UNPINNED, _UNPINNED]
+    for kind, ell in tags:
+        side = _PIN_SIDE.get(kind)  # one lookup: an Enum hashes in Python
+        if side is not None:
+            pins[side] = ell
+    g, h = _window(criterion, n, lam, *pins)
     return g, h, interval_prob(g, h, n * lam)
 
 
@@ -219,7 +211,7 @@ def acceptance_bounds(criterion: ErrorCriterion, n: int, lam: float) -> Acceptan
     """Window of total counts for which the error event holds at rate lam."""
     _check_margins(criterion)
     _check_sample_size(n)
-    return AcceptanceBounds(*_window(criterion, n, lam, ()))
+    return AcceptanceBounds(*_window(criterion, n, lam))
 
 
 def coverage_at(criterion: ErrorCriterion, n: int, lam: float) -> CoverageResult:
@@ -234,9 +226,8 @@ def coverage_at_point(
     criterion: ErrorCriterion, n: int, point: CandidatePoint
 ) -> CoverageResult:
     """Coverage at a candidate point through the window its tags pin
-    (`_window`); an untagged point gets `acceptance_bounds`' window."""
+    (`_coverage`); an untagged point gets `acceptance_bounds`' window."""
     _check_margins(criterion)
     _check_sample_size(n)
-    g, h, cov = _coverage(criterion, n, point.value,
-                          ((point.kind, point.ell),) + point.extra_tags)
+    g, h, cov = _coverage(criterion, n, point.value, point.grid_tags())
     return CoverageResult(lam=point.value, g=g, h=h, coverage=cov)

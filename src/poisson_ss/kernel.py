@@ -119,14 +119,13 @@ def _stirlerr(n: float) -> float:
         # Direct evaluation; the intermediate terms stay O(40), so the
         # cancellation costs only a few ulps of absolute error.
         return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _HALF_LN_2PI
+    # Four series, shorter as n grows, that nest alike: where one stops
+    # early, its innermost coefficient (_S3, _S2 or _S1) stands alone.
     nn = n * n
-    if n > 500.0:
-        return (_S0 - _S1 / nn) / n
-    if n > 80.0:
-        return (_S0 - (_S1 - _S2 / nn) / nn) / n
-    if n > 35.0:
-        return (_S0 - (_S1 - (_S2 - _S3 / nn) / nn) / nn) / n
-    return (_S0 - (_S1 - (_S2 - (_S3 - _S4 / nn) / nn) / nn) / nn) / n
+    c = _S3 if n > 35.0 else _S3 - _S4 / nn
+    c = _S2 if n > 80.0 else _S2 - c / nn
+    c = _S1 if n > 500.0 else _S1 - c / nn
+    return (_S0 - c / nn) / n
 
 
 def _bd0(x: float, mu: float) -> float:
@@ -157,10 +156,7 @@ _STIRLERR_TABLE = np.array([0.0] + [_stirlerr(float(k)) for k in range(1, 16)])
 
 
 def _stirlerrs(n: np.ndarray) -> np.ndarray:
-    """`_stirlerr` elementwise for integer n >= 1.  Its four series nest
-    alike, so one nested evaluation serves them all: where a series stops
-    early, its innermost coefficient (``_S3``, ``_S2`` or ``_S1``) stands
-    alone."""
+    """`_stirlerr` elementwise for integer n >= 1, by its nested series."""
     nn = n * n
     c = np.where(n > 35.0, _S3, _S3 - _S4 / nn)
     c = np.where(n > 80.0, _S2, _S2 - c / nn)

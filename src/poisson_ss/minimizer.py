@@ -18,9 +18,9 @@ builds the next spans only when a passes: building them costs more than
 the sum at a.  The probe only looks for a failure; a full scan skips it.
 `scan_min_coverage` checks its arguments (`_check_scan`) and lays the n
 out; a search, which checks its query once, hands `_verdict` each n's
-layout itself.  `_fails_at_a` gives the probe's first verdict, a's, for
-a block of consecutive n at once: one `_windows` and one `interval_probs`
-call over one row per n.
+layout itself.  `_fails_at_a` reads the probe's first verdict, a's, for
+a block of consecutive n at once and counts the leading n that fail
+there: one `_windows` and one `interval_probs` call over one row per n.
 
 Past the probe the scan takes the array layout from its first row, one
 chunk at a time, resolves a chunk's windows at once with `_windows` and
@@ -152,21 +152,18 @@ def _verdict(criterion: ErrorCriterion, n: int, layout: _Layout, threshold: floa
 
 def _fails_at_a(
     criterion: ErrorCriterion, ns: np.ndarray, a: float, bs: np.ndarray, threshold: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """g, h and the coverage at a of the leading n of the int64 array
-    ``ns`` whose coverage at a is at or below ``threshold``, each n laid
-    out over [a, b] with its b in ``bs``: row i is the result at a of the
-    verdict (result, 1) that `_verdict` gives ns[i], where b lies above a,
-    and the untagged coverage at a alone where it does not.  a's windows
-    come from one `_windows` call with one n per row and the pins of
-    `_pins_at_a`, their sums from one `interval_probs` call.  The rows end
-    before the first n that passes at a; an n whose layout, window or sum
-    would raise makes the call raise."""
+) -> int:
+    """The number of leading n of the int64 array ``ns`` whose coverage at
+    a is at or below ``threshold``, each n laid out over [a, b] with its b
+    in ``bs``.  Each n counted has the verdict (its result at a, 1): the
+    one `_verdict` gives it where b lies above a, and the untagged coverage
+    at a alone where it does not.  a's windows come from one `_windows`
+    call with one n per row and the pins of `_pins_at_a`, their sums from
+    one `interval_probs` call.  An n whose layout, window or sum would
+    raise makes the call raise."""
     gs, hs = _windows(criterion, ns, np.full(ns.size, a), *_pins_at_a(criterion, ns, a, bs))
-    covs = interval_probs(gs, hs, ns * a)
-    passed = covs > threshold
-    end = passed.argmax() if passed.any() else covs.size
-    return gs[:end], hs[:end], covs[:end]
+    passed = interval_probs(gs, hs, ns * a) > threshold
+    return int(passed.argmax()) if passed.any() else ns.size
 
 
 def _probe(criterion: ErrorCriterion, n: int, layout: _Layout, threshold: float) -> _Hit | None:

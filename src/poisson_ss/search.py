@@ -71,10 +71,10 @@ prediction is spent, and after that a block opens only once _STREAK n
 in a row have failed at a, with rank 1, and holds twice as many n as
 that streak, so while every n of its blocks fails the streak triples
 with each block.  Like every build, a block holds at most _CHUNK n, and
-no n past max_n.  Each n that fails at a gets count 1 and the result at
-a that its own decision gives, bit for bit: the same window, pins and
-sum from the same numbers, and a fail at a has rank 1 whichever route
-sums it.  So no verdict and no count depends on the blocks.  A block
+no n past max_n.  A block counts the n that fail at a, each with count
+1, by the sum its own decision reads, bit for bit: the same window, pins
+and sum from the same numbers, and a fail at a has rank 1 whichever
+route sums it.  So no verdict and no count depends on the blocks.  A block
 ends before the first n whose a passes; that n is decided on its own,
 as above.  The n a block holds past that n, past the answer too, cost
 work but never count.
@@ -306,7 +306,7 @@ def min_sample_size(
             ns = np.arange(n, stop)
             try:
                 fails = _fails_at_a(criterion, ns, float(a),
-                                    _scan_bs(criterion, interval, delta, ns), level)[2].size
+                                    _scan_bs(criterion, interval, delta, ns), level)
             except ValueError:  # dropped whole: n is decided alone and the streak restarts
                 fails = streak = 0
             evaluations, streak, n = evaluations + fails, streak + fails, n + fails

@@ -124,7 +124,8 @@ class CandidateKind(Enum):
 
 
 # The side of the window each breakpoint family, and only those, pins at
-# its own members, as in `coverage._window`: 0 for g, 1 for h.
+# its own members, as `coverage._coverage` reads a point's tags: 0 for g,
+# 1 for h.
 _PIN_SIDE = {CandidateKind.ABS_PLUS: 0, CandidateKind.REL_LOWER: 0,
              CandidateKind.ABS_MINUS: 1, CandidateKind.REL_UPPER: 1}
 

@@ -26,7 +26,7 @@ from poisson_ss import (
     interval_prob,
     min_coverage,
 )
-from poisson_ss.coverage import _UNPINNED, _windows
+from poisson_ss.coverage import _UNPINNED, _coverage, _windows
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from exact_reference import reference_coverage_at_point, reference_window  # noqa: E402
@@ -126,6 +126,22 @@ def test_a_scan_refuses_a_candidate_whose_window_drops_its_count():
     # window sides on the count 0
     with pytest.raises(MarginTooNarrow, match="at rate 0.0 for n = 1"):
         min_coverage(Absolute(1e-13), 1, ParamInterval(0.0, 1.0))
+
+
+def test_windows_refuse_a_pinned_row_with_the_scalar_rule_s_error():
+    # the second row's tags pin both sides on the count 0, as a's point in
+    # the scan above: the array rule raises the scalar rule's error for it,
+    # with the row's own n and pins
+    criterion = Absolute(1e-13)
+    with pytest.raises(MarginTooNarrow) as scalar:
+        _coverage(criterion, 1, 0.0, ((CandidateKind.ABS_PLUS, 0), (CandidateKind.ABS_MINUS, 0)))
+    with pytest.raises(MarginTooNarrow) as array:
+        _windows(criterion, np.array([2, 1]), np.array([0.25, 0.0]),
+                 np.array([_UNPINNED, 0]), np.array([_UNPINNED, 0]))
+    assert type(array.value) is type(scalar.value) is MarginTooNarrow
+    assert str(array.value) == str(scalar.value) == (
+        "the margin is too narrow at rate 0.0 for n = 1: both window ends, "
+        "-1e-13 and 1e-13, fall on the count 0 between them")
 
 
 def test_window_can_be_empty_for_tight_relative_margin():

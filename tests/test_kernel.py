@@ -182,6 +182,28 @@ def test_interval_prob_is_bit_stable(k_lo, k_hi, mu):
     assert interval_prob(k_lo, k_hi, mu).hex() == INTERVAL_BITS[k_lo, k_hi, mu]
 
 
+def _stirlerr_by_branches(n):
+    """`kernel._stirlerr` written as its four series, one branch each."""
+    if n <= 15.0:
+        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - kernel._HALF_LN_2PI
+    s0, s1, s2, s3, s4 = kernel._S0, kernel._S1, kernel._S2, kernel._S3, kernel._S4
+    nn = n * n
+    if n > 500.0:
+        return (s0 - s1 / nn) / n
+    if n > 80.0:
+        return (s0 - (s1 - s2 / nn) / nn) / n
+    if n > 35.0:
+        return (s0 - (s1 - (s2 - s3 / nn) / nn) / nn) / n
+    return (s0 - (s1 - (s2 - (s3 - s4 / nn) / nn) / nn) / nn) / n
+
+
+def test_stirlerr_nests_its_four_series_bit_for_bit():
+    ks = [float(k) for k in range(1, 200_001)] + [2.0 ** j for j in range(18, 39)]
+    want = [_stirlerr_by_branches(k).hex() for k in ks]
+    assert [kernel._stirlerr(k).hex() for k in ks] == want
+    assert [x.hex() for x in kernel._stirlerrs(np.array(ks)).tolist()] == want
+
+
 def test_batched_kernel_reproduces_the_pinned_bits():
     g, h, mu = zip(*INTERVAL_BITS)
     want = list(INTERVAL_BITS.values())

@@ -23,7 +23,7 @@ from poisson_ss import (
 )
 from poisson_ss import candidates, kernel, minimizer, search
 from poisson_ss.candidates import DEDUP_REL_TOL, _layout, _point_arrays
-from poisson_ss.coverage import _window, _windows
+from poisson_ss.coverage import _coverage, _windows
 from poisson_ss.minimizer import _BLOCK, _PREFIX
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
@@ -284,7 +284,7 @@ def _array_rows(crit, n, interval):
 
 def _tuple_rows(crit, n, interval):
     """The same rows from the stream and the scalar window."""
-    return [(p.value.hex(), *_window(crit, n, p.value, ((p.kind, p.ell),) + p.extra_tags))
+    return [(p.value.hex(), *_coverage(crit, n, p.value, ((p.kind, p.ell),) + p.extra_tags)[:2])
             for p in candidate_stream(crit, n, interval)]
 
 

@@ -37,6 +37,7 @@ from poisson_ss import (
     scan_min_coverage,
 )
 from poisson_ss import candidates, kernel, minimizer, search
+from poisson_ss.coverage import _windows
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from exact_reference import exact_min_coverage  # noqa: E402
@@ -160,8 +161,9 @@ def _blocks_at_a(draw):
 @given(_blocks_at_a())
 def test_a_block_gives_each_n_that_fails_at_a_its_own_verdict(block):
     # a block at a raises where some n of it raises at a alone; otherwise
-    # its rows are the verdicts the n get alone, bit for bit, with rank 1,
-    # up to the first n whose a passes.  Each n's scan_b is `_scan_b`'s.
+    # it counts the n up to the first whose a passes, and the block's
+    # windows and sums at a are their verdicts alone, bit for bit, with
+    # rank 1.  Each n's scan_b is `_scan_b`'s.
     criterion, interval, delta, ns = block
     bs = search._scan_bs(criterion, interval, delta, ns)
     assert [b.hex() for b in bs.tolist()] == [
@@ -177,9 +179,13 @@ def test_a_block_gives_each_n_that_fails_at_a_its_own_verdict(block):
         with pytest.raises(ValueError):
             minimizer._fails_at_a(criterion, ns, interval.a, bs, 1.0 - delta)
         return
-    gs, hs, covs = minimizer._fails_at_a(criterion, ns, interval.a, bs, 1.0 - delta)
-    assert covs.size == (alone + [None]).index(None)
-    for n, g, h, cov in zip(ns.tolist(), gs.tolist(), hs.tolist(), covs.tolist()):
+    fails = minimizer._fails_at_a(criterion, ns, interval.a, bs, 1.0 - delta)
+    assert fails == (alone + [None]).index(None)
+    # the block's windows and sums, from the parts `_fails_at_a` reads
+    gs, hs = _windows(criterion, ns, np.full(ns.size, interval.a),
+                      *candidates._pins_at_a(criterion, ns, interval.a, bs))
+    covs = kernel.interval_probs(gs, hs, ns * interval.a)
+    for n, g, h, cov in zip(ns[:fails].tolist(), gs.tolist(), hs.tolist(), covs.tolist()):
         result, rank = _a_verdict(criterion, interval, delta, n)
         assert (result.lam.hex(), result.g, result.h, result.coverage.hex(), rank) == (
             float(interval.a).hex(), g, h, cov.hex(), 1)
@@ -281,9 +287,9 @@ def _record_blocks(monkeypatch):
 
     def recording(criterion, ns, *args):
         blocks.append((int(ns[0]), ns.size, None))
-        rows = real(criterion, ns, *args)
-        blocks[-1] = blocks[-1][:2] + (rows[2].size,)
-        return rows
+        fails = real(criterion, ns, *args)
+        blocks[-1] = blocks[-1][:2] + (fails,)
+        return fails
     monkeypatch.setattr(search, "_fails_at_a", recording, raising=True)
     return blocks
 
@@ -452,7 +458,7 @@ def test_relative_lower_bound_tie_is_left_to_the_scan(monkeypatch):
     recording("_decide", lambda criterion, runs, *_, result: [n for n, _, _ in runs])
     # the leading n of a block that fail at a, the ones it decides
     recording("_fails_at_a",
-              lambda criterion, ns, *_, result: ns[:result[2].size].tolist())
+              lambda criterion, ns, *_, result: ns[:result].tolist())
     max_n, delta = 10, 0.1
     a = math.log(1.0 / delta) / max_n
     real_n_at_a = search._n_at_a
