@@ -26,12 +26,18 @@ Past the probe the scan takes the array layout from its first row, one
 chunk at a time, resolves a chunk's windows at once with `_windows` and
 gives every row a coverage floor, `kernel._floors`: one minus geometric
 bounds on the two Poisson tails outside the window.  The floor is within
-1e-14 of a true lower bound on the coverage and the kernel within 1e-12
+1e-10 of a true lower bound on the coverage and the kernel within 1e-12
 of the coverage, so a row whose floor is above some value by more than
-_MARGIN = 1e-9 has a kernel value above it.  Only the rows the floor
-cannot rule out are summed, by `interval_probs` in blocks of _BLOCK rows,
-bit for bit the scalar values; so a probed row read again has the value
-the probe saw, above the threshold.
+_MARGIN = 1e-9 has a kernel value above it.  The rows the floor cannot
+rule out are the rows in doubt.  Where a call has at least _BRACKET_ROWS
+of them, `kernel._brackets` refines them first: a sharper floor, from
+continued fractions for the tails, written over the cheap one, and a
+ceiling, within 1e-10 of a true upper bound, so a row whose ceiling is
+below some value by more than _MARGIN has a kernel value below it.  Below
+that gate the refinement costs more than the sums it saves (see
+_BRACKET_ROWS).  Only rows still in doubt are summed, by `interval_probs`
+in blocks of _BLOCK rows, bit for bit the scalar values; so a probed row
+read again has the value the probe saw, above the threshold.
 
 One pass, `_decide`, settles an n, for a scan with a threshold and for a
 batched run of consecutive n (see `search`).  It builds each n's rows a
@@ -49,27 +55,35 @@ one `_point_rows` call builds their rows, one segment per n, one
 `_floors` call floors them.  `_first_fails` then sums the rows whose
 floor is within the margin of the threshold, the next block of every
 segment without a failure yet in one `interval_probs` call, up to each
-segment's first value at or below it.  An n fails at the first such
-value of its spans in rate order, its rank carried across them; an n
-whose last span has none passes; any other n goes on from the end of its
-span in the next round.  So the first round of a run decides every n
-whose witness lies in its first span for the fixed costs of one, and an
-n that stops builds nothing past the span that holds its witness.
+segment's first value at or below it.  With the brackets, a segment's
+rows end at its first row whose ceiling is below the threshold by the
+margin: that row fails for certain, so no row after it can be its n's
+first failure and none is summed, while the row itself is, so every
+witness is a summed value.  An n fails at the first such value of its
+spans in rate order, its rank carried across them; an n whose last span
+has none passes; any other n goes on from the end of its span in the
+next round.  So the first round of a run decides every n whose witness
+lies in its first span for the fixed costs of one, and an n that stops
+builds nothing past the span that holds its witness.
 
 `_decide` returns one verdict per n, in order: the (witness, count) of
 each leading n that fails, then the (minimum, count) of the first n that
 does not, if any.  That n passes, and `_minimum` gives its minimum: it
 sums the rows not summed yet in ascending order of their floor while the
-floor is within the margin of the least value summed so far.  It reads
-the rows the fail-fast pass floored, the n's segments of each round; an
-n of more than a chunk of rows builds them again, a chunk at a time,
-from the least value the pass summed.  A full scan builds each chunk
-once.  A row left out has a coverage above a summed value, so the
-minimum and its ties do not change.
+floor is within the margin of the least value summed so far.  Where a
+chunk has at least _BRACKET_ROWS such rows in doubt, it brackets them
+and starts from their least ceiling instead, if lower: the row that has
+it is summed, and a row whose floor lies above that ceiling by the
+margin is above that row's value.  It reads the rows the fail-fast pass
+floored, the n's segments of each round; an n of more than a chunk of
+rows builds them again, a chunk at a time, from the least value the pass
+summed.  A full scan builds each chunk once.  A row left out has a
+coverage above a summed value, so the minimum and its ties do not
+change.
 
 So the scan returns what a point-by-point scan returns: ties go to the
 smallest rate, and ``evaluations`` counts the candidates in rate order up
-to and including the witness, whether a floor or a sum decided them.  No
+to and including the witness, whether a bound or a sum decided them.  No
 build holds more than about a chunk of rows.  The ``coverage`` command,
 which needs every value, sums whole chunks with no floors instead
 (`coverage._blocks`).
@@ -96,7 +110,7 @@ from .candidates import (
     _spans,
 )
 from .coverage import _coverage, _windows
-from .kernel import _floors, interval_probs
+from .kernel import _brackets, _floors, interval_probs
 from .types import CoverageResult, ErrorCriterion, ParamInterval
 
 __all__ = ["min_coverage", "scan_min_coverage"]
@@ -104,9 +118,17 @@ __all__ = ["min_coverage", "scan_min_coverage"]
 _PREFIX = 8
 _BLOCK = 64
 # A row whose coverage floor is above a threshold by more than this has a
-# coverage above it: the floor is within 1e-14 of a true lower bound and
-# the kernel within 1e-12 of the exact mass.
+# coverage above it, and one whose ceiling is below it by more than this a
+# coverage below it: floors and ceilings are within 1e-10 of true bounds
+# and the kernel within 1e-12 of the exact mass.
 _MARGIN = 1e-9
+# Fewest rows in doubt for which `_first_fails` and `_minimum` refine them
+# with `kernel._brackets` before summing any: where refining first overtook
+# summing alone on the `_first_fails` calls of three Absolute and Mixed, three
+# Relative and 60 drawn searches (best of 7 timings a call, numpy 2.4, a
+# 2-core x86 host).  Refining took 1.07-1.12 of the time at 192-320 rows in
+# doubt, 0.82 at 320-384 and 0.27-0.5 past 384.
+_BRACKET_ROWS = 320
 
 _Hit = tuple[CoverageResult, int]
 _Chunk = tuple[np.ndarray, ...]
@@ -132,9 +154,11 @@ def scan_min_coverage(
 
     In the array path a candidate's coverage is summed only where its
     coverage floor cannot show that it is above the threshold, or above the
-    least coverage summed so far (see the module docstring).  The count
-    still covers every candidate up to and including the witness, or all of
-    them, whether its floor or its sum decided it.
+    least coverage summed so far or a ceiling, and, with a threshold, where
+    no earlier candidate's ceiling shows a failure (see the module
+    docstring).  The count still covers every candidate up to and
+    including the witness, or all of them, whether a bound or its sum
+    decided it.
     """
     _check_scan(criterion, n, interval)
     layout = _layout(criterion, n, interval)
@@ -252,11 +276,17 @@ def _decide(
 
 def _minimum(chunks: Iterable[_Chunk], least: float = math.inf) -> _Hit:
     """(minimum, count) over the floored ``chunks`` of one layout, ties to
-    the smaller rate, from ``least``, the least coverage summed so far."""
+    the smaller rate, from ``least``, the least coverage summed so far; a
+    chunk's rows in doubt, at least _BRACKET_ROWS of them, are bracketed
+    first and their least ceiling lowers ``least``."""
     best, count = None, 0
     for lams, gs, hs, mus, floors, covs in chunks:
         least = min(least, covs.min())
         rows = np.flatnonzero(covs == np.inf)  # the rows not summed yet
+        rows = rows[floors[rows] <= least + _MARGIN]  # the rows in doubt
+        if rows.size >= _BRACKET_ROWS:
+            floors[rows], ceilings = _brackets(gs[rows], hs[rows], mus[rows])
+            least = min(least, ceilings.min(initial=math.inf))
         rows = rows[floors[rows].argsort()]
         start = 0
         while start < rows.size and floors[rows[start]] <= least + _MARGIN:
@@ -299,13 +329,16 @@ def _first_fails(
     come after it.
 
     Only rows whose floor is within _MARGIN of the threshold are summed,
-    into the chunk's coverages.  Each round sums the next _BLOCK of them
+    into the chunk's coverages; at least _BRACKET_ROWS of them are first
+    narrowed by `_refined`.  Each round sums the next _BLOCK of them
     in every segment without a failure yet, in one `interval_probs` call.
     The rounds stop once no segment without a failure, up to the first
     closed one, has rows left: that closed segment's n passes, and the
     segments past it no longer count."""
     _, gs, hs, mus, floors, covs = chunk
     rows = np.flatnonzero(floors <= threshold + _MARGIN)
+    if rows.size >= _BRACKET_ROWS:
+        rows = _refined(chunk, rows, bounds, threshold)
     pos, end = rows.searchsorted(bounds[:-1]), rows.searchsorted(bounds[1:])
     hits = np.full(pos.size, -1)
     closed = np.array(closed, bool)
@@ -323,6 +356,22 @@ def _first_fails(
         first = np.flatnonzero(np.diff(segment, prepend=-1))
         hits[segment[first]] = block[fails[first]]
         pos += take
+
+
+def _refined(chunk: _Chunk, rows: np.ndarray, bounds: list[int], threshold: float) -> np.ndarray:
+    """The ``rows`` in doubt of `_first_fails` that still need a sum once
+    `kernel._brackets` refines them: it writes their sharper floors into
+    the chunk, drops the rows whose floor now clears the threshold by
+    _MARGIN, and ends each segment at its first row whose ceiling is below
+    the threshold by _MARGIN, a certain failure."""
+    _, gs, hs, mus, floors, _ = chunk
+    floors[rows], ceilings = _brackets(gs[rows], hs[rows], mus[rows])
+    sure = ceilings <= threshold - _MARGIN
+    # how many certain failures come before each row in its segment
+    ahead = np.concatenate(([0], np.cumsum(sure)))
+    starts = rows.searchsorted(bounds)
+    ahead = ahead[:-1] - np.repeat(ahead[starts[:-1]], np.diff(starts))
+    return rows[((floors[rows] <= threshold + _MARGIN) | sure) & (ahead == 0)]
 
 
 def min_coverage(

@@ -369,11 +369,55 @@ def _floor_args(draw):
 def test_floor_is_a_lower_bound_on_the_kernel(args):
     g, h, mu = zip(*args)
     floors = kernel._floors(g, h, mu)
+    brackets = zip(*kernel._brackets(g, h, mu))
     # the batched kernel is interval_prob bit for bit (tested above)
     probs = interval_probs(g, h, mu)
-    for floor, prob, row in zip(floors.tolist(), probs.tolist(), args):
+    for floor, (low, high), prob, row in zip(floors.tolist(), brackets, probs.tolist(), args):
         assert floor <= prob + 1e-12, row
+        assert low <= prob + 1e-12, row
+        assert high >= prob - 1e-12, row
         assert floor == -math.inf or row[2] > 0.0, row
+        assert low == -math.inf or row[2] > 0.0, row
+
+
+@st.composite
+def _bracket_args(draw):
+    """(g, h, mu), mu log-uniform from 1e-3 to 2**38, each window end 0.05
+    to 6 sd out from mu, at or next to mu, or, for g, at or below 0."""
+    mu = min(10.0 ** draw(st.floats(-3.0, math.log10(2.0 ** 38))), 2.0 ** 38)
+    sd, mode = math.sqrt(mu), math.floor(mu)
+    out = st.floats(0.05, 6.0)
+    g = draw(out.map(lambda z: math.floor(mu - z * sd) + 1) | st.integers(-3, 0)
+             | st.integers(0, 2).map(lambda d: mode + d))
+    h = draw(out.map(lambda z: math.floor(mu + z * sd))
+             | st.integers(-2, 1).map(lambda d: mode + d))
+    return g, h, mu
+
+
+def _mass(g, h, mu):
+    """The Poisson(mu) mass of [max(0, g), h] from mpmath's regularized
+    upper incomplete gamma function."""
+    if h < max(g, 0):
+        return mp.mpf(0)
+    mu = mp.mpf(mu)
+    lower = mp.gammainc(g, mu, mp.inf, regularized=True) if g >= 1 else 0
+    return mp.gammainc(h + 1, mu, mp.inf, regularized=True) - lower
+
+
+@pytest.mark.seeded
+@settings(max_examples=40, deadline=None)
+@given(_bracket_args())
+@example((2 ** 38 - 600_000, 2 ** 38 + 500_000, 2.0 ** 38))   # 1.1 and 1 sd
+@example((1, 3, 1e-3))
+@example((1, -1, 0.1))      # an empty window whose two tails overlap at 0
+def test_brackets_hold_the_exact_mass(row):
+    # each convergent lies on its side of its tail (see the kernel's
+    # docstring), and rounding stays far inside what they give away
+    floor, ceiling = (x.item() for x in kernel._brackets([row[0]], [row[1]], [row[2]]))
+    with mp.workdps(25):
+        mass = _mass(*row)
+    assert floor <= mass + 1e-15, row
+    assert ceiling >= mass - 1e-15, row
 
 
 

@@ -21,7 +21,7 @@ from poisson_ss import (
     min_coverage,
     scan_min_coverage,
 )
-from poisson_ss import candidates, kernel, minimizer, search
+from poisson_ss import candidates, coverage, kernel, minimizer, search
 from poisson_ss.candidates import DEDUP_REL_TOL, _layout, _point_arrays
 from poisson_ss.coverage import _coverage, _windows
 from poisson_ss.minimizer import _BLOCK, _PREFIX
@@ -465,11 +465,8 @@ def test_fail_fast_stop_on_a_block_edge_row(row):
     assert (witness, count) == reference_scan(crit, n, interval, covs[q])
 
 
-def test_fail_fast_scan_sums_only_rows_its_floors_cannot_decide(monkeypatch):
-    # n = 1900 fails first at position 9 350 of its 9 501 candidates on
-    # [0, 5], in the third chunk; the coverage floors prove most rows before
-    # it safe, and the chunks before the witness's need no minimum
-    crit, n, interval, threshold = Absolute(0.1), 1900, ParamInterval(0.0, 5.0), 0.95
+def _summed_rows(monkeypatch):
+    """The row count of each kernel call the minimizer makes from now on."""
     summed = []
     kernel_sum = minimizer.interval_probs
 
@@ -478,10 +475,35 @@ def test_fail_fast_scan_sums_only_rows_its_floors_cannot_decide(monkeypatch):
         return kernel_sum(g, h, mu)
 
     monkeypatch.setattr(minimizer, "interval_probs", counting_sum)
+    return summed
+
+
+def test_fail_fast_scan_sums_only_rows_its_floors_cannot_decide(monkeypatch):
+    # n = 1900 fails first at position 9 350 of its 9 501 candidates on
+    # [0, 5], in the third chunk; the coverage floors and brackets prove
+    # most rows before it safe, a ceiling shows a failure soon after it,
+    # and the chunks before the witness's need no minimum
+    crit, n, interval, threshold = Absolute(0.1), 1900, ParamInterval(0.0, 5.0), 0.95
+    summed = _summed_rows(monkeypatch)
     witness, count = scan_min_coverage(crit, n, interval, threshold)
     assert count == 9350
-    assert sum(summed) < 0.15 * count
+    assert sum(summed) < 0.015 * count
     assert (witness, count) == reference_scan(crit, n, interval, threshold)
+
+
+def test_full_scan_sums_only_rows_its_brackets_cannot_decide(monkeypatch):
+    # n = 1926 on [0, 5] has 19 262 candidates and its minimum at b; the
+    # least ceiling of the first chunk bounds the minimum from the start,
+    # so every row whose floor lies above it is left out
+    crit, n, interval = Absolute(0.1), 1926, ParamInterval(0.0, 5.0)
+    lams, _, _, covs = (np.concatenate(column) for column in zip(
+        *coverage._blocks(crit, n, _point_arrays(_layout(crit, n, interval)))))
+    summed = _summed_rows(monkeypatch)
+    result, count = scan_min_coverage(crit, n, interval)
+    i = int(covs.argmin())  # ties to the smallest rate
+    assert count == covs.size == 19262
+    assert (result.lam, result.coverage) == (lams[i], covs[i]) == (5.0, 0.9501976930487426)
+    assert sum(summed) < 0.015 * count
 
 
 @pytest.mark.seeded
@@ -492,13 +514,16 @@ def test_fail_fast_scan_sums_only_rows_its_floors_cannot_decide(monkeypatch):
     quantile=st.floats(0.0, 0.6),
     size=st.sampled_from([1, 3, 64]),
     closed=st.lists(st.booleans(), min_size=7, max_size=7),
+    bracketed=st.booleans(),
 )
-def test_first_failures_of_segments_match_a_plain_search(cuts, seed, quantile, size, closed):
+def test_first_failures_of_segments_match_a_plain_search(
+        cuts, seed, quantile, size, closed, bracketed):
     # the fail-fast pass over segments of rows, in rounds of `size` rows a
     # segment, against a plain search of each segment for its first
     # failure, -1 for an open one without, up to the first closed segment
     # without one.  The rows of a layout are shuffled, so that failures
-    # are spread over every segment.
+    # are spread over every segment; with the gate at 0 every call refines
+    # its rows in doubt with the brackets, with it past the row count none.
     crit, n, interval = Absolute(0.1), 400, ParamInterval(0.0, 1.6)
     columns = [np.concatenate(column) for column in zip(
         *minimizer._chunks(crit, n, _layout(crit, n, interval)))]
@@ -508,7 +533,9 @@ def test_first_failures_of_segments_match_a_plain_search(cuts, seed, quantile, s
     covs = kernel.interval_probs(gs, hs, mus)
     threshold = float(np.quantile(covs, quantile, method="lower"))
     bounds = sorted({0, lams.size, *(cut % lams.size for cut in cuts)})
-    with mock.patch.object(minimizer, "_BLOCK", size):
+    gate = 0 if bracketed else lams.size + 1
+    with mock.patch.object(minimizer, "_BLOCK", size), \
+            mock.patch.object(minimizer, "_BRACKET_ROWS", gate):
         hits = minimizer._first_fails(chunk, bounds, threshold, closed[:len(bounds) - 1])
     want = []
     for lo, hi, shut in zip(bounds, bounds[1:], closed):
@@ -519,6 +546,8 @@ def test_first_failures_of_segments_match_a_plain_search(cuts, seed, quantile, s
     assert hits == want
     summed = chunk[5] != np.inf
     assert (chunk[5][summed] == covs[summed]).all()
+    # the floors written back are still floors
+    assert (chunk[4] <= covs + 1e-12).all()
 
 
 def test_fail_fast_stop_on_a_row_whose_floor_rounds_above_its_coverage():

@@ -1270,6 +1270,17 @@ def test_large_plan_absolute_tenth_to_five():
     assert min_coverage(Absolute(0.1), 1925, interval).coverage <= 0.95
 
 
+@pytest.mark.slow
+def test_large_plan_absolute_twentieth():
+    # 3 080 failing n over [0, 2], their rows in doubt refined by the
+    # continued-fraction brackets
+    plan = min_sample_size(Absolute(0.05), ParamInterval(0.0, 2.0), ConfidenceSpec(0.05))
+    assert plan.n_min == 3081
+    assert plan.evaluations == 12_003_646
+    assert plan.worst_lambda.hex() == "0x1.fffeefbb2294fp+0"
+    assert plan.worst_coverage.hex() == "0x1.e682c51a5bb0ap-1"
+
+
 @pytest.mark.xfail(strict=True, reason="a pass within float rounding of 1 - delta is "
                    "decided in floats, not certified exactly")
 def test_the_worst_window_of_a_plan_exceeds_the_exact_threshold():
