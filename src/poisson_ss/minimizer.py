@@ -29,15 +29,16 @@ bounds on the two Poisson tails outside the window.  The floor is within
 1e-10 of a true lower bound on the coverage and the kernel within 1e-12
 of the coverage, so a row whose floor is above some value by more than
 _MARGIN = 1e-9 has a kernel value above it.  The rows the floor cannot
-rule out are the rows in doubt.  Where a call has at least _BRACKET_ROWS
-of them, `kernel._brackets` refines them first: a sharper floor, from
-continued fractions for the tails, written over the cheap one, and a
-ceiling, within 1e-10 of a true upper bound, so a row whose ceiling is
-below some value by more than _MARGIN has a kernel value below it.  Below
-that gate the refinement costs more than the sums it saves (see
-_BRACKET_ROWS).  Only rows still in doubt are summed, by `interval_probs`
-in blocks of _BLOCK rows, bit for bit the scalar values; so a probed row
-read again has the value the probe saw, above the threshold.
+rule out are the rows in doubt.  Where a fail-fast call has at least
+_BRACKET_ROWS of them, `kernel._brackets` refines them first: a sharper
+floor, from continued fractions for the tails, written over the cheap
+one, and a ceiling, within 1e-10 of a true upper bound, so a row whose
+ceiling is below some value by more than _MARGIN has a kernel value
+below it.  Below that gate the refinement costs more than the sums it
+saves (see _BRACKET_ROWS).  Only rows still in doubt are summed, by
+`interval_probs` in blocks of _BLOCK rows, bit for bit the scalar
+values; so a probed row read again has the value the probe saw, above
+the threshold.
 
 One pass, `_decide`, settles an n, for a scan with a threshold and for a
 batched run of consecutive n (see `search`).  It builds each n's rows a
@@ -70,16 +71,19 @@ builds nothing past the span that holds its witness.
 each leading n that fails, then the (minimum, count) of the first n that
 does not, if any.  That n passes, and `_minimum` gives its minimum: it
 sums the rows not summed yet in ascending order of their floor while the
-floor is within the margin of the least value summed so far.  Where a
-chunk has at least _BRACKET_ROWS such rows in doubt, it brackets them
-and starts from their least ceiling instead, if lower: the row that has
-it is summed, and a row whose floor lies above that ceiling by the
-margin is above that row's value.  It reads the rows the fail-fast pass
-floored, the n's segments of each round; an n of more than a chunk of
-rows builds them again, a chunk at a time, from the least value the pass
-summed.  A full scan builds each chunk once.  A row left out has a
-coverage above a summed value, so the minimum and its ties do not
-change.
+floor is within the margin of the least value summed so far.  A chunk's
+first _BLOCK such rows in doubt are summed alone; the rows they leave in
+doubt are bracketed, with no gate, and the least value drops to their
+least ceiling, if lower: the row that has it is summed, as its floor is
+at most its ceiling, and a row whose floor lies above that ceiling by the
+margin is above that row's value.  Bracketing before the first block
+would refine every row of a full scan's first chunk, all in doubt while
+the least value is inf (see `_minimum`).  It reads the rows the
+fail-fast pass floored, the n's segments of each round; an n of more
+than a chunk of rows builds them again, a chunk at a time, from the
+least value the pass summed.  A full scan builds each chunk once.  A row
+left out has a coverage above a summed value, so the minimum and its
+ties do not change.
 
 So the scan returns what a point-by-point scan returns: ties go to the
 smallest rate, and ``evaluations`` counts the candidates in rate order up
@@ -122,12 +126,12 @@ _BLOCK = 64
 # coverage below it: floors and ceilings are within 1e-10 of true bounds
 # and the kernel within 1e-12 of the exact mass.
 _MARGIN = 1e-9
-# Fewest rows in doubt for which `_first_fails` and `_minimum` refine them
-# with `kernel._brackets` before summing any: where refining first overtook
+# Fewest rows in doubt for which `_first_fails` refines them with
+# `kernel._brackets` before summing any: where refining first overtook
 # summing alone on the `_first_fails` calls of three Absolute and Mixed, three
 # Relative and 60 drawn searches (best of 7 timings a call, numpy 2.4, a
 # 2-core x86 host).  Refining took 1.07-1.12 of the time at 192-320 rows in
-# doubt, 0.82 at 320-384 and 0.27-0.5 past 384.
+# doubt, 0.82 at 320-384 and 0.27-0.5 past 384.  `_minimum` has no gate.
 _BRACKET_ROWS = 320
 
 _Hit = tuple[CoverageResult, int]
@@ -276,18 +280,35 @@ def _decide(
 
 def _minimum(chunks: Iterable[_Chunk], least: float = math.inf) -> _Hit:
     """(minimum, count) over the floored ``chunks`` of one layout, ties to
-    the smaller rate, from ``least``, the least coverage summed so far; a
-    chunk's rows in doubt, at least _BRACKET_ROWS of them, are bracketed
-    first and their least ceiling lowers ``least``."""
+    the smaller rate, from ``least``, the least coverage summed so far.  A
+    chunk sums its _BLOCK rows in doubt of lowest floor first; the rows
+    they leave in doubt are bracketed, and their least ceiling lowers
+    ``least``, before any of them is summed."""
     best, count = None, 0
     for lams, gs, hs, mus, floors, covs in chunks:
         least = min(least, covs.min())
         rows = np.flatnonzero(covs == np.inf)  # the rows not summed yet
         rows = rows[floors[rows] <= least + _MARGIN]  # the rows in doubt
-        if rows.size >= _BRACKET_ROWS:
-            floors[rows], ceilings = _brackets(gs[rows], hs[rows], mus[rows])
-            least = min(least, ceilings.min(initial=math.inf))
         rows = rows[floors[rows].argsort()]
+        first, rows = rows[:_BLOCK], rows[_BLOCK:]
+        if first.size:
+            covs[first] = interval_probs(gs[first], hs[first], mus[first])
+            least = min(least, covs[first].min())
+        rows = rows[floors[rows] <= least + _MARGIN]
+        # Bracketing the rows in doubt before the first block was 1.4-1.8
+        # times as slow as summing alone on the first chunks of `certify`'s
+        # verify scans, where least starts at inf and so every row is in
+        # doubt; those chunks leave none after it.  After it, on full scans
+        # at n - 1, n and n + 5 of 120 drawn answers n, bracketing won on
+        # all 42 chunks with rows left in doubt, at 0.77-0.80 of the time of
+        # summing alone for 8-64 rows and 0.37-0.55 past 64 (best of 7 a
+        # chunk, numpy 2.4, a 2-core x86 host).  At drawn n far above the
+        # answer, where coverage near 1 keeps floors within the margin of
+        # least, it took 0.73-1.10 a row-count bin and 1.01 overall.
+        if rows.size:
+            floors[rows], ceilings = _brackets(gs[rows], hs[rows], mus[rows])
+            least = min(least, ceilings.min())
+            rows = rows[floors[rows].argsort()]
         start = 0
         while start < rows.size and floors[rows[start]] <= least + _MARGIN:
             block = rows[start:start + _BLOCK]

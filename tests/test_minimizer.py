@@ -493,8 +493,9 @@ def test_fail_fast_scan_sums_only_rows_its_floors_cannot_decide(monkeypatch):
 
 def test_full_scan_sums_only_rows_its_brackets_cannot_decide(monkeypatch):
     # n = 1926 on [0, 5] has 19 262 candidates and its minimum at b; the
-    # least ceiling of the first chunk bounds the minimum from the start,
-    # so every row whose floor lies above it is left out
+    # first block of each chunk and the least ceiling of the rows it leaves
+    # in doubt bound the minimum, so every row whose floor lies above that
+    # bound is left out
     crit, n, interval = Absolute(0.1), 1926, ParamInterval(0.0, 5.0)
     lams, _, _, covs = (np.concatenate(column) for column in zip(
         *coverage._blocks(crit, n, _point_arrays(_layout(crit, n, interval)))))
